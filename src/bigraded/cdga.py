@@ -26,8 +26,11 @@ at construction time.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import compress
+from operator import add, mul
 
 from .errors import DomainError, InputError
 from . import exactla, freealg
@@ -62,6 +65,14 @@ class CDGA:
             raise InputError("duplicate letter names")
         self.index = {x.name: i for i, x in enumerate(self.letters)}
         self.n = len(self.letters)
+        # per-letter tables, so no monomial operation rebuilds them
+        self._g = [x.g for x in self.letters]
+        self._d = [x.d for x in self.letters]
+        self._exterior = [fld.char != 2 and d % 2 == 1 for d in self._d]
+        # letters are sorted by (g, d): those of genus k sit at
+        # [_g_start[k], _g_start[k + 1]), in increasing d
+        top = self._g[-1] if self.letters else 0
+        self._g_start = [bisect_left(self._g, k) for k in range(top + 2)]
         self.diff = {}
         self._basis_cache: dict[tuple[int, int], list] = {}
         for name, poly in (differential or {}).items():
@@ -76,16 +87,8 @@ class CDGA:
 
     # -- polynomial layer ---------------------------------------------------
 
-    def is_exterior(self, i: int) -> bool:
-        return self.field.char != 2 and self.letters[i].d % 2 == 1
-
     def mono_bidegree(self, mono) -> tuple[int, int]:
-        g = sum(e * x.g for e, x in zip(mono, self.letters))
-        d = sum(e * x.d for e, x in zip(mono, self.letters))
-        return g, d
-
-    def mono_weight(self, mono) -> int:
-        return sum(e * x.r for e, x in zip(mono, self.letters))
+        return sum(map(mul, mono, self._g)), sum(map(mul, mono, self._d))
 
     def mono_name(self, mono) -> str:
         parts = []
@@ -106,28 +109,18 @@ class CDGA:
 
     def mono_mul(self, m1, m2):
         """Product of monomials with Koszul sign; None if an odd square dies."""
-        out = []
-        for i, (a, b) in enumerate(zip(m1, m2)):
-            if a + b >= 2 and self.is_exterior(i):
-                return None
-            out.append(a + b)
+        out = tuple(map(add, m1, m2))
         if self.field.char == 2:
-            return 1, tuple(out)
+            return 1, out
+        odd = self._exterior  # outside characteristic 2: the odd-d letters
+        if max(compress(out, odd), default=0) >= 2:
+            return None
         # interleave the factors of m2 into m1: each odd factor of m2 at index
         # j moves past the odd factors of m1 at indices > j
         sign = 0
-        odd_tail = 0  # number of odd-d factors of m1 with index > j, built from the right
-        odd_positions = [i for i in range(self.n) if self.letters[i].d % 2 == 1]
-        tail_counts = {}
-        acc = 0
-        for i in reversed(range(self.n)):
-            tail_counts[i] = acc
-            if self.letters[i].d % 2 == 1:
-                acc += m1[i]
-        for j in odd_positions:
-            if m2[j]:
-                sign += m2[j] * tail_counts[j]
-        return (-1) ** (sign % 2), tuple(out)
+        for j in compress(range(self.n), map(mul, m2, odd)):
+            sign += m2[j] * sum(compress(m1[j + 1 :], odd[j + 1 :]))
+        return (-1) ** (sign % 2), out
 
     def poly_add(self, p, q):
         f = self.field
@@ -165,50 +158,43 @@ class CDGA:
                     out[m] = s
         return out
 
-    def poly_of_expr(self, text: str):
-        return parse_poly(self, text)
-
     # -- differential -------------------------------------------------------
 
     def delta_mono(self, mono):
         """delta of a monomial, by the graded Leibniz rule."""
         f = self.field
+        ds = self._d
         out = {}
-        deg_prefix = 0  # total homological degree of letters left of position i
-        for i in range(self.n):
+        for i, dpoly in sorted((self.index[nm], p) for nm, p in self.diff.items()):
             a = mono[i]
-            if a:
-                name = self.letters[i].name
-                dpoly = self.diff.get(name)
-                if dpoly:
-                    coeff = f.of(a)
-                    if f.char != 2 and deg_prefix % 2 == 1:
-                        coeff = f.neg(coeff)
-                    if not f.is_zero(coeff):
-                        m_rest = list(mono)
-                        m_rest[i] = a - 1
-                        m_rest = tuple(m_rest)
-                        deg_tail = sum(
-                            mono[j] * self.letters[j].d for j in range(i + 1, self.n)
-                        )
-                        for n_mono, n_coeff in dpoly.items():
-                            c = f.mul(coeff, n_coeff)
-                            if f.char != 2:
-                                nd = sum(e * x.d for e, x in zip(n_mono, self.letters))
-                                if (nd * deg_tail) % 2 == 1:
-                                    c = f.neg(c)
-                            sm = self.mono_mul(m_rest, n_mono)
-                            if sm is None:
-                                continue
-                            sign, m = sm
-                            if sign < 0:
-                                c = f.neg(c)
-                            s = f.add(out.get(m, f.zero()), c)
-                            if f.is_zero(s):
-                                out.pop(m, None)
-                            else:
-                                out[m] = s
-                deg_prefix += a * self.letters[i].d
+            if not a:
+                continue
+            # total homological degree of the letters left of position i
+            deg_prefix = sum(map(mul, mono[:i], ds[:i]))
+            coeff = f.of(a)
+            if f.char != 2 and deg_prefix % 2 == 1:
+                coeff = f.neg(coeff)
+            if f.is_zero(coeff):
+                continue
+            m_rest = mono[:i] + (a - 1,) + mono[i + 1 :]
+            deg_tail = sum(map(mul, mono[i + 1 :], ds[i + 1 :]))
+            for n_mono, n_coeff in dpoly.items():
+                c = f.mul(coeff, n_coeff)
+                if f.char != 2:
+                    nd = sum(map(mul, n_mono, ds))
+                    if (nd * deg_tail) % 2 == 1:
+                        c = f.neg(c)
+                sm = self.mono_mul(m_rest, n_mono)
+                if sm is None:
+                    continue
+                sign, m = sm
+                if sign < 0:
+                    c = f.neg(c)
+                s = f.add(out.get(m, f.zero()), c)
+                if f.is_zero(s):
+                    out.pop(m, None)
+                else:
+                    out[m] = s
         return out
 
     def delta_poly(self, p):
@@ -238,32 +224,39 @@ class CDGA:
     # -- bases and matrices ---------------------------------------------------
 
     def monomial_basis(self, bd: tuple[int, int]):
-        """All monomials of bidegree bd, deterministically ordered."""
+        """All monomials of bidegree bd, deterministically ordered.
+
+        Depth-first over the next letter used, with an explicit stack: a
+        branch only visits letters that fit the remaining genus and degree,
+        so the work is proportional to the partial monomials that can still
+        be completed, and no recursion limit applies."""
         if bd in self._basis_cache:
             return self._basis_cache[bd]
         g_t, d_t = bd
+        ds, starts, exterior = self._d, self._g_start, self._exterior
+        top = len(starts) - 2  # largest letter genus
         out = []
-        mono = [0] * self.n
-
-        def rec(i, g, d):
-            if g == g_t and d == d_t:
-                out.append(tuple(mono))
-                return
-            if i >= self.n or g > g_t or d > d_t:
-                return
-            x = self.letters[i]
-            max_e = 1 if self.is_exterior(i) else (g_t - g) // x.g
-            if x.d:
-                max_e = min(max_e, (d_t - d) // x.d)
-            for e in range(max_e, -1, -1):
-                mono[i] = e
-                rec(i + 1, g + e * x.g, d + e * x.d)
-            mono[i] = 0
-
         if (g_t, d_t) == (0, 0):
-            out.append(tuple(mono))
-        elif g_t >= 0 and d_t >= 0:
-            rec(0, 0, 0)
+            out.append((0,) * self.n)
+        # a frame is (first usable index, genus left, degree left, (i, e) pairs)
+        stack = [(0, g_t, d_t, ())] if g_t > 0 and d_t >= 0 else []
+        while stack:
+            start, g, d, used = stack.pop()
+            for k in range(1, min(g, top) + 1):
+                lo = max(start, starts[k])
+                for i in range(lo, bisect_right(ds, d, lo, starts[k + 1])):
+                    max_e = 1 if exterior[i] else g // k
+                    if ds[i]:
+                        max_e = min(max_e, d // ds[i])
+                    for e in range(1, max_e + 1):
+                        g2, d2, u2 = g - e * k, d - e * ds[i], used + ((i, e),)
+                        if g2:
+                            stack.append((i + 1, g2, d2, u2))
+                        elif not d2:
+                            mono = [0] * self.n
+                            for j, ej in u2:
+                                mono[j] = ej
+                            out.append(tuple(mono))
         out.sort(reverse=True)
         self._basis_cache[bd] = out
         return out
@@ -290,12 +283,13 @@ class CDGA:
                 raise InputError(f"cannot quotient by unknown letter {nm}")
         kept = [x for x in self.letters if x.name not in names]
         keep_idx = [i for i, x in enumerate(self.letters) if x.name not in names]
+        drop_idx = [self.index[nm] for nm in names]
         new = CDGA(self.field, kept, {}, check=False)
 
         def push(poly):
             out = {}
             for m, c in poly.items():
-                if any(m[self.index[nm]] for nm in names):
+                if any(m[i] for i in drop_idx):
                     continue
                 out[tuple(m[i] for i in keep_idx)] = c
             return out
@@ -359,7 +353,7 @@ class DGModule:
 
     def _poly_deg(self, p):
         for m in p:
-            return sum(e * x.d for e, x in zip(m, self.base.letters))
+            return self.base.mono_bidegree(m)[1]
         return 0
 
     def _acc(self, out, poly, e, sign):
@@ -391,8 +385,7 @@ class DGModule:
         out = {}
         for m2, c in self.base.delta_mono(m).items():
             out = self._acc(out, {m2: c}, e, 1)
-        md = sum(ee * x.d for ee, x in zip(m, self.base.letters))
-        sign = -1 if (f.char != 2 and md % 2 == 1) else 1
+        sign = -1 if (f.char != 2 and self.base.mono_bidegree(m)[1] % 2 == 1) else 1
         for p, e2 in self.mdiff.get(e, ()):
             prod = self.base.poly_mul({m: f.one()}, p)
             out = self._acc(out, prod, e2, sign)

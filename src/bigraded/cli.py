@@ -156,9 +156,11 @@ def _preset_of(args):
     name = args.preset
     ell = getattr(args, "ell", None)
     if name and "(" in name:
-        base, rest = name.split("(", 1)
-        name = base
-        ell = int(rest.rstrip(")"))
+        name, rest = name.split("(", 1)
+        try:
+            ell = int(rest.rstrip(")"))
+        except ValueError as exc:
+            raise InputError(f"bad prime in preset {args.preset!r}") from exc
     return name, ell
 
 

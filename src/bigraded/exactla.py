@@ -1,16 +1,25 @@
 """Exact linear algebra over Q and F_ell, and Smith normal form over Z.
 
 Everything here is exact: rationals are `fractions.Fraction`, residues are
-ints reduced into [0, ell).  No floating point is used anywhere.  Pivoting is
-deterministic (first nonzero entry in row-major order) so kernel bases and
-echelon forms are reproducible across runs and platforms.
+ints reduced into [0, ell).  No floating point is used anywhere.
+
+`rank` is one sparse-row elimination over any of these fields: the shortest
+remaining row is the pivot and clears its leading column from the other
+rows, which keeps fill-in low on the very sparse differentials of chain
+complexes.  `rref` and `kernel_basis` keep dense elimination with the first
+nonzero entry in row-major order as pivot, so echelon forms and kernel bases
+are reproducible across runs and platforms.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import compress, repeat
 from math import gcd
+from operator import is_not
 
 from .errors import DomainError, InputError
 
@@ -33,7 +42,9 @@ class Rationals:
         raise InputError(f"not a rational scalar: {x!r}")
 
     def zero(self):
-        return Fraction(0)
+        # one shared (immutable) zero: the zero entries of a fresh Matrix are
+        # then the same object, which `rank` skips by identity
+        return _Q_ZERO
 
     def one(self):
         return Fraction(1)
@@ -112,6 +123,7 @@ class PrimeField:
         return f"GF({self.ell})"
 
 
+_Q_ZERO = Fraction(0)
 QQ = Rationals()
 
 _GF_CACHE: dict[int, PrimeField] = {}
@@ -218,8 +230,58 @@ def rref(m: Matrix):
 
 
 def rank(m: Matrix) -> int:
-    rows = m.copy_rows()
-    return len(_rref(m.field, rows, m.ncols))
+    """Rank by sparse-row elimination, pivoting on the shortest row.
+
+    Rows are ``{col: value}`` dicts of nonzeros; a heap of (length, row)
+    entries, refreshed whenever a row changes, yields the shortest row, and
+    its leading column is cleared from every row that meets it.
+    """
+    f = m.field
+    sub, mul, is_zero = f.sub, f.mul, f.is_zero
+    zero = f.zero()
+    rows: dict[int, dict] = {}
+    col_rows: defaultdict[int, set[int]] = defaultdict(set)  # col -> rows meeting it
+    cols = range(m.ncols)
+    for i, r in enumerate(m.rows):
+        # the identity test skips the shared zero object in C; is_zero decides
+        nonzero = compress(cols, map(is_not, r, repeat(zero)))
+        row = {j: r[j] for j in nonzero if not is_zero(r[j])}
+        if row:
+            rows[i] = row
+            for j in row:
+                col_rows[j].add(i)
+    heap = [(len(row), i) for i, row in rows.items()]
+    heapify(heap)
+    rk = 0
+    while heap:
+        size, p = heappop(heap)
+        piv = rows.get(p)
+        if piv is None or len(piv) != size:
+            continue  # stale entry: the row was used or has changed
+        del rows[p]
+        for j in piv:
+            col_rows[j].discard(p)
+        rk += 1
+        c = min(piv)
+        inv = f.inv(piv[c])
+        for i in col_rows.pop(c, ()):
+            row = rows[i]
+            q = mul(row[c], inv)
+            for j, v in piv.items():
+                x = sub(row.get(j, zero), mul(q, v))
+                if is_zero(x):
+                    del row[j]
+                    if j != c:
+                        col_rows[j].discard(i)
+                else:
+                    if j not in row:
+                        col_rows[j].add(i)
+                    row[j] = x
+            if row:
+                heappush(heap, (len(row), i))
+            else:
+                del rows[i]
+    return rk
 
 
 def rank_oracle(m: Matrix) -> int:

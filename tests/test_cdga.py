@@ -1,8 +1,13 @@
+import gc
+import itertools
 import random
+import sys
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from bigraded import exactla
 from bigraded.cdga import (
     CDGA,
     DGModule,
@@ -36,6 +41,60 @@ def test_monomial_basis_examples():
     assert cq.monomial_basis((2, 2)) == []  # tau^2 = 0, exterior over Q
     c2 = _cdga(GF(2), [tau])
     assert c2.monomial_basis((2, 2)) == [(2,)]  # char-2 polynomiality
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(2), GF(3)])
+def test_monomial_basis_matches_bruteforce_filter(fld):
+    """The pruned enumeration equals filtering every bounded exponent vector
+    by bidegree, on alphabets with exterior letters and d = 0 letters."""
+    rng = random.Random(fld.char + 31)
+    g_max, d_max = 4, 4
+    for _ in range(8):
+        letters = [
+            Letter(rng.randint(1, 3), rng.randint(0, 3), 0, f"x{k}")
+            for k in range(rng.randint(1, 5))
+        ]
+        cx = CDGA(fld, letters, {}, check=False)
+        exterior = [fld.char != 2 and x.d % 2 == 1 for x in cx.letters]
+        bounds = [range(2 if ext else g_max // x.g + 1) for ext, x in zip(exterior, cx.letters)]
+        by_bd = {}
+        for m in itertools.product(*bounds):
+            by_bd.setdefault(cx.mono_bidegree(m), []).append(m)
+        bidegrees = [(g, d) for g in range(g_max + 1) for d in range(d_max + 1)]
+        bidegrees += [(-1, 0), (0, -1), (2, -1), (-2, 3)]
+        for bd in bidegrees:
+            assert cx.monomial_basis(bd) == sorted(by_bd.get(bd, []), reverse=True), (bd, letters)
+
+
+def test_monomial_basis_beyond_recursion_limit():
+    n = sys.getrecursionlimit() + 10
+    cx = CDGA(QQ, [Letter(1, k, k, f"x{k}") for k in range(n)], {}, check=False)
+    assert [cx.mono_name(m) for m in cx.monomial_basis((2, 3))] == ["x0*x3", "x1*x2"]
+
+
+def test_complex_is_freed_by_refcount():
+    """A complex and its basis cache hold no reference cycle, so they are
+    freed as soon as the last reference goes, without the cycle collector."""
+    gc.disable()
+    try:
+        cx = build_paper_complex("vanishB", (8, 8))
+        homology_table(cx, (8, 8))
+        ref = weakref.ref(cx)
+        del cx
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "preset,ell",
+    [("vanishA", None), ("vanishB", None), ("intstab-f2", None), ("intstab-fl", 3), ("A-algebra-fl", 5)],
+)
+def test_homology_table_with_rank_oracle(preset, ell, monkeypatch):
+    box = (8, 8)
+    expected = homology_table(build_paper_complex(preset, box, ell=ell), box)
+    monkeypatch.setattr(exactla, "rank", exactla.rank_oracle)
+    assert homology_table(build_paper_complex(preset, box, ell=ell), box) == expected
 
 
 def test_differential_matrix_hand_leibniz():

@@ -30,6 +30,17 @@ def test_exit_codes():
     assert main(["ranges", "--a", "3", "--b", "2", "--e", "-1", "--check", "zzz"]) == 2
 
 
+def test_homology_beyond_paper_box(capsys):
+    # the letter alphabet at this box is larger than the recursion limit
+    assert main(["homology", "--preset", "vanishB", "--box", "14,14"]) == 0
+    assert "14" in capsys.readouterr().out
+
+
+def test_bad_preset_prime_is_input_error(capsys):
+    assert main(["homology", "--preset", "intstab-fl(x)"]) == 2
+    assert "bad prime" in capsys.readouterr().err
+
+
 def test_vanish_check_exit_codes(capsys):
     assert main(["vanish-check", "--preset", "vanishA", "--box", "6,6"]) == 0
     capsys.readouterr()

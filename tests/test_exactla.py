@@ -37,6 +37,34 @@ def test_rank_agrees_with_independent_oracle():
         assert rank(m) == rank_oracle(m)
 
 
+def _random_matrix(rng, fld, nrows, ncols, density):
+    rows = []
+    for _ in range(nrows):
+        row = [0] * ncols
+        for j in range(ncols):
+            if rng.random() < density:
+                x = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                row[j] = x if fld is QQ else rng.randrange(fld.char)
+        rows.append(row)
+    if nrows > 1 and rng.random() < 0.5:
+        rows[rng.randrange(nrows)] = list(rows[0])  # duplicate row
+    return Matrix(fld, nrows, ncols, rows)
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(2), GF(3), GF(5)])
+def test_sparse_rank_matches_oracle(fld):
+    rng = random.Random(fld.char + 17)
+    shapes = [(0, 4), (4, 0), (0, 0), (1, 1), (5, 5)]
+    shapes += [(rng.randint(1, 14), rng.randint(1, 14)) for _ in range(40)]
+    for nrows, ncols in shapes:
+        for density in (0.0, 0.15, 0.5, 1.0):
+            m = _random_matrix(rng, fld, nrows, ncols, density)
+            assert rank(m) == rank_oracle(m), (nrows, ncols, density, m.rows)
+    # a duplicate block: rank counts it once
+    m = Matrix(fld, 6, 3, [[1, 0, 1], [0, 1, 1]] * 3)
+    assert rank(m) == rank_oracle(m) == 2
+
+
 def test_kernel_zero_matrix():
     m = Matrix(QQ, 2, 3, [[0, 0, 0], [0, 0, 0]])
     basis = kernel_basis(m)
