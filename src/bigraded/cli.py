@@ -1,14 +1,22 @@
 """Unified command-line front end.
 
-Exit codes: 0 = success / certificate holds, 1 = counterexample or failed
-assertion, 2 = input error.  Reports are deterministic: JSON is emitted with
-sorted keys and no volatile fields, so identical invocations produce byte
-identical output; wall-clock timing is opt-in via --timings.
+Each subcommand handler computes and describes, and nothing else: it returns
+one `Outcome`.  `main` wraps that in the report envelope, renders it per
+--format and picks the exit code.
 
-Configuration: a flat ``key = value`` file may supply defaults for long flag
-names (``format = json``); flags win.  The only environment variable
-consulted is WORKBENCH_THREADS, which caps the worker pool used to shard
-fuzz campaigns (shards merge deterministically in seed order).
+Exit codes: 0 = success / certificate holds, 1 = counterexample or failed
+certificate (and nothing else), 2 = input error, 3 = internal error (a bug).
+Reports are deterministic: JSON is emitted with sorted keys and no volatile
+fields, so identical invocations produce byte identical output; wall-clock
+timing is opt-in via --timings.
+
+Configuration: ``--config FILE`` reads ``key = value`` lines as the flags
+``--key=value`` (a bare ``key`` line is a boolean flag), spliced in right
+after the subcommand words.  Config keys are long flag names, typed and
+validated like flags, and later flags on the command line win.  An unknown
+key, or a value for a boolean flag, is an input error.  The only environment
+variable consulted is WORKBENCH_THREADS, which caps the worker pool used to
+shard fuzz campaigns (shards merge deterministically in seed order).
 """
 
 from __future__ import annotations
@@ -19,6 +27,8 @@ import json
 import os
 import sys
 import time
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -28,6 +38,11 @@ from .errors import InputError, WorkbenchError
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
+
+# options whose value names an input file; reports hash each one given
+INPUT_FILES = ("gens", "cdga", "expr_file", "functionals", "relations",
+               "poset", "A", "cover", "tx", "ta", "infile")
 
 
 def _jsonable(x):
@@ -84,30 +99,45 @@ class Report:
         return json.dumps(self.finish(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _emit(args, report: Report, text_lines, table=None, chart=None):
-    """Render per --format.  ``table`` is (headers, rows) for csv/tsv;
-    ``chart`` is (cells, box, lines, title) for svg."""
+@dataclass
+class Outcome:
+    """What a handler computed: the report's ``result`` payload, the text
+    lines, a (headers, rows) table for csv/tsv, a (cells, box, lines, title)
+    chart for svg, and the status; ``counterexample`` is the exit-1 verdict."""
+
+    result: dict
+    lines: list
+    table: tuple | None = None
+    chart: tuple | None = None
+    status: str = "ok"
+
+
+def _emit(args, report: Report, outcome: Outcome):
+    """Render per --format to --out or stdout."""
     fmt = args.format
     if fmt == "json":
         out = report.json()
     elif fmt in ("csv", "tsv"):
-        if table is None:
+        if outcome.table is None:
             raise InputError(f"--format {fmt} is not available for this subcommand")
         sep = "," if fmt == "csv" else "\t"
-        headers, rows = table
+        headers, rows = outcome.table
         out = sep.join(headers) + "\n"
         for row in rows:
             out += sep.join(str(v) for v in row) + "\n"
     elif fmt == "svg":
-        if chart is None:
+        if outcome.chart is None:
             raise InputError("--format svg is not available for this subcommand")
-        cells, box, lines, title = chart
+        cells, box, lines, title = outcome.chart
         out = charts.svg_grid(cells, box, lines, title=title) + "\n"
     else:
-        out = "\n".join(text_lines) + ("\n" if text_lines else "")
+        out = "\n".join(outcome.lines) + ("\n" if outcome.lines else "")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(out)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(out)
 
@@ -141,20 +171,20 @@ def _gens_from_file(path: str):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if len(parts) not in (3, 4):
+        name, *degrees = line.split()
+        if len(degrees) not in (2, 3):
             raise InputError(f"bad generator line: {raw!r}")
-        gens.append(
-            freealg.gen(
-                parts[0], int(parts[1]), int(parts[2]), int(parts[3]) if len(parts) == 4 else None
-            )
-        )
+        try:
+            degrees = [int(x) for x in degrees]
+        except ValueError as exc:
+            raise InputError(f"bad generator line: {raw!r}") from exc
+        gens.append(freealg.gen(name, *degrees))
     return gens
 
 
 def _preset_of(args):
     name = args.preset
-    ell = getattr(args, "ell", None)
+    ell = args.ell
     if name and "(" in name:
         name, rest = name.split("(", 1)
         try:
@@ -164,269 +194,204 @@ def _preset_of(args):
     return name, ell
 
 
+def _table_outcome(table, box, title, result, head=(), guides=(), status="ok") -> Outcome:
+    """Shared rendering of a bigraded dimension table: ``dims`` in the
+    payload, an ASCII grid after the ``head`` lines, a g,d,dim table and a
+    chart, both with the vanishing lines ``guides`` drawn in."""
+    items = table.sorted_items()
+    cells = charts.cells_from_dims(table.dims)
+    return Outcome(
+        result={**result, "dims": {f"{g},{d}": n for (g, d), n in items}},
+        lines=[*head, charts.ascii_grid(cells, box, guides)],
+        table=(["g", "d", "dim"], [[g, d, n] for (g, d), n in items]),
+        chart=(cells, box, guides, title),
+        status=status,
+    )
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
-def cmd_ranges(args) -> int:
-    rep = Report("ranges", vars(args))
+def cmd_ranges(args) -> Outcome:
     stmt = grading.range_statement(args.kind, args.a, args.b, args.e)
-    rep.payload["result"] = {
+    result = {
         "kind": stmt.kind,
         "normalized": [stmt.a, stmt.b, stmt.e],
         "rendering": stmt.render(),
     }
     lines = [f"{stmt.kind} for {stmt.render()}"]
-    code = EXIT_OK
+    status = "ok"
     if args.check:
         g, d = _parse_box(args.check)
         ok = stmt.satisfies((g, d))
-        rep.payload["result"]["check"] = {"g": g, "d": d, "satisfies": ok}
+        result["check"] = {"g": g, "d": d, "satisfies": ok}
         lines.append(f"({g},{d}): {'in range' if ok else 'out of range'}")
-        code = EXIT_OK if ok else EXIT_COUNTEREXAMPLE
-    _emit(args, rep, lines, table=(["kind", "a", "b", "e", "rendering"],
-                                   [[stmt.kind, stmt.a, stmt.b, stmt.e, stmt.render()]]))
-    return code
+        status = "ok" if ok else "counterexample"
+    table = (["kind", "a", "b", "e", "rendering"],
+             [[stmt.kind, stmt.a, stmt.b, stmt.e, stmt.render()]])
+    return Outcome(result, lines, table=table, status=status)
 
 
-def cmd_slope_box(args) -> int:
-    rep = Report("slope-box", vars(args))
+def cmd_slope_box(args) -> Outcome:
     high = _parse_fraction(args.high)
-    if args.gmax is None:
+    result = {}
+    gmax = args.gmax
+    if gmax is None:
         gmax = grading.auto_g_bound(high)
-        rep.payload["result"]["auto_gmax"] = gmax
-    else:
-        gmax = args.gmax
+        result["auto_gmax"] = gmax
     pts = grading.bidegrees_between(high, gmax)
-    rep.payload["result"]["bidegrees"] = [[p.g, p.d] for p in pts]
+    result["bidegrees"] = [[p.g, p.d] for p in pts]
     lines = [f"bidegrees with d >= g-1 and slope <= {high}, g <= {gmax}:"]
     lines += [f"  ({p.g},{p.d})  slope {grading.slope(p)}" for p in pts]
-    _emit(args, rep, lines, table=(["g", "d"], [[p.g, p.d] for p in pts]))
-    return EXIT_OK
+    return Outcome(result, lines, table=(["g", "d"], [[p.g, p.d] for p in pts]))
 
 
-def cmd_lie_basis(args) -> int:
-    rep = Report("lie-basis", vars(args), input_paths=[args.gens])
+def cmd_lie_basis(args) -> Outcome:
     gens = _gens_from_file(args.gens)
     box = _parse_box(args.box)
     basis = freealg.free_graded_lie_basis(gens, box)
-    rep.payload["result"]["basis"] = [
-        {"name": b.name, "g": b.g, "d": b.d, "r": b.r} for b in basis
-    ]
-    lines = [f"{b.name}  ({b.g},{b.d})  weight {b.r}" for b in basis]
-    dims = {}
-    for b in basis:
-        dims[(b.g, b.d)] = dims.get((b.g, b.d), 0) + 1
-    _emit(
-        args,
-        rep,
-        lines,
+    dims = Counter((b.g, b.d) for b in basis)
+    return Outcome(
+        {"basis": [{"name": b.name, "g": b.g, "d": b.d, "r": b.r} for b in basis]},
+        [f"{b.name}  ({b.g},{b.d})  weight {b.r}" for b in basis],
         table=(["name", "g", "d", "r"], [[b.name, b.g, b.d, b.r] for b in basis]),
         chart=(charts.cells_from_dims(dims), box, (), "free Lie basis dimensions"),
     )
-    return EXIT_OK
 
 
-def cmd_betti(args) -> int:
-    rep = Report("betti", vars(args), input_paths=[args.gens])
+def cmd_betti(args) -> Outcome:
     gens = _gens_from_file(args.gens)
     box = _parse_box(args.box)
-    if args.field == "Q":
-        table = freealg.free_gerstenhaber_betti(gens, box)
-    elif args.field == "F2":
-        table = freealg.betti_table_f2(gens, box)
-    else:
-        raise InputError("betti supports --field Q or F2")
-    rep.payload["result"] = {
-        "field": table.field_name,
-        "dims": {f"{g},{d}": n for (g, d), n in table.sorted_items()},
-    }
-    lines = [charts.ascii_grid(charts.cells_from_dims(table.dims), box)]
-    _emit(
-        args,
-        rep,
-        lines,
-        table=(["g", "d", "dim"], [[g, d, n] for (g, d), n in table.sorted_items()]),
-        chart=(charts.cells_from_dims(table.dims), box, (), f"Betti table over {table.field_name}"),
-    )
-    return EXIT_OK
+    betti = {"Q": freealg.free_gerstenhaber_betti, "F2": freealg.betti_table_f2}[args.field]
+    table = betti(gens, box)
+    name = table.field_name
+    return _table_outcome(table, box, f"Betti table over {name}", {"field": name})
 
 
-def _build_complex(args):
-    inputs = []
-    if getattr(args, "cdga", None):
+def _complex_and_box(args):
+    """The complex named by --cdga or --preset, and the --box (default 8,8)."""
+    box = _parse_box(args.box) if args.box else None
+    if args.cdga:
         fld = exactla.field_by_name(args.field or "Q")
         cx = cdga.parse_cdga_file(_read(args.cdga), fld)
-        inputs.append(args.cdga)
-        return cx, inputs
-    name, ell = _preset_of(args)
-    if not name:
-        raise InputError("need --preset or --cdga")
-    box = _parse_box(args.box) if args.box else None
-    return cdga.build_paper_complex(name, box, ell=ell), inputs
+    else:
+        name, ell = _preset_of(args)
+        if not name:
+            raise InputError("need --preset or --cdga")
+        cx = cdga.build_paper_complex(name, box, ell=ell)
+    return cx, box or (8, 8)
 
 
-def cmd_homology(args) -> int:
-    cx, inputs = _build_complex(args)
-    rep = Report("homology", vars(args), input_paths=inputs)
-    box = _parse_box(args.box) if args.box else (8, 8)
+def cmd_homology(args) -> Outcome:
+    cx, box = _complex_and_box(args)
     table = cdga.homology_table(cx, box)
-    rep.payload["result"] = {
-        "field": table.field_name,
-        "dims": {f"{g},{d}": n for (g, d), n in table.sorted_items()},
-    }
-    lines = [charts.ascii_grid(charts.cells_from_dims(table.dims), box)]
-    _emit(
-        args,
-        rep,
-        lines,
-        table=(["g", "d", "dim"], [[g, d, n] for (g, d), n in table.sorted_items()]),
-        chart=(charts.cells_from_dims(table.dims), box, (), f"homology over {table.field_name}"),
-    )
-    return EXIT_OK
+    name = table.field_name
+    return _table_outcome(table, box, f"homology over {name}", {"field": name})
 
 
-def cmd_vanish_check(args) -> int:
-    cx, inputs = _build_complex(args)
-    rep = Report("vanish-check", vars(args), input_paths=inputs)
-    box = _parse_box(args.box) if args.box else (8, 8)
+def cmd_vanish_check(args) -> Outcome:
+    cx, box = _complex_and_box(args)
     if args.line:
-        lam, c = args.line.split(":")
+        lam, colon, c = args.line.partition(":")
+        if not colon:
+            raise InputError(f"bad line {args.line!r}; expected LAM:C")
         line = grading.VanishingLine(_parse_fraction(lam), _parse_fraction(c))
     else:
         slope_default = {"vanishB": "4/5"}.get(args.preset, "3/4")
         line = grading.VanishingLine(_parse_fraction(args.slope or slope_default))
-    result = cdga.verify_vanishing(cx, line, box)
-    rep.payload["result"] = {
-        "certified": result.certified,
-        "line": line.render(),
-        "box": list(box),
-        "dims": {f"{g},{d}": n for (g, d), n in result.table.sorted_items()},
-        "violation": list(result.violation) if result.violation else None,
-    }
-    rep.payload["status"] = "certified" if result.certified else "counterexample"
-    lines = [
-        f"{'CERTIFIED' if result.certified else 'COUNTEREXAMPLE'}: homology below "
+    res = cdga.verify_vanishing(cx, line, box)
+    head = [
+        f"{'CERTIFIED' if res.certified else 'COUNTEREXAMPLE'}: homology below "
         f"{line.render()} in box {box}"
     ]
-    if result.violation:
-        g, d, n = result.violation
-        lines.append(f"  violation at ({g},{d}), dimension {n}")
-    lines.append(charts.ascii_grid(charts.cells_from_dims(result.table.dims), box, [line]))
-    _emit(
-        args,
-        rep,
-        lines,
-        table=(["g", "d", "dim"], [[g, d, n] for (g, d), n in result.table.sorted_items()]),
-        chart=(
-            charts.cells_from_dims(result.table.dims),
-            box,
-            [line],
-            "vanishing certification",
-        ),
+    if res.violation:
+        g, d, n = res.violation
+        head.append(f"  violation at ({g},{d}), dimension {n}")
+    result = {
+        "certified": res.certified,
+        "line": line.render(),
+        "box": list(box),
+        "violation": list(res.violation) if res.violation else None,
+    }
+    return _table_outcome(
+        res.table, box, "vanishing certification", result, head=head, guides=[line],
+        status="certified" if res.certified else "counterexample",
     )
-    return EXIT_OK if result.certified else EXIT_COUNTEREXAMPLE
 
 
-def cmd_taut(args) -> int:
-    sub = args.taut_cmd
-    if sub == "gysin":
-        rep = Report("taut gysin", vars(args))
-        p = taut.parse_taut(args.expr)
-        out = taut.gysin_pushforward(p, args.genus)
-        rep.payload["result"] = {"pushforward": out.render()}
-        _emit(args, rep, [out.render()])
-        return EXIT_OK
-    if sub == "coproduct":
-        inputs = [args.expr_file] if args.expr_file else []
-        rep = Report("taut coproduct", vars(args), input_paths=inputs)
-        text = _read(args.expr_file) if args.expr_file else args.expr
-        if not text:
-            raise InputError("need --expr or --expr-file")
-        p = taut.parse_taut(text.strip())
-        terms = taut.nfold_coproduct(p, args.n)
-        if args.restrict:
-            patterns = _parse_restrict(args.restrict, args.n)
-            terms = taut.restrict_terms(terms, patterns)
-        rep.payload["result"]["terms"] = [
-            {"coeff": t.coeff.render(), "slots": [taut.mono_name(s) for s in t.slots]}
-            for t in terms
-        ]
-        lines = [t.render() for t in terms]
-        _emit(
-            args,
-            rep,
-            lines,
-            table=(
-                ["coeff"] + [f"slot{i+1}" for i in range(args.n)],
-                [[t.coeff.render()] + [taut.mono_name(s) for s in t.slots] for t in terms],
-            ),
-        )
-        return EXIT_OK
-    if sub == "pair":
-        inputs = [args.functionals] if args.functionals else []
-        rep = Report("taut pair", vars(args), input_paths=inputs)
-        if args.paper_6_3:
-            terms = taut.nfold_coproduct(taut.r12_restricted(), 5)
-            funcs = taut.paper_63_functionals()
-        else:
-            if not args.functionals:
-                raise InputError("need --paper-6-3 or --functionals FILE")
-            funcs, expr, n = _parse_functionals(_read(args.functionals))
-            terms = taut.nfold_coproduct(taut.parse_taut(expr), n)
-        value, trace = taut.pair_tensor_trace(terms, funcs)
-        rep.payload["result"]["pairing"] = value.render()
-        rep.payload["result"]["contributing_terms"] = [
-            {
-                "coeff": t.coeff.render(),
-                "slots": [taut.mono_name(s) for s in t.slots],
-                "contribution": c.render(),
-            }
-            for t, c in trace
-        ]
-        _emit(args, rep, [value.render()])
-        return EXIT_OK
-    if sub == "ledger":
-        inputs = [args.relations] if args.relations else []
-        rep = Report("taut ledger", vars(args), input_paths=inputs)
-        ledger = taut.Ledger()
-        if args.relations:
-            for i, raw in enumerate(_read(args.relations).splitlines()):
-                line = raw.split("#", 1)[0].strip()
-                if line:
-                    ledger.add_from_text(line, args.genus, f"user relation {i+1}")
-        rels = ledger.lookup(genus=args.genus, degree=args.degree)
-        rep.payload["result"]["relations"] = [
-            {
-                "poly": r.poly().render(),
-                "genus": r.ambient_genus,
-                "degree": r.degree(),
-                "source": r.source_label,
-            }
-            for r in rels
-        ]
-        lines = [
-            f"[genus {r.ambient_genus if r.ambient_genus is not None else '*'}, "
-            f"degree {r.degree()}] {r.poly().render()} = 0   ({r.source_label})"
-            for r in rels
-        ]
-        _emit(args, rep, lines)
-        return EXIT_OK
-    if sub == "h43":
-        rep = Report("taut h43", vars(args))
-        result = taut.deduce_h43_kernel()
-        rep.payload["result"] = {
-            "solution_dim": result.solution_dim,
-            "constraints": result.constraints,
-            "contradiction": result.contradiction,
-            "insufficient": result.insufficient,
+def cmd_taut_gysin(args) -> Outcome:
+    out = taut.gysin_pushforward(taut.parse_taut(args.expr), args.genus).render()
+    return Outcome({"pushforward": out}, [out])
+
+
+def cmd_taut_coproduct(args) -> Outcome:
+    text = _read(args.expr_file) if args.expr_file else args.expr
+    if not text:
+        raise InputError("need --expr or --expr-file")
+    terms = taut.nfold_coproduct(taut.parse_taut(text.strip()), args.n)
+    if args.restrict:
+        terms = taut.restrict_terms(terms, _parse_restrict(args.restrict, args.n))
+    rows = [[t.coeff.render()] + [taut.mono_name(s) for s in t.slots] for t in terms]
+    return Outcome(
+        {"terms": [{"coeff": row[0], "slots": row[1:]} for row in rows]},
+        [t.render() for t in terms],
+        table=(["coeff"] + [f"slot{i+1}" for i in range(args.n)], rows),
+    )
+
+
+def cmd_taut_pair(args) -> Outcome:
+    if args.paper_6_3:
+        terms = taut.nfold_coproduct(taut.r12_restricted(), 5)
+        funcs = taut.paper_63_functionals()
+    elif args.functionals:
+        funcs, expr, n = _parse_functionals(_read(args.functionals))
+        terms = taut.nfold_coproduct(taut.parse_taut(expr), n)
+    else:
+        raise InputError("need --paper-6-3 or --functionals FILE")
+    value, trace = taut.pair_tensor_trace(terms, funcs)
+    contributing = [
+        {
+            "coeff": t.coeff.render(),
+            "slots": [taut.mono_name(s) for s in t.slots],
+            "contribution": c.render(),
         }
-        ok = result.zero_only
-        rep.payload["status"] = "ok" if ok else "counterexample"
-        _emit(args, rep, [f"solution space dimension: {result.solution_dim}"]
-              + [f"  {c}" for c in result.constraints])
-        return EXIT_OK if ok else EXIT_COUNTEREXAMPLE
-    raise InputError(f"unknown taut subcommand {sub}")
+        for t, c in trace
+    ]
+    return Outcome({"pairing": value.render(), "contributing_terms": contributing},
+                   [value.render()])
+
+
+def cmd_taut_ledger(args) -> Outcome:
+    ledger = taut.Ledger()
+    if args.relations:
+        for i, raw in enumerate(_read(args.relations).splitlines()):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                ledger.add_from_text(line, args.genus, f"user relation {i+1}")
+    rels = ledger.lookup(genus=args.genus, degree=args.degree)
+    relations = [
+        {
+            "poly": r.poly().render(),
+            "genus": r.ambient_genus,
+            "degree": r.degree(),
+            "source": r.source_label,
+        }
+        for r in rels
+    ]
+    lines = [
+        f"[genus {r.ambient_genus if r.ambient_genus is not None else '*'}, "
+        f"degree {r.degree()}] {r.poly().render()} = 0   ({r.source_label})"
+        for r in rels
+    ]
+    return Outcome({"relations": relations}, lines)
+
+
+def cmd_taut_h43(args) -> Outcome:
+    res = taut.deduce_h43_kernel()
+    lines = [f"solution space dimension: {res.solution_dim}"]
+    lines += [f"  {c}" for c in res.constraints]
+    return Outcome(_jsonable(res), lines, status="ok" if res.zero_only else "counterexample")
 
 
 def _parse_restrict(text: str, n: int):
@@ -499,62 +464,39 @@ def _parse_functionals(text: str):
     return ordered, expr, len(slots)
 
 
-def cmd_nerve(args) -> int:
-    inputs = [args.poset, args.A, args.cover, args.tx, args.ta]
-    rep = Report("nerve check", vars(args), input_paths=inputs)
+def cmd_nerve(args) -> Outcome:
     X = posets.poset_from_text(_read(args.poset))
     A = posets.poset_from_text(_read(args.A))
     F = posets.parse_cover(_read(args.cover), A, X)
     tX = posets.parse_weights(_read(args.tx))
     tA = posets.parse_weights(_read(args.ta))
-    result = posets.check_nerve_theorem(X, A, F, args.n, tX, tA)
-    rep.payload["result"] = {
-        "hypotheses_hold": result.hypotheses_hold,
-        "conclusion_holds": result.conclusion_holds,
-        "records": [
-            {"element": r.element, "requirement": r.requirement, "holds": r.holds}
-            for r in result.records
-        ],
-        "note": result.note,
-    }
-    rep.payload["status"] = "ok" if result.consistent else "counterexample"
+    res = posets.check_nerve_theorem(X, A, F, args.n, tX, tA)
     lines = [
-        f"hypotheses: {'hold' if result.hypotheses_hold else 'fail'}",
+        f"hypotheses: {'hold' if res.hypotheses_hold else 'fail'}",
         f"conclusion (X is (n-1)-connected, homologically): "
-        f"{'holds' if result.conclusion_holds else 'fails'}",
+        f"{'holds' if res.conclusion_holds else 'fails'}",
     ]
-    lines += [f"  [{'ok' if r.holds else 'NO'}] {r.element}: {r.requirement}" for r in result.records]
-    _emit(args, rep, lines)
-    return EXIT_OK if result.consistent else EXIT_COUNTEREXAMPLE
+    lines += [f"  [{'ok' if r.holds else 'NO'}] {r.element}: {r.requirement}" for r in res.records]
+    return Outcome(_jsonable(res), lines, status="ok" if res.consistent else "counterexample")
 
 
-def cmd_poset_fuzz(args) -> int:
-    rep = Report("poset fuzz", vars(args))
+def cmd_poset_fuzz(args) -> Outcome:
     threads = _thread_count(args)
-    result = run_fuzz_sharded(args.campaign, args.count, args.max_size, args.seed, threads)
-    rep.payload["result"] = {
-        "campaign": result.campaign,
-        "instances": result.instances,
-        "hypotheses_satisfied": result.hypotheses_satisfied,
-        "counterexamples": _jsonable(result.counterexamples),
-        "resampled_oversize": result.resampled_oversize,
-        "seed": result.seed,
-    }
-    rep.payload["status"] = "ok" if result.clean else "counterexample"
+    res = run_fuzz_sharded(args.campaign, args.count, args.max_size, args.seed, threads)
+    result = _jsonable(res)
     lines = [
-        f"campaign {result.campaign}: {result.instances} instances, "
-        f"{result.hypotheses_satisfied} with hypotheses satisfied, "
-        f"{len(result.counterexamples)} counterexamples"
+        f"campaign {res.campaign}: {res.instances} instances, "
+        f"{res.hypotheses_satisfied} with hypotheses satisfied, "
+        f"{len(res.counterexamples)} counterexamples"
     ]
-    if result.counterexamples:
-        lines.append(json.dumps(_jsonable(result.counterexamples), sort_keys=True))
-    _emit(args, rep, lines)
-    return EXIT_OK if result.clean else EXIT_COUNTEREXAMPLE
+    if res.counterexamples:
+        lines.append(json.dumps(result["counterexamples"], sort_keys=True))
+    return Outcome(result, lines, status="ok" if res.clean else "counterexample")
 
 
 def _thread_count(args) -> int:
     env = os.environ.get("WORKBENCH_THREADS")
-    if getattr(args, "threads", None):
+    if args.threads:
         return max(1, args.threads)
     if env:
         if not env.isdigit() or int(env) < 1:
@@ -576,6 +518,10 @@ def run_fuzz_sharded(
     so reports are identical for every thread setting."""
     if campaign not in ("poset-map", "nerve"):
         raise InputError(f"unknown campaign {campaign!r}")
+    if count < 0:
+        raise InputError(f"instance count must be >= 0, got {count}")
+    if max_size < 1:
+        raise InputError(f"maximum poset size must be >= 1, got {max_size}")
     shards = min(16, count) or 1
     sizes = [count // shards + (1 if i < count % shards else 0) for i in range(shards)]
     jobs = [(campaign, sz, max_size, seed + 1000003 * i) for i, sz in enumerate(sizes) if sz]
@@ -583,10 +529,10 @@ def run_fuzz_sharded(
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(_fuzz_shard_star, jobs))
+            reports = list(pool.map(_fuzz_shard, *zip(*jobs)))
     else:
         reports = [_fuzz_shard(*job) for job in jobs]
-    merged = posets.FuzzReport(
+    return posets.FuzzReport(
         campaign=campaign,
         seed=seed,
         instances=sum(r.instances for r in reports),
@@ -594,79 +540,54 @@ def run_fuzz_sharded(
         counterexamples=[c for r in reports for c in r.counterexamples],
         resampled_oversize=sum(r.resampled_oversize for r in reports),
     )
-    return merged
 
 
-def _fuzz_shard_star(job):
-    return _fuzz_shard(*job)
+def cmd_sp4_subsets(args) -> Outcome:
+    names = [sorted(sympf2.vector_name(v) for v in s)
+             for s in sympf2.totally_nonorthogonal_subsets()]
+    return Outcome(
+        {"subsets": {str(i + 1): s for i, s in enumerate(names)}},
+        [f"{i + 1} = {{{', '.join(s)}}}" for i, s in enumerate(names)],
+    )
 
 
-def cmd_sp4(args) -> int:
-    sub = args.sp4_cmd
-    if sub == "subsets":
-        rep = Report("sp4 subsets", vars(args))
-        subs = sympf2.totally_nonorthogonal_subsets()
-        rep.payload["result"]["subsets"] = {
-            str(i + 1): sorted(sympf2.vector_name(v) for v in s) for i, s in enumerate(subs)
-        }
-        lines = [
-            f"{i + 1} = {{{', '.join(sorted(sympf2.vector_name(v) for v in s))}}}"
-            for i, s in enumerate(subs)
-        ]
-        _emit(args, rep, lines)
-        return EXIT_OK
-    if sub == "phi":
-        rep = Report("sp4 phi", vars(args))
-        m = sympf2.SWAP_MATRIX if args.swap else sympf2.parse_matrix(args.matrix)
-        p = sympf2.phi(m)
-        sign = sympf2.perm_sign(p)
-        rep.payload["result"] = {
-            "cycles": sympf2.cycle_notation(p),
-            "sign": sign,
-            "parity": "odd" if sign < 0 else "even",
-        }
-        _emit(args, rep, [f"{sympf2.cycle_notation(p)} {'odd' if sign < 0 else 'even'}"])
-        return EXIT_OK
-    if sub == "verify":
-        rep = Report("sp4 verify", vars(args))
-        result = sympf2.verify_isomorphism(random_pairs=args.pairs)
-        rep.payload["result"] = _jsonable(result)
-        rep.payload["result"]["is_isomorphism"] = result.is_isomorphism
-        rep.payload["status"] = "ok" if result.is_isomorphism else "counterexample"
-        _emit(
-            args,
-            rep,
-            [
-                f"group order: {result.group_order}",
-                f"kernel trivial: {result.kernel_trivial}",
-                f"image is all of Sym(6): {result.image_is_full_symmetric}",
-                f"isomorphism: {result.is_isomorphism}",
-            ],
-        )
-        return EXIT_OK if result.is_isomorphism else EXIT_COUNTEREXAMPLE
-    raise InputError(f"unknown sp4 subcommand {sub}")
+def cmd_sp4_phi(args) -> Outcome:
+    if args.swap:
+        m = sympf2.SWAP_MATRIX
+    elif args.matrix:
+        m = sympf2.parse_matrix(args.matrix)
+    else:
+        raise InputError("need --matrix or --swap")
+    p = sympf2.phi(m)
+    sign = sympf2.perm_sign(p)
+    parity = "odd" if sign < 0 else "even"
+    cycles = sympf2.cycle_notation(p)
+    return Outcome({"cycles": cycles, "sign": sign, "parity": parity}, [f"{cycles} {parity}"])
 
 
-def cmd_abelianize(args) -> int:
-    rep = Report("abelianize", vars(args), input_paths=[args.infile])
-    p = presentations.parse_presentation(_read(args.infile))
-    inv = presentations.abelianization(p)
-    rep.payload["result"] = {
-        "free_rank": inv.free_rank,
-        "torsion": list(inv.torsion),
-        "group": inv.symbol(),
-    }
-    _emit(args, rep, [inv.symbol()])
-    return EXIT_OK
+def cmd_sp4_verify(args) -> Outcome:
+    res = sympf2.verify_isomorphism(random_pairs=args.pairs)
+    result = {**_jsonable(res), "is_isomorphism": res.is_isomorphism}
+    lines = [
+        f"group order: {res.group_order}",
+        f"kernel trivial: {res.kernel_trivial}",
+        f"image is all of Sym(6): {res.image_is_full_symmetric}",
+        f"isomorphism: {res.is_isomorphism}",
+    ]
+    return Outcome(result, lines, status="ok" if res.is_isomorphism else "counterexample")
 
 
-def cmd_la_snf(args) -> int:
-    rep = Report("la snf", vars(args), input_paths=[args.infile])
+def cmd_abelianize(args) -> Outcome:
+    inv = presentations.abelianization(presentations.parse_presentation(_read(args.infile)))
+    return Outcome({**_jsonable(inv), "group": inv.symbol()}, [inv.symbol()])
+
+
+def cmd_la_snf(args) -> Outcome:
     rows = exactla.parse_int_matrix(_read(args.infile))
     if not rows:
         raise InputError("empty matrix")
     sf = exactla.smith_normal_form(rows, want_certs=args.certificate)
-    rep.payload["result"] = {
+    result = {
         "factors": sf.factors,
         "free_rank": sf.free_rank,
         "cokernel": sf.abelian_group_symbol(),
@@ -678,14 +599,12 @@ def cmd_la_snf(args) -> int:
     ]
     if args.certificate:
         ok = exactla.snf_certificate_ok(rows, sf)
-        rep.payload["result"]["certificate_ok"] = ok
+        result["certificate_ok"] = ok
         lines.append(f"certificate U*A*V = D verified: {ok}")
-    _emit(args, rep, lines)
-    return EXIT_OK
+    return Outcome(result, lines)
 
 
-def cmd_report(args) -> int:
-    rep = Report(f"report {args.figure}", vars(args))
+def cmd_report(args) -> Outcome:
     if args.figure == "figure-lgens":
         gens = [freealg.gen("sigma", 1, 0), freealg.gen("lambda", 3, 2), freealg.gen("rho", 2, 2)]
         basis = freealg.free_graded_lie_basis(gens, (4, 3))
@@ -699,39 +618,42 @@ def cmd_report(args) -> int:
         box = (4, 3)
         lines = []
         title = "additive generators of the free bracket algebra, g <= 4, d <= 3"
-    elif args.figure == "figure-rat":
+    else:
         cells = charts.figure_rat_cells()
         box = (9, 8)
         lines = charts.figure_rat_lines()
         title = "low-genus rational homology summary (literature fixtures)"
-    else:
-        raise InputError(f"unknown figure {args.figure}")
-    rep.payload["result"]["cells"] = [
-        {"g": c.g, "d": c.d, "label": c.label, "provenance": c.provenance} for c in cells
-    ]
-    text = [charts.ascii_grid(cells, box, lines)]
-    _emit(
-        args,
-        rep,
-        text,
-        table=(
-            ["g", "d", "label", "provenance"],
-            [[c.g, c.d, c.label, c.provenance] for c in cells],
-        ),
+    return Outcome(
+        {"cells": [{"g": c.g, "d": c.d, "label": c.label, "provenance": c.provenance}
+                   for c in cells]},
+        [charts.ascii_grid(cells, box, lines)],
+        table=(["g", "d", "label", "provenance"],
+               [[c.g, c.d, c.label, c.provenance] for c in cells]),
         chart=(cells, box, lines, title),
     )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
-def _add_common(sp):
-    sp.add_argument("--format", choices=("text", "json", "csv", "tsv", "svg"), default=None)
+def _leaf(sub, name: str, fn, **kw) -> argparse.ArgumentParser:
+    """A subcommand parser bound to its handler, with the common options."""
+    sp = sub.add_parser(name, **kw)
+    sp.add_argument("--format", choices=("text", "json", "csv", "tsv", "svg"), default="text")
     sp.add_argument("--out", help="write output to a file instead of stdout")
     sp.add_argument("--timings", action="store_true", help="include wall-clock time in reports")
-    sp.add_argument("--config", help="flat key=value defaults file (flags win)")
+    sp.add_argument("--config", help="key = value file of flags (later flags win)")
+    sp.set_defaults(fn=fn)
+    return sp
+
+
+def _add_complex_options(sp):
+    sp.add_argument("--preset", help="vanishA | vanishB | intstab-f2 | intstab-fl(L) | A-algebra-fl(L)")
+    sp.add_argument("--ell", type=int, help="prime for -fl presets")
+    sp.add_argument("--cdga", help="user CDGA file")
+    sp.add_argument("--field", help="coefficient field for --cdga (Q, F2, F3, ...)")
+    sp.add_argument("--box", help="G,D (default 8,8)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -742,175 +664,151 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    sp = sub.add_parser("ranges", help="normalize and check stability-range inequalities")
+    sp = _leaf(sub, "ranges", cmd_ranges, help="normalize and check stability-range inequalities")
     sp.add_argument("--kind", choices=grading.KINDS, default="vanishing")
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--b", type=int, required=True)
     sp.add_argument("--e", type=int, required=True)
     sp.add_argument("--check", help="bidegree 'g,d' to test against the range")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_ranges)
 
-    sp = sub.add_parser("slope-box", help="bidegrees between d >= g-1 and a slope bound")
+    sp = _leaf(sub, "slope-box", cmd_slope_box, help="bidegrees between d >= g-1 and a slope bound")
     sp.add_argument("--high", required=True, help="slope bound p/q")
     sp.add_argument("--gmax", type=int, help="genus bound (default: the finiteness bound)")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_slope_box)
 
-    sp = sub.add_parser("lie-basis", help="free graded Lie basis in a box")
+    sp = _leaf(sub, "lie-basis", cmd_lie_basis, help="free graded Lie basis in a box")
     sp.add_argument("--gens", required=True, help="generator file: name g d [r]")
     sp.add_argument("--box", required=True, help="G,D")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_lie_basis)
 
-    sp = sub.add_parser("betti", help="bigraded dimensions of the free algebra")
+    sp = _leaf(sub, "betti", cmd_betti, help="bigraded dimensions of the free algebra")
     sp.add_argument("--gens", required=True)
     sp.add_argument("--box", required=True)
     sp.add_argument("--field", choices=("Q", "F2"), default="Q")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_betti)
 
-    sp = sub.add_parser("homology", help="homology table of a named or user complex")
-    sp.add_argument("--preset", help="vanishA | vanishB | intstab-f2 | intstab-fl(L) | A-algebra-fl(L)")
-    sp.add_argument("--ell", type=int, help="prime for -fl presets")
-    sp.add_argument("--cdga", help="user CDGA file")
-    sp.add_argument("--field", help="coefficient field for --cdga (Q, F2, F3, ...)")
-    sp.add_argument("--box", help="G,D (default 8,8)")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_homology)
+    sp = _leaf(sub, "homology", cmd_homology, help="homology table of a named or user complex")
+    _add_complex_options(sp)
 
-    sp = sub.add_parser("vanish-check", help="certify homology vanishing below a line")
-    sp.add_argument("--preset")
-    sp.add_argument("--ell", type=int)
-    sp.add_argument("--cdga")
-    sp.add_argument("--field")
-    sp.add_argument("--box")
+    sp = _leaf(sub, "vanish-check", cmd_vanish_check, help="certify homology vanishing below a line")
+    _add_complex_options(sp)
     sp.add_argument("--slope", help="slope bound p/q (line through the origin)")
     sp.add_argument("--line", help="lam:c for the line d < lam*(g-c)")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_vanish_check)
 
     sp = sub.add_parser("taut", help="tautological-ring calculator")
     tsub = sp.add_subparsers(dest="taut_cmd", required=True)
-    g = tsub.add_parser("gysin", help="Gysin pushforward of an e/kappa polynomial")
+    g = _leaf(tsub, "gysin", cmd_taut_gysin, help="Gysin pushforward of an e/kappa polynomial")
     g.add_argument("--expr", required=True)
     g.add_argument("--genus", type=int, required=True)
-    _add_common(g)
-    g.set_defaults(fn=cmd_taut)
-    c = tsub.add_parser("coproduct", help="n-fold coproduct expansion")
+    c = _leaf(tsub, "coproduct", cmd_taut_coproduct, help="n-fold coproduct expansion")
     c.add_argument("--expr")
     c.add_argument("--expr-file", dest="expr_file")
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--restrict", help="per-slot patterns, e.g. k1,k1,{k1^2|k2}")
-    _add_common(c)
-    c.set_defaults(fn=cmd_taut)
-    p = tsub.add_parser("pair", help="pair functionals against a coproduct expansion")
+    p = _leaf(tsub, "pair", cmd_taut_pair, help="pair functionals against a coproduct expansion")
     p.add_argument("--paper-6-3", dest="paper_6_3", action="store_true",
                    help="the recorded degree-14 pairing")
     p.add_argument("--functionals")
-    _add_common(p)
-    p.set_defaults(fn=cmd_taut)
-    led = tsub.add_parser("ledger", help="query the relation ledger")
+    led = _leaf(tsub, "ledger", cmd_taut_ledger, help="query the relation ledger")
     led.add_argument("--genus", type=int)
     led.add_argument("--degree", type=int)
     led.add_argument("--relations", help="extra relations file, one polynomial per line")
-    _add_common(led)
-    led.set_defaults(fn=cmd_taut)
-    h = tsub.add_parser("h43", help="solve the degree-3 kernel deduction")
-    _add_common(h)
-    h.set_defaults(fn=cmd_taut)
+    _leaf(tsub, "h43", cmd_taut_h43, help="solve the degree-3 kernel deduction")
 
     sp = sub.add_parser("nerve", help="nerve-criterion checker")
     nsub = sp.add_subparsers(dest="nerve_cmd", required=True)
-    nc = nsub.add_parser("check")
+    nc = _leaf(nsub, "check", cmd_nerve)
     nc.add_argument("--poset", required=True, help="covered poset file")
     nc.add_argument("--A", required=True, help="index poset file")
     nc.add_argument("--cover", required=True, help="functor file: a : x1 x2 ...")
     nc.add_argument("--n", type=int, required=True)
     nc.add_argument("--tx", required=True, help="weight file for the covered poset")
     nc.add_argument("--ta", required=True, help="weight file for the index poset")
-    _add_common(nc)
-    nc.set_defaults(fn=cmd_nerve)
 
     sp = sub.add_parser("poset", help="poset campaigns")
     psub = sp.add_subparsers(dest="poset_cmd", required=True)
-    pf = psub.add_parser("fuzz")
+    pf = _leaf(psub, "fuzz", cmd_poset_fuzz)
     pf.add_argument("--campaign", choices=("poset-map", "nerve"), required=True)
     pf.add_argument("--count", type=int, default=10000)
     pf.add_argument("--max-size", dest="max_size", type=int, default=12)
     pf.add_argument("--seed", type=int, default=0)
     pf.add_argument("--threads", type=int, help="worker cap (default WORKBENCH_THREADS)")
-    _add_common(pf)
-    pf.set_defaults(fn=cmd_poset_fuzz)
 
     sp = sub.add_parser("sp4", help="symplectic group over F2")
     ssub = sp.add_subparsers(dest="sp4_cmd", required=True)
-    s1 = ssub.add_parser("subsets")
-    _add_common(s1)
-    s1.set_defaults(fn=cmd_sp4)
-    s2 = ssub.add_parser("phi")
+    _leaf(ssub, "subsets", cmd_sp4_subsets)
+    s2 = _leaf(ssub, "phi", cmd_sp4_phi)
     s2.add_argument("--matrix", help='rows "a,b,c,d;e,f,g,h;..." over F2')
     s2.add_argument("--swap", action="store_true", help="use the block swap matrix")
-    _add_common(s2)
-    s2.set_defaults(fn=cmd_sp4)
-    s3 = ssub.add_parser("verify")
+    s3 = _leaf(ssub, "verify", cmd_sp4_verify)
     s3.add_argument("--pairs", type=int, default=10000)
-    _add_common(s3)
-    s3.set_defaults(fn=cmd_sp4)
 
-    sp = sub.add_parser("abelianize", help="abelianization of a presentation file")
+    sp = _leaf(sub, "abelianize", cmd_abelianize, help="abelianization of a presentation file")
     sp.add_argument("--in", dest="infile", required=True)
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_abelianize)
 
     sp = sub.add_parser("la", help="exact linear algebra utilities")
     lsub = sp.add_subparsers(dest="la_cmd", required=True)
-    snf = lsub.add_parser("snf")
+    snf = _leaf(lsub, "snf", cmd_la_snf)
     snf.add_argument("--in", dest="infile", required=True)
     snf.add_argument("--certificate", action="store_true")
-    _add_common(snf)
-    snf.set_defaults(fn=cmd_la_snf)
 
-    sp = sub.add_parser("report", help="emit a recorded or computed figure")
+    sp = _leaf(sub, "report", cmd_report, help="emit a recorded or computed figure")
     sp.add_argument("figure", choices=("figure-lgens", "figure-rat"))
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_report)
 
     return ap
 
 
-def _apply_config(args):
-    if getattr(args, "config", None):
-        defaults = {}
-        for raw in _read(args.config).splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InputError(f"bad config line: {raw!r}")
-            k, v = (s.strip() for s in line.split("=", 1))
-            defaults[k.replace("-", "_")] = v
-        known = vars(args)
-        for k, v in defaults.items():
-            if k not in known:
-                raise InputError(f"unknown config key: {k}")
-            if known[k] is None:
-                setattr(args, k, v)
-    if args.format is None:
-        args.format = "text"
+def _subcommand(args) -> list[str]:
+    """The subcommand words, e.g. ``["taut", "pair"]``."""
+    nested = getattr(args, f"{args.cmd}_cmd", None)
+    return [args.cmd, nested] if nested else [args.cmd]
+
+
+def _config_flags(text: str) -> list[str]:
+    """``key = value`` lines as ``--key=value`` flags; a bare ``key`` line is
+    a boolean flag."""
+    flags = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            key, eq, value = line.partition("=")
+            flag = "--" + key.strip().replace("_", "-")
+            flags.append(f"{flag}={value.strip()}" if eq else flag)
+    return flags
+
+
+def _parse_args(argv=None) -> argparse.Namespace:
+    """Parse the command line; a --config file is read as flags spliced in
+    right after the subcommand words, so the flags that follow win."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if args.config:
+        at = len(_subcommand(args))
+        args = ap.parse_args(argv[:at] + _config_flags(_read(args.config)) + argv[at:])
+    return args
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-        _apply_config(args)
-        return args.fn(args)
+        args = _parse_args(argv)
+        command = " ".join(_subcommand(args) + ([args.figure] if args.cmd == "report" else []))
+        inputs = [getattr(args, k) for k in INPUT_FILES if getattr(args, k, None)]
+        report = Report(command, vars(args), inputs)
+        report.timings = args.timings
+        outcome = args.fn(args)
+        report.payload["result"] = outcome.result
+        report.payload["status"] = outcome.status
+        _emit(args, report, outcome)
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BrokenPipeError:
         return EXIT_OK
+    except Exception as exc:
+        import traceback
+
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
+    return EXIT_COUNTEREXAMPLE if outcome.status == "counterexample" else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -27,14 +27,13 @@ bracket degree used here the only generator-creating operation is the top one.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, InputError
 from . import exactla
 from .exactla import QQ, Matrix
-from .grading import Bidegree, slope
+from .grading import slope
 
 
 @dataclass(frozen=True, order=True)
@@ -508,14 +507,12 @@ def lie_dimensions_bruteforce(gens, box: tuple[int, int]) -> dict[tuple[int, int
         if not ts:
             continue
         index = {t: i for i, t in enumerate(ts)}
-        rows = []
-        for vec in relations[bd]:
-            row = [Fraction(0)] * len(ts)
+        m = Matrix(QQ, len(relations[bd]), len(ts))
+        for row, vec in zip(m.rows, relations[bd]):
             for tr, coeff in vec.items():
-                row[index[tr]] = coeff
-            rows.append(row)
-        rk = exactla.rank(Matrix(QQ, len(rows), len(ts), rows)) if rows else 0
-        dim = len(ts) - rk
+                if coeff:
+                    row[index[tr]] = coeff
+        dim = len(ts) - exactla.rank(m)
         if dim:
             dims[bd] = dim
     return dims

@@ -283,11 +283,11 @@ def reduced_homology_q(p: FinitePoset, through: int | None = None) -> dict[int, 
         if not cols or not nrows:
             ranks[k] = 0
             continue
-        dense = [[Fraction(0)] * len(cols) for _ in range(nrows)]
+        m = Matrix(QQ, nrows, len(cols))
         for j, col in enumerate(cols):
             for r, v in col.items():
-                dense[r][j] = Fraction(v)
-        ranks[k] = exactla.rank(Matrix(QQ, nrows, len(cols), dense))
+                m.rows[r][j] = Fraction(v)
+        ranks[k] = exactla.rank(m)
     out = {}
     for k in range(-1, top + 1):
         dim = sizes.get(k, 0) - ranks.get(k, 0) - ranks.get(k + 1, 0)
@@ -335,11 +335,6 @@ class ConnectivityReport:
     connectivity: float  # int, or INF when acyclic through every carried degree
     field_name: str = "F2"
     torsion: dict[int, list[int]] | None = None
-
-    def is_connected_through(self, m) -> bool:
-        if m <= -2:
-            return True
-        return self.connectivity >= m
 
 
 def connectivity_report(p: FinitePoset, field: str = "F2") -> ConnectivityReport:

@@ -30,20 +30,24 @@ class Presentation:
                     raise InputError(f"relator uses undeclared generator {tok!r}")
 
 
-def tokenize_word(text: str) -> tuple[str, ...]:
+def tokenize_word(text: str, generators) -> tuple[str, ...]:
+    """Split a relator word into generator tokens.  A word without whitespace
+    is one token when it names a declared generator or its inverse, and is
+    otherwise in compact form: every character is a single-letter token."""
     parts = text.split()
-    if len(parts) > 1 or not text:
-        return tuple(parts)
-    if len(set(len(p) for p in parts)) == 1 and len(parts[0]) > 1:
-        # compact form: every character is a single-letter generator token
-        return tuple(text)
+    if len(parts) == 1 and len(parts[0]) > 1:
+        if parts[0].lower() not in {g.lower() for g in generators}:
+            return tuple(parts[0])
     return tuple(parts)
 
 
 def presentation(gens, relator_words) -> Presentation:
+    gens = tuple(gens)
     return Presentation(
-        generators=tuple(gens),
-        relators=tuple(tokenize_word(w) if isinstance(w, str) else tuple(w) for w in relator_words),
+        generators=gens,
+        relators=tuple(
+            tokenize_word(w, gens) if isinstance(w, str) else tuple(w) for w in relator_words
+        ),
     )
 
 

@@ -29,6 +29,8 @@ from fractions import Fraction
 from math import comb
 
 from .errors import DomainError, InputError
+from . import exactla
+from .exactla import QQ, Matrix
 
 
 # ---------------------------------------------------------------------------
@@ -380,17 +382,7 @@ def deduce_h43_kernel(ledger: Ledger | None = None) -> KernelReport:
         if any(m not in basis4 for m in poly):
             continue
         rel_rows.append([poly.get(m, ParamPoly()).get((), Fraction(0)) for m in basis4])
-    # echelonize the relation rows (2 columns)
-    pivots = {}
-    for row in rel_rows:
-        row = list(row)
-        for col, prow in pivots.items():
-            if row[col]:
-                f = row[col] / prow[col]
-                row = [x - f * y for x, y in zip(row, prow)]
-        lead = next((i for i, x in enumerate(row) if x), None)
-        if lead is not None:
-            pivots[lead] = row
+    echelon, pivots = exactla.rref(Matrix(QQ, len(rel_rows), len(basis4), rel_rows))
     nonvan = {m for g, m in ledger.nonvanishing if g == 4}
     contradiction = None
     if len(pivots) == len(basis4) and nonvan:
@@ -420,12 +412,10 @@ def deduce_h43_kernel(ledger: Ledger | None = None) -> KernelReport:
     # degree-4: reduce push2 modulo relations, then each surviving nonvanishing
     # monomial contributes a constraint
     vec = [push2.get(m, ParamPoly()) for m in basis4]
-    for col in sorted(pivots):
-        prow = pivots[col]
+    for prow, col in zip(echelon, pivots):
         coeff = vec[col]
         if not coeff.is_zero():
-            scale = Fraction(1) / prow[col]
-            vec = [v - coeff * (scale * prow[i]) for i, v in enumerate(vec)]
+            vec = [v - coeff * x for v, x in zip(vec, prow)]
     for m, v in zip(basis4, vec):
         if v.is_zero():
             continue
@@ -435,18 +425,7 @@ def deduce_h43_kernel(ledger: Ledger | None = None) -> KernelReport:
     # rank of the constraint system in parameters A, B
     names = sorted({n for row in param_rows for n in row})
     rows = [[row.get(n, Fraction(0)) for n in names] for row in param_rows]
-    rk = 0
-    for col in range(len(names)):
-        piv = next((i for i in range(rk, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rk], rows[piv] = rows[piv], rows[rk]
-        for i in range(len(rows)):
-            if i != rk and rows[i][col]:
-                f = rows[i][col] / rows[rk][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rk])]
-        rk += 1
-    dim = 2 - rk
+    dim = 2 - exactla.rank(Matrix(QQ, len(rows), len(names), rows))
     return KernelReport(
         solution_dim=dim,
         constraints=constraints,

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from bigraded import cli
 from bigraded.cli import main
 
 PKG_SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -222,3 +223,86 @@ def test_out_flag(tmp_path):
     dest = tmp_path / "o.json"
     assert main(["sp4", "phi", "--swap", "--format", "json", "--out", str(dest)]) == 0
     assert json.loads(dest.read_text())["result"]["parity"] == "odd"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lie-basis", "--gens", "gens.txt", "--box", "4,3"], "bad generator line"),
+        (["betti", "--gens", "gens.txt", "--box", "4,3"], "bad generator line"),
+        (["vanish-check", "--preset", "vanishA", "--box", "6,6", "--line", "3/4"], "bad line"),
+        (["sp4", "phi"], "need --matrix or --swap"),
+        (["poset", "fuzz", "--campaign", "nerve", "--max-size", "0"], "maximum poset size"),
+        (["poset", "fuzz", "--campaign", "nerve", "--count", "-5"], "instance count"),
+    ],
+)
+def test_bad_inputs_are_input_errors(argv, message, tmp_path, monkeypatch, capsys):
+    (tmp_path / "gens.txt").write_text("a x 1\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_config_values_are_typed_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "wb.cfg"
+    cfg.write_text("gmax = 5\nformat = json\n")
+    assert main(["slope-box", "--high", "3/4", "--config", str(cfg)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["params"]["gmax"] == 5 and "auto_gmax" not in payload["result"]
+    cfg.write_text("count = 5\nthreads = 2\nmax_size = 6\n")
+    argv = ["poset", "fuzz", "--campaign", "nerve", "--seed", "3", "--config", str(cfg)]
+    assert main(argv + ["--format", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["instances"] == 5
+    # a later flag wins over the config file
+    assert main(argv + ["--count", "2", "--threads", "1", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["instances"] == 2
+
+
+@pytest.mark.parametrize("line", ["count = many", "timings = yes", "nonsense = 1"])
+def test_bad_config_lines_are_input_errors(line, tmp_path):
+    cfg = tmp_path / "wb.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["poset", "fuzz", "--campaign", "nerve", "--count", "1", "--config", str(cfg)])
+    assert exc.value.code == 2
+
+
+def test_bare_config_key_sets_a_boolean_flag(tmp_path, capsys):
+    cfg = tmp_path / "wb.cfg"
+    cfg.write_text("timings\nformat = json\n")
+    assert main(["slope-box", "--high", "3/4", "--config", str(cfg)]) == 0
+    assert "wall_ms" in json.loads(capsys.readouterr().out)
+
+
+def test_timings_flag_adds_wall_ms(capsys):
+    argv = ["slope-box", "--high", "3/4", "--format", "json"]
+    assert main(argv) == 0
+    assert "wall_ms" not in json.loads(capsys.readouterr().out)
+    assert main(argv + ["--timings"]) == 0
+    assert json.loads(capsys.readouterr().out)["wall_ms"] >= 0
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def broken(args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "cmd_slope_box", broken)
+    assert main(["slope-box", "--high", "3/4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "internal error: ValueError('boom')" in captured.err
+
+
+def test_broken_pipe_exits_0(monkeypatch):
+    def closed(args):
+        raise BrokenPipeError
+
+    monkeypatch.setattr(cli, "cmd_slope_box", closed)
+    assert main(["slope-box", "--high", "3/4"]) == 0
+
+
+def test_out_of_range_check_reports_counterexample(capsys):
+    assert main(["ranges", "--a", "4", "--b", "3", "--e", "-5", "--check", "6,4",
+                 "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "counterexample"

@@ -60,6 +60,9 @@ def test_no_relators():
 def test_single_relator_examples():
     assert exponent_matrix(presentation(["a"], ["a a a"])) == [[3]]
     assert exponent_matrix(presentation(["a", "b"], ["abAB"])) == [[0, 0]]
+    # a whole-word generator is one token, not a compact word
+    assert exponent_matrix(presentation(["alpha"], ["alpha"])) == [[1]]
+    assert exponent_matrix(presentation(["alpha", "b"], ["Alpha", "b alpha"])) == [[-1, 0], [1, 1]]
 
 
 def test_abelianization_invariant_under_tietze_like_moves():
