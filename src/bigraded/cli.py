@@ -566,6 +566,8 @@ def cmd_sp4_phi(args) -> Outcome:
 
 
 def cmd_sp4_verify(args) -> Outcome:
+    if args.pairs < 0:
+        raise InputError(f"--pairs must be >= 0, got {args.pairs}")
     res = sympf2.verify_isomorphism(random_pairs=args.pairs)
     result = {**_jsonable(res), "is_isomorphism": res.is_isomorphism}
     lines = [
@@ -800,6 +802,8 @@ def main(argv=None) -> int:
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except SystemExit as exc:  # argparse has printed its usage error (2) or --help (0)
+        return exc.code
     except BrokenPipeError:
         return EXIT_OK
     except Exception as exc:

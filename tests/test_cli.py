@@ -234,6 +234,7 @@ def test_out_flag(tmp_path):
         (["sp4", "phi"], "need --matrix or --swap"),
         (["poset", "fuzz", "--campaign", "nerve", "--max-size", "0"], "maximum poset size"),
         (["poset", "fuzz", "--campaign", "nerve", "--count", "-5"], "instance count"),
+        (["sp4", "verify", "--pairs", "-1"], "--pairs must be >= 0"),
     ],
 )
 def test_bad_inputs_are_input_errors(argv, message, tmp_path, monkeypatch, capsys):
@@ -264,9 +265,7 @@ def test_config_values_are_typed_like_flags(tmp_path, capsys):
 def test_bad_config_lines_are_input_errors(line, tmp_path):
     cfg = tmp_path / "wb.cfg"
     cfg.write_text(line + "\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["poset", "fuzz", "--campaign", "nerve", "--count", "1", "--config", str(cfg)])
-    assert exc.value.code == 2
+    assert main(["poset", "fuzz", "--campaign", "nerve", "--count", "1", "--config", str(cfg)]) == 2
 
 
 def test_bare_config_key_sets_a_boolean_flag(tmp_path, capsys):
@@ -306,3 +305,10 @@ def test_out_of_range_check_reports_counterexample(capsys):
     assert main(["ranges", "--a", "4", "--b", "3", "--e", "-5", "--check", "6,4",
                  "--format", "json"]) == 1
     assert json.loads(capsys.readouterr().out)["status"] == "counterexample"
+
+
+def test_argparse_exits_are_returned(capsys):
+    assert main(["slope-box", "--high", "3/4", "--format", "xml"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert main(["slope-box", "--help"]) == 0
+    assert "usage:" in capsys.readouterr().out

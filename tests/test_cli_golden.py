@@ -135,10 +135,7 @@ def run_case(case: str):
     """Exit code and sha256 of stdout of one in-process run."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        try:
-            code = main(shlex.split(case))
-        except SystemExit as exc:  # argparse rejected the command line
-            code = exc.code
+        code = main(shlex.split(case))
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -12,8 +13,10 @@ from bigraded.posets import (
     chain_poset,
     check_nerve_theorem,
     check_poset_map_theorem,
+    _chain_count,
     cone_homology_f2,
     connectivity_report,
+    core,
     euler_characteristic,
     fuzz_nerve,
     fuzz_poset_map,
@@ -81,6 +84,85 @@ def test_cone_posets_are_acyclic():
         assert connectivity_report(cone).connectivity == INF
         bottom = FinitePoset(list(q.names) + ["BOT"], q.cover_pairs() + [("BOT", nm) for nm in q.names])
         assert connectivity_report(bottom).connectivity == INF
+
+
+def _with_beat_points(rng, max_size):
+    """A random poset, a cone over it, and it with one extra point above a
+    single element (a down beat point)."""
+    q = random_poset(rng, max_size)
+    cone = FinitePoset(list(q.names) + ["TOP"], q.cover_pairs() + [(nm, "TOP") for nm in q.names])
+    x = rng.choice(q.names)
+    beat = FinitePoset(list(q.names) + ["B"], q.cover_pairs() + [(x, "B")])
+    return [q, cone, beat]
+
+
+def test_core_removes_beat_points_only():
+    rng = random.Random(6)
+    for _ in range(20):
+        q, cone, beat = _with_beat_points(rng, 7)
+        assert bin(core(cone)).count("1") == 1
+        # the core is unique up to isomorphism (Stong)
+        assert bin(core(beat)).count("1") == bin(core(q)).count("1")
+        for p in (q, cone, beat):
+            reduced = p.subposet(core(p))
+            assert core(reduced) == (1 << reduced.n) - 1
+    for base in (3, 4, 5):  # spheres have no beat points
+        p = subsets_poset(base)
+        assert core(p) == (1 << p.n) - 1
+
+
+def test_connectivity_on_the_core_equals_unreduced_homology():
+    rng = random.Random(19)
+    posets = [subsets_poset(3), FinitePoset(["*"], [])]
+    for _ in range(15):
+        posets += _with_beat_points(rng, 6)
+    for p in posets:
+        f2, q = reduced_homology_f2(p), reduced_homology_q(p)
+        hz = reduced_homology_z(p)
+        for field, dims in (("F2", f2), ("Q", q)):
+            rep = connectivity_report(p, field)
+            assert rep.dims == dims and rep.torsion is None
+            assert rep.connectivity == (min(dims) - 1 if dims else INF)
+        rep = connectivity_report(p, "Z")
+        assert rep.dims == {k: free for k, (free, _) in hz.items()}
+        assert rep.torsion == {k: tors for k, (_, tors) in hz.items() if tors}
+        assert rep.connectivity == (min(hz) - 1 if hz else INF)
+        for m in range(-1, p.n + 2):
+            assert is_homologically_connected(p, m) == all(k > m for k in f2)
+            assert is_homologically_connected(p, m, "Q") == all(k > m for k in q)
+
+
+def test_subposet_from_masks_equals_validated_construction():
+    rng = random.Random(31)
+    for _ in range(40):
+        p = random_poset(rng, 9)
+        mask = rng.getrandbits(p.n)
+        names = [nm for i, nm in enumerate(p.names) if (mask >> i) & 1]
+        pairs = [(a, b) for a in names for b in names if a != b and p.leq(a, b)]
+        assert vars(p.subposet(mask)) == vars(FinitePoset(names, pairs))
+        reverse = [(b, a) for a in p.names for b in p.names if a != b and p.leq(a, b)]
+        assert vars(p.op()) == vars(FinitePoset(p.names, reverse))
+
+
+def test_order_chains_match_bruteforce():
+    rng = random.Random(5)
+    for _ in range(15):
+        p = random_poset(rng, 6)
+        for k, level in enumerate(order_chains(p)):
+            assert level == sorted(
+                c
+                for c in permutations(range(p.n), k + 1)
+                if all((p.gt_mask(a) >> b) & 1 for a, b in zip(c, c[1:]))
+            )
+
+
+def test_chain_count_counts_order_chains():
+    rng = random.Random(12)
+    for _ in range(30):
+        p = random_poset(rng, 10)
+        for max_len in range(1, p.n + 2):
+            chains = order_chains(p, max_len=max_len)
+            assert _chain_count(p, max_len) == sum(len(level) for level in chains)
 
 
 def test_euler_characteristic_matches_homology():
@@ -216,6 +298,25 @@ def test_fuzz_determinism():
         b.hypotheses_satisfied,
         b.resampled_oversize,
     )
+
+
+# (instances, hypotheses_satisfied, resampled_oversize), recorded with
+# homology computed on the whole poset; the max_size 26 cases resample
+@pytest.mark.parametrize(
+    "fuzz, count, max_size, seed, expected",
+    [
+        (fuzz_poset_map, 200, 7, 0, (200, 48, 0)),
+        (fuzz_poset_map, 200, 7, 7, (200, 57, 0)),
+        (fuzz_poset_map, 10, 26, 1, (10, 3, 2)),
+        (fuzz_nerve, 200, 7, 0, (200, 46, 0)),
+        (fuzz_nerve, 200, 7, 7, (200, 53, 0)),
+        (fuzz_nerve, 10, 26, 0, (10, 2, 1)),
+    ],
+)
+def test_campaign_results_are_pinned(fuzz, count, max_size, seed, expected):
+    rep = fuzz(count, max_size, seed)
+    assert (rep.instances, rep.hypotheses_satisfied, rep.resampled_oversize) == expected
+    assert rep.clean
 
 
 def test_counterexample_minimizers_produce_wellformed_dumps():
