@@ -8,9 +8,16 @@ graded Leibniz rule
 
     delta(m * n) = delta(m) * n + (-1)^d(m) m * delta(n).
 
+A monomial is sparse: a tuple of ``(letter_index, exponent)`` pairs with
+increasing index and no zero exponent, ``()`` being the unit, so every
+monomial operation costs the size of its support, not of the alphabet.
 Monomials use the Koszul sign convention in the homological degree d; the
 filtration weight r is carried along but carries no signs.  In characteristic
 2 every letter is polynomial; otherwise odd-d letters are exterior.
+
+Bases are enumerated one genus at a time: a single depth-first pass over the
+letters fills the basis of every degree of that genus up to the degree asked
+for, and `homology_table` asks each genus for its top degree first.
 
 Homology is computed per bidegree with exact linear algebra.  Letters whose
 differential is not explicitly given are closed: the named complexes this
@@ -29,8 +36,6 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import compress
-from operator import add, mul
 
 from .errors import DomainError, InputError
 from . import exactla, freealg
@@ -66,6 +71,7 @@ class CDGA:
         self.index = {x.name: i for i, x in enumerate(self.letters)}
         self.n = len(self.letters)
         # per-letter tables, so no monomial operation rebuilds them
+        self._names = names
         self._g = [x.g for x in self.letters]
         self._d = [x.d for x in self.letters]
         self._exterior = [fld.char != 2 and d % 2 == 1 for d in self._d]
@@ -78,49 +84,72 @@ class CDGA:
         for name, poly in (differential or {}).items():
             if name not in self.index:
                 raise InputError(f"differential on unknown letter {name}")
-            poly = {m: c for m, c in poly.items() if not fld.is_zero(c)}
+            poly = {self._sparse(m): c for m, c in poly.items() if not fld.is_zero(c)}
             if poly:
                 self.diff[name] = poly
         if check:
             self._check_homogeneous()
             self._check_d_squared()
 
+    def _sparse(self, mono):
+        """A monomial given either sparse or as a dense exponent vector of
+        length n, in sparse form."""
+        if not mono or isinstance(mono[0], tuple):
+            return mono
+        if len(mono) != self.n:
+            raise InputError(f"exponent vector {mono} does not have {self.n} entries")
+        return tuple((i, e) for i, e in enumerate(mono) if e)
+
     # -- polynomial layer ---------------------------------------------------
 
     def mono_bidegree(self, mono) -> tuple[int, int]:
-        return sum(map(mul, mono, self._g)), sum(map(mul, mono, self._d))
+        gs, ds = self._g, self._d
+        return sum(gs[i] * e for i, e in mono), sum(ds[i] * e for i, e in mono)
 
     def mono_name(self, mono) -> str:
-        parts = []
-        for e, x in zip(mono, self.letters):
-            if e == 1:
-                parts.append(x.name)
-            elif e > 1:
-                parts.append(f"{x.name}^{e}")
+        names = self._names
+        parts = [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in mono]
         return "*".join(parts) if parts else "1"
 
     def mono_of(self, exps: dict[str, int]):
-        mono = [0] * self.n
-        for name, e in exps.items():
+        for name in exps:
             if name not in self.index:
                 raise InputError(f"unknown letter {name}")
-            mono[self.index[name]] = e
-        return tuple(mono)
+        return tuple(sorted((self.index[name], e) for name, e in exps.items() if e))
 
     def mono_mul(self, m1, m2):
-        """Product of monomials with Koszul sign; None if an odd square dies."""
-        out = tuple(map(add, m1, m2))
-        if self.field.char == 2:
-            return 1, out
-        odd = self._exterior  # outside characteristic 2: the odd-d letters
-        if max(compress(out, odd), default=0) >= 2:
-            return None
-        # interleave the factors of m2 into m1: each odd factor of m2 at index
-        # j moves past the odd factors of m1 at indices > j
+        """Product of monomials with Koszul sign; None if an odd square dies.
+
+        The supports are merged; each odd factor of m2 moves past the odd
+        factors of m1 at larger indices."""
+        odd = self._exterior  # all False in characteristic 2
+        odd_after = 0  # odd factors of m1[a:]
+        for i, e in m1:
+            if odd[i]:
+                if e > 1:
+                    return None
+                odd_after += 1
+        out = []
         sign = 0
-        for j in compress(range(self.n), map(mul, m2, odd)):
-            sign += m2[j] * sum(compress(m1[j + 1 :], odd[j + 1 :]))
-        return (-1) ** (sign % 2), out
+        a, n1 = 0, len(m1)
+        for j, e in m2:
+            while a < n1 and m1[a][0] < j:
+                odd_after -= odd[m1[a][0]]
+                out.append(m1[a])
+                a += 1
+            if a < n1 and m1[a][0] == j:
+                if odd[j]:
+                    return None
+                out.append((j, m1[a][1] + e))
+                a += 1
+            else:
+                if odd[j]:
+                    if e > 1:
+                        return None
+                    sign += odd_after
+                out.append((j, e))
+        out.extend(m1[a:])
+        return (-1 if sign % 2 else 1), tuple(out)
 
     def poly_add(self, p, q):
         f = self.field
@@ -163,26 +192,31 @@ class CDGA:
     def delta_mono(self, mono):
         """delta of a monomial, by the graded Leibniz rule."""
         f = self.field
-        ds = self._d
+        odd_char = f.char != 2
+        ds, names, diff = self._d, self._names, self.diff
         out = {}
-        for i, dpoly in sorted((self.index[nm], p) for nm, p in self.diff.items()):
-            a = mono[i]
-            if not a:
+        deg_total = sum(ds[i] * e for i, e in mono)
+        # total homological degree of the letters left of position pos
+        deg_prefix = 0
+        for pos, (i, a) in enumerate(mono):
+            dpoly = diff.get(names[i])
+            deg_here = ds[i] * a
+            if dpoly is None:
+                deg_prefix += deg_here
                 continue
-            # total homological degree of the letters left of position i
-            deg_prefix = sum(map(mul, mono[:i], ds[:i]))
             coeff = f.of(a)
-            if f.char != 2 and deg_prefix % 2 == 1:
+            if odd_char and deg_prefix % 2 == 1:
                 coeff = f.neg(coeff)
+            deg_tail = deg_total - deg_prefix - deg_here
+            deg_prefix += deg_here
             if f.is_zero(coeff):
                 continue
-            m_rest = mono[:i] + (a - 1,) + mono[i + 1 :]
-            deg_tail = sum(map(mul, mono[i + 1 :], ds[i + 1 :]))
+            lower = ((i, a - 1),) if a > 1 else ()
+            m_rest = mono[:pos] + lower + mono[pos + 1 :]
             for n_mono, n_coeff in dpoly.items():
                 c = f.mul(coeff, n_coeff)
-                if f.char != 2:
-                    nd = sum(map(mul, n_mono, ds))
-                    if (nd * deg_tail) % 2 == 1:
+                if odd_char and deg_tail % 2 == 1:
+                    if sum(ds[j] * e for j, e in n_mono) % 2 == 1:
                         c = f.neg(c)
                 sm = self.mono_mul(m_rest, n_mono)
                 if sm is None:
@@ -226,40 +260,56 @@ class CDGA:
     def monomial_basis(self, bd: tuple[int, int]):
         """All monomials of bidegree bd, deterministically ordered.
 
+        A miss enumerates the whole genus up to degree bd[1] and caches the
+        basis of every degree on the way, so asking for a genus's highest
+        degree first enumerates it once."""
+        out = self._basis_cache.get(bd)
+        if out is None:
+            g, d = bd
+            if g < 0 or d < 0:
+                return []
+            for k, monos in enumerate(self._enumerate_genus(g, d)):
+                self._basis_cache[(g, k)] = monos
+            out = self._basis_cache[bd]
+        return out
+
+    def _enumerate_genus(self, g_t: int, d_t: int) -> list[list]:
+        """The bases of bidegrees (g_t, 0), ..., (g_t, d_t), each in
+        decreasing order of dense exponent vectors.
+
         Depth-first over the next letter used, with an explicit stack: a
-        branch only visits letters that fit the remaining genus and degree,
-        so the work is proportional to the partial monomials that can still
-        be completed, and no recursion limit applies."""
-        if bd in self._basis_cache:
-            return self._basis_cache[bd]
-        g_t, d_t = bd
+        branch only visits letters that fit the remaining genus and degree.
+        Children are visited by increasing letter index and decreasing
+        exponent, which is that order, so no basis is sorted.  Letters after
+        index i have genus at least that of letter i, so a branch that
+        leaves a smaller positive genus is cut."""
+        by_degree = [[] for _ in range(d_t + 1)]
+        if g_t == 0:
+            by_degree[0].append(())
+            return by_degree
         ds, starts, exterior = self._d, self._g_start, self._exterior
         top = len(starts) - 2  # largest letter genus
-        out = []
-        if (g_t, d_t) == (0, 0):
-            out.append((0,) * self.n)
-        # a frame is (first usable index, genus left, degree left, (i, e) pairs)
-        stack = [(0, g_t, d_t, ())] if g_t > 0 and d_t >= 0 else []
+        # a frame is (first usable index, genus left, degree left, monomial);
+        # a frame with no genus left is a finished monomial
+        stack = [(0, g_t, d_t, ())]
         while stack:
             start, g, d, used = stack.pop()
+            if not g:
+                by_degree[d_t - d].append(used)
+                continue
+            children = []
             for k in range(1, min(g, top) + 1):
                 lo = max(start, starts[k])
                 for i in range(lo, bisect_right(ds, d, lo, starts[k + 1])):
                     max_e = 1 if exterior[i] else g // k
                     if ds[i]:
                         max_e = min(max_e, d // ds[i])
-                    for e in range(1, max_e + 1):
-                        g2, d2, u2 = g - e * k, d - e * ds[i], used + ((i, e),)
-                        if g2:
-                            stack.append((i + 1, g2, d2, u2))
-                        elif not d2:
-                            mono = [0] * self.n
-                            for j, ej in u2:
-                                mono[j] = ej
-                            out.append(tuple(mono))
-        out.sort(reverse=True)
-        self._basis_cache[bd] = out
-        return out
+                    for e in range(max_e, 0, -1):
+                        g2 = g - e * k
+                        if not g2 or g2 >= k:
+                            children.append((i + 1, g2, d - e * ds[i], used + ((i, e),)))
+            stack.extend(reversed(children))
+        return by_degree
 
     def differential_matrix(self, bd: tuple[int, int]) -> Matrix:
         """Matrix of delta from bidegree bd to (g, d-1) in the monomial bases."""
@@ -282,16 +332,16 @@ class CDGA:
             if nm not in self.index:
                 raise InputError(f"cannot quotient by unknown letter {nm}")
         kept = [x for x in self.letters if x.name not in names]
-        keep_idx = [i for i, x in enumerate(self.letters) if x.name not in names]
-        drop_idx = [self.index[nm] for nm in names]
         new = CDGA(self.field, kept, {}, check=False)
+        # old letter index -> new one; None for a deleted letter
+        reindex = [new.index.get(x.name) for x in self.letters]
 
         def push(poly):
             out = {}
             for m, c in poly.items():
-                if any(m[i] for i in drop_idx):
-                    continue
-                out[tuple(m[i] for i in keep_idx)] = c
+                pairs = tuple((reindex[i], e) for i, e in m)
+                if all(j is not None for j, _ in pairs):
+                    out[pairs] = c
             return out
 
         for nm, poly in self.diff.items():
@@ -370,13 +420,12 @@ class DGModule:
         return out
 
     def monomial_basis(self, bd: tuple[int, int]):
+        """Pairs (monomial, generator): generators in decreasing order, each
+        with its base basis in the base's order."""
         g, d = bd
         out = []
-        for name, ge, de, _ in self.module_gens:
-            if ge <= g and de <= d:
-                for m in self.base.monomial_basis((g - ge, d - de)):
-                    out.append((m, name))
-        out.sort(key=lambda t: (self.mg_index[t[1]], t[0]), reverse=True)
+        for name, ge, de, _ in reversed(self.module_gens):
+            out += [(m, name) for m in self.base.monomial_basis((g - ge, d - de))]
         return out
 
     def delta_elt(self, m, e):
@@ -443,6 +492,7 @@ def homology_table(cx, box: tuple[int, int]) -> HomologyTable:
 
     dims = {}
     for g in range(0, g_max + 1):
+        cx.monomial_basis((g, d_max + 1))  # enumerates genus g once
         for d in range(0, d_max + 1):
             n = len(cx.monomial_basis((g, d)))
             if n == 0:

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import random
 import sys
@@ -7,10 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from bigraded import exactla
+from bigraded import exactla, freealg
 from bigraded.cdga import (
     CDGA,
     DGModule,
+    HomologyTable,
     Letter,
     build_paper_complex,
     homology_table,
@@ -32,15 +34,32 @@ def _cdga(fld, letters, diff=None):
     return cx
 
 
+def _dense(cx, mono):
+    """The exponent vector of a sparse monomial of cx."""
+    vector = [0] * cx.n
+    for i, e in mono:
+        vector[i] = e
+    return tuple(vector)
+
+
+def _sparse(vector):
+    """The sparse monomial of an exponent vector."""
+    return tuple((i, e) for i, e in enumerate(vector) if e)
+
+
+def _dense_basis(cx, bd):
+    return [_dense(cx, m) for m in cx.monomial_basis(bd)]
+
+
 def test_monomial_basis_examples():
     sigma = Letter(1, 0, 0, "sigma")
     cx = _cdga(QQ, [sigma])
-    assert cx.monomial_basis((3, 0)) == [(3,)]
+    assert _dense_basis(cx, (3, 0)) == [(3,)]
     tau = Letter(1, 1, 1, "tau")
     cq = _cdga(QQ, [tau])
     assert cq.monomial_basis((2, 2)) == []  # tau^2 = 0, exterior over Q
     c2 = _cdga(GF(2), [tau])
-    assert c2.monomial_basis((2, 2)) == [(2,)]  # char-2 polynomiality
+    assert _dense_basis(c2, (2, 2)) == [(2,)]  # char-2 polynomiality
 
 
 @pytest.mark.parametrize("fld", [QQ, GF(2), GF(3)])
@@ -59,11 +78,11 @@ def test_monomial_basis_matches_bruteforce_filter(fld):
         bounds = [range(2 if ext else g_max // x.g + 1) for ext, x in zip(exterior, cx.letters)]
         by_bd = {}
         for m in itertools.product(*bounds):
-            by_bd.setdefault(cx.mono_bidegree(m), []).append(m)
+            by_bd.setdefault(cx.mono_bidegree(_sparse(m)), []).append(m)
         bidegrees = [(g, d) for g in range(g_max + 1) for d in range(d_max + 1)]
         bidegrees += [(-1, 0), (0, -1), (2, -1), (-2, 3)]
         for bd in bidegrees:
-            assert cx.monomial_basis(bd) == sorted(by_bd.get(bd, []), reverse=True), (bd, letters)
+            assert _dense_basis(cx, bd) == sorted(by_bd.get(bd, []), reverse=True), (bd, letters)
 
 
 def test_monomial_basis_beyond_recursion_limit():
@@ -84,6 +103,119 @@ def test_complex_is_freed_by_refcount():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_monomial_basis_independent_of_query_order():
+    """The per-genus cache gives the same lists whatever order the
+    bidegrees are asked in, in and out of the box, as a fresh complex asked
+    for each bidegree on its own."""
+    cx = build_paper_complex("intstab-f2", (6, 6)).base
+    cells = [(g, d) for g in range(-1, 9) for d in range(-1, 10)]
+
+    def fresh():
+        return CDGA(cx.field, cx.letters, cx.diff)
+
+    expected = {bd: fresh().monomial_basis(bd) for bd in cells}
+    shuffled = list(cells)
+    random.Random(5).shuffle(shuffled)
+    for order in (cells, cells[::-1], shuffled, [(3, 9), (3, 2), (8, 1), (8, 9)] + cells):
+        other = fresh()
+        for bd in order:
+            assert other.monomial_basis(bd) == expected[bd], bd
+
+
+@pytest.mark.parametrize(
+    "preset,ell,box",
+    [("vanishB", None, (12, 12)), ("intstab-f2", None, (8, 8)), ("A-algebra-fl", 5, (7, 7))],
+)
+def test_basis_sizes_match_generating_function(preset, ell, box):
+    """Every basis the homology table of the box uses has the size the
+    generating function of the alphabet predicts; no enumeration is shared."""
+    cx = build_paper_complex(preset, box, ell=ell)
+    cx = getattr(cx, "base", cx)  # the intstab presets are modules over a base
+    cells = (box[0], box[1] + 1)
+    sizes = freealg.betti_generating_function(cx.letters, cells, cx.field.char == 2)
+    sizes[(0, 0)] = 1
+    for g in range(cells[0] + 1):
+        for d in range(cells[1] + 1):
+            assert len(cx.monomial_basis((g, d))) == sizes.get((g, d), 0), (g, d)
+
+
+def _matrix_digest(cx, box):
+    h = hashlib.sha256()
+    for g in range(box[0] + 1):
+        for d in range(1, box[1] + 2):
+            m = cx.differential_matrix((g, d))
+            h.update(repr((g, d, m.nrows, m.ncols, m.rows)).encode())
+    return h.hexdigest()
+
+
+# sha256 over (g, d, nrows, ncols, rows) of every differential matrix a
+# homology table of the paper's box reads: pins the bases, their order and
+# every sign, which a rank check cannot see
+MATRIX_DIGESTS = {
+    "vanishA": "425249b003bf0cb4c0c47c799c7ec8ce5af5543e4b6a60f8076897bc9b1206ca",
+    "vanishB": "576ca0aea4c9bf2ef928ca5544dfb5a4b6634d33bb2be2fb669e98ff9a9f9f7d",
+    "intstab-f2": "efc44432ea580116b4b2531ecdfb3ff6dcaac2f012260fcb9f2cd73aeafbdf32",
+    "intstab-fl(3)": "cf6a2448877d21808ef75db88566e1f2669156e44954d5ebb4798e2382673d48",
+    "intstab-fl(5)": "470e645e77bfc1c75717bdfebd3cb375acf99d507fa4c33b9720df3236576a54",
+    "A-algebra-fl(3)": "c96d6d92e36b8dbfa231ba4e3cb788ee067a599c4ef74656883f5a103cf7e652",
+    "A-algebra-fl(5)": "a3af6c55f6c2ebf7575022e7bb2e3db872589e109c8af3e317e24e5e25e7ddc7",
+}
+
+
+@pytest.mark.parametrize("key", sorted(MATRIX_DIGESTS))
+def test_differential_matrices_match_recorded_digests(key):
+    preset, _, ell = key.rstrip(")").partition("(")
+    box = (8, 8) if preset.startswith("vanish") else (6, 6)
+    cx = build_paper_complex(preset, box, ell=int(ell) if ell else None)
+    assert _matrix_digest(cx, box) == MATRIX_DIGESTS[key]
+
+
+VANISHB_14 = {
+    (0, 0): 1, (3, 3): 1, (4, 4): 1, (4, 5): 1, (5, 4): 1, (5, 5): 3, (5, 6): 1,
+    (6, 5): 2, (6, 6): 4, (6, 7): 2, (7, 6): 2, (7, 7): 7, (7, 8): 6, (7, 9): 1,
+    (8, 7): 3, (8, 8): 13, (8, 9): 12, (8, 10): 3, (9, 8): 6, (9, 9): 21, (9, 10): 22,
+    (9, 11): 8, (9, 12): 1, (10, 8): 1, (10, 9): 12, (10, 10): 35, (10, 11): 40,
+    (10, 12): 20, (10, 13): 4, (11, 9): 2, (11, 10): 20, (11, 11): 62, (11, 12): 78,
+    (11, 13): 44, (11, 14): 11, (12, 10): 3, (12, 11): 33, (12, 12): 109, (12, 13): 148,
+    (12, 14): 94, (13, 11): 7, (13, 12): 60, (13, 13): 186, (13, 14): 268, (14, 12): 13,
+    (14, 13): 105, (14, 14): 320,
+}
+
+
+def test_vanishB_table_past_the_paper_box():
+    """vanishB at (14,14), 1124 letters, against its recorded table."""
+    table = homology_table(build_paper_complex("vanishB", (14, 14)), (14, 14))
+    assert table == HomologyTable("Q", (14, 14), VANISHB_14)
+
+
+def test_zero_exponents_give_the_unit():
+    cx = _cdga(QQ, [Letter(1, 0, 0, "x"), Letter(1, 1, 1, "y")])
+    assert cx.mono_of({"x": 0}) == ()
+    assert cx.mono_of({"x": 0, "y": 1}) == cx.mono_of({"y": 1}) == ((1, 1),)
+    assert parse_poly(cx, "x^0") == {(): Fraction(1)}
+    assert parse_poly(cx, "2*x^0*y") == {((1, 1),): Fraction(2)}
+    with pytest.raises(InputError):
+        cx.mono_of({"z": 0})
+
+
+def test_odd_squares_die_in_products():
+    cx = _cdga(QQ, [Letter(1, 0, 0, "x"), Letter(1, 1, 1, "y")])
+    y, y2 = cx.mono_of({"y": 1}), cx.mono_of({"y": 2})
+    assert cx.mono_mul(y, y) is None
+    assert cx.mono_mul((), y2) is None and cx.mono_mul(y2, ()) is None
+    assert cx.mono_mul(cx.mono_of({"x": 1}), y) == (1, ((0, 1), (1, 1)))
+    assert cx.poly_mul({(): Fraction(1)}, parse_poly(cx, "y^2 + x*y")) == {((0, 1), (1, 1)): 1}
+
+
+def test_differential_given_as_exponent_vectors():
+    letters = [Letter(2, 1, 1, "b"), Letter(2, 2, 2, "rho2")]
+    dense = CDGA(GF(3), letters, {"rho2": {(1, 0): 1}})
+    assert dense.diff == {"rho2": {((0, 1),): 1}}
+    assert dense.diff == CDGA(GF(3), letters, {"rho2": {((0, 1),): 1}}).diff
+    with pytest.raises(InputError):
+        CDGA(GF(3), letters, {"rho2": {(1,): 1}})
 
 
 @pytest.mark.parametrize(
@@ -145,9 +277,9 @@ def _random_cdga(rng, fld):
             for m in pool
             if all(
                 cx.letters[i].name == x.name or cx.letters[i].name not in cx.diff or not e
-                for i, e in enumerate(m)
+                for i, e in enumerate(_dense(cx, m))
             )
-            and not m[cx.index[x.name]]
+            and not _dense(cx, m)[cx.index[x.name]]
         ]
         if pool and rng.random() < 0.7:
             poly = {}
@@ -187,7 +319,7 @@ def test_leibniz_rule_on_random_monomial_pairs(fld):
             lhs = cx.delta_mono(sm[1]) if sm else {}
             if sm and sm[0] < 0:
                 lhs = cx.poly_scale(lhs, fld.of(-1))
-            d1 = sum(e * x.d for e, x in zip(m1, cx.letters))
+            d1 = sum(e * x.d for e, x in zip(_dense(cx, m1), cx.letters))
             rhs = cx.poly_mul(cx.delta_mono(m1), {m2: fld.one()})
             sign = fld.of(-1 if (fld.char != 2 and d1 % 2) else 1)
             rhs = cx.poly_add(
@@ -200,12 +332,13 @@ def _delta_recursive(cx, mono):
     """Independent differential: peel the leftmost letter and apply the
     two-factor Leibniz rule, recursing on the remainder."""
     f = cx.field
-    first = next((i for i, e in enumerate(mono) if e), None)
+    vector = _dense(cx, mono)
+    first = next((i for i, e in enumerate(vector) if e), None)
     if first is None:
         return {}
     x = cx.letters[first]
-    single = tuple(1 if i == first else 0 for i in range(cx.n))
-    rest = tuple(e - 1 if i == first else e for i, e in enumerate(mono))
+    single = _sparse(1 if i == first else 0 for i in range(cx.n))
+    rest = _sparse(e - 1 if i == first else e for i, e in enumerate(vector))
     out = {}
     dx = cx.diff.get(x.name, {})
     for m2, c in cx.poly_mul(dx, {rest: f.one()}).items():
