@@ -317,11 +317,11 @@ class CDGA:
         cols = self.monomial_basis((g, d))
         rows = self.monomial_basis((g, d - 1)) if d >= 1 else []
         row_index = {m: i for i, m in enumerate(rows)}
-        mat = Matrix(self.field, len(rows), len(cols))
+        entries = [[] for _ in rows]
         for j, m in enumerate(cols):
             for m2, c in self.delta_mono(m).items():
-                mat.rows[row_index[m2]][j] = c
-        return mat
+                entries[row_index[m2]].append((j, c))
+        return Matrix(self.field, len(rows), len(cols), entries)
 
     def quotient(self, names) -> "CDGA":
         """Delete the named letters and erase differential terms divisible by
@@ -445,11 +445,11 @@ class DGModule:
         cols = self.monomial_basis((g, d))
         rows = self.monomial_basis((g, d - 1)) if d >= 1 else []
         row_index = {k: i for i, k in enumerate(rows)}
-        mat = Matrix(self.field, len(rows), len(cols))
+        entries = [[] for _ in rows]
         for j, (m, e) in enumerate(cols):
             for key, c in self.delta_elt(m, e).items():
-                mat.rows[row_index[key]][j] = c
-        return mat
+                entries[row_index[key]].append((j, c))
+        return Matrix(self.field, len(rows), len(cols), entries)
 
     def mono_name(self, key):
         m, e = key

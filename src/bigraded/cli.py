@@ -585,10 +585,8 @@ def cmd_abelianize(args) -> Outcome:
 
 
 def cmd_la_snf(args) -> Outcome:
-    rows = exactla.parse_int_matrix(_read(args.infile))
-    if not rows:
-        raise InputError("empty matrix")
-    sf = exactla.smith_normal_form(rows, want_certs=args.certificate)
+    rows, ncols = exactla.parse_int_matrix(_read(args.infile))
+    sf = exactla.smith_normal_form(rows, ncols, want_certs=args.certificate)
     result = {
         "factors": sf.factors,
         "free_rank": sf.free_rank,

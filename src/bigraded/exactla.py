@@ -3,12 +3,15 @@
 Everything here is exact: rationals are `fractions.Fraction`, residues are
 ints reduced into [0, ell).  No floating point is used anywhere.
 
-`rank` is one sparse-row elimination over any of these fields: the shortest
-remaining row is the pivot and clears its leading column from the other
-rows, which keeps fill-in low on the very sparse differentials of chain
-complexes.  `rref` and `kernel_basis` keep dense elimination with the first
-nonzero entry in row-major order as pivot, so echelon forms and kernel bases
-are reproducible across runs and platforms.
+A `Matrix` is sparse: each row lists its nonzero entries as ``(col, value)``
+pairs.  `rank`, `rref` and `kernel_basis` share one sparse-row elimination
+over any of these fields: the shortest remaining row is the pivot and clears
+its leading column from the other rows, which keeps fill-in low on the very
+sparse differentials of chain complexes.  `rref` back-substitutes the pivot
+rows; the reduced echelon form is unique, so echelon forms and kernel bases
+do not depend on the pivot order.  `rank_oracle` is an independent dense
+elimination for cross-checks, and `smith_normal_form` takes the same sparse
+rows with integer values.
 """
 
 from __future__ import annotations
@@ -17,9 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import compress, repeat
-from math import gcd
-from operator import is_not
+from math import gcd, isqrt
 
 from .errors import DomainError, InputError
 
@@ -42,9 +43,7 @@ class Rationals:
         raise InputError(f"not a rational scalar: {x!r}")
 
     def zero(self):
-        # one shared (immutable) zero: the zero entries of a fresh Matrix are
-        # then the same object, which `rank` skips by identity
-        return _Q_ZERO
+        return Fraction(0)
 
     def one(self):
         return Fraction(1)
@@ -73,11 +72,19 @@ class Rationals:
         return "QQ"
 
 
+# field characteristics must lie below this bound, so that the trial division
+# that checks primality takes a few milliseconds at most
+PRIME_BOUND = 2**31
+
+
 class PrimeField:
-    """The field F_ell for a prime ell, with int scalars in [0, ell)."""
+    """The field F_ell for a prime ell < PRIME_BOUND, with int scalars in
+    [0, ell)."""
 
     def __init__(self, ell: int):
-        if ell < 2 or any(ell % p == 0 for p in range(2, int(ell**0.5) + 1)):
+        if ell >= PRIME_BOUND:
+            raise InputError("field characteristic too large: primes must be below 2**31")
+        if ell < 2 or any(ell % p == 0 for p in range(2, isqrt(ell) + 1)):
             raise InputError(f"not a prime: {ell}")
         self.ell = ell
         self.name = f"F{ell}"
@@ -123,7 +130,6 @@ class PrimeField:
         return f"GF({self.ell})"
 
 
-_Q_ZERO = Fraction(0)
 QQ = Rationals()
 
 _GF_CACHE: dict[int, PrimeField] = {}
@@ -139,8 +145,11 @@ def field_by_name(name: str):
     """Parse a coefficient-field tag like ``Q``, ``F2``, ``F5``."""
     if name in ("Q", "QQ"):
         return QQ
-    if name.startswith("F") and name[1:].isdigit():
-        return GF(int(name[1:]))
+    digits = name[1:]
+    if name.startswith("F") and digits.isdecimal():
+        if len(digits.lstrip("0")) > 10:  # past PRIME_BOUND; int() refuses 4300 digits
+            raise InputError("field characteristic too large: primes must be below 2**31")
+        return GF(int(digits))
     raise InputError(f"unknown field: {name}")
 
 
@@ -149,110 +158,80 @@ def field_by_name(name: str):
 
 
 class Matrix:
-    """Dense matrix over one coefficient field.
+    """Sparse matrix over one coefficient field.
 
-    Rows are lists of field scalars; the field tag is part of the matrix, and
-    mixing scalar domains is rejected at construction time.
+    Each row is a list of ``(col, value)`` pairs with increasing col and no
+    zero value.  The constructor checks the shape and the column order and
+    passes every value through the field's ``of``, so mixing scalar domains
+    is rejected; values that are zero in the field are dropped.
     """
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
-    def __init__(self, fld, nrows: int, ncols: int, rows=None):
+    def __init__(self, fld, nrows: int, ncols: int, rows):
+        if len(rows) != nrows:
+            raise InputError("matrix shape mismatch")
+        of, is_zero = fld.of, fld.is_zero
+        checked = []
+        for row in rows:
+            out = []
+            last = -1
+            for j, x in row:
+                if not last < j < ncols:
+                    raise InputError("matrix row columns out of order or out of range")
+                last = j
+                x = of(x)
+                if not is_zero(x):
+                    out.append((j, x))
+            checked.append(out)
         self.field = fld
         self.nrows = nrows
         self.ncols = ncols
-        if rows is None:
-            z = fld.zero()
-            self.rows = [[z] * ncols for _ in range(nrows)]
-        else:
-            if len(rows) != nrows or any(len(r) != ncols for r in rows):
-                raise InputError("matrix shape mismatch")
-            self.rows = [[fld.of(x) for x in r] for r in rows]
-
-    @classmethod
-    def identity(cls, fld, n: int) -> "Matrix":
-        m = cls(fld, n, n)
-        for i in range(n):
-            m.rows[i][i] = fld.one()
-        return m
-
-    def copy_rows(self):
-        return [list(r) for r in self.rows]
-
-    def mul_vec(self, v):
-        f = self.field
-        if len(v) != self.ncols:
-            raise InputError("vector length mismatch")
-        out = []
-        for r in self.rows:
-            acc = f.zero()
-            for a, x in zip(r, v):
-                if not f.is_zero(a) and not f.is_zero(x):
-                    acc = f.add(acc, f.mul(a, x))
-            out.append(acc)
-        return out
+        self.rows = checked
 
     def __repr__(self):
         return f"Matrix({self.field!r}, {self.nrows}x{self.ncols})"
 
 
-def _rref(fld, rows, ncols):
-    """In-place reduced row echelon form; returns pivot column list."""
-    pivots = []
-    pr = 0
-    nrows = len(rows)
-    for pc in range(ncols):
-        pivot_row = None
-        for r in range(pr, nrows):
-            if not fld.is_zero(rows[r][pc]):
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        inv = fld.inv(rows[pr][pc])
-        rows[pr] = [fld.mul(inv, x) for x in rows[pr]]
-        for r in range(nrows):
-            if r != pr and not fld.is_zero(rows[r][pc]):
-                c = rows[r][pc]
-                rows[r] = [fld.sub(x, fld.mul(c, y)) for x, y in zip(rows[r], rows[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == nrows:
-            break
-    return pivots
+def _integer(x) -> int:
+    """The scalar check of `smith_normal_form`'s input: ints only."""
+    if not isinstance(x, int):
+        raise InputError("Smith normal form requires integer entries")
+    return x
 
 
-def rref(m: Matrix):
-    rows = m.copy_rows()
-    pivots = _rref(m.field, rows, m.ncols)
-    return rows, pivots
+def sparse_rows(dense, ncols: int, of=_integer):
+    """The nonzero entries of each row of a dense matrix, as increasing
+    ``(col, value)`` pairs.  Every entry passes through ``of`` first: a
+    field's ``of`` for a `Matrix`, or by default the integer check of
+    `smith_normal_form`'s input."""
+    if any(len(r) != ncols for r in dense):
+        raise InputError("matrix shape mismatch")
+    return [[(j, x) for j, x in enumerate(map(of, r)) if x] for r in dense]
 
 
-def rank(m: Matrix) -> int:
-    """Rank by sparse-row elimination, pivoting on the shortest row.
+def _eliminate(m: Matrix):
+    """Sparse Gaussian elimination, pivoting on the shortest row.
 
-    Rows are ``{col: value}`` dicts of nonzeros; a heap of (length, row)
-    entries, refreshed whenever a row changes, yields the shortest row, and
-    its leading column is cleared from every row that meets it.
+    Rows are ``{col: value}`` dicts; a heap of (length, row) entries,
+    refreshed whenever a row changes, yields the shortest remaining row, and
+    its leading column is cleared from every remaining row that meets it
+    (structured Gaussian elimination, LaMacchia & Odlyzko, CRYPTO '90).
+    Returns the pivot rows as ``(pivot column, row)`` in the order chosen:
+    each pivot is its row's leading column, and each row is zero at the
+    pivot columns chosen before it.
     """
     f = m.field
     sub, mul, is_zero = f.sub, f.mul, f.is_zero
     zero = f.zero()
-    rows: dict[int, dict] = {}
+    rows = {i: dict(r) for i, r in enumerate(m.rows) if r}
     col_rows: defaultdict[int, set[int]] = defaultdict(set)  # col -> rows meeting it
-    cols = range(m.ncols)
-    for i, r in enumerate(m.rows):
-        # the identity test skips the shared zero object in C; is_zero decides
-        nonzero = compress(cols, map(is_not, r, repeat(zero)))
-        row = {j: r[j] for j in nonzero if not is_zero(r[j])}
-        if row:
-            rows[i] = row
-            for j in row:
-                col_rows[j].add(i)
+    for i, row in rows.items():
+        for j in row:
+            col_rows[j].add(i)
     heap = [(len(row), i) for i, row in rows.items()]
     heapify(heap)
-    rk = 0
+    echelon = []
     while heap:
         size, p = heappop(heap)
         piv = rows.get(p)
@@ -261,8 +240,8 @@ def rank(m: Matrix) -> int:
         del rows[p]
         for j in piv:
             col_rows[j].discard(p)
-        rk += 1
         c = min(piv)
+        echelon.append((c, piv))
         inv = f.inv(piv[c])
         for i in col_rows.pop(c, ()):
             row = rows[i]
@@ -281,17 +260,49 @@ def rank(m: Matrix) -> int:
                 heappush(heap, (len(row), i))
             else:
                 del rows[i]
-    return rk
+    return echelon
+
+
+def rank(m: Matrix) -> int:
+    """Rank, as the number of pivot rows of `_eliminate`."""
+    return len(_eliminate(m))
+
+
+def rref(m: Matrix):
+    """Reduced row echelon form: its nonzero rows, as sparse rows in
+    pivot-column order, and their pivot columns.
+
+    The pivot rows of `_eliminate` are back-substituted in reverse: each is
+    scaled to 1 at its pivot and cleared at the pivots chosen after it,
+    whose rows are already reduced and lead with those pivots, so every row
+    still leads with its own pivot.  The reduced echelon form is unique, so
+    the elimination's pivot order does not show in the result.
+    """
+    f = m.field
+    reduced: dict[int, dict] = {}  # pivot column -> reduced row
+    for c, row in reversed(_eliminate(m)):
+        inv = f.inv(row[c])
+        row = {j: f.mul(inv, v) for j, v in row.items()}
+        for k in [k for k in row if k != c and k in reduced]:
+            q = row[k]
+            for j, v in reduced[k].items():
+                row[j] = f.sub(row.get(j, f.zero()), f.mul(q, v))
+        reduced[c] = {j: v for j, v in row.items() if not f.is_zero(v)}
+    pivots = sorted(reduced)
+    return [sorted(reduced[c].items()) for c in pivots], pivots
 
 
 def rank_oracle(m: Matrix) -> int:
-    """Independent rank computation by column elimination (for cross-checks)."""
+    """Independent rank computation by dense column elimination (for
+    cross-checks)."""
     f = m.field
-    cols = [[m.rows[r][c] for r in range(m.nrows)] for c in range(m.ncols)]
+    cols = [[f.zero()] * m.nrows for _ in range(m.ncols)]
+    for i, row in enumerate(m.rows):
+        for j, x in row:
+            cols[j][i] = x
     rk = 0
     used = []
     for col in cols:
-        col = list(col)
         for lead, ucol in used:
             if not f.is_zero(col[lead]):
                 c = f.mul(col[lead], f.inv(ucol[lead]))
@@ -312,15 +323,13 @@ def kernel_basis(m: Matrix):
     f = m.field
     rows, pivots = rref(m)
     pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
-    basis = []
-    for j in free:
-        v = [f.zero()] * m.ncols
+    basis = {j: [f.zero()] * m.ncols for j in range(m.ncols) if j not in pivot_set}
+    for j, v in basis.items():
         v[j] = f.one()
-        for i, pc in enumerate(pivots):
-            v[pc] = f.neg(rows[i][j])
-        basis.append(v)
-    return basis
+    for row, pc in zip(rows, pivots):
+        for j, x in row[1:]:  # row[0] is the pivot; the rest sit at free columns
+            basis[j][pc] = f.neg(x)
+    return list(basis.values())
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +390,10 @@ def det_int(A) -> int:
     return sign * M[n - 1][n - 1] if n else 1
 
 
-def smith_normal_form(rows, want_certs: bool = False) -> SmithForm:
-    """Smith normal form of an integer matrix given as a list of rows.
+def smith_normal_form(rows, ncols: int, want_certs: bool = False) -> SmithForm:
+    """Smith normal form of an integer matrix with ``ncols`` columns, given
+    as sparse rows of ``(col, value)`` pairs with no zero value (as
+    `sparse_rows` makes them).
 
     Returns invariant factors with the divisibility chain enforced and the
     free rank (number of zero diagonal entries in the cokernel direction,
@@ -393,19 +404,12 @@ def smith_normal_form(rows, want_certs: bool = False) -> SmithForm:
     matrices of chain complexes reduce without coefficient growth.
     """
     nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    for r in rows:
-        for x in r:
-            if not isinstance(x, int):
-                raise InputError("Smith normal form requires integer entries")
-    # sparse dict-of-dicts working copy
-    A: dict[int, dict[int, int]] = {}
+    # dict-of-dicts working copy
+    A: dict[int, dict[int, int]] = {i: dict(r) for i, r in enumerate(rows) if r}
     colocc: dict[int, set[int]] = {}
-    for i, r in enumerate(rows):
-        for j, x in enumerate(r):
-            if x:
-                A.setdefault(i, {})[j] = x
-                colocc.setdefault(j, set()).add(i)
+    for i, r in A.items():
+        for j in r:
+            colocc.setdefault(j, set()).add(i)
 
     U = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if want_certs else None
     V = [[int(i == j) for j in range(ncols)] for i in range(ncols)] if want_certs else None
@@ -509,6 +513,8 @@ def smith_normal_form(rows, want_certs: bool = False) -> SmithForm:
             if dirty:
                 piv = pick_pivot(active_rows, active_cols)
                 continue
+            if p == 1:
+                break  # a unit divides every remaining entry
             bad = None
             for i in sorted(active_rows & set(A.keys())):
                 if i == r0:
@@ -541,12 +547,17 @@ def smith_normal_form(rows, want_certs: bool = False) -> SmithForm:
 
 
 def snf_certificate_ok(rows, sf: SmithForm) -> bool:
-    """Check U*A*V = diag(factors) and that U, V are unimodular."""
+    """Check U*A*V = diag(factors) and that U, V are unimodular, for the
+    sparse rows A that `smith_normal_form` was given."""
     if sf.U is None or sf.V is None:
         raise InputError("certificates were not requested")
     nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    D = _mat_mul_int(_mat_mul_int(sf.U, [list(r) for r in rows]), sf.V) if nrows and ncols else []
+    ncols = len(sf.V)  # V is ncols x ncols
+    dense = [[0] * ncols for _ in range(nrows)]
+    for i, r in enumerate(rows):
+        for j, x in r:
+            dense[i][j] = x
+    D = _mat_mul_int(_mat_mul_int(sf.U, dense), sf.V) if nrows and ncols else []
     diag_vals = [D[i][i] for i in range(min(nrows, ncols)) if D[i][i] != 0] if D else []
     for i in range(nrows):
         for j in range(ncols):
@@ -565,7 +576,8 @@ def snf_certificate_ok(rows, sf: SmithForm) -> bool:
 
 
 def parse_int_matrix(text: str):
-    """Whitespace-separated integer matrix, one row per line."""
+    """Whitespace-separated integer matrix, one row per line, as sparse
+    rows and a column count."""
     rows = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
@@ -575,9 +587,9 @@ def parse_int_matrix(text: str):
             rows.append([int(tok) for tok in line.split()])
         except ValueError as exc:
             raise InputError(f"bad matrix line: {line!r}") from exc
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise InputError("ragged matrix")
-    return rows
+    if not rows:
+        raise InputError("empty matrix")
+    return sparse_rows(rows, len(rows[0])), len(rows[0])
 
 
 def normalize_triple(a: int, b: int, e: int):

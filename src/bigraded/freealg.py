@@ -507,12 +507,12 @@ def lie_dimensions_bruteforce(gens, box: tuple[int, int]) -> dict[tuple[int, int
         if not ts:
             continue
         index = {t: i for i, t in enumerate(ts)}
-        m = Matrix(QQ, len(relations[bd]), len(ts))
-        for row, vec in zip(m.rows, relations[bd]):
+        # relations as columns: every row comes out sorted, and the rank is the same
+        rows = [[] for _ in ts]
+        for j, vec in enumerate(relations[bd]):
             for tr, coeff in vec.items():
-                if coeff:
-                    row[index[tr]] = coeff
-        dim = len(ts) - exactla.rank(m)
+                rows[index[tr]].append((j, coeff))
+        dim = len(ts) - exactla.rank(Matrix(QQ, len(ts), len(relations[bd]), rows))
         if dim:
             dims[bd] = dim
     return dims

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .errors import DomainError, InputError
 from . import exactla
@@ -295,16 +294,14 @@ def reduced_homology_f2(p: FinitePoset, through: int | None = None) -> dict[int,
 
 
 def _boundary_rows_signed(chains, k):
-    """Signed boundary of the k-simplices as sparse columns {row: +-1}."""
-    rows = {c: i for i, c in enumerate(chains[k - 1])} if k >= 1 else {}
-    cols = []
-    for c in chains[k] if k < len(chains) else []:
-        col = {}
+    """Signed boundary of the k-simplices (k >= 1) as sparse rows, one per
+    (k-1)-simplex: ``(col, +-1)`` pairs, appended in increasing col."""
+    index = {c: i for i, c in enumerate(chains[k - 1])}
+    rows = [[] for _ in chains[k - 1]]
+    for j, c in enumerate(chains[k] if k < len(chains) else ()):
         for drop in range(len(c)):
-            face = c[:drop] + c[drop + 1 :]
-            col[rows[face]] = col.get(rows[face], 0) + (-1) ** drop
-        cols.append({r: v for r, v in col.items() if v})
-    return cols
+            rows[index[c[:drop] + c[drop + 1 :]]].append((j, -1 if drop % 2 else 1))
+    return rows
 
 
 def reduced_homology_q(p: FinitePoset, through: int | None = None) -> dict[int, int]:
@@ -316,16 +313,9 @@ def reduced_homology_q(p: FinitePoset, through: int | None = None) -> dict[int, 
         sizes[k] = len(level)
     ranks = {0: 1 if sizes.get(0, 0) else 0}
     for k in range(1, top + 2):
-        cols = _boundary_rows_signed(chains, k)
-        nrows = sizes.get(k - 1, 0)
-        if not cols or not nrows:
-            ranks[k] = 0
-            continue
-        m = Matrix(QQ, nrows, len(cols))
-        for j, col in enumerate(cols):
-            for r, v in col.items():
-                m.rows[r][j] = Fraction(v)
-        ranks[k] = exactla.rank(m)
+        rows = _boundary_rows_signed(chains, k)
+        ncols = sizes.get(k, 0)
+        ranks[k] = exactla.rank(Matrix(QQ, len(rows), ncols, rows)) if rows and ncols else 0
     out = {}
     for k in range(-1, top + 1):
         dim = sizes.get(k, 0) - ranks.get(k, 0) - ranks.get(k + 1, 0)
@@ -345,16 +335,12 @@ def reduced_homology_z(p: FinitePoset, through: int | None = None):
     ranks = {0: 1 if sizes.get(0, 0) else 0}
     torsion = {0: []}
     for k in range(1, top + 2):
-        cols = _boundary_rows_signed(chains, k)
-        nrows = sizes.get(k - 1, 0)
-        if not cols or not nrows:
+        rows = _boundary_rows_signed(chains, k)
+        ncols = sizes.get(k, 0)
+        if not rows or not ncols:
             ranks[k], torsion[k] = 0, []
             continue
-        dense = [[0] * len(cols) for _ in range(nrows)]
-        for j, col in enumerate(cols):
-            for r, v in col.items():
-                dense[r][j] = v
-        sf = exactla.smith_normal_form(dense)
+        sf = exactla.smith_normal_form(rows, ncols)
         ranks[k] = len(sf.factors)
         torsion[k] = [d for d in sf.factors if d > 1]
         snf[k] = sf

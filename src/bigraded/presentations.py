@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .exactla import SmithForm, smith_normal_form
+from .exactla import SmithForm, smith_normal_form, sparse_rows
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,8 @@ def abelianization(p: Presentation) -> AbelianInvariants:
     rows = exponent_matrix(p)
     if not rows:
         return AbelianInvariants(free_rank=len(p.generators), torsion=())
-    sf: SmithForm = smith_normal_form(rows)
+    n = len(p.generators)
+    sf: SmithForm = smith_normal_form(sparse_rows(rows, n), n)
     return AbelianInvariants(
         free_rank=sf.free_rank, torsion=tuple(d for d in sf.factors if d > 1)
     )

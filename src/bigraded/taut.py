@@ -381,7 +381,7 @@ def deduce_h43_kernel(ledger: Ledger | None = None) -> KernelReport:
         poly = r.poly()
         if any(m not in basis4 for m in poly):
             continue
-        rel_rows.append([poly.get(m, ParamPoly()).get((), Fraction(0)) for m in basis4])
+        rel_rows.append([(j, poly[m].get((), Fraction(0))) for j, m in enumerate(basis4) if m in poly])
     echelon, pivots = exactla.rref(Matrix(QQ, len(rel_rows), len(basis4), rel_rows))
     nonvan = {m for g, m in ledger.nonvanishing if g == 4}
     contradiction = None
@@ -415,7 +415,8 @@ def deduce_h43_kernel(ledger: Ledger | None = None) -> KernelReport:
     for prow, col in zip(echelon, pivots):
         coeff = vec[col]
         if not coeff.is_zero():
-            vec = [v - coeff * x for v, x in zip(vec, prow)]
+            for j, x in prow:
+                vec[j] = vec[j] - coeff * x
     for m, v in zip(basis4, vec):
         if v.is_zero():
             continue
@@ -424,7 +425,7 @@ def deduce_h43_kernel(ledger: Ledger | None = None) -> KernelReport:
 
     # rank of the constraint system in parameters A, B
     names = sorted({n for row in param_rows for n in row})
-    rows = [[row.get(n, Fraction(0)) for n in names] for row in param_rows]
+    rows = [[(j, row[n]) for j, n in enumerate(names) if n in row] for row in param_rows]
     dim = 2 - exactla.rank(Matrix(QQ, len(rows), len(names), rows))
     return KernelReport(
         solution_dim=dim,

@@ -146,7 +146,11 @@ def _matrix_digest(cx, box):
     for g in range(box[0] + 1):
         for d in range(1, box[1] + 2):
             m = cx.differential_matrix((g, d))
-            h.update(repr((g, d, m.nrows, m.ncols, m.rows)).encode())
+            dense = [[m.field.zero()] * m.ncols for _ in m.rows]
+            for row, pairs in zip(dense, m.rows):
+                for j, x in pairs:
+                    row[j] = x
+            h.update(repr((g, d, m.nrows, m.ncols, dense)).encode())
     return h.hexdigest()
 
 
@@ -238,7 +242,7 @@ def test_differential_matrix_hand_leibniz():
     assert cx.mono_name(cols[0]) == "sigma*rho"
     mat = cx.differential_matrix((3, 2))
     assert mat.nrows == 1 and rows == [cx.mono_of({"sigma": 1, "b": 1})]
-    assert mat.rows[0][0] == 1
+    assert mat.rows[0][0] == (0, 1)
 
 
 def test_zero_differential_homology_equals_monomial_counts():

@@ -235,6 +235,9 @@ def test_out_flag(tmp_path):
         (["poset", "fuzz", "--campaign", "nerve", "--max-size", "0"], "maximum poset size"),
         (["poset", "fuzz", "--campaign", "nerve", "--count", "-5"], "instance count"),
         (["sp4", "verify", "--pairs", "-1"], "--pairs must be >= 0"),
+        (["homology", "--preset", f"intstab-fl({10**400})", "--box", "3,3"], "below 2**31"),
+        (["homology", "--preset", "intstab-fl(1000000000000000003)", "--box", "3,3"], "below 2**31"),
+        (["homology", "--cdga", "gens.txt", "--field", "F1000000000000000003"], "below 2**31"),
     ],
 )
 def test_bad_inputs_are_input_errors(argv, message, tmp_path, monkeypatch, capsys):

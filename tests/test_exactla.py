@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -6,8 +7,10 @@ import pytest
 from bigraded.errors import InputError
 from bigraded.exactla import (
     GF,
+    PRIME_BOUND,
     QQ,
     Matrix,
+    PrimeField,
     field_by_name,
     kernel_basis,
     normalize_triple,
@@ -17,15 +20,50 @@ from bigraded.exactla import (
     rref,
     smith_normal_form,
     snf_certificate_ok,
+    sparse_rows,
 )
 
 
+def _mat(fld, rows, ncols=None):
+    """The Matrix of a dense row list."""
+    ncols = len(rows[0]) if ncols is None else ncols
+    return Matrix(fld, len(rows), ncols, sparse_rows(rows, ncols, fld.of))
+
+
+def _dense(fld, rows, ncols):
+    """Dense rows of a list of sparse rows."""
+    out = [[fld.zero()] * ncols for _ in rows]
+    for dense, row in zip(out, rows):
+        for j, x in row:
+            dense[j] = x
+    return out
+
+
+def _mul_vec(m, v):
+    f = m.field
+    out = []
+    for row in m.rows:
+        acc = f.zero()
+        for j, a in row:
+            acc = f.add(acc, f.mul(a, v[j]))
+        out.append(acc)
+    return out
+
+
+def _snf(dense, want_certs=False):
+    """Sparse rows of an integer matrix and their Smith form."""
+    ncols = len(dense[0])
+    rows = sparse_rows(dense, ncols)
+    return rows, smith_normal_form(rows, ncols, want_certs)
+
+
 def test_rank_identity():
-    assert rank(Matrix.identity(QQ, 3)) == 3
+    assert rank(Matrix(QQ, 3, 3, [[(i, 1)] for i in range(3)])) == 3
 
 
 def test_rank_mod2():
-    assert rank(Matrix(GF(2), 1, 1, [[2]])) == 0
+    assert rank(_mat(GF(2), [[2]])) == 0
+    assert rank(Matrix(GF(2), 1, 1, [[(0, 2)]])) == 0
 
 
 def test_rank_agrees_with_independent_oracle():
@@ -33,7 +71,7 @@ def test_rank_agrees_with_independent_oracle():
     f = GF(5)
     for _ in range(25):
         rows = [[rng.randint(0, 4) for _ in range(20)] for _ in range(20)]
-        m = Matrix(f, 20, 20, rows)
+        m = _mat(f, rows)
         assert rank(m) == rank_oracle(m)
 
 
@@ -48,7 +86,21 @@ def _random_matrix(rng, fld, nrows, ncols, density):
         rows.append(row)
     if nrows > 1 and rng.random() < 0.5:
         rows[rng.randrange(nrows)] = list(rows[0])  # duplicate row
-    return Matrix(fld, nrows, ncols, rows)
+    return _mat(fld, rows, ncols)
+
+
+def _check_rref(m):
+    """Oracle-free: every pivot entry is 1 and leads its row, every pivot
+    column is zero in the other rows, and the rows lie in the row space of
+    ``m`` (stacking them on it does not raise its rank)."""
+    f = m.field
+    rows, pivots = rref(m)
+    assert pivots == sorted(set(pivots)) and len(rows) == len(pivots) == rank(m)
+    for row, pc in zip(rows, pivots):
+        assert row[0] == (pc, f.one())
+        assert not {j for j, _ in row[1:]} & set(pivots)
+    stacked = Matrix(f, m.nrows + len(rows), m.ncols, m.rows + rows)
+    assert rank_oracle(stacked) == rank_oracle(m)
 
 
 @pytest.mark.parametrize("fld", [QQ, GF(2), GF(3), GF(5)])
@@ -60,20 +112,46 @@ def test_sparse_rank_matches_oracle(fld):
         for density in (0.0, 0.15, 0.5, 1.0):
             m = _random_matrix(rng, fld, nrows, ncols, density)
             assert rank(m) == rank_oracle(m), (nrows, ncols, density, m.rows)
+            _check_rref(m)
     # a duplicate block: rank counts it once
-    m = Matrix(fld, 6, 3, [[1, 0, 1], [0, 1, 1]] * 3)
+    m = _mat(fld, [[1, 0, 1], [0, 1, 1]] * 3)
     assert rank(m) == rank_oracle(m) == 2
+    _check_rref(m)
+
+
+def _echelon_cases():
+    """Seeded random matrices over Q, F2, F3 and F5: the empty shapes,
+    all-zero matrices (density 0), duplicate rows and dense ones."""
+    for fld in (QQ, GF(2), GF(3), GF(5)):
+        rng = random.Random(fld.char + 101)
+        shapes = [(0, 4), (4, 0), (0, 0), (3, 3)]
+        shapes += [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(30)]
+        for nrows, ncols in shapes:
+            for density in (0.0, 0.3, 0.7):
+                yield _random_matrix(rng, fld, nrows, ncols, density)
+
+
+def test_rref_and_kernel_match_recorded_digest():
+    """sha256 over (field, pivots, reduced pivot rows, kernel basis) of every
+    case above, recorded with the dense row-major elimination: the reduced
+    echelon form is unique, so any pivot order must reproduce it."""
+    h = hashlib.sha256()
+    for m in _echelon_cases():
+        rows, pivots = rref(m)
+        dense = _dense(m.field, rows, m.ncols)
+        h.update(repr((m.field, pivots, dense, kernel_basis(m))).encode())
+    assert h.hexdigest() == "9ae1808d2fae73327a7295fcac34770918863b327df034470f3dc5c6621c5d65"
 
 
 def test_kernel_zero_matrix():
-    m = Matrix(QQ, 2, 3, [[0, 0, 0], [0, 0, 0]])
+    m = _mat(QQ, [[0, 0, 0], [0, 0, 0]])
     basis = kernel_basis(m)
     assert len(basis) == 3
     assert basis == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_kernel_one_relation():
-    m = Matrix(QQ, 1, 2, [[1, 1]])
+    m = _mat(QQ, [[1, 1]])
     assert kernel_basis(m) == [[Fraction(-1), Fraction(1)]]
 
 
@@ -83,11 +161,11 @@ def test_kernel_multiply_back_random():
         for _ in range(15):
             nr, nc = rng.randint(1, 6), rng.randint(1, 6)
             rows = [[fld.of(rng.randint(-4, 4)) for _ in range(nc)] for _ in range(nr)]
-            m = Matrix(fld, nr, nc, rows)
+            m = _mat(fld, rows)
             basis = kernel_basis(m)
             assert len(basis) == nc - rank(m)
             for v in basis:
-                assert all(fld.is_zero(x) for x in m.mul_vec(v))
+                assert all(fld.is_zero(x) for x in _mul_vec(m, v))
 
 
 def test_rank_plus_kernel_dim_is_column_count():
@@ -96,7 +174,7 @@ def test_rank_plus_kernel_dim_is_column_count():
         for _ in range(10):
             nr, nc = rng.randint(1, 7), rng.randint(1, 7)
             rows = [[fld.of(rng.randint(-3, 3)) for _ in range(nc)] for _ in range(nr)]
-            m = Matrix(fld, nr, nc, rows)
+            m = _mat(fld, rows)
             assert rank(m) + len(kernel_basis(m)) == nc
 
 
@@ -104,20 +182,20 @@ def test_hilbert_like_matrices_stay_exact():
     # ill-conditioned for floats; exact arithmetic must see full rank
     for n in (4, 6, 8):
         rows = [[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)]
-        assert rank(Matrix(QQ, n, n, rows)) == n
+        assert rank(_mat(QQ, rows)) == n
     # integer Hilbert-like matrix: lcm-scaled rows
     n = 7
     rows = [[(362880 // (i + j + 1)) for j in range(n)] for i in range(n)]
-    sf = smith_normal_form(rows, want_certs=True)
-    assert snf_certificate_ok(rows, sf)
+    sparse, sf = _snf(rows, want_certs=True)
+    assert snf_certificate_ok(sparse, sf)
     assert len(sf.factors) == n
 
 
 def test_snf_examples():
-    assert smith_normal_form([[10]]).factors == [10]
-    assert smith_normal_form([[10]]).free_rank == 0
-    assert smith_normal_form([[2, 0], [0, 3]]).factors == [1, 6]
-    sf = smith_normal_form([[0]])
+    assert _snf([[10]])[1].factors == [10]
+    assert _snf([[10]])[1].free_rank == 0
+    assert _snf([[2, 0], [0, 3]])[1].factors == [1, 6]
+    sf = _snf([[0]])[1]
     assert sf.factors == [] and sf.free_rank == 1
 
 
@@ -126,40 +204,65 @@ def test_snf_divisibility_and_certificates_random():
     for _ in range(150):
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
         rows = [[rng.randint(-12, 12) for _ in range(nc)] for _ in range(nr)]
-        sf = smith_normal_form(rows, want_certs=True)
+        sparse, sf = _snf(rows, want_certs=True)
         for a, b in zip(sf.factors, sf.factors[1:]):
             assert b % a == 0
-        assert snf_certificate_ok(rows, sf)
+        assert snf_certificate_ok(sparse, sf)
 
 
 def test_snf_rejects_non_integers():
     with pytest.raises(InputError):
-        smith_normal_form([[Fraction(1, 2)]])
+        _snf([[Fraction(1, 2)]])
 
 
 def test_mixed_domain_rejected():
     from bigraded.errors import DomainError, WorkbenchError
 
     with pytest.raises(DomainError):
-        Matrix(GF(3), 1, 1, [[Fraction(1, 3)]])  # 1/3 has no meaning mod 3
+        _mat(GF(3), [[Fraction(1, 3)]])  # 1/3 has no meaning mod 3
     with pytest.raises(WorkbenchError):
-        Matrix(QQ, 1, 1, [[object()]])
+        _mat(QQ, [[object()]])
+    # the sparse constructor checks every value the same way
+    with pytest.raises(DomainError):
+        Matrix(GF(3), 1, 1, [[(0, Fraction(1, 3))]])
+    with pytest.raises(WorkbenchError):
+        Matrix(QQ, 1, 1, [[(0, object())]])
+    with pytest.raises(InputError):
+        sparse_rows([[1, 2], [3]], 2)  # a ragged dense matrix
+
+
+@pytest.mark.parametrize(
+    "nrows, ncols, rows",
+    [
+        (2, 2, [[(0, 1)]]),  # one row short
+        (1, 2, [[(1, 1), (0, 1)]]),  # columns out of order
+        (1, 2, [[(0, 1), (0, 2)]]),  # a repeated column
+        (1, 2, [[(2, 1)]]),  # column out of range
+        (1, 2, [[(-1, 1)]]),
+    ],
+)
+def test_malformed_sparse_rows_rejected(nrows, ncols, rows):
+    with pytest.raises(InputError):
+        Matrix(QQ, nrows, ncols, rows)
 
 
 def test_deterministic_pivoting():
     rows = [[0, 2, 1], [3, 1, 0], [3, 3, 1]]
-    m = Matrix(QQ, 3, 3, rows)
+    m = _mat(QQ, rows)
     r1, p1 = rref(m)
-    r2, p2 = rref(Matrix(QQ, 3, 3, rows))
+    r2, p2 = rref(_mat(QQ, rows))
     assert r1 == r2 and p1 == p2
 
 
 def test_parse_int_matrix():
-    assert parse_int_matrix("1 2\n3 4\n") == [[1, 2], [3, 4]]
+    assert parse_int_matrix("1 2\n3 4\n") == ([[(0, 1), (1, 2)], [(0, 3), (1, 4)]], 2)
+    assert parse_int_matrix("0 5 0\n# comment\n0 0 0\n") == ([[(1, 5)], []], 3)
     with pytest.raises(InputError):
         parse_int_matrix("1 2\n3\n")
     with pytest.raises(InputError):
         parse_int_matrix("1 x\n")
+    with pytest.raises(InputError):
+        parse_int_matrix("# nothing\n")
 
 
 def test_field_by_name():
@@ -167,6 +270,28 @@ def test_field_by_name():
     assert field_by_name("F5").ell == 5
     with pytest.raises(InputError):
         field_by_name("F4")
+    for name in ("F" + "1" * 5000, "F\u00b2", "F2147483648", "F"):
+        with pytest.raises(InputError):
+            field_by_name(name)
+
+
+def test_prime_fields_match_a_sieve():
+    n = 10**4
+    sieve = [False, False] + [True] * (n - 2)
+    for p in range(2, n):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(range(p * p, n, p))
+    for ell in range(-2, n):
+        try:
+            PrimeField(ell)
+        except InputError:
+            assert ell < 0 or not sieve[ell], ell
+        else:
+            assert sieve[ell], ell
+    PrimeField(PRIME_BOUND - 1)  # the largest prime below 2**31
+    for ell in (PRIME_BOUND, 1000000000000000003, 10**400):
+        with pytest.raises(InputError):
+            PrimeField(ell)
 
 
 def test_normalize_triple():

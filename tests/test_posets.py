@@ -1,5 +1,6 @@
+import hashlib
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -130,6 +131,29 @@ def test_connectivity_on_the_core_equals_unreduced_homology():
         for m in range(-1, p.n + 2):
             assert is_homologically_connected(p, m) == all(k > m for k in f2)
             assert is_homologically_connected(p, m, "Q") == all(k > m for k in q)
+
+
+def _rp2_faces():
+    """The face poset of the six-vertex real projective plane: H_1 = Z/2."""
+    triangles = ["123", "134", "145", "156", "126", "235", "346", "245", "356", "246"]
+    faces = sorted({"".join(s) for t in triangles for k in (1, 2, 3) for s in combinations(t, k)})
+    return FinitePoset(faces, [(a, b) for a in faces for b in faces if a != b and set(a) <= set(b)])
+
+
+def test_rational_and_integral_homology_are_pinned():
+    """sha256 over reduced_homology_q, reduced_homology_z and
+    connectivity_report over Q and Z, recorded with dense matrix assembly,
+    on subsets_poset(3..5), the projective plane and 200 random posets."""
+    rng = random.Random(2026)
+    posets = [subsets_poset(base) for base in (3, 4, 5)] + [_rp2_faces()]
+    posets += [random_poset(rng, rng.randint(1, 9)) for _ in range(200)]
+    h = hashlib.sha256()
+    for p in posets:
+        q, z = reduced_homology_q(p), reduced_homology_z(p)
+        reports = connectivity_report(p, "Q"), connectivity_report(p, "Z")
+        h.update(repr((q, z, *reports)).encode())
+    assert reduced_homology_z(posets[3]) == {1: (0, [2])}
+    assert h.hexdigest() == "d03a4ddaf2220763975d4c7e6419b9a40299b8796c853a281cb2ca46496ae87c"
 
 
 def test_subposet_from_masks_equals_validated_construction():
