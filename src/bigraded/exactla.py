@@ -502,6 +502,8 @@ def smith_normal_form(rows, ncols: int, want_certs: bool = False) -> SmithForm:
             if dirty:
                 piv = pick_pivot(active_rows, active_cols)
                 continue
+            if p == 1 and V is None:
+                break  # clearing the row would touch only this row, now retired
             for j in sorted(set(A.get(r0, {})) & active_cols):
                 if j == c0:
                     continue

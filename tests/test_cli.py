@@ -225,6 +225,11 @@ def test_out_flag(tmp_path):
     assert json.loads(dest.read_text())["result"]["parity"] == "odd"
 
 
+def _nerve_argv(cover="F.cov", tx="tx.w", ta="ta.w"):
+    return ["nerve", "check", "--poset", "X.pos", "--A", "A.pos", "--cover", cover, "--n", "1",
+            "--tx", tx, "--ta", ta]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -238,10 +243,25 @@ def test_out_flag(tmp_path):
         (["homology", "--preset", f"intstab-fl({10**400})", "--box", "3,3"], "below 2**31"),
         (["homology", "--preset", "intstab-fl(1000000000000000003)", "--box", "3,3"], "below 2**31"),
         (["homology", "--cdga", "gens.txt", "--field", "F1000000000000000003"], "below 2**31"),
+        (_nerve_argv(tx="tx_short.w"), "no weight for c1"),
+        (_nerve_argv(ta="ta_bad.w"), "bad weight line"),
+        (_nerve_argv(cover="F_extra.cov"), "not an element of the index poset"),
     ],
 )
 def test_bad_inputs_are_input_errors(argv, message, tmp_path, monkeypatch, capsys):
     (tmp_path / "gens.txt").write_text("a x 1\n")
+    files = {
+        "X.pos": "c0 < c1\n",
+        "A.pos": "u\n",
+        "F.cov": "u : c0 c1\n",
+        "F_extra.cov": "u : c0 c1\nv : c0\n",
+        "tx.w": "c0 0\nc1 1\n",
+        "tx_short.w": "c0 0\n",
+        "ta.w": "u 0\n",
+        "ta_bad.w": "u x\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -131,6 +131,17 @@ def test_connectivity_on_the_core_equals_unreduced_homology():
         for m in range(-1, p.n + 2):
             assert is_homologically_connected(p, m) == all(k > m for k in f2)
             assert is_homologically_connected(p, m, "Q") == all(k > m for k in q)
+            assert is_homologically_connected(p, m, "Z") == all(k > m for k in hz)
+    rp2 = _rp2_faces()  # H_1 = Z/2: connected over Q, not over Z or F2
+    assert connectivity_report(rp2, "Z").connectivity == 0
+    assert is_homologically_connected(rp2, 1, "Q")
+    assert not is_homologically_connected(rp2, 1, "Z")
+    assert not is_homologically_connected(rp2, 1, "F2")
+    for field in ("F3", "bogus"):
+        with pytest.raises(InputError):
+            is_homologically_connected(rp2, 1, field)
+        with pytest.raises(InputError):
+            connectivity_report(rp2, field)
 
 
 def _rp2_faces():
@@ -154,6 +165,47 @@ def test_rational_and_integral_homology_are_pinned():
         h.update(repr((q, z, *reports)).encode())
     assert reduced_homology_z(posets[3]) == {1: (0, [2])}
     assert h.hexdigest() == "d03a4ddaf2220763975d4c7e6419b9a40299b8796c853a281cb2ca46496ae87c"
+
+
+def _random_maps(seed, count, max_size):
+    rng = random.Random(seed)
+    for _ in range(count):
+        X, Y = random_poset(rng, max_size), random_poset(rng, max_size)
+        yield random_monotone_map(rng, X, Y)
+
+
+def test_f2_and_cone_homology_are_pinned():
+    """sha256 over reduced_homology_f2 for every ``through`` in -1..3 and
+    None on 300 random posets, and over cone_homology_f2 for ``through`` in
+    -1..3 on 200 random monotone maps, recorded before the four homology
+    routines shared one chain complex."""
+    rng = random.Random(2027)
+    h = hashlib.sha256()
+    for _ in range(300):
+        p = random_poset(rng, rng.randint(1, 9))
+        h.update(repr([reduced_homology_f2(p, t) for t in (-1, 0, 1, 2, 3, None)]).encode())
+    assert h.hexdigest() == "24d251fba259c739a2c2fa34f001cbd4ddb6f89d6a0a25d511ec0c1126675c36"
+    h = hashlib.sha256()
+    for f in _random_maps(2028, 200, 7):
+        h.update(repr([cone_homology_f2(f, t) for t in (-1, 0, 1, 2, 3)]).encode())
+    assert h.hexdigest() == "f592464ca93fbc328063c4dac977fa87673ff5a624f0cb9bb0e6a3af898af2d5"
+
+
+def test_cone_homology_obeys_the_long_exact_sequence():
+    """Oracles from the long exact sequence of the mapping cone: a map to a
+    point shifts the source's homology up by one, a map from a point leaves
+    the target's, and the Euler characteristic is chi(Y) - chi(X)."""
+    pt = FinitePoset(["*"], [])
+    for f in _random_maps(2029, 300, 6):
+        X, Y = f.source, f.target
+        to_point = PosetMap(X, pt, {nm: "*" for nm in X.names})
+        hx = reduced_homology_f2(X)
+        assert cone_homology_f2(to_point, X.n + 1) == {k + 1: v for k, v in hx.items()}
+        from_point = PosetMap(pt, Y, {"*": Y.names[0]})
+        assert cone_homology_f2(from_point, Y.n) == reduced_homology_f2(Y)
+        hc = cone_homology_f2(f, X.n + Y.n)
+        chi = sum((-1) ** k * v for k, v in hc.items())
+        assert chi == euler_characteristic(Y) - euler_characteristic(X)
 
 
 def test_subposet_from_masks_equals_validated_construction():
@@ -381,3 +433,7 @@ def test_parsers():
     assert F.member("*", "c0")
     with pytest.raises(InputError):
         parse_weights("a\n")
+    with pytest.raises(InputError):
+        parse_weights("a x\n")
+    with pytest.raises(InputError):  # an index element the index poset lacks
+        parse_cover("* : c0 c1\nv : c0\n", A, X)
