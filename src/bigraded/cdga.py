@@ -17,14 +17,21 @@ filtration weight r is carried along but carries no signs.  In characteristic
 
 Bases are enumerated one genus at a time: a single depth-first pass over the
 letters fills the basis of every degree of that genus up to the degree asked
-for, and `homology_table` asks each genus for its top degree first.
+for, and `matrix_homology_table` asks each genus for its top degree first.
 
-Homology is computed per bidegree with exact linear algebra.  Letters whose
-differential is not explicitly given are closed: the named complexes this
-reproduces arise as associated graded of a computational filtration in which
-exactly the listed differentials survive, so assigning zero differential to
-the deeper letters is the object those vanishing claims constrain, not an
-approximation of it.
+Homology is computed factor by factor.  Union-find links each letter with the
+letters of its differential (and a module's generators with the letters of
+the module differential); the components that carry a differential span
+sub-complexes that the differential maps into themselves, and every other
+letter is closed.  So the complex is the tensor product of those factors and
+the free algebra on the closed letters, and over a field Kunneth gives its
+homology as the product of the factors' homologies (computed per bidegree
+with exact linear algebra) and the closed letters' free series.  Letters
+whose differential is not explicitly given are closed: the named complexes
+this reproduces arise as associated graded of a computational filtration in
+which exactly the listed differentials survive, so assigning zero
+differential to the deeper letters is the object those vanishing claims
+constrain, not an approximation of it.
 
 delta^2 = 0 is checked symbolically on every letter (and module generator)
 at construction time.
@@ -474,12 +481,12 @@ class HomologyTable:
         return sorted((gd, n) for gd, n in self.dims.items() if n)
 
 
-def homology_table(cx, box: tuple[int, int]) -> HomologyTable:
-    """dim ker - dim im per bidegree.  The incoming differential at the top
-    row is taken from bidegree (g, d+1) even when that falls outside the box,
-    so no edge cell is overcounted (complexes built by `build_paper_complex`
-    enumerate their alphabet one degree above the box for exactly this
-    reason)."""
+def matrix_homology_table(cx, box: tuple[int, int]) -> HomologyTable:
+    """dim ker - dim im per bidegree, from the differential matrices of the
+    whole complex.  The incoming differential at the top row is taken from
+    bidegree (g, d+1) even when that falls outside the box, so no edge cell
+    is overcounted (complexes built by `build_paper_complex` enumerate their
+    alphabet one degree above the box for exactly this reason)."""
     g_max, d_max = box
     ranks: dict[tuple[int, int], int] = {}
 
@@ -500,6 +507,77 @@ def homology_table(cx, box: tuple[int, int]) -> HomologyTable:
             h = (n - rank_at(g, d)) - rank_at(g, d + 1)
             if h:
                 dims[(g, d)] = h
+    return HomologyTable(field_name=cx.field.name, box=box, dims=dims)
+
+
+def _kunneth_split(cx):
+    """The factors of cx that carry a differential, and its closed letters.
+
+    Union-find links every letter with the letters of its differential and,
+    for a module, the module generators with the letters of the module
+    differential.  Each component holding a differential (or the module
+    generators) becomes a complex on its own letters: a sub-CDGA, or the
+    sub-module over its letters.  The other letters are closed."""
+    module = isinstance(cx, DGModule)
+    base = cx.base if module else cx
+    n = base.n  # node n stands for the module generators
+    parent = list(range(n + 1))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    links = [(base.index[name], poly) for name, poly in base.diff.items()]
+    if module:
+        links += [(n, p) for terms in cx.mdiff.values() for p, _ in terms]
+    for i, poly in links:
+        for m in poly:
+            for j, _ in m:
+                parent[find(j)] = find(i)
+    active = {find(i) for i, _ in links} | ({find(n)} if module else set())
+    roots = [find(i) for i in range(n)]
+    factors = []
+    for root in sorted(active):
+        sub = base.quotient([x.name for x, r in zip(base.letters, roots) if r != root])
+        if module and root == find(n):
+
+            def push(p):
+                return {sub.mono_of({base._names[i]: e for i, e in m}): c for m, c in p.items()}
+
+            mdiff = {nm: [(push(p), e) for p, e in terms] for nm, terms in cx.mdiff.items()}
+            sub = DGModule(sub, cx.module_gens, mdiff, check=False)
+        factors.append(sub)
+    return factors, [x for x, r in zip(base.letters, roots) if r not in active]
+
+
+def homology_table(cx, box: tuple[int, int]) -> HomologyTable:
+    """Bigraded homology dimensions of cx in the box, factor by factor.
+
+    The letters of cx split into the factors of `_kunneth_split`, which
+    carry every differential, and closed letters C.  The differential maps
+    each factor's algebra into itself, so cx = A_1 * ... * A_k * Lambda(C)
+    as complexes (a module factor M_A in place of one A_i), and over a field
+    the Kunneth theorem gives H(cx) = H(A_1) * ... * H(A_k) * Lambda(C) as
+    bigraded spaces.  Every letter has g >= 1 and d >= 0, so truncating to
+    the box commutes with the product: the table is the truncated product
+    of the factors' tables (`matrix_homology_table`, same box) with the
+    free series of C (`freealg.free_series`), which is the unit alone when
+    C is empty."""
+    factors, closed = _kunneth_split(cx)
+    g_max, d_max = box
+    series = freealg.free_series(closed, box, cx.field.char == 2)
+    for factor in factors:
+        table = matrix_homology_table(factor, box).dims
+        product: dict[tuple[int, int], int] = {}
+        for (g1, d1), a in series.items():
+            for (g2, d2), b in table.items():
+                if g1 + g2 <= g_max and d1 + d2 <= d_max:
+                    key = (g1 + g2, d1 + d2)
+                    product[key] = product.get(key, 0) + a * b
+        series = product
+    dims = {gd: h for gd, h in sorted(series.items()) if h}
     return HomologyTable(field_name=cx.field.name, box=box, dims=dims)
 
 

@@ -12,10 +12,14 @@ and [x, [x, x]] = 0 always, by the graded Jacobi identity.
 
 Basis convention (characteristic 0 and odd): graded Lyndon words over the
 ordered generator alphabet, extended by the self-brackets [w, w] of the
-odd-shifted-parity Lyndon words.  Any basis with the correct bigraded
-dimensions would do; dimensions are the tested contract, and the module also
-ships a brute-force relation-quotient oracle (`lie_dimensions_bruteforce`)
-that recomputes them from raw bracket trees modulo antisymmetry and Jacobi.
+odd-shifted-parity Lyndon words.  The Lyndon words of a box come from one
+explicit-stack pass over prenecklaces carrying Duval's period (J.-P. Duval,
+Theoret. Comput. Sci. 60, 1988), and each is named by its standard
+factorization [u, v] (Reutenauer, Free Lie Algebras, 1993, 5.1) from the
+names of u and v.  Any basis with the correct bigraded dimensions would do;
+dimensions are the tested contract, and the module also ships a brute-force
+relation-quotient oracle (`lie_dimensions_bruteforce`) that recomputes them
+from raw bracket trees modulo antisymmetry and Jacobi.
 
 In characteristic 2 the self-brackets vanish (the top operation xi is a
 quadratic refinement of the bracket: xi(x+y) = xi(x) + xi(y) + [x, y], so
@@ -27,8 +31,10 @@ bracket degree used here the only generator-creating operation is the top one.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from .errors import DomainError, InputError
 from . import exactla
@@ -93,53 +99,79 @@ class LieWord:
         return f"LieWord({self.name}, g={self.g}, d={self.d})"
 
 
-def _is_lyndon(w: tuple[int, ...]) -> bool:
-    return all(w < w[i:] + w[:i] for i in range(1, len(w)))
+def _lyndon_words(gens: list[Generator], g_max: int, d_max: int):
+    """Every Lyndon word over the sorted alphabet with bidegree inside the
+    box, as (word, g, d, r, name), sorted by (g, d, word).
 
+    A depth-first pass over prenecklaces with an explicit stack, carrying
+    Duval's period p of each word w of length L: extending w by a keeps the
+    period if a = w[L-p], gives a Lyndon word (period L+1) if a > w[L-p], and
+    leaves the prenecklaces if a < w[L-p], so that branch is cut.  Every
+    prefix of a Lyndon word is a prenecklace of smaller bidegree, so the
+    pass reaches every Lyndon word in the box.
 
-def _standard_factorization(w: tuple[int, ...]):
-    """w = u + v with v the longest proper Lyndon suffix; returns (u, v)."""
-    for i in range(1, len(w)):
-        if _is_lyndon(w[i:]):
-            return w[:i], w[i:]
-    raise AssertionError(f"not factorable: {w}")
-
-
-def bracketing_name(w: tuple[int, ...], names) -> str:
-    if len(w) == 1:
-        return names[w[0]]
-    u, v = _standard_factorization(w)
-    return f"[{bracketing_name(u, names)},{bracketing_name(v, names)}]"
-
-
-def _lyndon_words_in_box(gens: list[Generator], g_max: int, d_max: int):
-    """All Lyndon words over the alphabet with bidegree inside the box."""
+    A word of length >= 2 is named by its standard factorization [u, v], v
+    being its longest proper Lyndon suffix.  Both factors are Lyndon words
+    of smaller genus, so they are named before it in the sorted order, and
+    v is the longest proper suffix that already has a name.
+    """
     k = len(gens)
+    gs = [x.g for x in gens]
+    ds = [x.d for x in gens]
+    rs = [x.r for x in gens]
+    words = []
+    # a frame is (word, genus, sum of letter degrees, weight, period)
+    stack = [((i,), gs[i], ds[i], rs[i], 1) for i in range(k) if gs[i] <= g_max and ds[i] <= d_max]
+    while stack:
+        w, g, d, r, p = stack.pop()
+        L = len(w)
+        if p == L:
+            words.append((w, g, d + L - 1, r))
+        ref = w[L - p]
+        for a in range(ref, k):
+            if g + gs[a] > g_max:
+                break  # the generators are sorted, so their genus only grows
+            if d + ds[a] + L <= d_max:
+                stack.append((w + (a,), g + gs[a], d + ds[a], r + rs[a], p if a == ref else L + 1))
+    words.sort(key=lambda t: (t[1], t[2], t[0]))
+    names: dict[tuple[int, ...], str] = {}
     out = []
-
-    def extend(w, g, d):
-        # bidegree of word w of length L: (sum g_i, sum d_i + L - 1)
-        if w:
-            wd = d + len(w) - 1
-            if g <= g_max and wd <= d_max and _is_lyndon(tuple(w)):
-                out.append((tuple(w), g, wd))
-        if g >= g_max:
-            return
-        start = w[0] if w else 0  # Lyndon words never drop below their head
-        for i in range(start, k):
-            gi = gens[i]
-            if g + gi.g <= g_max and d + gi.d + len(w) <= d_max:
-                w.append(i)
-                extend(w, g + gi.g, d + gi.d)
-                w.pop()
-
-    extend([], 0, 0)
-    out.sort(key=lambda t: (t[1], t[2], t[0]))
+    for w, g, d, r in words:
+        if len(w) == 1:
+            name = gens[w[0]].name
+        else:
+            i = next(i for i in range(1, len(w)) if w[i:] in names)
+            name = f"[{names[w[:i]]},{names[w[i:]]}]"
+        names[w] = name
+        out.append((w, g, d, r, name))
     return out
 
 
-def _word_weight(w: tuple[int, ...], gens) -> int:
-    return sum(gens[i].r for i in w)
+def _lyndon_basis(gens, box: tuple[int, int], doubles: bool) -> list[LieWord]:
+    """The Lyndon words in the box as basis words, plus the self-brackets
+    [w, w] of the odd-shifted-parity ones if ``doubles``."""
+    g_max, d_max = box
+    gens = generator_set(gens)
+    names = [x.name for x in gens]
+    basis = []
+    for w, g, d, r, name in _lyndon_words(gens, g_max, d_max):
+        content = tuple(sorted(map(names.__getitem__, w)))
+        basis.append(LieWord(word=w, doubled=False, g=g, d=d, r=r, name=name, content=content))
+        # odd shifted parity: the self-bracket survives
+        if doubles and d % 2 == 0 and 2 * g <= g_max and 2 * d + 1 <= d_max:
+            basis.append(
+                LieWord(
+                    word=w,
+                    doubled=True,
+                    g=2 * g,
+                    d=2 * d + 1,
+                    r=2 * r,
+                    name=f"[{name},{name}]",
+                    content=tuple(sorted(content + content)),
+                )
+            )
+    basis.sort(key=lambda x: (x.g, x.d, x.name))
+    return basis
 
 
 def free_graded_lie_basis(gens, box: tuple[int, int]) -> list[LieWord]:
@@ -149,63 +181,14 @@ def free_graded_lie_basis(gens, box: tuple[int, int]) -> list[LieWord]:
     Lyndon words plus [w, w] for odd-shifted-parity w; [x, [x, x]] is never a
     basis element.  Empty generator list gives the empty basis.
     """
-    g_max, d_max = box
-    if g_max < 1 or d_max < 1:
+    if box[0] < 1 or box[1] < 1:
         raise DomainError("box bounds must be >= 1")
-    gens = generator_set(gens)
-    names = [x.name for x in gens]
-    basis = []
-    for w, g, d in _lyndon_words_in_box(gens, g_max, d_max):
-        content = tuple(sorted(names[i] for i in w))
-        basis.append(
-            LieWord(
-                word=w,
-                doubled=False,
-                g=g,
-                d=d,
-                r=_word_weight(w, gens),
-                name=bracketing_name(w, names),
-                content=content,
-            )
-        )
-        if (d + 1) % 2 == 1:  # odd shifted parity: the self-bracket survives
-            dg, dd = 2 * g, 2 * d + 1
-            if dg <= g_max and dd <= d_max:
-                nm = bracketing_name(w, names)
-                basis.append(
-                    LieWord(
-                        word=w,
-                        doubled=True,
-                        g=dg,
-                        d=dd,
-                        r=2 * _word_weight(w, gens),
-                        name=f"[{nm},{nm}]",
-                        content=tuple(sorted(content + content)),
-                    )
-                )
-    basis.sort(key=lambda x: (x.g, x.d, x.name))
-    return basis
+    return _lyndon_basis(gens, box, doubles=True)
 
 
 def lie_basis_char2(gens, box: tuple[int, int]) -> list[LieWord]:
     """Basic Lie words mod 2: Lyndon words only (self-brackets vanish)."""
-    g_max, d_max = box
-    gens = generator_set(gens)
-    names = [x.name for x in gens]
-    basis = [
-        LieWord(
-            word=w,
-            doubled=False,
-            g=g,
-            d=d,
-            r=_word_weight(w, gens),
-            name=bracketing_name(w, names),
-            content=tuple(sorted(names[i] for i in w)),
-        )
-        for w, g, d in _lyndon_words_in_box(gens, g_max, d_max)
-    ]
-    basis.sort(key=lambda x: (x.g, x.d, x.name))
-    return basis
+    return _lyndon_basis(gens, box, doubles=False)
 
 
 @dataclass(frozen=True)
@@ -263,51 +246,67 @@ class BettiTable:
         return sorted((gd, n) for gd, n in self.dims.items() if n)
 
 
-def _count_monomials(letters, box, all_polynomial: bool):
-    """Monomial-count table for the free graded-commutative algebra on
-    ``letters`` (objects with g, d attributes): polynomial on even d,
-    exterior on odd d, unless all_polynomial (characteristic 2)."""
+def free_series(letters, box: tuple[int, int], all_polynomial: bool) -> dict[tuple[int, int], int]:
+    """Monomial counts per bidegree of the free graded-commutative algebra
+    on ``letters`` (objects with g, d attributes, g >= 1), truncated to the
+    box, unit included at (0, 0): polynomial on even d, exterior on odd d,
+    unless all_polynomial (characteristic 2).
+
+    Letters are grouped by (g, d, parity) cell.  The n letters of a cell
+    contribute the factor sum_e c_e q^(e g) t^(e d), with c_e = C(n+e-1, e)
+    for polynomial letters (monomials of degree e in n variables) and
+    c_e = C(n, e) for exterior ones (e-element subsets), so the cost
+    follows the number of cells, not of letters.
+    """
     g_max, d_max = box
-    counts = {(0, 0): 1}
-    for x in sorted(letters, key=lambda t: (t.g, t.d, t.name)):
-        new = dict(counts)
-        if all_polynomial or x.d % 2 == 0:
-            # unbounded exponent; genus >= 1 bounds the powers
-            for (g, d), n in sorted(counts.items()):
-                e = 1
-                while g + e * x.g <= g_max and d + e * x.d <= d_max:
-                    key = (g + e * x.g, d + e * x.d)
-                    new[key] = new.get(key, 0) + n
-                    e += 1
-        else:
-            for (g, d), n in sorted(counts.items()):
-                if g + x.g <= g_max and d + x.d <= d_max:
-                    key = (g + x.g, d + x.d)
-                    new[key] = new.get(key, 0) + n
-        counts = new
-    counts.pop((0, 0), None)
-    return counts
+    if g_max < 0 or d_max < 0:
+        return {}
+    cells = Counter((x.g, x.d, not all_polynomial and x.d % 2 == 1) for x in letters)
+    series = [[0] * (d_max + 1) for _ in range(g_max + 1)]
+    series[0][0] = 1
+    for (g, d, exterior), n in sorted(cells.items()):
+        powers = []
+        e = 1
+        while e * g <= g_max and e * d <= d_max and (not exterior or e <= n):
+            powers.append((e * g, e * d, comb(n, e) if exterior else comb(n + e - 1, e)))
+            e += 1
+        # multiply in place: every power raises the genus, so visiting the
+        # genera downwards reads each old coefficient before it is added to
+        for g0 in range(g_max - g, -1, -1):
+            row = series[g0]
+            for d0 in range(d_max - d + 1):
+                c = row[d0]
+                if c:
+                    for eg, ed, k in powers:
+                        if g0 + eg > g_max or d0 + ed > d_max:
+                            break
+                        series[g0 + eg][d0 + ed] += c * k
+    return {(g, d): c for g, row in enumerate(series) for d, c in enumerate(row) if c}
 
 
 def free_gerstenhaber_betti(gens, box: tuple[int, int]) -> BettiTable:
     """Bigraded dimensions over Q of the free algebra-with-bracket on ``gens``:
     the free graded-commutative algebra on the free Lie basis."""
     basis = free_graded_lie_basis(gens, box) if gens else []
-    return BettiTable(field_name="Q", box=box, dims=_count_monomials(basis, box, False))
+    dims = free_series(basis, box, False)
+    dims.pop((0, 0), None)
+    return BettiTable(field_name="Q", box=box, dims=dims)
 
 
 def betti_table_f2(gens, box: tuple[int, int]) -> BettiTable:
     """Bigraded dimensions over F2: polynomial algebra on the xi-towers."""
     letters = cohen_generators_f2(gens, box) if gens else []
-    return BettiTable(field_name="F2", box=box, dims=_count_monomials(letters, box, True))
+    dims = free_series(letters, box, True)
+    dims.pop((0, 0), None)
+    return BettiTable(field_name="F2", box=box, dims=dims)
 
 
 def betti_generating_function(letters, box: tuple[int, int], all_polynomial: bool):
     """Coefficient table of prod 1/(1 - q^g t^d) (polynomial letters) times
     prod (1 + q^g t^d) (exterior letters), truncated to the box.
 
-    Independent of `_count_monomials`: works with explicit truncated power
-    series and geometric-series expansion.
+    Independent of `free_series`: multiplies one explicit truncated power
+    series per letter, each a geometric series or a binomial.
     """
     g_max, d_max = box
 

@@ -524,6 +524,9 @@ def _check_weights(t: dict, p: FinitePoset) -> None:
     missing = [nm for nm in p.names if nm not in t]
     if missing:
         raise InputError(f"no weight for {', '.join(missing)}")
+    if len(t) > len(p.names):  # every element has a weight, so some key is no element
+        extra = sorted(nm for nm in t if nm not in p.idx)
+        raise InputError(f"weight for {', '.join(extra)}, which is not an element of the poset")
 
 
 def check_poset_map_theorem(
@@ -929,9 +932,12 @@ def parse_weights(text: str) -> dict:
         parts = line.split()
         try:
             name, weight = parts
-            out[name] = int(weight)
+            weight = int(weight)
         except ValueError:
             raise InputError(f"bad weight line: {raw!r}") from None
+        if name in out:
+            raise InputError(f"second weight for {name}: {raw!r}")
+        out[name] = weight
     return out
 
 
@@ -945,5 +951,8 @@ def parse_cover(text: str, A: FinitePoset, X: FinitePoset) -> CoverFunctor:
         if ":" not in line:
             raise InputError(f"bad cover line: {raw!r}")
         a, xs = line.split(":", 1)
-        assignment[a.strip()] = xs.split()
+        a = a.strip()
+        if a in assignment:
+            raise InputError(f"second cover line for {a}: {raw!r}")
+        assignment[a] = xs.split()
     return CoverFunctor(A, X, assignment)

@@ -14,8 +14,10 @@ from bigraded.cdga import (
     DGModule,
     HomologyTable,
     Letter,
+    _kunneth_split,
     build_paper_complex,
     homology_table,
+    matrix_homology_table,
     parse_cdga_file,
     parse_poly,
     verify_vanishing,
@@ -227,10 +229,14 @@ def test_differential_given_as_exponent_vectors():
     [("vanishA", None), ("vanishB", None), ("intstab-f2", None), ("intstab-fl", 3), ("A-algebra-fl", 5)],
 )
 def test_homology_table_with_rank_oracle(preset, ell, monkeypatch):
+    """The split equals the matrix path of the whole complex (at a box that
+    holds every paper box), and so does the matrix path on the dense rank
+    oracle."""
     box = (8, 8)
-    expected = homology_table(build_paper_complex(preset, box, ell=ell), box)
-    monkeypatch.setattr(exactla, "rank", exactla.rank_oracle)
+    expected = matrix_homology_table(build_paper_complex(preset, box, ell=ell), box)
     assert homology_table(build_paper_complex(preset, box, ell=ell), box) == expected
+    monkeypatch.setattr(exactla, "rank", exactla.rank_oracle)
+    assert matrix_homology_table(build_paper_complex(preset, box, ell=ell), box) == expected
 
 
 def test_differential_matrix_hand_leibniz():
@@ -263,11 +269,11 @@ def test_power_rule_over_q():
         assert out == {cx.mono_of({"rho": k - 1, "b": 1}): Fraction(k)}
 
 
-def _random_cdga(rng, fld):
+def _random_cdga(rng, fld, prefix="x"):
     n = rng.randint(2, 5)
     letters = []
     for i in range(n):
-        letters.append(Letter(rng.randint(1, 3), rng.randint(0, 4), 0, f"x{i}"))
+        letters.append(Letter(rng.randint(1, 3), rng.randint(0, 4), 0, f"{prefix}{i}"))
     cx = CDGA(fld, letters, {}, check=False)
     # random differential: each letter may map to a random polynomial of the
     # right bidegree built from other letters, provided the target is closed
@@ -298,6 +304,60 @@ def _random_cdga(rng, fld):
         for k in list(cx.diff):
             cx.diff.pop(k)
     return cx
+
+
+def _random_split_cdga(rng, fld):
+    """Two or three random CDGAs with a differential side by side, plus
+    closed letters: a complex with several active components."""
+    blocks = []
+    for prefix in "abc"[: rng.randint(2, 3)]:
+        cx = _random_cdga(rng, fld, prefix)
+        while not cx.diff:
+            cx = _random_cdga(rng, fld, prefix)
+        blocks.append(cx)
+    closed = [Letter(rng.randint(1, 3), rng.randint(0, 4), 0, f"z{i}") for i in range(rng.randint(1, 3))]
+    out = CDGA(fld, [x for cx in blocks for x in cx.letters] + closed, {}, check=False)
+    for cx in blocks:
+        for name, poly in cx.diff.items():
+            out.diff[name] = {
+                out.mono_of({cx.letters[i].name: e for i, e in m}): c for m, c in poly.items()
+            }
+    out._check_d_squared()
+    return out
+
+
+def _random_module(rng, fld):
+    """A module (1, e) over a random split CDGA, with d(e) a random cycle
+    times 1 or, now and then, no module differential."""
+    base = _random_split_cdga(rng, fld)
+    cycles = [
+        (g, d, m)
+        for g in range(1, 4)
+        for d in range(0, 4)
+        for m in base.monomial_basis((g, d))
+        if not base.delta_mono(m)
+    ]
+    g, d, m = rng.choice(cycles)
+    mdiff = {"e": [({m: fld.of(rng.randint(1, 4))}, "1")]} if rng.random() < 0.8 else {}
+    return DGModule(base, [("1", 0, 0, 0), ("e", g, d + 1, 0)], mdiff)
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(2), GF(3)])
+def test_split_equals_matrix_path_on_random_cdgas(fld):
+    rng = random.Random(fld.char + 211)
+    for _ in range(10):
+        cx = _random_split_cdga(rng, fld)
+        factors, closed = _kunneth_split(cx)
+        assert len(factors) >= 2 and closed
+        assert homology_table(cx, (6, 6)) == matrix_homology_table(cx, (6, 6))
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(2), GF(3)])
+def test_split_equals_matrix_path_on_random_modules(fld):
+    rng = random.Random(fld.char + 307)
+    for _ in range(8):
+        mod = _random_module(rng, fld)
+        assert homology_table(mod, (6, 6)) == matrix_homology_table(mod, (6, 6))
 
 
 @pytest.mark.parametrize("fld", [QQ, GF(2), GF(3)])

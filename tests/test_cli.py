@@ -37,6 +37,15 @@ def test_homology_beyond_paper_box(capsys):
     assert "14" in capsys.readouterr().out
 
 
+def test_lie_basis_deeper_than_the_recursion_limit(tmp_path, capsys):
+    gens = tmp_path / "g.txt"
+    gens.write_text("sigma 1 0\n")
+    argv = ["lie-basis", "--gens", str(gens), "--box", "3000,3000", "--format", "json"]
+    assert main(argv) == 0
+    basis = json.loads(capsys.readouterr().out)["result"]["basis"]
+    assert [b["name"] for b in basis] == ["sigma", "[sigma,sigma]"]
+
+
 def test_bad_preset_prime_is_input_error(capsys):
     assert main(["homology", "--preset", "intstab-fl(x)"]) == 2
     assert "bad prime" in capsys.readouterr().err
@@ -246,6 +255,9 @@ def _nerve_argv(cover="F.cov", tx="tx.w", ta="ta.w"):
         (_nerve_argv(tx="tx_short.w"), "no weight for c1"),
         (_nerve_argv(ta="ta_bad.w"), "bad weight line"),
         (_nerve_argv(cover="F_extra.cov"), "not an element of the index poset"),
+        (_nerve_argv(tx="tx_dup.w"), "second weight for c0"),
+        (_nerve_argv(tx="tx_extra.w"), "weight for zz"),
+        (_nerve_argv(cover="F_dup.cov"), "second cover line for u"),
     ],
 )
 def test_bad_inputs_are_input_errors(argv, message, tmp_path, monkeypatch, capsys):
@@ -257,6 +269,9 @@ def test_bad_inputs_are_input_errors(argv, message, tmp_path, monkeypatch, capsy
         "F_extra.cov": "u : c0 c1\nv : c0\n",
         "tx.w": "c0 0\nc1 1\n",
         "tx_short.w": "c0 0\n",
+        "tx_dup.w": "c0 0\nc1 1\nc0 5\n",
+        "tx_extra.w": "c0 0\nc1 1\nzz 7\n",
+        "F_dup.cov": "u : c0 c1\nu : c0\n",
         "ta.w": "u 0\n",
         "ta_bad.w": "u x\n",
     }

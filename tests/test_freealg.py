@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from bigraded.freealg import (
     cohen_generators_f2,
     free_gerstenhaber_betti,
     free_graded_lie_basis,
+    free_series,
     gen,
     generator_set,
     lie_basis_char2,
@@ -225,3 +228,72 @@ def test_char2_basis_is_lyndon_only():
     assert not any(b.doubled for b in basis)
     names = {b.name for b in basis}
     assert "tau" in names and "[sigma,tau]" in names and "[sigma,sigma]" not in names
+
+
+def _lyndon_bruteforce(gens, box):
+    """(word, g, d, name) of every Lyndon word in the box: every word is
+    tried, kept if it is smaller than each of its proper rotations, and
+    named by its recursive standard factorization."""
+    gens = generator_set(gens)
+    g_max, d_max = box
+
+    def lyndon(w):
+        return all(w < w[i:] + w[:i] for i in range(1, len(w)))
+
+    def name(w):
+        if len(w) == 1:
+            return gens[w[0]].name
+        i = next(i for i in range(1, len(w)) if lyndon(w[i:]))
+        return f"[{name(w[:i])},{name(w[i:])}]"
+
+    out = []
+    for length in range(1, g_max + 1):
+        for w in itertools.product(range(len(gens)), repeat=length):
+            g = sum(gens[i].g for i in w)
+            d = sum(gens[i].d for i in w) + length - 1
+            if g <= g_max and d <= d_max and lyndon(w):
+                out.append((w, g, d, name(w)))
+    return sorted(out, key=lambda t: (t[1], t[2], t[3]))
+
+
+def _random_gens(rng):
+    return [gen(f"x{k}", rng.randint(1, 3), rng.randint(0, 3)) for k in range(rng.randint(1, 4))]
+
+
+INTSTAB_GENS = [gen("sigma", 1, 0, 0), TAU, gen("rho1", 2, 2), gen("rho2", 2, 2), gen("rho3", 3, 2)]
+
+
+@pytest.mark.parametrize(
+    "gens,box",
+    [([SIGMA, LAM, RHO, gen("rho'", 4, 4)], (8, 9)), (INTSTAB_GENS, (6, 7))]
+    + [(_random_gens(random.Random(seed)), (6, 6)) for seed in range(6)],
+)
+def test_lyndon_enumeration_matches_bruteforce(gens, box):
+    expected = _lyndon_bruteforce(gens, box)
+    char2 = lie_basis_char2(gens, box)
+    assert [(b.word, b.g, b.d, b.name) for b in char2] == expected
+    assert not any(b.doubled for b in char2)
+    doubles = [
+        (w, 2 * g, 2 * d + 1, f"[{nm},{nm}]")
+        for w, g, d, nm in expected
+        if d % 2 == 0 and 2 * g <= box[0] and 2 * d + 1 <= box[1]
+    ]
+    basis = free_graded_lie_basis(gens, box)
+    assert [(b.word, b.g, b.d, b.name) for b in basis] == sorted(
+        expected + doubles, key=lambda t: (t[1], t[2], t[3])
+    )
+
+
+@pytest.mark.parametrize("all_polynomial", [False, True])
+def test_free_series_matches_generating_function(all_polynomial):
+    rng = random.Random(17 + all_polynomial)
+    cases = [(free_graded_lie_basis([SIGMA, LAM, RHO], (9, 9)), (9, 9))]
+    cases += [(cohen_generators_f2(INTSTAB_GENS, (6, 7)), (6, 7))]
+    for _ in range(10):
+        # few cells, many letters each: binomials with n > 1
+        letters = [gen(f"y{k}", rng.randint(1, 3), rng.randint(0, 3)) for k in range(rng.randint(0, 12))]
+        cases.append((letters, (rng.randint(0, 7), rng.randint(0, 7))))
+    for letters, box in cases:
+        series = free_series(letters, box, all_polynomial)
+        assert series.pop((0, 0)) == 1
+        assert series == betti_generating_function(letters, box, all_polynomial)
