@@ -346,12 +346,18 @@ class SmithForm:
     V: list[list[int]] | None = field(default=None, repr=False)
 
     def abelian_group_symbol(self) -> str:
-        parts = [f"Z/{d}" for d in self.factors if d > 1]
-        if self.free_rank == 1:
-            parts.append("Z")
-        elif self.free_rank > 1:
-            parts.append(f"Z^{self.free_rank}")
-        return " + ".join(parts) if parts else "0"
+        return abelian_symbol(self.factors, self.free_rank)
+
+
+def abelian_symbol(factors, free_rank: int) -> str:
+    """"Z/d1 + ... + Z^r" for invariant factors d1 | d2 | ... (those equal
+    to 1 are left out) and a free rank; "0" for the trivial group."""
+    parts = [f"Z/{d}" for d in factors if d > 1]
+    if free_rank == 1:
+        parts.append("Z")
+    elif free_rank > 1:
+        parts.append(f"Z^{free_rank}")
+    return " + ".join(parts) if parts else "0"
 
 
 def _mat_mul_int(A, B):

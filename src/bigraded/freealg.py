@@ -151,6 +151,8 @@ def _lyndon_basis(gens, box: tuple[int, int], doubles: bool) -> list[LieWord]:
     """The Lyndon words in the box as basis words, plus the self-brackets
     [w, w] of the odd-shifted-parity ones if ``doubles``."""
     g_max, d_max = box
+    if g_max < 1 or d_max < 1:
+        raise DomainError("box bounds must be >= 1")
     gens = generator_set(gens)
     names = [x.name for x in gens]
     basis = []
@@ -181,8 +183,6 @@ def free_graded_lie_basis(gens, box: tuple[int, int]) -> list[LieWord]:
     Lyndon words plus [w, w] for odd-shifted-parity w; [x, [x, x]] is never a
     basis element.  Empty generator list gives the empty basis.
     """
-    if box[0] < 1 or box[1] < 1:
-        raise DomainError("box bounds must be >= 1")
     return _lyndon_basis(gens, box, doubles=True)
 
 

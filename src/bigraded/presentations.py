@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .exactla import SmithForm, smith_normal_form, sparse_rows
+from .exactla import SmithForm, abelian_symbol, smith_normal_form, sparse_rows
 
 
 @dataclass(frozen=True)
@@ -57,12 +57,7 @@ class AbelianInvariants:
     torsion: tuple[int, ...]  # divisibility chain, entries > 1
 
     def symbol(self) -> str:
-        parts = [f"Z/{d}" for d in self.torsion]
-        if self.free_rank == 1:
-            parts.append("Z")
-        elif self.free_rank > 1:
-            parts.append(f"Z^{self.free_rank}")
-        return " + ".join(parts) if parts else "0"
+        return abelian_symbol(self.torsion, self.free_rank)
 
 
 def exponent_matrix(p: Presentation) -> list[list[int]]:

@@ -133,28 +133,20 @@ SWAP_MATRIX: SympMatrix = matrix_from_rows(
 )
 
 
+# <e_i, e_j> for the six basis pairs i < j
+_BASIS_GRAM = tuple(
+    (i, j, pairing(1 << i, 1 << j)) for i, j in combinations(range(DIM), 2)
+)
+
+
 def is_symplectic(m: SympMatrix) -> bool:
-    basis = [1 << i for i in range(DIM)]
-    return all(
-        pairing(apply_matrix(u, m), apply_matrix(v, m)) == pairing(u, v)
-        for u in basis
-        for v in basis
-    ) and _is_invertible(m)
+    """Whether v |-> v*M preserves the pairing.
 
-
-def _is_invertible(m: SympMatrix) -> bool:
-    rows = list(m)
-    rank = 0
-    for col in range(DIM):
-        piv = next((i for i in range(rank, DIM) if (rows[i] >> col) & 1), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for i in range(DIM):
-            if i != rank and (rows[i] >> col) & 1:
-                rows[i] ^= rows[rank]
-        rank += 1
-    return rank == DIM
+    The images of the basis vectors are the rows of M, and the form is
+    alternating, so the Gram pairings of the rows for i < j decide.  A map
+    that preserves a nondegenerate form is injective, hence invertible.
+    """
+    return all(pairing(m[i], m[j]) == g for i, j, g in _BASIS_GRAM)
 
 
 def mat_mul(a: SympMatrix, b: SympMatrix) -> SympMatrix:
@@ -174,38 +166,36 @@ def compose_lr(p: Permutation, q: Permutation) -> Permutation:
     return tuple(q[p[i]] for i in range(len(p)))
 
 
-def perm_sign(p: Permutation) -> int:
-    seen = [False] * len(p)
-    sign = 1
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def cycle_notation(p: Permutation) -> str:
+def _cycles(p: Permutation) -> list[list[int]]:
+    """The cycles of p, fixed points included, each starting at its least
+    element, in increasing order of that element."""
     seen = [False] * len(p)
     cycles = []
     for i in range(len(p)):
-        if seen[i] or p[i] == i:
-            seen[i] = True
-            continue
         cyc = []
         j = i
         while not seen[j]:
             seen[j] = True
-            cyc.append(j + 1)  # 1-based labels
+            cyc.append(j)
             j = p[j]
-        cycles.append("(" + "".join(str(x) for x in cyc) + ")")
+        if cyc:
+            cycles.append(cyc)
+    return cycles
+
+
+def perm_sign(p: Permutation) -> int:
+    # a k-cycle is a product of k - 1 transpositions
+    return -1 if (len(p) - len(_cycles(p))) % 2 else 1
+
+
+def cycle_notation(p: Permutation) -> str:
+    # 1-based labels, fixed points left out
+    cycles = ["(" + "".join(str(j + 1) for j in c) + ")" for c in _cycles(p) if len(c) > 1]
     return "".join(cycles) if cycles else "()"
+
+
+def cycle_lengths(p: Permutation) -> list[int]:
+    return sorted(len(c) for c in _cycles(p))
 
 
 def phi(m: SympMatrix) -> Permutation:
@@ -286,19 +276,3 @@ def verify_isomorphism(random_pairs: int = 10000, seed: int = 2) -> IsomorphismR
         has_transposition=has_transposition,
         has_six_cycle=has_six_cycle,
     )
-
-
-def cycle_lengths(p: Permutation) -> list[int]:
-    seen = [False] * len(p)
-    out = []
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        out.append(length)
-    return sorted(out)

@@ -528,17 +528,7 @@ class HomologyFunctional:
 
 def pair_tensor(terms, functionals) -> ParamPoly:
     """Sum over terms of coeff times the product of slotwise pairings."""
-    total = ParamPoly()
-    for t in terms:
-        if len(t.slots) != len(functionals):
-            raise InputError("slot count does not match functional count")
-        acc = t.coeff
-        for s, f in zip(t.slots, functionals):
-            acc = acc * f.pair(s)
-            if acc.is_zero():
-                break
-        total = total + acc
-    return total
+    return pair_tensor_trace(terms, functionals)[0]
 
 
 def pair_tensor_trace(terms, functionals):

@@ -244,6 +244,8 @@ def _nerve_argv(cover="F.cov", tx="tx.w", ta="ta.w"):
     [
         (["lie-basis", "--gens", "gens.txt", "--box", "4,3"], "bad generator line"),
         (["betti", "--gens", "gens.txt", "--box", "4,3"], "bad generator line"),
+        (["betti", "--gens", "sigma.txt", "--box", "0,3", "--field", "F2"], "box bounds must be >= 1"),
+        (["betti", "--gens", "sigma.txt", "--box", "3,-1", "--field", "F2"], "box bounds must be >= 1"),
         (["vanish-check", "--preset", "vanishA", "--box", "6,6", "--line", "3/4"], "bad line"),
         (["sp4", "phi"], "need --matrix or --swap"),
         (["poset", "fuzz", "--campaign", "nerve", "--max-size", "0"], "maximum poset size"),
@@ -263,6 +265,7 @@ def _nerve_argv(cover="F.cov", tx="tx.w", ta="ta.w"):
 def test_bad_inputs_are_input_errors(argv, message, tmp_path, monkeypatch, capsys):
     (tmp_path / "gens.txt").write_text("a x 1\n")
     files = {
+        "sigma.txt": "sigma 1 0\n",
         "X.pos": "c0 < c1\n",
         "A.pos": "u\n",
         "F.cov": "u : c0 c1\n",

@@ -1,15 +1,18 @@
 import random
-from itertools import combinations
+import re
+from itertools import combinations, permutations, product
 
 import pytest
 
 from bigraded.errors import DomainError
+from bigraded.exactla import GF, Matrix, rank
 from bigraded.sympf2 import (
     CANONICAL_SUBSETS,
     SWAP_MATRIX,
     all_symplectic_matrices,
     apply_matrix,
     compose_lr,
+    cycle_lengths,
     cycle_notation,
     is_symplectic,
     mat_mul,
@@ -104,3 +107,53 @@ def test_parse_matrix_round_trip():
 def test_vector_names():
     assert vector_name(vector_of_name("e1+f1+e2")) == "e1+f1+e2"
     assert vector_name(0) == "0"
+
+
+def _oracle_symplectic(m) -> bool:
+    # the form is preserved on all 16 ordered basis pairs, and M has rank 4
+    basis = [1 << i for i in range(4)]
+    preserved = all(
+        pairing(apply_matrix(u, m), apply_matrix(v, m)) == pairing(u, v)
+        for u in basis
+        for v in basis
+    )
+    rows = [[(j, 1) for j in range(4) if (r >> j) & 1] for r in m]
+    return preserved and rank(Matrix(GF(2), 4, 4, rows)) == 4
+
+
+def test_is_symplectic_matches_the_oracle_on_all_matrices():
+    passing = 0
+    for m in product(range(16), repeat=4):
+        expected = _oracle_symplectic(m)
+        assert is_symplectic(m) == expected, m
+        passing += expected
+    assert passing == 720
+
+
+def _orbit(p, i):
+    orbit, j = {i}, p[i]
+    while j not in orbit:
+        orbit.add(j)
+        j = p[j]
+    return frozenset(orbit)
+
+
+def _parse_cycles(text, n):
+    p = list(range(n))
+    for cyc in re.findall(r"\((\d*)\)", text):
+        labels = [int(c) - 1 for c in cyc]
+        for a, b in zip(labels, labels[1:] + labels[:1]):
+            p[a] = b
+    return tuple(p)
+
+
+@pytest.mark.parametrize("n", [6, 5])  # odd n tells the sign from the cycle-count parity
+def test_cycle_routines_on_all_permutations(n):
+    for p in permutations(range(n)):
+        inversions = sum(1 for i, j in combinations(range(n), 2) if p[i] > p[j])
+        assert perm_sign(p) == (-1) ** inversions
+        orbits = {_orbit(p, i) for i in range(n)}
+        assert cycle_lengths(p) == sorted(len(o) for o in orbits)
+        text = cycle_notation(p)
+        assert re.fullmatch(r"(\(\d{2,}\))+|\(\)", text), text
+        assert _parse_cycles(text, n) == p
