@@ -39,15 +39,15 @@ at construction time.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InputError
 from . import exactla, freealg
 from .exactla import GF, QQ, Matrix
-from .grading import VanishingLine
+from .grading import HomologyTable, VanishingLine
+from .parsing import content_lines, parse_terms
 
 
 @dataclass(frozen=True, order=True)
@@ -468,19 +468,6 @@ class DGModule:
 # homology tables and vanishing certificates
 
 
-@dataclass
-class HomologyTable:
-    field_name: str
-    box: tuple[int, int]
-    dims: dict[tuple[int, int], int] = dc_field(default_factory=dict)
-
-    def dim(self, g: int, d: int) -> int:
-        return self.dims.get((g, d), 0)
-
-    def sorted_items(self):
-        return sorted((gd, n) for gd, n in self.dims.items() if n)
-
-
 def matrix_homology_table(cx, box: tuple[int, int]) -> HomologyTable:
     """dim ker - dim im per bidegree, from the differential matrices of the
     whole complex.  The incoming differential at the top row is taken from
@@ -564,7 +551,7 @@ def homology_table(cx, box: tuple[int, int]) -> HomologyTable:
     the box commutes with the product: the table is the truncated product
     of the factors' tables (`matrix_homology_table`, same box) with the
     free series of C (`freealg.free_series`), which is the unit alone when
-    C is empty."""
+    C is empty.  Tables are unital: the unit counts at (0, 0)."""
     factors, closed = _kunneth_split(cx)
     g_max, d_max = box
     series = freealg.free_series(closed, box, cx.field.char == 2)
@@ -701,72 +688,20 @@ def build_paper_complex(preset: str, box: tuple[int, int] | None = None, ell: in
 # expression and file parsing
 
 
-_TOKEN_RE = re.compile(r"\s*([+-]|\^|\*|\d+/\d+|\d+|\[[^\]]*\]|[A-Za-z_'][A-Za-z_0-9']*)")
-
-
-def _tokenize(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise InputError(f"bad expression near: {text[pos:pos+20]!r}")
-        out.append(m.group(1))
-        pos = m.end()
-    return out
+_LETTER_NAME = r"\[[^\]]*\]|[A-Za-z_'][A-Za-z_0-9']*"
 
 
 def parse_poly(cdga: CDGA, text: str):
     """Parse ``c*x^a*y*[u,v]^b +- ...`` with integer or p/q coefficients."""
     f = cdga.field
-    tokens = _tokenize(text)
     out: dict = {}
-    i = 0
-    sign = 1
-    if not tokens:
-        return out
-    if tokens[0] in ("+", "-"):
-        sign = 1 if tokens[0] == "+" else -1
-        i = 1
-    while i < len(tokens):
-        coeff = Fraction(sign)
-        exps: dict[str, int] = {}
-        saw_factor = False
-        expect_factor = True
-        while i < len(tokens) and tokens[i] not in ("+", "-"):
-            tok = tokens[i]
-            if tok == "*":
-                i += 1
-                continue
-            if re.fullmatch(r"\d+/\d+|\d+", tok):
-                coeff *= Fraction(tok)
-                i += 1
-                saw_factor = True
-                continue
-            name = tok
-            i += 1
-            e = 1
-            if i < len(tokens) and tokens[i] == "^":
-                if i + 1 >= len(tokens) or not tokens[i + 1].isdigit():
-                    raise InputError(f"bad exponent in {text!r}")
-                e = int(tokens[i + 1])
-                i += 2
-            exps[name] = exps.get(name, 0) + e
-            saw_factor = True
-        if not saw_factor:
-            raise InputError(f"empty term in {text!r}")
+    for coeff, exps in parse_terms(text, _LETTER_NAME):
         mono = cdga.mono_of(exps)
-        c = f.of(coeff)
-        s = f.add(out.get(mono, f.zero()), c)
+        s = f.add(out.get(mono, f.zero()), f.of(coeff))
         if f.is_zero(s):
             out.pop(mono, None)
         else:
             out[mono] = s
-        if i < len(tokens):
-            sign = 1 if tokens[i] == "+" else -1
-            i += 1
-            if i >= len(tokens):
-                raise InputError(f"dangling sign in {text!r}")
     return out
 
 
@@ -775,10 +710,7 @@ def parse_cdga_file(text: str, fld) -> CDGA:
     ``d name = <expr>``."""
     letters = []
     diff_lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for raw, line in content_lines(text):
         if line.startswith("d ") or line.startswith("d\t"):
             if "=" not in line:
                 raise InputError(f"bad differential line: {raw!r}")

@@ -34,6 +34,7 @@ from fractions import Fraction
 from . import __version__
 from . import charts, cdga, exactla, freealg, grading, posets, presentations, sympf2, taut
 from .errors import InputError, WorkbenchError
+from .parsing import content_lines
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -167,10 +168,7 @@ def _read(path: str) -> str:
 
 def _gens_from_file(path: str):
     gens = []
-    for raw in _read(path).splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for raw, line in content_lines(_read(path)):
         name, *degrees = line.split()
         if len(degrees) not in (2, 3):
             raise InputError(f"bad generator line: {raw!r}")
@@ -329,7 +327,7 @@ def cmd_taut_coproduct(args) -> Outcome:
     text = _read(args.expr_file) if args.expr_file else args.expr
     if not text:
         raise InputError("need --expr or --expr-file")
-    terms = taut.nfold_coproduct(taut.parse_taut(text.strip()), args.n)
+    terms = taut.nfold_coproduct(taut.parse_taut(text), args.n)
     if args.restrict:
         terms = taut.restrict_terms(terms, _parse_restrict(args.restrict, args.n))
     rows = [[t.coeff.render()] + [taut.mono_name(s) for s in t.slots] for t in terms]
@@ -429,10 +427,7 @@ def _parse_functionals(text: str):
     current = None
     expr = None
     slots = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for raw, line in content_lines(text):
         if line.startswith("functional "):
             current = line.split(None, 1)[1].strip()
             funcs[current] = {}
@@ -765,12 +760,10 @@ def _config_flags(text: str) -> list[str]:
     """``key = value`` lines as ``--key=value`` flags; a bare ``key`` line is
     a boolean flag."""
     flags = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            key, eq, value = line.partition("=")
-            flag = "--" + key.strip().replace("_", "-")
-            flags.append(f"{flag}={value.strip()}" if eq else flag)
+    for _, line in content_lines(text):
+        key, eq, value = line.partition("=")
+        flag = "--" + key.strip().replace("_", "-")
+        flags.append(f"{flag}={value.strip()}" if eq else flag)
     return flags
 
 

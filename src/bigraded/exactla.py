@@ -23,6 +23,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, isqrt
 
 from .errors import DomainError, InputError
+from .parsing import content_lines
 
 
 # ---------------------------------------------------------------------------
@@ -587,10 +588,7 @@ def parse_int_matrix(text: str):
     """Whitespace-separated integer matrix, one row per line, as sparse
     rows and a column count."""
     rows = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for _, line in content_lines(text):
         try:
             rows.append([int(tok) for tok in line.split()])
         except ValueError as exc:

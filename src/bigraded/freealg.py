@@ -32,14 +32,14 @@ bracket degree used here the only generator-creating operation is the top one.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .errors import DomainError, InputError
 from . import exactla
 from .exactla import QQ, Matrix
-from .grading import slope
+from .grading import HomologyTable, slope
 
 
 @dataclass(frozen=True, order=True)
@@ -226,26 +226,6 @@ def cohen_generators_f2(gens, box: tuple[int, int]) -> list[CohenGenerator]:
 # Betti tables
 
 
-@dataclass
-class BettiTable:
-    """Bigraded dimensions of a free graded-commutative algebra, in a box.
-
-    Non-unital convention: genus 0 carries nothing, so the empty monomial is
-    not counted.  (The differential-algebra module uses the unital convention
-    instead; its tables do have dimension 1 at (0,0) for zero differential.)
-    """
-
-    field_name: str
-    box: tuple[int, int]
-    dims: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def dim(self, g: int, d: int) -> int:
-        return self.dims.get((g, d), 0)
-
-    def sorted_items(self):
-        return sorted((gd, n) for gd, n in self.dims.items() if n)
-
-
 def free_series(letters, box: tuple[int, int], all_polynomial: bool) -> dict[tuple[int, int], int]:
     """Monomial counts per bidegree of the free graded-commutative algebra
     on ``letters`` (objects with g, d attributes, g >= 1), truncated to the
@@ -284,21 +264,25 @@ def free_series(letters, box: tuple[int, int], all_polynomial: bool) -> dict[tup
     return {(g, d): c for g, row in enumerate(series) for d, c in enumerate(row) if c}
 
 
-def free_gerstenhaber_betti(gens, box: tuple[int, int]) -> BettiTable:
+def free_gerstenhaber_betti(gens, box: tuple[int, int]) -> HomologyTable:
     """Bigraded dimensions over Q of the free algebra-with-bracket on ``gens``:
-    the free graded-commutative algebra on the free Lie basis."""
-    basis = free_graded_lie_basis(gens, box) if gens else []
-    dims = free_series(basis, box, False)
+    the free graded-commutative algebra on the free Lie basis.
+
+    Non-unital convention: genus 0 carries nothing, so the empty monomial is
+    not counted.  (``cdga.homology_table`` is unital instead: its tables have
+    dimension 1 at (0,0) for zero differential.)
+    """
+    dims = free_series(free_graded_lie_basis(gens, box), box, False)
     dims.pop((0, 0), None)
-    return BettiTable(field_name="Q", box=box, dims=dims)
+    return HomologyTable(field_name="Q", box=box, dims=dims)
 
 
-def betti_table_f2(gens, box: tuple[int, int]) -> BettiTable:
-    """Bigraded dimensions over F2: polynomial algebra on the xi-towers."""
-    letters = cohen_generators_f2(gens, box) if gens else []
-    dims = free_series(letters, box, True)
+def betti_table_f2(gens, box: tuple[int, int]) -> HomologyTable:
+    """Bigraded dimensions over F2: polynomial algebra on the xi-towers,
+    non-unital like ``free_gerstenhaber_betti``."""
+    dims = free_series(cohen_generators_f2(gens, box), box, True)
     dims.pop((0, 0), None)
-    return BettiTable(field_name="F2", box=box, dims=dims)
+    return HomologyTable(field_name="F2", box=box, dims=dims)
 
 
 def betti_generating_function(letters, box: tuple[int, int], all_polynomial: bool):

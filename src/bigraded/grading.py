@@ -12,7 +12,7 @@ Everything is a frozen value; all arithmetic is exact.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, InputError
@@ -38,6 +38,21 @@ def slope(bd: Bidegree | tuple[int, int]) -> Fraction:
     if g < 1:
         raise DomainError("slope is undefined at genus zero")
     return Fraction(d, g)
+
+
+@dataclass
+class HomologyTable:
+    """Dimensions over the named field per bidegree (g, d) of the box."""
+
+    field_name: str
+    box: tuple[int, int]
+    dims: dict[tuple[int, int], int] = field(default_factory=dict)
+
+    def dim(self, g: int, d: int) -> int:
+        return self.dims.get((g, d), 0)
+
+    def sorted_items(self):
+        return sorted((gd, n) for gd, n in self.dims.items() if n)
 
 
 @dataclass(frozen=True)

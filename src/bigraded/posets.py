@@ -36,6 +36,7 @@ from dataclasses import dataclass, field as dc_field
 from .errors import DomainError, InputError
 from . import exactla
 from .exactla import Matrix, QQ
+from .parsing import content_lines
 
 INF = math.inf
 
@@ -153,10 +154,7 @@ class FinitePoset:
 def poset_from_text(text: str) -> FinitePoset:
     """Poset file: lines ``element`` and ``a < b``."""
     names, pairs = [], []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for raw, line in content_lines(text):
         if "<" in line:
             a, b = (s.strip() for s in line.split("<", 1))
             if not a or not b:
@@ -925,10 +923,7 @@ def euler_characteristic(p: FinitePoset) -> int:
 
 def parse_weights(text: str) -> dict:
     out = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for raw, line in content_lines(text):
         parts = line.split()
         try:
             name, weight = parts
@@ -944,10 +939,7 @@ def parse_weights(text: str) -> dict:
 def parse_cover(text: str, A: FinitePoset, X: FinitePoset) -> CoverFunctor:
     """Functor file: lines ``a : x1 x2 ...``."""
     assignment = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for raw, line in content_lines(text):
         if ":" not in line:
             raise InputError(f"bad cover line: {raw!r}")
         a, xs = line.split(":", 1)

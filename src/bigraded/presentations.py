@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .exactla import SmithForm, abelian_symbol, smith_normal_form, sparse_rows
+from .parsing import content_lines
 
 
 @dataclass(frozen=True)
@@ -92,10 +93,7 @@ def parse_presentation(text: str) -> Presentation:
     """Presentation file: ``gens: a b`` then ``rel: a b a B A B`` lines."""
     gens: list[str] = []
     rels: list[tuple[str, ...]] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for raw, line in content_lines(text):
         if line.startswith("gens:"):
             gens.extend(line[5:].split())
         elif line.startswith("rel:"):

@@ -23,7 +23,6 @@ terms.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import comb
@@ -31,6 +30,7 @@ from math import comb
 from .errors import DomainError, InputError
 from . import exactla
 from .exactla import QQ, Matrix
+from .parsing import parse_terms
 
 
 # ---------------------------------------------------------------------------
@@ -569,69 +569,30 @@ def paper_63_pairing() -> ParamPoly:
 # expression parsing
 
 
-_TAUT_TOKEN = re.compile(r"\s*([+-]|\^|\*|\d+/\d+|\d+|[A-Za-z_][A-Za-z_0-9]*)")
+_TAUT_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 
 
 def parse_taut(text: str) -> TautPoly:
     """Parse ``c*k1^a*k2^b*e^m`` expressions; names other than e, l1, k<i>
     are formal parameters."""
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TAUT_TOKEN.match(text, pos)
-        if not m:
-            raise InputError(f"bad expression near {text[pos:pos+20]!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
     out = TautPoly()
-    i = 0
-    sign = 1
-    if tokens and tokens[0] in ("+", "-"):
-        sign = 1 if tokens[0] == "+" else -1
-        i = 1
-    while i < len(tokens):
-        coeff = ParamPoly.const(sign)
+    for coeff, exps in parse_terms(text, _TAUT_NAME):
         e_exp = l1_exp = 0
         ks: dict[int, int] = {}
-        saw = False
-        while i < len(tokens) and tokens[i] not in ("+", "-"):
-            tok = tokens[i]
-            if tok == "*":
-                i += 1
-                continue
-            exp = 1
-            if re.fullmatch(r"\d+/\d+|\d+", tok):
-                coeff = coeff * Fraction(tok)
-                i += 1
-                saw = True
-                continue
-            i += 1
-            if i < len(tokens) and tokens[i] == "^":
-                if i + 1 >= len(tokens) or not tokens[i + 1].isdigit():
-                    raise InputError(f"bad exponent in {text!r}")
-                exp = int(tokens[i + 1])
-                i += 2
-            saw = True
-            if tok == "e":
-                e_exp += exp
-            elif tok == "l1":
-                l1_exp += exp
-            elif re.fullmatch(r"k\d+", tok):
-                idx = int(tok[1:])
+        params = []
+        for name, exp in exps.items():
+            if name == "e":
+                e_exp = exp
+            elif name == "l1":
+                l1_exp = exp
+            elif name[0] == "k" and name[1:].isdigit():
+                idx = int(name[1:])
                 if idx < 1:
                     raise InputError("kappa index must be >= 1")
                 ks[idx] = ks.get(idx, 0) + exp
-            else:
-                coeff = coeff * (ParamPoly.param(tok) ** exp)
-            saw = True
-        if not saw:
-            raise InputError(f"empty term in {text!r}")
-        kmax = max(ks) if ks else 0
-        kt = tuple(ks.get(j, 0) for j in range(1, kmax + 1))
-        out.add_term((e_exp, l1_exp, kt), coeff)
-        if i < len(tokens):
-            sign = 1 if tokens[i] == "+" else -1
-            i += 1
-            if i >= len(tokens):
-                raise InputError(f"dangling sign in {text!r}")
+            elif exp:
+                params.append((name, exp))
+        kt = tuple(ks.get(j, 0) for j in range(1, max(ks, default=0) + 1))
+        # add_term drops a zero coefficient
+        out.add_term((e_exp, l1_exp, kt), ParamPoly({tuple(sorted(params)): coeff}))
     return out

@@ -22,7 +22,7 @@ from bigraded.cdga import (
     parse_poly,
     verify_vanishing,
 )
-from bigraded.errors import InputError
+from bigraded.errors import InputError, WorkbenchError
 from bigraded.exactla import GF, QQ
 from bigraded.grading import VanishingLine
 
@@ -620,3 +620,43 @@ def test_unknown_preset_rejected():
         build_paper_complex("nonsense")
     with pytest.raises(InputError):
         build_paper_complex("intstab-fl", (6, 6))  # needs ell
+
+
+# random token strings for the expression grammar: no zero denominator and
+# no trailing whitespace, so every string reads the same before and after
+# those two fixes
+_POLY_TOKENS = ["+", "-", "*", "^", "^", "0", "1", "2", "3", "12", "1/2", "2/3", "4/3",
+                "x", "y", "z'", "[u,v]", "e", "!"]
+# recorded before the grammar moved to bigraded.parsing
+_POLY_DIGEST = "a41eb98aa1247288fc24cfcfeb52477c3adde21bb591b0327ebd2f3c01f1fc1c"
+
+
+def test_parse_poly_zero_denominator_and_trailing_space():
+    cx = CDGA(QQ, [Letter(1, 0, 0, "x")], {}, check=False)
+    with pytest.raises(InputError, match="zero denominator"):
+        parse_poly(cx, "1/0*x")
+    with pytest.raises(InputError, match="zero denominator"):
+        parse_cdga_file("a 1 0\nb 1 1\nd b = 1/0*a\n", QQ)
+    assert parse_poly(cx, " 2*x^2 \t") == parse_poly(cx, "2*x^2") == {((0, 2),): 2}
+
+
+def test_parse_poly_matches_recorded_digest():
+    letters = [Letter(1, 0, 0, "x"), Letter(1, 1, 1, "y"), Letter(2, 1, 1, "z'"),
+               Letter(1, 2, 2, "[u,v]")]
+    rng = random.Random(10)
+    corpus = []
+    for _ in range(2000):
+        parts = [rng.choice(_POLY_TOKENS) + rng.choice(["", "", " "])
+                 for _ in range(rng.randint(0, 7))]
+        corpus.append((rng.choice(["", " "]) + "".join(parts)).rstrip())
+    lines = []
+    for fld in (QQ, GF(2), GF(3)):
+        cx = CDGA(fld, letters, {}, check=False)
+        for text in corpus:
+            try:
+                result = repr(list(parse_poly(cx, text).items()))
+            except WorkbenchError:
+                result = "error"
+            lines.append(f"{fld.name}\t{text!r}\t{result}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _POLY_DIGEST

@@ -260,6 +260,11 @@ def _nerve_argv(cover="F.cov", tx="tx.w", ta="ta.w"):
         (_nerve_argv(tx="tx_dup.w"), "second weight for c0"),
         (_nerve_argv(tx="tx_extra.w"), "weight for zz"),
         (_nerve_argv(cover="F_dup.cov"), "second cover line for u"),
+        (["taut", "gysin", "--expr", "1/0*e", "--genus", "2"], "zero denominator"),
+        (["taut", "coproduct", "--expr", "k1^2+1/0", "--n", "2"], "zero denominator"),
+        (["homology", "--cdga", "zero_den.cdga"], "zero denominator"),
+        (["betti", "--gens", "empty.txt", "--box", "0,3"], "box bounds must be >= 1"),
+        (["betti", "--gens", "empty.txt", "--box", "0,3", "--field", "F2"], "box bounds must be >= 1"),
     ],
 )
 def test_bad_inputs_are_input_errors(argv, message, tmp_path, monkeypatch, capsys):
@@ -277,6 +282,8 @@ def test_bad_inputs_are_input_errors(argv, message, tmp_path, monkeypatch, capsy
         "F_dup.cov": "u : c0 c1\nu : c0\n",
         "ta.w": "u 0\n",
         "ta_bad.w": "u x\n",
+        "zero_den.cdga": "a 1 0\nb 1 1\nd b = 1/0*a\n",
+        "empty.txt": "# no generators\n",
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)

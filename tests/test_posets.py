@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from bigraded import posets
 from bigraded.errors import InputError
 from bigraded.posets import (
     INF,
@@ -412,6 +413,47 @@ def test_counterexample_minimizers_produce_wellformed_dumps():
     F = CoverFunctor(A, X, {"*": list(X.names)})
     dump2 = _minimize_nerve_instance(X, A, F, 1, {x: 1 for x in X.names}, {"*": 5})
     assert set(dump2) == {"X", "X_elements", "A", "A_elements", "F", "n", "tA", "tX"}
+
+
+def _rebuilt(elements, covers):
+    return FinitePoset(elements, [tuple(pair) for pair in covers])
+
+
+def test_poset_map_campaign_finds_planted_violations(monkeypatch):
+    # the campaign and its minimizer look map_is_n_connected up at call
+    # time, so demanding one degree more plants violations of the theorem
+    real = posets.map_is_n_connected
+    with monkeypatch.context() as m:
+        m.setattr(posets, "map_is_n_connected", lambda f, n: real(f, n + 1))
+        instances = [
+            (PosetMap(_rebuilt(d["source_elements"], d["source"]),
+                      _rebuilt(d["target_elements"], d["target"]), d["map"]),
+             d["t"], d["n"], d["variant"])
+            for d in fuzz_poset_map(200, 7, seed=0).counterexamples
+        ]
+        assert not any(check_poset_map_theorem(*args).consistent for args in instances)
+    assert len(instances) == 24
+    assert all(check_poset_map_theorem(*args).consistent for args in instances)
+
+
+def test_nerve_campaign_finds_planted_violations(monkeypatch):
+    # re-judge the conclusion one degree higher: X must be n-connected
+    real = posets.check_nerve_theorem
+
+    def weakened(X, A, F, n, tX, tA):
+        rep = real(X, A, F, n, tX, tA)
+        rep.conclusion_holds = is_homologically_connected(X, n)
+        return rep
+
+    with monkeypatch.context() as m:
+        m.setattr(posets, "check_nerve_theorem", weakened)
+        dumps = fuzz_nerve(200, 7, seed=0).counterexamples
+    assert len(dumps) == 25
+    for d in dumps:
+        X, A = _rebuilt(d["X_elements"], d["X"]), _rebuilt(d["A_elements"], d["A"])
+        args = (X, A, CoverFunctor(A, X, d["F"]), d["n"], d["tX"], d["tA"])
+        assert not weakened(*args).consistent
+        assert check_nerve_theorem(*args).consistent
 
 
 def test_random_monotone_map_is_monotone():

@@ -1,9 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from bigraded.errors import DomainError, InputError
+from bigraded.errors import DomainError, InputError, WorkbenchError
 from bigraded.taut import (
     HomologyFunctional,
     Ledger,
@@ -251,3 +252,38 @@ def test_parse_taut_round_trips():
 
 def test_taut_const():
     assert (taut_const(3) * kappa(1)).render() == "3*k1"
+
+
+# random token strings for the expression grammar: no zero denominator and
+# no trailing whitespace, so every string reads the same before and after
+# those two fixes
+_TAUT_TOKENS = ["+", "-", "*", "^", "^", "0", "1", "2", "3", "12", "1/2", "2/3", "4/3",
+                "e", "l1", "k1", "k2", "k3", "k0", "A", "t", "x'", "[u,v]", "!"]
+# recorded before the grammar moved to bigraded.parsing
+_TAUT_DIGEST = "0bd23aa6c01808c8a939b3934fe90da74a1557b69d5d955623dedc9a182eaaa7"
+
+
+def test_parse_taut_zero_denominator_trailing_space_and_large_powers():
+    with pytest.raises(InputError, match="zero denominator"):
+        parse_taut("1/0*e")
+    with pytest.raises(InputError, match="zero denominator"):
+        parse_taut("k1^2+1/0")
+    assert parse_taut("e^2*k1 ") == parse_taut("e^2*k1")
+    # the parameter monomial is built directly, not by 10^9 multiplications
+    assert parse_taut("e^2*A^1000000000") == {(2, 0, ()): ParamPoly({(("A", 10**9),): 1})}
+
+
+def test_parse_taut_matches_recorded_digest():
+    rng = random.Random(11)
+    lines = []
+    for _ in range(3000):
+        parts = [rng.choice(_TAUT_TOKENS) + rng.choice(["", "", " "])
+                 for _ in range(rng.randint(0, 7))]
+        text = (rng.choice(["", " "]) + "".join(parts)).rstrip()
+        try:
+            result = repr(list(parse_taut(text).items()))
+        except WorkbenchError:
+            result = "error"
+        lines.append(f"{text!r}\t{result}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _TAUT_DIGEST
