@@ -33,8 +33,9 @@ which exactly the listed differentials survive, so assigning zero
 differential to the deeper letters is the object those vanishing claims
 constrain, not an approximation of it.
 
-delta^2 = 0 is checked symbolically on every letter (and module generator)
-at construction time.
+delta^2 = 0 and homogeneity are checked symbolically on every letter by
+`CDGA.set_differential`, the one way a differential is set, and on every
+module generator when a `DGModule` is built.
 """
 
 from __future__ import annotations
@@ -43,35 +44,23 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, InputError
+from .errors import InputError
 from . import exactla, freealg
 from .exactla import GF, QQ, Matrix
+from .freealg import Letter  # noqa: F401  (re-exported as cdga.Letter)
 from .grading import HomologyTable, VanishingLine
 from .parsing import content_lines, parse_terms
 
 
-@dataclass(frozen=True, order=True)
-class Letter:
-    g: int
-    d: int
-    r: int
-    name: str
-
-    def __post_init__(self):
-        if self.g < 1 or self.d < 0:
-            raise DomainError(f"bad letter grading: {self.name}")
-
-
-def _letters_from_basis(basis) -> list[Letter]:
-    return [Letter(g=x.g, d=x.d, r=x.r, name=x.name) for x in basis]
-
-
 class CDGA:
-    """Finitely generated free graded-commutative algebra with differential."""
+    """Finitely generated free graded-commutative algebra with differential.
 
-    def __init__(self, fld, letters, differential=None, check=True):
+    ``letters`` are `freealg.Letter` objects (generators, basis words or
+    towers), kept as given in the order of `freealg.letter_key`."""
+
+    def __init__(self, fld, letters, differential=None):
         self.field = fld
-        self.letters = sorted(letters)
+        self.letters = sorted(letters, key=freealg.letter_key)
         names = [x.name for x in self.letters]
         if len(set(names)) != len(names):
             raise InputError("duplicate letter names")
@@ -86,17 +75,41 @@ class CDGA:
         # [_g_start[k], _g_start[k + 1]), in increasing d
         top = self._g[-1] if self.letters else 0
         self._g_start = [bisect_left(self._g, k) for k in range(top + 2)]
-        self.diff = {}
         self._basis_cache: dict[tuple[int, int], list] = {}
-        for name, poly in (differential or {}).items():
+        self.diff = {}
+        self.set_differential(differential or {})
+
+    def set_differential(self, differential):
+        """Make ``differential``, a ``{letter name: polynomial}`` map whose
+        monomials are sparse or dense exponent vectors, the differential
+        of every letter: unlisted letters are closed and zero terms are
+        dropped.  Raises InputError on an unknown letter, a term that is not
+        of bidegree (0, -1) from its letter, or a letter with delta^2 != 0,
+        and then keeps the differential it had."""
+        zero = self.field.is_zero
+        diff = {}
+        for name, poly in differential.items():
             if name not in self.index:
                 raise InputError(f"differential on unknown letter {name}")
-            poly = {self._sparse(m): c for m, c in poly.items() if not fld.is_zero(c)}
+            poly = {self._sparse(m): c for m, c in poly.items() if not zero(c)}
+            x = self.letters[self.index[name]]
+            for m in poly:
+                g, d = self.mono_bidegree(m)
+                if (g, d) != (x.g, x.d - 1):
+                    raise InputError(
+                        f"differential of {name} is not homogeneous of bidegree "
+                        f"(0,-1): term {self.mono_name(m)} at {(g, d)}"
+                    )
             if poly:
-                self.diff[name] = poly
-        if check:
-            self._check_homogeneous()
-            self._check_d_squared()
+                diff[name] = poly
+        previous, self.diff = self.diff, diff
+        try:
+            for name in diff:
+                if self.delta_poly(self.delta_mono(((self.index[name], 1),))):
+                    raise InputError(f"delta^2 != 0 on letter {name}")
+        except InputError:
+            self.diff = previous
+            raise
 
     def _sparse(self, mono):
         """A monomial given either sparse or as a dense exponent vector of
@@ -244,24 +257,6 @@ class CDGA:
             out = self.poly_add(out, self.poly_scale(self.delta_mono(m), c))
         return out
 
-    def _check_homogeneous(self):
-        for name, poly in self.diff.items():
-            x = self.letters[self.index[name]]
-            for m in poly:
-                g, d = self.mono_bidegree(m)
-                if (g, d) != (x.g, x.d - 1):
-                    raise InputError(
-                        f"differential of {name} is not homogeneous of bidegree "
-                        f"(0,-1): term {self.mono_name(m)} at {(g, d)}"
-                    )
-
-    def _check_d_squared(self):
-        for name in self.diff:
-            mono = self.mono_of({name: 1})
-            dd = self.delta_poly(self.delta_mono(mono))
-            if dd:
-                raise InputError(f"delta^2 != 0 on letter {name}")
-
     # -- bases and matrices ---------------------------------------------------
 
     def monomial_basis(self, bd: tuple[int, int]):
@@ -338,8 +333,7 @@ class CDGA:
         for nm in names:
             if nm not in self.index:
                 raise InputError(f"cannot quotient by unknown letter {nm}")
-        kept = [x for x in self.letters if x.name not in names]
-        new = CDGA(self.field, kept, {}, check=False)
+        new = CDGA(self.field, [x for x in self.letters if x.name not in names])
         # old letter index -> new one; None for a deleted letter
         reindex = [new.index.get(x.name) for x in self.letters]
 
@@ -351,14 +345,7 @@ class CDGA:
                     out[pairs] = c
             return out
 
-        for nm, poly in self.diff.items():
-            if nm in names:
-                continue
-            p = push(poly)
-            if p:
-                new.diff[nm] = p
-        new._check_homogeneous()
-        new._check_d_squared()
+        new.set_differential({nm: push(poly) for nm, poly in self.diff.items() if nm not in names})
         return new
 
 
@@ -366,7 +353,7 @@ class DGModule:
     """A free module over a CDGA on finitely many bigraded module generators,
     with a differential valued in base tensor module."""
 
-    def __init__(self, base: CDGA, module_gens, mdiff=None, check=True):
+    def __init__(self, base: CDGA, module_gens, mdiff=None):
         self.base = base
         self.field = base.field
         self.module_gens = sorted(module_gens, key=lambda t: (t[1], t[2], t[0]))
@@ -379,8 +366,7 @@ class DGModule:
             if name not in self.mg_index:
                 raise InputError(f"module differential on unknown generator {name}")
             self.mdiff[name] = [(dict(p), e) for p, e in terms]
-        if check:
-            self._check()
+        self._check()
 
     def _gen(self, name):
         return self.module_gens[self.mg_index[name]]
@@ -534,7 +520,7 @@ def _kunneth_split(cx):
                 return {sub.mono_of({base._names[i]: e for i, e in m}): c for m, c in p.items()}
 
             mdiff = {nm: [(push(p), e) for p, e in terms] for nm, terms in cx.mdiff.items()}
-            sub = DGModule(sub, cx.module_gens, mdiff, check=False)
+            sub = DGModule(sub, cx.module_gens, mdiff)
         factors.append(sub)
     return factors, [x for x, r in zip(base.letters, roots) if r not in active]
 
@@ -623,15 +609,10 @@ def build_paper_complex(preset: str, box: tuple[int, int] | None = None, ell: in
         gens = [freealg.gen("sigma", 1, 0), freealg.gen("lambda", 3, 2), freealg.gen("rho", 2, 2)]
         if preset == "vanishB":
             gens.append(freealg.gen("rho'", 4, 4))
-        letter_box = (box[0], box[1] + 1)
-        letters = _letters_from_basis(freealg.free_graded_lie_basis(gens, letter_box))
-        full = CDGA(QQ, letters, {}, check=False)
-        _require(full, ["rho", "[sigma,sigma]"] + (["rho'", "[sigma,lambda]"] if preset == "vanishB" else []))
-        full.diff["rho"] = {full.mono_of({"[sigma,sigma]": 1}): Fraction(1)}
-        if preset == "vanishB":
-            full.diff["rho'"] = {full.mono_of({"[sigma,lambda]": 1}): Fraction(1)}
-        full._check_homogeneous()
-        full._check_d_squared()
+        full = CDGA(QQ, freealg.free_graded_lie_basis(gens, (box[0], box[1] + 1)))
+        kills = {"rho": "[sigma,sigma]"} | ({"rho'": "[sigma,lambda]"} if preset == "vanishB" else {})
+        _require(full, [*kills, *kills.values()])
+        full.set_differential({x: {full.mono_of({y: 1}): Fraction(1)} for x, y in kills.items()})
         return full.quotient(["sigma", "lambda"])
 
     if preset in ("intstab-f2", "intstab-fl", "A-algebra-fl"):
@@ -655,22 +636,16 @@ def build_paper_complex(preset: str, box: tuple[int, int] | None = None, ell: in
         else:
             basis = freealg.free_graded_lie_basis(gens, letter_box)
             q1_name = "[sigma,sigma]"
-        full = CDGA(fld, _letters_from_basis(basis), {}, check=False)
+        full = CDGA(fld, basis)
         _require(full, ["sigma", "tau", "rho1", "rho2", "rho3", q1_name])
-
-        def q1_poly():
-            # Q1(sigma): xi(sigma) at ell = 2, -(1/2)[sigma,sigma] at odd ell
-            if ell == 2:
-                return {full.mono_of({q1_name: 1}): 1}
-            return {full.mono_of({q1_name: 1}): fld.of(Fraction(-1, 2))}
-
+        # Q1(sigma): xi(sigma) at ell = 2, -(1/2)[sigma,sigma] at odd ell
+        q1 = {full.mono_of({q1_name: 1}): fld.of(1 if ell == 2 else Fraction(-1, 2))}
         sigma_tau = full.mono_of({"sigma": 1, "tau": 1})
-        full.diff["rho1"] = {m: c for m, c in {sigma_tau: fld.of(10)}.items() if not fld.is_zero(c)}
-        full.diff["rho2"] = full.poly_add(q1_poly(), {sigma_tau: fld.of(-3)})
-        full.diff["rho3"] = {full.mono_of({"sigma": 2, "tau": 1}): fld.of(1)}
-        full.diff = {k: v for k, v in full.diff.items() if v}
-        full._check_homogeneous()
-        full._check_d_squared()
+        full.set_differential({
+            "rho1": {sigma_tau: fld.of(10)},
+            "rho2": full.poly_add(q1, {sigma_tau: fld.of(-3)}),
+            "rho3": {full.mono_of({"sigma": 2, "tau": 1}): fld.of(1)},
+        })
         if preset == "A-algebra-fl":
             return full
         base = full.quotient(["sigma"])
@@ -708,32 +683,18 @@ def parse_poly(cdga: CDGA, text: str):
 def parse_cdga_file(text: str, fld) -> CDGA:
     """CDGA spec file: letter lines ``name g d [r]`` and differential lines
     ``d name = <expr>``."""
-    letters = []
-    diff_lines = []
+    letter_lines = []
+    diff_lines = {}
     for raw, line in content_lines(text):
-        if line.startswith("d ") or line.startswith("d\t"):
+        if line.startswith(("d ", "d\t")):
             if "=" not in line:
                 raise InputError(f"bad differential line: {raw!r}")
             lhs, rhs = line[2:].split("=", 1)
-            diff_lines.append((lhs.strip(), rhs.strip()))
-            continue
-        parts = line.split()
-        if len(parts) not in (3, 4):
-            raise InputError(f"bad letter line: {raw!r}")
-        name = parts[0]
-        try:
-            g, d = int(parts[1]), int(parts[2])
-            r = int(parts[3]) if len(parts) == 4 else d
-        except ValueError as exc:
-            raise InputError(f"bad letter line: {raw!r}") from exc
-        letters.append(Letter(g=g, d=d, r=r, name=name))
-    cx = CDGA(fld, letters, {}, check=False)
-    for name, expr in diff_lines:
-        if name not in cx.index:
-            raise InputError(f"differential on undeclared letter {name}")
-        p = parse_poly(cx, expr)
-        if p:
-            cx.diff[name] = p
-    cx._check_homogeneous()
-    cx._check_d_squared()
+            if lhs.strip() in diff_lines:
+                raise InputError(f"second differential line for {lhs.strip()}")
+            diff_lines[lhs.strip()] = rhs.strip()
+        else:
+            letter_lines.append((raw, line))
+    cx = CDGA(fld, freealg.read_letters(letter_lines, "letter"))
+    cx.set_differential({name: parse_poly(cx, expr) for name, expr in diff_lines.items()})
     return cx

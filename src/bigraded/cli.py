@@ -167,17 +167,7 @@ def _read(path: str) -> str:
 
 
 def _gens_from_file(path: str):
-    gens = []
-    for raw, line in content_lines(_read(path)):
-        name, *degrees = line.split()
-        if len(degrees) not in (2, 3):
-            raise InputError(f"bad generator line: {raw!r}")
-        try:
-            degrees = [int(x) for x in degrees]
-        except ValueError as exc:
-            raise InputError(f"bad generator line: {raw!r}") from exc
-        gens.append(freealg.gen(name, *degrees))
-    return gens
+    return freealg.read_letters(content_lines(_read(path)), "generator")
 
 
 def _preset_of(args):

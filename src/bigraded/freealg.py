@@ -39,12 +39,14 @@ from math import comb
 from .errors import DomainError, InputError
 from . import exactla
 from .exactla import QQ, Matrix
-from .grading import HomologyTable, slope
+from .grading import HomologyTable
 
 
 @dataclass(frozen=True, order=True)
-class Generator:
-    """A named bigraded generator; r is the filtration weight (default d)."""
+class Letter:
+    """A named bigraded letter: genus g >= 1, homological degree d >= 0 and
+    filtration weight r >= 0.  Generators, basis words and xi-towers alike
+    are letters of the free algebras built on them."""
 
     g: int
     d: int
@@ -53,22 +55,40 @@ class Generator:
 
     def __post_init__(self):
         if self.g < 1:
-            raise DomainError(f"generator genus must be >= 1: {self.name}")
+            raise DomainError(f"letter genus must be >= 1: {self.name}")
         if self.d < 0 or self.r < 0:
-            raise DomainError(f"negative grading on generator {self.name}")
-
-    @property
-    def eps(self) -> int:
-        return (self.d + 1) % 2
+            raise DomainError(f"negative grading on letter {self.name}")
 
 
-def gen(name: str, g: int, d: int, r: int | None = None) -> Generator:
-    return Generator(g=g, d=d, r=d if r is None else r, name=name)
+def letter_key(x: Letter) -> tuple[int, int, int, str]:
+    """The canonical order of letters: by (g, d, r, name)."""
+    return x.g, x.d, x.r, x.name
 
 
-def generator_set(gens) -> list[Generator]:
+def gen(name: str, g: int, d: int, r: int | None = None) -> Letter:
+    return Letter(g=g, d=d, r=d if r is None else r, name=name)
+
+
+def read_letters(lines, what: str) -> list[Letter]:
+    """The letters of ``(raw, line)`` pairs, each line ``name g d [r]`` with
+    r defaulting to d; a line of another shape is an input error that
+    quotes it as a bad ``what`` line."""
+    out = []
+    for raw, line in lines:
+        name, *degrees = line.split()
+        try:
+            if len(degrees) not in (2, 3):
+                raise ValueError
+            degrees = [int(x) for x in degrees]
+        except ValueError:
+            raise InputError(f"bad {what} line: {raw!r}") from None
+        out.append(gen(name, *degrees))
+    return out
+
+
+def generator_set(gens) -> list[Letter]:
     """Canonically ordered generator list; names must be unique."""
-    gens = sorted(gens)
+    gens = sorted(gens, key=letter_key)
     names = [x.name for x in gens]
     if len(set(names)) != len(names):
         raise InputError(f"duplicate generator names: {names}")
@@ -76,7 +96,7 @@ def generator_set(gens) -> list[Generator]:
 
 
 @dataclass(frozen=True)
-class LieWord:
+class LieWord(Letter):
     """A basis word: a bracketing of generators, in normal form.
 
     ``word`` is the underlying Lyndon word as a tuple of alphabet indices and
@@ -85,21 +105,13 @@ class LieWord:
 
     word: tuple[int, ...]
     doubled: bool
-    g: int
-    d: int
-    r: int
-    name: str
     content: tuple[str, ...]  # sorted generator names, with multiplicity
-
-    @property
-    def eps(self) -> int:
-        return (self.d + 1) % 2
 
     def __repr__(self):
         return f"LieWord({self.name}, g={self.g}, d={self.d})"
 
 
-def _lyndon_words(gens: list[Generator], g_max: int, d_max: int):
+def _lyndon_words(gens: list[Letter], g_max: int, d_max: int):
     """Every Lyndon word over the sorted alphabet with bidegree inside the
     box, as (word, g, d, r, name), sorted by (g, d, word).
 
@@ -191,23 +203,7 @@ def lie_basis_char2(gens, box: tuple[int, int]) -> list[LieWord]:
     return _lyndon_basis(gens, box, doubles=False)
 
 
-@dataclass(frozen=True)
-class CohenGenerator:
-    """A tower xi^k(y) over a basic Lie word y, at the prime 2."""
-
-    base: LieWord
-    k: int
-    g: int
-    d: int
-    r: int
-    name: str
-
-    @property
-    def eps(self) -> int:
-        return (self.d + 1) % 2
-
-
-def cohen_generators_f2(gens, box: tuple[int, int]) -> list[CohenGenerator]:
+def cohen_generators_f2(gens, box: tuple[int, int]) -> list[Letter]:
     """All xi-towers xi^k(y), k >= 0, over basic mod-2 Lie words, in the box."""
     g_max, d_max = box
     out = []
@@ -215,7 +211,7 @@ def cohen_generators_f2(gens, box: tuple[int, int]) -> list[CohenGenerator]:
         g, d, r, k = y.g, y.d, y.r, 0
         name = y.name
         while g <= g_max and d <= d_max:
-            out.append(CohenGenerator(base=y, k=k, g=g, d=d, r=r, name=name))
+            out.append(Letter(g=g, d=d, r=r, name=name))
             g, d, r, k = 2 * g, 2 * d + 1, 2 * r, k + 1
             name = f"xi({name})" if k == 1 else f"xi^{k}({y.name})"
     out.sort(key=lambda x: (x.g, x.d, x.name))
@@ -283,113 +279,6 @@ def betti_table_f2(gens, box: tuple[int, int]) -> HomologyTable:
     dims = free_series(cohen_generators_f2(gens, box), box, True)
     dims.pop((0, 0), None)
     return HomologyTable(field_name="F2", box=box, dims=dims)
-
-
-def betti_generating_function(letters, box: tuple[int, int], all_polynomial: bool):
-    """Coefficient table of prod 1/(1 - q^g t^d) (polynomial letters) times
-    prod (1 + q^g t^d) (exterior letters), truncated to the box.
-
-    Independent of `free_series`: multiplies one explicit truncated power
-    series per letter, each a geometric series or a binomial.
-    """
-    g_max, d_max = box
-
-    def series_mul(a, b):
-        out = {}
-        for (g1, d1), c1 in a.items():
-            for (g2, d2), c2 in b.items():
-                g, d = g1 + g2, d1 + d2
-                if g <= g_max and d <= d_max:
-                    out[(g, d)] = out.get((g, d), 0) + c1 * c2
-        return out
-
-    series = {(0, 0): 1}
-    for x in letters:
-        factor = {(0, 0): 1}
-        if all_polynomial or x.d % 2 == 0:
-            e = 1
-            while e * x.g <= g_max and e * x.d <= d_max:
-                factor[(e * x.g, e * x.d)] = 1
-                e += 1
-        else:
-            if x.g <= g_max and x.d <= d_max:
-                factor[(x.g, x.d)] = 1
-        series = series_mul(series, factor)
-    series.pop((0, 0), None)
-    return {k: v for k, v in series.items() if v}
-
-
-# ---------------------------------------------------------------------------
-# slope certification
-
-
-@dataclass(frozen=True)
-class OperationSignature:
-    """A homology operation mapping bidegree (g, d) to (m*g, m*d + a)."""
-
-    m: int
-    a: int
-    name: str = "op"
-
-    def __post_init__(self):
-        if self.m < 1 or self.a < 0:
-            raise InputError(f"malformed operation signature {self.name}: m={self.m}, a={self.a}")
-
-
-XI_F2 = OperationSignature(m=2, a=1, name="xi")
-
-
-@dataclass
-class SlopeCertificate:
-    certified: bool
-    min_slope: Fraction
-    box: tuple[int, int]
-    classes_checked: int
-    witness: tuple[str, int, int] | None  # (description, g, d) on failure
-
-
-def slope_certify(gens, signatures, min_slope: Fraction, box: tuple[int, int]) -> SlopeCertificate:
-    """Closure check: every class built from the generators by brackets,
-    products and the given operations, within the box, has slope >= min_slope.
-
-    Sound because slope((g1+g2, d1+d2+delta)) >= min(d1/g1, d2/g2) for
-    delta >= 0, and (m*d + a)/(m*g) >= d/g for a >= 0; the exhaustive closure
-    also certifies it concretely and returns the first witness on failure.
-    """
-    g_max, d_max = box
-    gens = generator_set(gens)
-    seen: dict[tuple[int, int], str] = {}
-    frontier: list[tuple[int, int, str]] = []
-
-    def visit(g, d, desc):
-        if g > g_max or d > d_max:
-            return None
-        if (g, d) in seen:
-            return None
-        seen[(g, d)] = desc
-        frontier.append((g, d, desc))
-        if slope((g, d)) < min_slope:
-            return (desc, g, d)
-        return None
-
-    for x in gens:
-        w = visit(x.g, x.d, x.name)
-        if w:
-            return SlopeCertificate(False, min_slope, box, len(seen), w)
-    i = 0
-    while i < len(frontier):
-        g1, d1, n1 = frontier[i]
-        i += 1
-        for sig in signatures:
-            w = visit(sig.m * g1, sig.m * d1 + sig.a, f"{sig.name}({n1})")
-            if w:
-                return SlopeCertificate(False, min_slope, box, len(seen), w)
-        for g2, d2, n2 in list(frontier):
-            for delta, fmt in ((1, "[{},{}]"), (0, "{}*{}")):
-                w = visit(g1 + g2, d1 + d2 + delta, fmt.format(n1, n2))
-                if w:
-                    return SlopeCertificate(False, min_slope, box, len(seen), w)
-    return SlopeCertificate(True, min_slope, box, len(seen), None)
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,8 @@ def _tokens(text: str, name_pattern: str) -> list[str]:
 def parse_terms(text: str, name_pattern: str) -> list[tuple[Fraction, dict[str, int]]]:
     """The terms of ``text``, each as its coefficient and its
     ``{name: exponent}``; names are the tokens matching the regular
-    expression ``name_pattern``.  A ``^`` where a factor is due is read as
-    a name too."""
+    expression ``name_pattern``.  A ``^`` that does not follow a name is an
+    input error."""
     tokens = _tokens(text, name_pattern)
     terms = []
     sign = 1
@@ -65,6 +65,8 @@ def parse_terms(text: str, name_pattern: str) -> list[tuple[Fraction, dict[str, 
             if tok == "*":
                 continue
             saw_factor = True
+            if tok == "^":
+                raise InputError(f"'^' without a name before it in {text!r}")
             if tok[0].isdigit():
                 try:
                     coeff *= Fraction(tok)

@@ -126,6 +126,10 @@ class ParamPoly(dict):
 
 TautMono = tuple[int, int, tuple[int, ...]]  # (e_exp, l1_exp, kappa exponents)
 
+# kappa exponents are a dense tuple, so kappa_i costs i entries: a larger
+# index, read or made by the Gysin rule, is an input error
+MAX_KAPPA_INDEX = 1000
+
 
 def _mono_degree(m: TautMono) -> int:
     e, l1, ks = m
@@ -267,6 +271,10 @@ def gysin_pushforward(p: TautPoly, genus: int) -> TautPoly:
             out.add_term((0, 0, ks), c * Fraction(2 - 2 * genus))
         else:
             i = e - 1  # e^(i+1) -> kappa_i
+            if i > MAX_KAPPA_INDEX:
+                raise InputError(
+                    f"Gysin pushforward of e^{e} needs kappa_{i}; the largest index is {MAX_KAPPA_INDEX}"
+                )
             ks2 = list(ks) + [0] * max(0, i - len(ks))
             ks2[i - 1] += 1
             out.add_term((0, 0, tuple(ks2)), c)
@@ -587,8 +595,8 @@ def parse_taut(text: str) -> TautPoly:
                 l1_exp = exp
             elif name[0] == "k" and name[1:].isdigit():
                 idx = int(name[1:])
-                if idx < 1:
-                    raise InputError("kappa index must be >= 1")
+                if not 1 <= idx <= MAX_KAPPA_INDEX:
+                    raise InputError(f"kappa index must be between 1 and {MAX_KAPPA_INDEX}: {name}")
                 ks[idx] = ks.get(idx, 0) + exp
             elif exp:
                 params.append((name, exp))

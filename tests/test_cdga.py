@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from bigraded import exactla, freealg
+from bigraded import exactla
 from bigraded.cdga import (
     CDGA,
     DGModule,
@@ -25,14 +25,12 @@ from bigraded.cdga import (
 from bigraded.errors import InputError, WorkbenchError
 from bigraded.exactla import GF, QQ
 from bigraded.grading import VanishingLine
+from series_oracle import betti_generating_function
 
 
 def _cdga(fld, letters, diff=None):
-    cx = CDGA(fld, letters, {}, check=False)
-    for name, expr in (diff or {}).items():
-        cx.diff[name] = parse_poly(cx, expr)
-    cx._check_homogeneous()
-    cx._check_d_squared()
+    cx = CDGA(fld, letters)
+    cx.set_differential({name: parse_poly(cx, expr) for name, expr in (diff or {}).items()})
     return cx
 
 
@@ -75,7 +73,7 @@ def test_monomial_basis_matches_bruteforce_filter(fld):
             Letter(rng.randint(1, 3), rng.randint(0, 3), 0, f"x{k}")
             for k in range(rng.randint(1, 5))
         ]
-        cx = CDGA(fld, letters, {}, check=False)
+        cx = CDGA(fld, letters)
         exterior = [fld.char != 2 and x.d % 2 == 1 for x in cx.letters]
         bounds = [range(2 if ext else g_max // x.g + 1) for ext, x in zip(exterior, cx.letters)]
         by_bd = {}
@@ -89,7 +87,7 @@ def test_monomial_basis_matches_bruteforce_filter(fld):
 
 def test_monomial_basis_beyond_recursion_limit():
     n = sys.getrecursionlimit() + 10
-    cx = CDGA(QQ, [Letter(1, k, k, f"x{k}") for k in range(n)], {}, check=False)
+    cx = CDGA(QQ, [Letter(1, k, k, f"x{k}") for k in range(n)])
     assert [cx.mono_name(m) for m in cx.monomial_basis((2, 3))] == ["x0*x3", "x1*x2"]
 
 
@@ -136,7 +134,7 @@ def test_basis_sizes_match_generating_function(preset, ell, box):
     cx = build_paper_complex(preset, box, ell=ell)
     cx = getattr(cx, "base", cx)  # the intstab presets are modules over a base
     cells = (box[0], box[1] + 1)
-    sizes = freealg.betti_generating_function(cx.letters, cells, cx.field.char == 2)
+    sizes = betti_generating_function(cx.letters, cells, cx.field.char == 2)
     sizes[(0, 0)] = 1
     for g in range(cells[0] + 1):
         for d in range(cells[1] + 1):
@@ -274,7 +272,8 @@ def _random_cdga(rng, fld, prefix="x"):
     letters = []
     for i in range(n):
         letters.append(Letter(rng.randint(1, 3), rng.randint(0, 4), 0, f"{prefix}{i}"))
-    cx = CDGA(fld, letters, {}, check=False)
+    cx = CDGA(fld, letters)
+    diff = {}
     # random differential: each letter may map to a random polynomial of the
     # right bidegree built from other letters, provided the target is closed
     for x in sorted(letters):
@@ -286,7 +285,7 @@ def _random_cdga(rng, fld, prefix="x"):
             m
             for m in pool
             if all(
-                cx.letters[i].name == x.name or cx.letters[i].name not in cx.diff or not e
+                cx.letters[i].name == x.name or cx.letters[i].name not in diff or not e
                 for i, e in enumerate(_dense(cx, m))
             )
             and not _dense(cx, m)[cx.index[x.name]]
@@ -297,12 +296,11 @@ def _random_cdga(rng, fld, prefix="x"):
                 if rng.random() < 0.5:
                     poly[m] = fld.of(rng.randint(1, 4))
             if poly:
-                cx.diff[x.name] = poly
+                diff[x.name] = poly
     try:
-        cx._check_d_squared()
+        cx.set_differential(diff)
     except InputError:
-        for k in list(cx.diff):
-            cx.diff.pop(k)
+        pass  # the complex keeps its zero differential
     return cx
 
 
@@ -316,13 +314,12 @@ def _random_split_cdga(rng, fld):
             cx = _random_cdga(rng, fld, prefix)
         blocks.append(cx)
     closed = [Letter(rng.randint(1, 3), rng.randint(0, 4), 0, f"z{i}") for i in range(rng.randint(1, 3))]
-    out = CDGA(fld, [x for cx in blocks for x in cx.letters] + closed, {}, check=False)
-    for cx in blocks:
-        for name, poly in cx.diff.items():
-            out.diff[name] = {
-                out.mono_of({cx.letters[i].name: e for i, e in m}): c for m, c in poly.items()
-            }
-    out._check_d_squared()
+    out = CDGA(fld, [x for cx in blocks for x in cx.letters] + closed)
+    out.set_differential({
+        name: {out.mono_of({cx.letters[i].name: e for i, e in m}): c for m, c in poly.items()}
+        for cx in blocks
+        for name, poly in cx.diff.items()
+    })
     return out
 
 
@@ -615,6 +612,25 @@ def test_parse_cdga_file_and_bracket_names():
         parse_cdga_file("x 1 1\nd y = x\n", QQ)
 
 
+@pytest.mark.parametrize("second", ["0", "x", "2*x", ""])
+def test_second_differential_line_for_a_letter_is_an_input_error(second):
+    text = f"x 1 0\ny 1 1\nd y = x\nd y = {second}\n"
+    with pytest.raises(InputError, match="second differential line for y"):
+        parse_cdga_file(text, QQ)
+    assert parse_cdga_file("x 1 0\ny 1 1\nd y = x\n", QQ).diff == {"y": {((0, 1),): 1}}
+
+
+def test_set_differential_is_checked_and_keeps_the_old_one_on_error():
+    cx = _cdga(QQ, [Letter(1, 0, 0, "x"), Letter(1, 1, 1, "y"), Letter(1, 2, 2, "z")], {"y": "x"})
+    for bad in ({"w": {((0, 1),): 1}}, {"y": {((0, 2),): 1}}, {"z": {((1, 1),): 1}, "y": {((0, 1),): 1}}):
+        with pytest.raises(InputError):
+            cx.set_differential(bad)
+        assert cx.diff == {"y": {((0, 1),): 1}}
+    # dense exponent vectors are read, zero terms and empty polynomials dropped
+    cx.set_differential({"y": {(1, 0, 0): 0}, "z": {}})
+    assert cx.diff == {}
+
+
 def test_unknown_preset_rejected():
     with pytest.raises(InputError):
         build_paper_complex("nonsense")
@@ -632,12 +648,14 @@ _POLY_DIGEST = "a41eb98aa1247288fc24cfcfeb52477c3adde21bb591b0327ebd2f3c01f1fc1c
 
 
 def test_parse_poly_zero_denominator_and_trailing_space():
-    cx = CDGA(QQ, [Letter(1, 0, 0, "x")], {}, check=False)
+    cx = CDGA(QQ, [Letter(1, 0, 0, "x")])
     with pytest.raises(InputError, match="zero denominator"):
         parse_poly(cx, "1/0*x")
     with pytest.raises(InputError, match="zero denominator"):
         parse_cdga_file("a 1 0\nb 1 1\nd b = 1/0*a\n", QQ)
     assert parse_poly(cx, " 2*x^2 \t") == parse_poly(cx, "2*x^2") == {((0, 2),): 2}
+    with pytest.raises(InputError, match="without a name"):
+        parse_poly(cx, "2^3*x")
 
 
 def test_parse_poly_matches_recorded_digest():
@@ -651,7 +669,7 @@ def test_parse_poly_matches_recorded_digest():
         corpus.append((rng.choice(["", " "]) + "".join(parts)).rstrip())
     lines = []
     for fld in (QQ, GF(2), GF(3)):
-        cx = CDGA(fld, letters, {}, check=False)
+        cx = CDGA(fld, letters)
         for text in corpus:
             try:
                 result = repr(list(parse_poly(cx, text).items()))

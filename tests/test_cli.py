@@ -293,6 +293,37 @@ def test_bad_inputs_are_input_errors(argv, message, tmp_path, monkeypatch, capsy
     assert captured.out == "" and message in captured.err
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("a 1 0", None),
+        ("a 2 1 3", None),
+        ("a 1", "bad {} line"),
+        ("a 1 2 3 4", "bad {} line"),
+        ("a x 1", "bad {} line"),
+        ("a 1 1 1/2", "bad {} line"),
+        ("a 0 1", "genus must be >= 1"),
+        ("a 1 -1", "negative grading"),
+        ("a 1 1 -1", "negative grading"),
+    ],
+)
+def test_generator_files_and_cdga_files_read_letters_alike(line, message, tmp_path, monkeypatch, capsys):
+    """One line reader serves `lie-basis --gens` and the letter lines of
+    `homology --cdga`: both accept a line or both reject it."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "letters.txt").write_text(f"# one letter\n{line}\n")
+    for argv, what in (
+        (["lie-basis", "--gens", "letters.txt", "--box", "3,3"], "generator"),
+        (["homology", "--cdga", "letters.txt", "--box", "3,3"], "letter"),
+    ):
+        code = main(argv + ["--format", "json"])
+        err = capsys.readouterr().err
+        if message is None:
+            assert (code, err) == (0, "")
+        else:
+            assert code == 2 and message.format(what) in err
+
+
 def test_config_values_are_typed_like_flags(tmp_path, capsys):
     cfg = tmp_path / "wb.cfg"
     cfg.write_text("gmax = 5\nformat = json\n")

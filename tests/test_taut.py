@@ -6,6 +6,7 @@ import pytest
 
 from bigraded.errors import DomainError, InputError, WorkbenchError
 from bigraded.taut import (
+    MAX_KAPPA_INDEX,
     HomologyFunctional,
     Ledger,
     ParamPoly,
@@ -62,6 +63,21 @@ def test_gysin_rejects_negative_genus_and_inhomogeneous():
     bad = euler() + kappa(1) * kappa(1)
     with pytest.raises(DomainError):
         gysin_pushforward(bad, 2)
+
+
+def test_kappa_index_is_bounded_before_any_tuple_is_built():
+    top = MAX_KAPPA_INDEX
+    assert gysin_pushforward(euler(top + 1), 2) == kappa(top)
+    assert parse_taut(f"e*k{top}") == euler() * kappa(top)
+    # e^(i+1) pushes forward to kappa_i, so the Gysin rule may not go past it
+    with pytest.raises(InputError, match=f"needs kappa_{top + 1}"):
+        gysin_pushforward(euler(top + 2), 2)
+    with pytest.raises(InputError, match="kappa index"):
+        parse_taut(f"e*k{top + 1}")
+    with pytest.raises(InputError, match="kappa index"):
+        parse_taut("e*k2000000")
+    with pytest.raises(InputError, match="needs kappa_1999999"):
+        gysin_pushforward(parse_taut("e^2000000"), 2)
 
 
 def test_h43_kernel_zero_with_default_ledger():
@@ -259,8 +275,10 @@ def test_taut_const():
 # those two fixes
 _TAUT_TOKENS = ["+", "-", "*", "^", "^", "0", "1", "2", "3", "12", "1/2", "2/3", "4/3",
                 "e", "l1", "k1", "k2", "k3", "k0", "A", "t", "x'", "[u,v]", "!"]
-# recorded before the grammar moved to bigraded.parsing
-_TAUT_DIGEST = "0bd23aa6c01808c8a939b3934fe90da74a1557b69d5d955623dedc9a182eaaa7"
+# recorded when a '^' after no name and a kappa index above MAX_KAPPA_INDEX
+# became input errors: of the 3000 strings, the 215 with such a '^' and the
+# one with k3120 went from a parsed polynomial to "error", and no other changed
+_TAUT_DIGEST = "e214b3c99885799d8527ef6ccfe8a979912c4c8b1e99f5a0194f3438478455ae"
 
 
 def test_parse_taut_zero_denominator_trailing_space_and_large_powers():
@@ -269,6 +287,10 @@ def test_parse_taut_zero_denominator_trailing_space_and_large_powers():
     with pytest.raises(InputError, match="zero denominator"):
         parse_taut("k1^2+1/0")
     assert parse_taut("e^2*k1 ") == parse_taut("e^2*k1")
+    # a '^' with no name before it is no name itself
+    for text in ("2^3*e^2", "^", "e*^2", "e+^k1", "k1 ^ 2 ^ 3"):
+        with pytest.raises(InputError, match="'\\^' without a name"):
+            parse_taut(text)
     # the parameter monomial is built directly, not by 10^9 multiplications
     assert parse_taut("e^2*A^1000000000") == {(2, 0, ()): ParamPoly({(("A", 10**9),): 1})}
 
