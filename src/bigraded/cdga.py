@@ -24,9 +24,13 @@ letters of its differential (and a module's generators with the letters of
 the module differential); the components that carry a differential span
 sub-complexes that the differential maps into themselves, and every other
 letter is closed.  So the complex is the tensor product of those factors and
-the free algebra on the closed letters, and over a field Kunneth gives its
-homology as the product of the factors' homologies (computed per bidegree
-with exact linear algebra) and the closed letters' free series.  Letters
+the free algebra on the closed letters, a `KunnethSplit`, and over a field
+Kunneth gives its homology as the product of the factors' homologies
+(computed per bidegree with exact linear algebra) and the closed letters'
+free series, which needs only their counts per (g, d) cell.  The named
+complexes are built as that split directly: only the few letters their
+differential needs are named, and the closed rest of their free Lie
+alphabet is counted by `freealg.letter_counts`, never enumerated.  Letters
 whose differential is not explicitly given are closed: the named complexes
 this reproduces arise as associated graded of a computational filtration in
 which exactly the listed differentials survive, so assigning zero
@@ -41,6 +45,7 @@ module generator when a `DGModule` is built.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -458,8 +463,8 @@ def matrix_homology_table(cx, box: tuple[int, int]) -> HomologyTable:
     """dim ker - dim im per bidegree, from the differential matrices of the
     whole complex.  The incoming differential at the top row is taken from
     bidegree (g, d+1) even when that falls outside the box, so no edge cell
-    is overcounted (complexes built by `build_paper_complex` enumerate their
-    alphabet one degree above the box for exactly this reason)."""
+    is overcounted (the named complexes of `build_paper_complex` take their
+    letters one degree above the box for exactly this reason)."""
     g_max, d_max = box
     ranks: dict[tuple[int, int], int] = {}
 
@@ -483,14 +488,51 @@ def matrix_homology_table(cx, box: tuple[int, int]) -> HomologyTable:
     return HomologyTable(field_name=cx.field.name, box=box, dims=dims)
 
 
-def _kunneth_split(cx):
-    """The factors of cx that carry a differential, and its closed letters.
+@dataclass
+class KunnethSplit:
+    """A complex as the tensor product of the factors that carry its whole
+    differential and the free algebra on its closed letters, which are only
+    counted, per (g, d) cell: the form `homology_table` reads.
+    `_kunneth_split` makes it from a complex, `build_paper_complex` from a
+    preset's named letters and the letter counts of its alphabet."""
+
+    field: object
+    factors: list  # CDGAs, or one DGModule
+    closed: dict[tuple[int, int], int]
+
+    def monomial_basis(self, bd: tuple[int, int]) -> list[tuple]:
+        """The basis at bd of the factors' tensor product, each element a
+        tuple of one basis element per factor.  The closed letters are not
+        in it: they have counts, not names."""
+        g, d = bd
+        partial = {(0, 0): [()]}  # products over the factors so far, by bidegree
+        for k, factor in enumerate(self.factors):
+            grown: dict[tuple[int, int], list] = {}
+            for (g0, d0), heads in partial.items():
+                # the last factor takes the rest of bd, the others any part of it
+                if k == len(self.factors) - 1:
+                    cells = [(g - g0, d - d0)]
+                else:
+                    cells = [(g1, d1) for g1 in range(g - g0 + 1) for d1 in range(d - d0 + 1)]
+                for g1, d1 in cells:
+                    tails = factor.monomial_basis((g1, d1))
+                    if tails:
+                        cell = grown.setdefault((g0 + g1, d0 + d1), [])
+                        cell += [head + (m,) for head in heads for m in tails]
+            partial = grown
+        return partial.get(bd, [])
+
+
+def _kunneth_split(cx) -> KunnethSplit:
+    """The `KunnethSplit` of cx: the factors that carry a differential,
+    and the cell counts of its closed letters.
 
     Union-find links every letter with the letters of its differential and,
     for a module, the module generators with the letters of the module
-    differential.  Each component holding a differential (or the module
-    generators) becomes a complex on its own letters: a sub-CDGA, or the
-    sub-module over its letters.  The other letters are closed."""
+    differential and with every other letter that has a differential.  Each
+    component holding a differential becomes a complex on its own letters:
+    a sub-CDGA, or for a module the one sub-module over all of them.  The
+    other letters are closed."""
     module = isinstance(cx, DGModule)
     base = cx.base if module else cx
     n = base.n  # node n stands for the module generators
@@ -509,12 +551,14 @@ def _kunneth_split(cx):
         for m in poly:
             for j, _ in m:
                 parent[find(j)] = find(i)
-    active = {find(i) for i, _ in links} | ({find(n)} if module else set())
+        if module:
+            parent[find(i)] = find(n)
+    active = {find(n)} if module else {find(i) for i, _ in links}
     roots = [find(i) for i in range(n)]
     factors = []
     for root in sorted(active):
         sub = base.quotient([x.name for x, r in zip(base.letters, roots) if r != root])
-        if module and root == find(n):
+        if module:
 
             def push(p):
                 return {sub.mono_of({base._names[i]: e for i, e in m}): c for m, c in p.items()}
@@ -522,26 +566,29 @@ def _kunneth_split(cx):
             mdiff = {nm: [(push(p), e) for p, e in terms] for nm, terms in cx.mdiff.items()}
             sub = DGModule(sub, cx.module_gens, mdiff)
         factors.append(sub)
-    return factors, [x for x, r in zip(base.letters, roots) if r not in active]
+    closed = Counter((x.g, x.d) for x, r in zip(base.letters, roots) if r not in active)
+    return KunnethSplit(base.field, factors, dict(closed))
 
 
 def homology_table(cx, box: tuple[int, int]) -> HomologyTable:
-    """Bigraded homology dimensions of cx in the box, factor by factor.
+    """Bigraded homology dimensions in the box of cx, a complex or its
+    `KunnethSplit`, factor by factor.
 
-    The letters of cx split into the factors of `_kunneth_split`, which
-    carry every differential, and closed letters C.  The differential maps
-    each factor's algebra into itself, so cx = A_1 * ... * A_k * Lambda(C)
-    as complexes (a module factor M_A in place of one A_i), and over a field
+    A complex is split first (`_kunneth_split`) into the factors that carry
+    every differential and closed letters C.  The differential maps each
+    factor's algebra into itself, so cx = A_1 * ... * A_k * Lambda(C) as
+    complexes (a module factor M_A in place of the A_i), and over a field
     the Kunneth theorem gives H(cx) = H(A_1) * ... * H(A_k) * Lambda(C) as
     bigraded spaces.  Every letter has g >= 1 and d >= 0, so truncating to
     the box commutes with the product: the table is the truncated product
     of the factors' tables (`matrix_homology_table`, same box) with the
-    free series of C (`freealg.free_series`), which is the unit alone when
-    C is empty.  Tables are unital: the unit counts at (0, 0)."""
-    factors, closed = _kunneth_split(cx)
+    free series of C's cell counts (`freealg.free_series`), which is the
+    unit alone when C is empty.  Tables are unital: the unit counts at
+    (0, 0)."""
+    split = cx if isinstance(cx, KunnethSplit) else _kunneth_split(cx)
     g_max, d_max = box
-    series = freealg.free_series(closed, box, cx.field.char == 2)
-    for factor in factors:
+    series = freealg.free_series(split.closed, box, split.field.char == 2)
+    for factor in split.factors:
         table = matrix_homology_table(factor, box).dims
         product: dict[tuple[int, int], int] = {}
         for (g1, d1), a in series.items():
@@ -551,7 +598,7 @@ def homology_table(cx, box: tuple[int, int]) -> HomologyTable:
                     product[key] = product.get(key, 0) + a * b
         series = product
     dims = {gd: h for gd, h in sorted(series.items()) if h}
-    return HomologyTable(field_name=cx.field.name, box=box, dims=dims)
+    return HomologyTable(field_name=split.field.name, box=box, dims=dims)
 
 
 @dataclass
@@ -564,8 +611,9 @@ class VanishingReport:
 
 
 def verify_vanishing(cx, line, box: tuple[int, int]) -> VanishingReport:
-    """Certify that homology vanishes at every in-box bidegree strictly below
-    the line; otherwise report the first violating bidegree."""
+    """Certify that the homology of cx, a complex or its `KunnethSplit`,
+    vanishes at every in-box bidegree strictly below the line; otherwise
+    report the first violating bidegree."""
     if isinstance(line, Fraction):
         line = VanishingLine(lam=line)
     table = homology_table(cx, box)
@@ -582,14 +630,92 @@ def verify_vanishing(cx, line, box: tuple[int, int]) -> VanishingReport:
 PRESETS = ("vanishA", "vanishB", "intstab-f2", "intstab-fl", "A-algebra-fl")
 
 
-def _require(cdga: CDGA, names):
-    missing = [nm for nm in names if nm not in cdga.index]
+@dataclass(frozen=True)
+class _Preset:
+    """A named complex as data: its field, the box of its letters, its
+    generators, its named letters (the generators, then the brackets or
+    towers its differential needs), the differential on named letters as
+    ``(coefficient, {letter: exponent})`` terms, the letters divided out,
+    and whether it is the module (1, rho4), d(rho4) = rho3, over the
+    quotient."""
+
+    field: object
+    letter_box: tuple[int, int]
+    gens: list
+    named: list
+    diff: dict
+    quotient: tuple
+    module: bool
+
+
+def _preset(preset: str, box, ell) -> _Preset:
+    """The data of one named complex (see `build_paper_complex`).  Its
+    letters are taken with degree bound one above the box, so a homology
+    table of the box has complete incoming differentials on its top row."""
+    gen = freealg.gen
+    if preset in ("vanishA", "vanishB"):
+        box = box or (8, 8)
+        gens = [gen("sigma", 1, 0), gen("lambda", 3, 2), gen("rho", 2, 2)]
+        kills = {"rho": gen("[sigma,sigma]", 2, 1, 0)}
+        if preset == "vanishB":
+            gens.append(gen("rho'", 4, 4))
+            kills["rho'"] = gen("[sigma,lambda]", 4, 3, 2)
+        diff = {x: [(1, {y.name: 1})] for x, y in kills.items()}
+        named = gens + list(kills.values())
+        return _Preset(QQ, (box[0], box[1] + 1), gens, named, diff, ("sigma", "lambda"), False)
+
+    if preset in ("intstab-f2", "intstab-fl", "A-algebra-fl"):
+        if preset == "intstab-f2":
+            ell = 2
+        if ell is None:
+            raise InputError(f"preset {preset} needs a prime ell")
+        fld = GF(ell)
+        box = box or (6, 6)
+        gens = [
+            gen("sigma", 1, 0, 0),
+            gen("tau", 1, 1, 1),
+            gen("rho1", 2, 2, 2),
+            gen("rho2", 2, 2, 2),
+            gen("rho3", 3, 2, 2),
+        ]
+        # Q1(sigma): xi(sigma) at ell = 2, -(1/2)[sigma,sigma] at odd ell
+        q1 = gen("xi(sigma)" if ell == 2 else "[sigma,sigma]", 2, 1, 0)
+        sigma_tau = {"sigma": 1, "tau": 1}
+        diff = {
+            "rho1": [(10, sigma_tau)],
+            "rho2": [(1 if ell == 2 else Fraction(-1, 2), {q1.name: 1}), (-3, sigma_tau)],
+            "rho3": [(1, {"sigma": 2, "tau": 1})],
+        }
+        module = preset != "A-algebra-fl"
+        quotient = ("sigma",) if module else ()
+        return _Preset(fld, (box[0], box[1] + 1), gens, gens + [q1], diff, quotient, module)
+
+    raise InputError(f"unknown preset: {preset}")
+
+
+def _assemble(spec: _Preset, letters):
+    """The complex of ``spec`` on ``letters``, which must hold every named
+    letter that is not divided out: its differential is set on the letters,
+    the quotient taken and the module built."""
+    fld = spec.field
+    cx = CDGA(fld, letters)
+    # a missing letter that is divided out is the quotient's error
+    missing = [x.name for x in spec.named if x.name not in cx.index and x.name not in spec.quotient]
     if missing:
         raise InputError(f"box too small for preset: missing letters {missing}")
+    cx.set_differential(
+        {x: {cx.mono_of(m): fld.of(c) for c, m in terms} for x, terms in spec.diff.items()}
+    )
+    if spec.quotient:
+        cx = cx.quotient(spec.quotient)
+    if spec.module:
+        rho3 = cx.mono_of({"rho3": 1})
+        cx = DGModule(cx, [("1", 0, 0, 0), ("rho4", 3, 3, 3)], {"rho4": [({rho3: fld.one()}, "1")]})
+    return cx
 
 
 def build_paper_complex(preset: str, box: tuple[int, int] | None = None, ell: int | None = None):
-    """Construct one of the named complexes.
+    """One of the named complexes, as its `KunnethSplit`.
 
     vanishA        Lambda_Q(L/<sigma,lambda>) on sigma(1,0), lambda(3,2),
                    rho(2,2), with d(rho) = [sigma,sigma].
@@ -601,62 +727,20 @@ def build_paper_complex(preset: str, box: tuple[int, int] | None = None, ell: in
     A-algebra-fl   the full algebra over F_ell with d(rho1) = 10 sigma tau,
                    d(rho2) = Q1(sigma) - 3 sigma tau, d(rho3) = sigma^2 tau.
 
-    The letter alphabet is enumerated with degree bound one above the box so
-    the homology table has complete incoming differentials on its top row.
+    L is the free Lie algebra (or, at ell = 2, the xi-tower alphabet) on the
+    generators, up to one degree above the box.  Only its named letters,
+    the generators and the brackets or towers the differential needs, are
+    built; the complex on them is split (`_kunneth_split`), and every other
+    letter is closed and enters only through `freealg.letter_counts`.
     """
-    if preset in ("vanishA", "vanishB"):
-        box = box or (8, 8)
-        gens = [freealg.gen("sigma", 1, 0), freealg.gen("lambda", 3, 2), freealg.gen("rho", 2, 2)]
-        if preset == "vanishB":
-            gens.append(freealg.gen("rho'", 4, 4))
-        full = CDGA(QQ, freealg.free_graded_lie_basis(gens, (box[0], box[1] + 1)))
-        kills = {"rho": "[sigma,sigma]"} | ({"rho'": "[sigma,lambda]"} if preset == "vanishB" else {})
-        _require(full, [*kills, *kills.values()])
-        full.set_differential({x: {full.mono_of({y: 1}): Fraction(1)} for x, y in kills.items()})
-        return full.quotient(["sigma", "lambda"])
-
-    if preset in ("intstab-f2", "intstab-fl", "A-algebra-fl"):
-        if preset == "intstab-f2":
-            ell = 2
-        if ell is None:
-            raise InputError(f"preset {preset} needs a prime ell")
-        fld = GF(ell)
-        box = box or (6, 6)
-        letter_box = (box[0], box[1] + 1)
-        gens = [
-            freealg.gen("sigma", 1, 0, 0),
-            freealg.gen("tau", 1, 1, 1),
-            freealg.gen("rho1", 2, 2, 2),
-            freealg.gen("rho2", 2, 2, 2),
-            freealg.gen("rho3", 3, 2, 2),
-        ]
-        if ell == 2:
-            basis = freealg.cohen_generators_f2(gens, letter_box)
-            q1_name = "xi(sigma)"
-        else:
-            basis = freealg.free_graded_lie_basis(gens, letter_box)
-            q1_name = "[sigma,sigma]"
-        full = CDGA(fld, basis)
-        _require(full, ["sigma", "tau", "rho1", "rho2", "rho3", q1_name])
-        # Q1(sigma): xi(sigma) at ell = 2, -(1/2)[sigma,sigma] at odd ell
-        q1 = {full.mono_of({q1_name: 1}): fld.of(1 if ell == 2 else Fraction(-1, 2))}
-        sigma_tau = full.mono_of({"sigma": 1, "tau": 1})
-        full.set_differential({
-            "rho1": {sigma_tau: fld.of(10)},
-            "rho2": full.poly_add(q1, {sigma_tau: fld.of(-3)}),
-            "rho3": {full.mono_of({"sigma": 2, "tau": 1}): fld.of(1)},
-        })
-        if preset == "A-algebra-fl":
-            return full
-        base = full.quotient(["sigma"])
-        rho3_mono = base.mono_of({"rho3": 1})
-        return DGModule(
-            base,
-            [("1", 0, 0, 0), ("rho4", 3, 3, 3)],
-            {"rho4": [({rho3_mono: fld.one()}, "1")]},
-        )
-
-    raise InputError(f"unknown preset: {preset}")
+    spec = _preset(preset, box, ell)
+    closed = Counter(freealg.letter_counts(spec.gens, spec.letter_box, spec.field.char))
+    g_max, d_max = spec.letter_box
+    named = [x for x in spec.named if x.g <= g_max and x.d <= d_max]
+    split = _kunneth_split(_assemble(spec, named))
+    closed.subtract((x.g, x.d) for x in named)
+    closed.update(split.closed)
+    return KunnethSplit(split.field, split.factors, {cell: n for cell, n in closed.items() if n})
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,10 @@ factorization [u, v] (Reutenauer, Free Lie Algebras, 1993, 5.1) from the
 names of u and v.  Any basis with the correct bigraded dimensions would do;
 dimensions are the tested contract, and the module also ships a brute-force
 relation-quotient oracle (`lie_dimensions_bruteforce`) that recomputes them
-from raw bracket trees modulo antisymmetry and Jacobi.
+from raw bracket trees modulo antisymmetry and Jacobi.  Where only the
+dimensions are read (Betti tables, the closed letters of the named
+complexes), `letter_counts` gives them per (g, d) cell from Witt's formula,
+naming no word, so its cost follows the box, not the alphabet.
 
 In characteristic 2 the self-brackets vanish (the top operation xi is a
 quadratic refinement of the bracket: xi(x+y) = xi(x) + xi(y) + [x, y], so
@@ -34,7 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .errors import DomainError, InputError
 from . import exactla
@@ -219,28 +222,97 @@ def cohen_generators_f2(gens, box: tuple[int, int]) -> list[Letter]:
 
 
 # ---------------------------------------------------------------------------
-# Betti tables
+# letter counts and Betti tables
 
 
-def free_series(letters, box: tuple[int, int], all_polynomial: bool) -> dict[tuple[int, int], int]:
+def _mobius(k: int) -> int:
+    """The Moebius function, by trial division."""
+    sign, p = 1, 2
+    while p * p <= k:
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if k > 1 else sign
+
+
+def _lyndon_counts(gens, box: tuple[int, int]) -> dict[tuple[int, int], int]:
+    """The number of Lyndon words per (g, d) cell of the box, the cells of
+    `lie_basis_char2`, computed without naming a word.
+
+    With e = d + 1 the bracket adds (g, e), so the words over the generators
+    have the series N = 1 / (1 - W), W counting generators per (g, e).
+    Unique factorization into Lyndon words gives N = prod (1 - q^g t^e)^-l,
+    l(g, e) Lyndon words at (g, e - 1); q d/dq log of both sides, inverted by
+    Moebius, is Witt's formula (Reutenauer, Free Lie Algebras, 1993)
+
+        G l(G, E) = sum over k | gcd(G, E) of mu(k) b(G/k, E/k),
+        b(G, E) = sum over generator cells (g, e) of g w(g, e) N(G-g, E-e),
+
+    an exact division."""
+    g_max, d_max = box
+    if g_max < 1 or d_max < 1:
+        raise DomainError("box bounds must be >= 1")
+    e_max = d_max + 1
+    w = Counter((x.g, x.d + 1) for x in generator_set(gens) if x.g <= g_max and x.d <= d_max)
+    words = [[0] * (e_max + 1) for _ in range(g_max + 1)]
+    b = [[0] * (e_max + 1) for _ in range(g_max + 1)]
+    words[0][0] = 1
+    for g in range(1, g_max + 1):
+        for e in range(1, e_max + 1):
+            for (a, c), n in w.items():
+                if a <= g and c <= e:
+                    words[g][e] += n * words[g - a][e - c]
+                    b[g][e] += a * n * words[g - a][e - c]
+    mu = [0] + [_mobius(k) for k in range(1, min(g_max, e_max) + 1)]
+    counts = {}
+    for g in range(1, g_max + 1):
+        for e in range(1, e_max + 1):
+            top = gcd(g, e)
+            n = sum(mu[k] * b[g // k][e // k] for k in range(1, top + 1) if top % k == 0) // g
+            if n:
+                counts[(g, e - 1)] = n
+    return counts
+
+
+def letter_counts(gens, box: tuple[int, int], char: int) -> dict[tuple[int, int], int]:
+    """The number of letters per (g, d) cell of the box that
+    `free_graded_lie_basis` (char != 2) or `cohen_generators_f2` (char 2)
+    enumerates, computed without naming a word: the Lyndon words of
+    `_lyndon_counts`, and for each at (g, d) its double [w, w] at
+    (2g, 2d+1) when d is even (char != 2), or its xi-tower
+    (g, d) -> (2g, 2d+1) while that stays in the box (char 2)."""
+    g_max, d_max = box
+    counts = Counter(_lyndon_counts(gens, box))
+    for (g, d), n in list(counts.items()):
+        while (char == 2 or d % 2 == 0) and 2 * g <= g_max and 2 * d + 1 <= d_max:
+            g, d = 2 * g, 2 * d + 1
+            counts[(g, d)] += n
+            if char != 2:
+                break
+    return dict(counts)
+
+
+def free_series(cells, box: tuple[int, int], all_polynomial: bool) -> dict[tuple[int, int], int]:
     """Monomial counts per bidegree of the free graded-commutative algebra
-    on ``letters`` (objects with g, d attributes, g >= 1), truncated to the
-    box, unit included at (0, 0): polynomial on even d, exterior on odd d,
-    unless all_polynomial (characteristic 2).
+    on ``cells[(g, d)]`` letters at each (g, d) with g >= 1, truncated to
+    the box, unit included at (0, 0): polynomial on even d, exterior on odd
+    d, unless all_polynomial (characteristic 2).
 
-    Letters are grouped by (g, d, parity) cell.  The n letters of a cell
-    contribute the factor sum_e c_e q^(e g) t^(e d), with c_e = C(n+e-1, e)
-    for polynomial letters (monomials of degree e in n variables) and
-    c_e = C(n, e) for exterior ones (e-element subsets), so the cost
-    follows the number of cells, not of letters.
+    The n letters of a cell contribute the factor sum_e c_e q^(e g) t^(e d),
+    with c_e = C(n+e-1, e) for polynomial letters (monomials of degree e in
+    n variables) and c_e = C(n, e) for exterior ones (e-element subsets), so
+    the cost follows the number of cells, not of letters.
     """
     g_max, d_max = box
     if g_max < 0 or d_max < 0:
         return {}
-    cells = Counter((x.g, x.d, not all_polynomial and x.d % 2 == 1) for x in letters)
     series = [[0] * (d_max + 1) for _ in range(g_max + 1)]
     series[0][0] = 1
-    for (g, d, exterior), n in sorted(cells.items()):
+    for (g, d), n in sorted(cells.items()):
+        exterior = not all_polynomial and d % 2 == 1
         powers = []
         e = 1
         while e * g <= g_max and e * d <= d_max and (not exterior or e <= n):
@@ -268,7 +340,7 @@ def free_gerstenhaber_betti(gens, box: tuple[int, int]) -> HomologyTable:
     not counted.  (``cdga.homology_table`` is unital instead: its tables have
     dimension 1 at (0,0) for zero differential.)
     """
-    dims = free_series(free_graded_lie_basis(gens, box), box, False)
+    dims = free_series(letter_counts(gens, box, 0), box, False)
     dims.pop((0, 0), None)
     return HomologyTable(field_name="Q", box=box, dims=dims)
 
@@ -276,7 +348,7 @@ def free_gerstenhaber_betti(gens, box: tuple[int, int]) -> HomologyTable:
 def betti_table_f2(gens, box: tuple[int, int]) -> HomologyTable:
     """Bigraded dimensions over F2: polynomial algebra on the xi-towers,
     non-unital like ``free_gerstenhaber_betti``."""
-    dims = free_series(cohen_generators_f2(gens, box), box, True)
+    dims = free_series(letter_counts(gens, box, 2), box, True)
     dims.pop((0, 0), None)
     return HomologyTable(field_name="F2", box=box, dims=dims)
 

@@ -43,6 +43,10 @@ def _tokens(text: str, name_pattern: str) -> list[str]:
     return out
 
 
+def _too_long(number: str) -> InputError:
+    return InputError(f"number too long: {number[:20]}... has {len(number)} characters")
+
+
 def parse_terms(text: str, name_pattern: str) -> list[tuple[Fraction, dict[str, int]]]:
     """The terms of ``text``, each as its coefficient and its
     ``{name: exponent}``; names are the tokens matching the regular
@@ -72,12 +76,17 @@ def parse_terms(text: str, name_pattern: str) -> list[tuple[Fraction, dict[str, 
                     coeff *= Fraction(tok)
                 except ZeroDivisionError:
                     raise InputError(f"zero denominator in {text!r}") from None
+                except ValueError:  # more digits than int() converts
+                    raise _too_long(tok) from None
                 continue
             e = 1
             if i < len(tokens) and tokens[i] == "^":
                 if i + 1 >= len(tokens) or not tokens[i + 1].isdigit():
                     raise InputError(f"bad exponent in {text!r}")
-                e = int(tokens[i + 1])
+                try:
+                    e = int(tokens[i + 1])
+                except ValueError:
+                    raise _too_long(tokens[i + 1]) from None
                 i += 2
             exps[tok] = exps.get(tok, 0) + e
         if not saw_factor:

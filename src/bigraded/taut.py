@@ -594,7 +594,10 @@ def parse_taut(text: str) -> TautPoly:
             elif name == "l1":
                 l1_exp = exp
             elif name[0] == "k" and name[1:].isdigit():
-                idx = int(name[1:])
+                try:
+                    idx = int(name[1:])
+                except ValueError:  # more digits than int() converts: out of range
+                    idx = 0
                 if not 1 <= idx <= MAX_KAPPA_INDEX:
                     raise InputError(f"kappa index must be between 1 and {MAX_KAPPA_INDEX}: {name}")
                 ks[idx] = ks.get(idx, 0) + exp

@@ -25,6 +25,7 @@ from bigraded.cdga import (
 from bigraded.errors import InputError, WorkbenchError
 from bigraded.exactla import GF, QQ
 from bigraded.grading import VanishingLine
+from paper_oracle import enumerated_paper_complex
 from series_oracle import betti_generating_function
 
 
@@ -96,7 +97,7 @@ def test_complex_is_freed_by_refcount():
     freed as soon as the last reference goes, without the cycle collector."""
     gc.disable()
     try:
-        cx = build_paper_complex("vanishB", (8, 8))
+        cx = enumerated_paper_complex("vanishB", (8, 8))
         homology_table(cx, (8, 8))
         ref = weakref.ref(cx)
         del cx
@@ -109,7 +110,7 @@ def test_monomial_basis_independent_of_query_order():
     """The per-genus cache gives the same lists whatever order the
     bidegrees are asked in, in and out of the box, as a fresh complex asked
     for each bidegree on its own."""
-    cx = build_paper_complex("intstab-f2", (6, 6)).base
+    cx = enumerated_paper_complex("intstab-f2", (6, 6)).base
     cells = [(g, d) for g in range(-1, 9) for d in range(-1, 10)]
 
     def fresh():
@@ -131,7 +132,7 @@ def test_monomial_basis_independent_of_query_order():
 def test_basis_sizes_match_generating_function(preset, ell, box):
     """Every basis the homology table of the box uses has the size the
     generating function of the alphabet predicts; no enumeration is shared."""
-    cx = build_paper_complex(preset, box, ell=ell)
+    cx = enumerated_paper_complex(preset, box, ell=ell)
     cx = getattr(cx, "base", cx)  # the intstab presets are modules over a base
     cells = (box[0], box[1] + 1)
     sizes = betti_generating_function(cx.letters, cells, cx.field.char == 2)
@@ -172,7 +173,7 @@ MATRIX_DIGESTS = {
 def test_differential_matrices_match_recorded_digests(key):
     preset, _, ell = key.rstrip(")").partition("(")
     box = (8, 8) if preset.startswith("vanish") else (6, 6)
-    cx = build_paper_complex(preset, box, ell=int(ell) if ell else None)
+    cx = enumerated_paper_complex(preset, box, ell=int(ell) if ell else None)
     assert _matrix_digest(cx, box) == MATRIX_DIGESTS[key]
 
 
@@ -192,6 +193,51 @@ def test_vanishB_table_past_the_paper_box():
     """vanishB at (14,14), 1124 letters, against its recorded table."""
     table = homology_table(build_paper_complex("vanishB", (14, 14)), (14, 14))
     assert table == HomologyTable("Q", (14, 14), VANISHB_14)
+
+
+@pytest.mark.parametrize(
+    "preset,ell,box",
+    [(p, ell, (8, 8)) for p, ell in (("vanishA", None), ("vanishB", None))]
+    + [
+        (p, ell, (6, 6))
+        for p, ell in (("intstab-f2", None), ("intstab-fl", 3), ("intstab-fl", 5),
+                       ("A-algebra-fl", 2), ("A-algebra-fl", 3), ("A-algebra-fl", 5))
+    ]
+    + [
+        (p, ell, (12, 12))
+        for p, ell in (("vanishA", None), ("vanishB", None), ("intstab-f2", None),
+                       ("intstab-fl", 3), ("A-algebra-fl", 5))
+    ]
+    + [("vanishB", None, (16, 16))],
+)
+def test_counted_split_equals_the_enumerated_complex(preset, ell, box):
+    """The split `build_paper_complex` makes from named letters and letter
+    counts has the table of the complex on the whole enumerated alphabet,
+    read through its own split and from its matrices."""
+    table = homology_table(build_paper_complex(preset, box, ell=ell), box)
+    oracle = enumerated_paper_complex(preset, box, ell=ell)
+    assert table == homology_table(oracle, box)
+    assert table == matrix_homology_table(oracle, box)
+
+
+def test_split_lists_the_basis_of_its_factors():
+    """A split's basis is the tensor product of its factors' bases; a module
+    preset splits into its one module factor."""
+    split = build_paper_complex("vanishB", (8, 8))
+    assert len(split.factors) == 2
+    for bd in [(0, 0), (2, 1), (6, 5), (8, 8), (8, -1)]:
+        expected = [
+            (m1, m2)
+            for g in range(bd[0] + 1)
+            for d in range(bd[1] + 1)
+            for m1 in split.factors[0].monomial_basis((g, d))
+            for m2 in split.factors[1].monomial_basis((bd[0] - g, bd[1] - d))
+        ]
+        assert split.monomial_basis(bd) == expected, bd
+    module = build_paper_complex("intstab-f2", (6, 6))
+    (factor,) = module.factors
+    assert isinstance(factor, DGModule)
+    assert module.monomial_basis((6, 6)) == [(m,) for m in factor.monomial_basis((6, 6))]
 
 
 def test_zero_exponents_give_the_unit():
@@ -227,14 +273,14 @@ def test_differential_given_as_exponent_vectors():
     [("vanishA", None), ("vanishB", None), ("intstab-f2", None), ("intstab-fl", 3), ("A-algebra-fl", 5)],
 )
 def test_homology_table_with_rank_oracle(preset, ell, monkeypatch):
-    """The split equals the matrix path of the whole complex (at a box that
-    holds every paper box), and so does the matrix path on the dense rank
-    oracle."""
+    """The counted split equals the matrix path of the whole enumerated
+    complex (at a box that holds every paper box), and so does the matrix
+    path on the dense rank oracle."""
     box = (8, 8)
-    expected = matrix_homology_table(build_paper_complex(preset, box, ell=ell), box)
+    expected = matrix_homology_table(enumerated_paper_complex(preset, box, ell=ell), box)
     assert homology_table(build_paper_complex(preset, box, ell=ell), box) == expected
     monkeypatch.setattr(exactla, "rank", exactla.rank_oracle)
-    assert matrix_homology_table(build_paper_complex(preset, box, ell=ell), box) == expected
+    assert matrix_homology_table(enumerated_paper_complex(preset, box, ell=ell), box) == expected
 
 
 def test_differential_matrix_hand_leibniz():
@@ -344,8 +390,8 @@ def test_split_equals_matrix_path_on_random_cdgas(fld):
     rng = random.Random(fld.char + 211)
     for _ in range(10):
         cx = _random_split_cdga(rng, fld)
-        factors, closed = _kunneth_split(cx)
-        assert len(factors) >= 2 and closed
+        split = _kunneth_split(cx)
+        assert len(split.factors) >= 2 and split.closed
         assert homology_table(cx, (6, 6)) == matrix_homology_table(cx, (6, 6))
 
 
@@ -468,7 +514,7 @@ def test_vanishA_certification():
 
 
 def test_vanishA_no_letters_named_sigma_lambda():
-    cx = build_paper_complex("vanishA", (6, 6))
+    cx = enumerated_paper_complex("vanishA", (6, 6))
     assert "sigma" not in cx.index and "lambda" not in cx.index
     assert "[sigma,sigma]" in cx.index and "rho" in cx.index
 
@@ -498,8 +544,8 @@ def test_vanish_table_matches_kunneth_prediction(preset, killed):
     # differential), so its homology must equal the monomial counts of the
     # surviving letters; this checks every cell, not only the vanishing region
     box = (7, 7)
-    cx = build_paper_complex(preset, box)
-    table = homology_table(cx, box)
+    cx = enumerated_paper_complex(preset, box)
+    table = homology_table(build_paper_complex(preset, box), box)
     survivors = [x for x in cx.letters if x.name not in killed]
     free = CDGA(QQ, survivors, {})
     for g in range(box[0] + 1):
@@ -523,9 +569,9 @@ def test_intstab_tables_match_kunneth_prediction():
     box = (6, 6)
     for ell in (2, 3, 5):
         preset = "intstab-f2" if ell == 2 else "intstab-fl"
-        mod = build_paper_complex(preset, box, ell=None if ell == 2 else ell)
-        table = homology_table(mod, box)
-        base = mod.base
+        odd_ell = None if ell == 2 else ell
+        table = homology_table(build_paper_complex(preset, box, ell=odd_ell), box)
+        base = enumerated_paper_complex(preset, box, ell=odd_ell).base
         q1 = "xi(sigma)" if ell == 2 else "[sigma,sigma]"
         killed = {q1, "rho2", "rho3"}
         survivors = [x for x in base.letters if x.name not in killed]
@@ -557,7 +603,7 @@ def test_field_independence_of_characteristic_zero_statement():
     over_q = verify_vanishing(build_paper_complex("vanishA", box), Fraction(3, 4), box)
     gens_diff = {"rho": "[sigma,sigma]"}
     letters = [
-        Letter(x.g, x.d, x.r, x.name) for x in build_paper_complex("vanishA", box).letters
+        Letter(x.g, x.d, x.r, x.name) for x in enumerated_paper_complex("vanishA", box).letters
     ]
     for ell in (5, 7):
         cx = _cdga(GF(ell), letters, gens_diff)
@@ -656,6 +702,15 @@ def test_parse_poly_zero_denominator_and_trailing_space():
     assert parse_poly(cx, " 2*x^2 \t") == parse_poly(cx, "2*x^2") == {((0, 2),): 2}
     with pytest.raises(InputError, match="without a name"):
         parse_poly(cx, "2^3*x")
+
+
+def test_parse_poly_numbers_longer_than_int_converts_are_input_errors():
+    cx = CDGA(QQ, [Letter(1, 0, 0, "x")])
+    long = "9" * 5000
+    for text in (f"{long}*x", f"{long}/2*x", f"x^{long}"):
+        with pytest.raises(InputError, match="number too long"):
+            parse_poly(cx, text)
+    assert parse_poly(cx, "9" * 4000 + "*x") == {((0, 1),): int("9" * 4000)}
 
 
 def test_parse_poly_matches_recorded_digest():

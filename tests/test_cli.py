@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from bigraded import cli
+from bigraded import cli, freealg
 from bigraded.cli import main
 
 PKG_SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -49,6 +49,55 @@ def test_lie_basis_deeper_than_the_recursion_limit(tmp_path, capsys):
 def test_bad_preset_prime_is_input_error(capsys):
     assert main(["homology", "--preset", "intstab-fl(x)"]) == 2
     assert "bad prime" in capsys.readouterr().err
+
+
+_MISSING = "error: box too small for preset: missing letters "
+
+
+@pytest.mark.parametrize(
+    "preset, box, code, stream, text",
+    [
+        ("vanishA", "2,2", 2, "err", "error: cannot quotient by unknown letter lambda\n"),
+        ("vanishA", "1,1", 2, "err", _MISSING + "['rho', '[sigma,sigma]']\n"),
+        ("vanishB", "3,3", 2, "err", _MISSING + "[\"rho'\", '[sigma,lambda]']\n"),
+        ("intstab-f2", "2,2", 2, "err", _MISSING + "['rho3']\n"),
+        ("A-algebra-fl(3)", "3,0", 2, "err", _MISSING + "['rho1', 'rho2', 'rho3']\n"),
+        ("vanishA", "0,3", 2, "err", "error: box bounds must be >= 1\n"),
+        ("intstab-f2", "3,1", 0, "out", "CERTIFIED: homology below d < 3/4*g in box (3, 1)\n"),
+    ],
+)
+def test_preset_boxes_too_small_for_their_letters(preset, box, code, stream, text, capsys):
+    """A box that leaves out a letter the preset's differential needs is an
+    input error naming it; a box that holds them all runs."""
+    assert main(["vanish-check", "--preset", preset, "--box", box]) == code
+    captured = capsys.readouterr()
+    if stream == "err":
+        assert (captured.out, captured.err) == ("", text)
+    else:
+        assert captured.err == "" and captured.out.startswith(text)
+
+
+def test_presets_and_betti_enumerate_no_lyndon_word(monkeypatch, tmp_path, capsys):
+    """The presets and the Betti tables count their alphabets: with the
+    Lyndon enumeration broken, `homology`, `vanish-check` on every preset
+    and `betti` print what they print with it, and `lie-basis`, which
+    names its words, fails."""
+    (tmp_path / "gens.txt").write_text("sigma 1 0\ntau 1 1\nrho 2 2\n")
+    monkeypatch.chdir(tmp_path)
+    presets = ["vanishA", "vanishB", "intstab-f2", "intstab-fl(3)", "A-algebra-fl(5)", "A-algebra-fl(2)"]
+    runs = [[cmd, "--preset", p, "--box", "8,8"] for cmd in ("homology", "vanish-check") for p in presets]
+    runs += [["betti", "--gens", "gens.txt", "--box", "8,8", "--field", f] for f in ("Q", "F2")]
+    expected = []
+    for argv in runs:
+        expected.append((main(argv), capsys.readouterr()))
+
+    def enumerate_nothing(*_):
+        raise AssertionError("a Lyndon word was enumerated")
+
+    monkeypatch.setattr(freealg, "_lyndon_words", enumerate_nothing)
+    for argv, (code, captured) in zip(runs, expected):
+        assert code in (0, 1) and (main(argv), capsys.readouterr()) == (code, captured), argv
+    assert main(["lie-basis", "--gens", "gens.txt", "--box", "4,4"]) == 3
 
 
 def test_vanish_check_exit_codes(capsys):

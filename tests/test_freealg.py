@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,8 +13,10 @@ from bigraded.freealg import (
     free_series,
     gen,
     generator_set,
+    letter_counts,
     lie_basis_char2,
     lie_dimensions_bruteforce,
+    _lyndon_counts,
 )
 from bigraded.grading import slope
 from series_oracle import betti_generating_function
@@ -272,6 +275,43 @@ def test_free_series_matches_generating_function(all_polynomial):
         letters = [gen(f"y{k}", rng.randint(1, 3), rng.randint(0, 3)) for k in range(rng.randint(0, 12))]
         cases.append((letters, (rng.randint(0, 7), rng.randint(0, 7))))
     for letters, box in cases:
-        series = free_series(letters, box, all_polynomial)
+        series = free_series(Counter((x.g, x.d) for x in letters), box, all_polynomial)
         assert series.pop((0, 0)) == 1
         assert series == betti_generating_function(letters, box, all_polynomial)
+
+
+def _cells(letters):
+    return dict(Counter((x.g, x.d) for x in letters))
+
+
+def _assert_counts_equal_enumeration(gens, box):
+    assert _lyndon_counts(gens, box) == _cells(lie_basis_char2(gens, box))
+    assert letter_counts(gens, box, 0) == _cells(free_graded_lie_basis(gens, box))
+    assert letter_counts(gens, box, 3) == letter_counts(gens, box, 0)
+    assert letter_counts(gens, box, 2) == _cells(cohen_generators_f2(gens, box))
+
+
+@pytest.mark.parametrize(
+    "gens,box",
+    [([SIGMA, LAM, RHO, gen("rho'", 4, 4)], (20, 21)), (INTSTAB_GENS, (14, 15))],
+)
+def test_letter_counts_equal_the_enumerated_cells_on_the_presets(gens, box):
+    """The Witt counts are the cells of the three enumerated alphabets, on
+    the vanishB and the intstab generators."""
+    _assert_counts_equal_enumeration(gens, box)
+
+
+def test_letter_counts_equal_the_enumerated_cells_on_random_generators():
+    """Random generator sets with two generators in one cell and some at
+    d = 0, and with generators outside the box."""
+    rng = random.Random(29)
+    for _ in range(12):
+        g0, d0 = rng.randint(1, 2), rng.randint(0, 1)
+        gens = [gen("a", g0, d0), gen("b", g0, d0)]
+        gens += [gen(f"c{k}", rng.randint(2, 12), rng.randint(0, 12)) for k in range(rng.randint(0, 3))]
+        _assert_counts_equal_enumeration(gens, (10, 11))
+    assert letter_counts([], (4, 4), 0) == {}
+    with pytest.raises(DomainError, match="box bounds"):
+        letter_counts([SIGMA], (0, 3), 2)
+    with pytest.raises(InputError, match="duplicate"):
+        letter_counts([SIGMA, SIGMA], (3, 3), 0)

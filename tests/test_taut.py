@@ -295,6 +295,18 @@ def test_parse_taut_zero_denominator_trailing_space_and_large_powers():
     assert parse_taut("e^2*A^1000000000") == {(2, 0, ()): ParamPoly({(("A", 10**9),): 1})}
 
 
+def test_parse_taut_numbers_longer_than_int_converts_are_input_errors():
+    """int() refuses strings of more than 4300 digits with a ValueError; a
+    coefficient, an exponent or a kappa index that long is an input error."""
+    long = "9" * 5000
+    for text in (f"{long}*e", f"1/{long}*e", f"e^{long}"):
+        with pytest.raises(InputError, match=r"number too long: [19/]{20}\.\.\. has 500\d characters"):
+            parse_taut(text)
+    with pytest.raises(InputError, match="kappa index"):
+        parse_taut(f"e*k{long}")
+    assert parse_taut("9" * 4000 + "*e") == euler().scale(int("9" * 4000))
+
+
 def test_parse_taut_matches_recorded_digest():
     rng = random.Random(11)
     lines = []
