@@ -22,9 +22,12 @@ influence the requested degrees are ever enumerated.
 Connectivity is computed on the core: beat points are removed first, which
 keeps the homotopy type of the order complex (Stong, *Finite topological
 spaces*, Trans. AMS 123 (1966)).  A poset whose core is one point, such as a
-cone, is contractible and needs no homology at all.  ``subposet`` and ``op``
-trust their parent: they compress its relation masks and do not validate
-again; only ``FinitePoset(names, pairs)`` checks outside input.
+cone, is contractible and needs no homology at all.  A subset of a poset is
+a bitmask of its parent, and connectivity is settled on the mask when the
+threshold, emptiness or a one-point core decides it: a subposet is built
+only for a core of at least two points.  ``subposet`` and ``op`` trust their
+parent: they compress its relation masks and do not validate again; only
+``FinitePoset(names, pairs)`` checks outside input.
 """
 
 from __future__ import annotations
@@ -156,8 +159,8 @@ def poset_from_text(text: str) -> FinitePoset:
     names, pairs = [], []
     for raw, line in content_lines(text):
         if "<" in line:
-            a, b = (s.strip() for s in line.split("<", 1))
-            if not a or not b:
+            a, _, b = (s.strip() for s in line.partition("<"))
+            if not a or not b or "<" in b:
                 raise InputError(f"bad relation line: {raw!r}")
             pairs.append((a, b))
             for nm in (a, b):
@@ -212,14 +215,20 @@ def order_chains(p: FinitePoset, max_len: int | None = None):
     return by_len
 
 
-def core(p: FinitePoset) -> int:
-    """Mask of a core of ``p``: beat points removed until none is left.
+def _subset(p: FinitePoset, mask: int | None) -> int:
+    """``mask``, or the mask of the whole poset when it is None."""
+    return (1 << p.n) - 1 if mask is None else mask
+
+
+def core(p: FinitePoset, mask: int | None = None) -> int:
+    """Mask of a core of the subset ``mask`` of ``p`` (default: all of it):
+    beat points removed until none is left.
 
     ``x`` is an up beat point when its strict up-set has a minimum, a down
     beat point when its strict down-set has a maximum.  Removing one keeps
     the homotopy type of the order complex (Stong, *Finite topological
     spaces*, Trans. AMS 123 (1966)), so a cone has a one-point core."""
-    alive = (1 << p.n) - 1
+    alive = _subset(p, mask)
     changed = True
     while changed:
         changed = False
@@ -235,11 +244,12 @@ def core(p: FinitePoset) -> int:
     return alive
 
 
-def _core_poset(p: FinitePoset) -> FinitePoset | None:
-    """The core of ``p`` as a subposet, or None when it is one point (the
-    order complex is contractible)."""
-    mask = core(p)
-    if mask and not mask & (mask - 1):
+def _core_poset(p: FinitePoset, mask: int) -> FinitePoset | None:
+    """The core of the nonempty subset ``mask`` of ``p`` as a poset of at
+    least two points, or None when the core is one point (the order complex
+    is contractible)."""
+    mask = core(p, mask)
+    if not mask & (mask - 1):
         return None
     return p if mask == (1 << p.n) - 1 else p.subposet(mask)
 
@@ -383,13 +393,20 @@ class ConnectivityReport:
     torsion: dict[int, list[int]] | None = None
 
 
-def connectivity_report(p: FinitePoset, field: str = "F2") -> ConnectivityReport:
-    """Reduced homology and connectivity of the order complex, computed on
-    the core of ``p``, which has the same homology.  Over Z, a degree with
-    torsion only is listed in ``dims`` with 0, after the free degrees."""
+def connectivity_report(
+    p: FinitePoset, field: str = "F2", mask: int | None = None
+) -> ConnectivityReport:
+    """Reduced homology and connectivity of the order complex of the subset
+    ``mask`` of ``p`` (default: all of it), computed on its core, which has
+    the same homology.  Over Z, a degree with torsion only is listed in
+    ``dims`` with 0, after the free degrees."""
     homology, has_torsion = _field(field)
-    q = _core_poset(p)
-    h = {} if q is None else homology(q, None)
+    mask = _subset(p, mask)
+    if not mask:  # the empty complex: the coefficients in degree -1
+        h = {-1: (1, []) if has_torsion else 1}
+    else:
+        q = _core_poset(p, mask)
+        h = {} if q is None else homology(q, None)
     conn = min(h) - 1 if h else INF
     if not has_torsion:
         return ConnectivityReport(dims=h, connectivity=conn, field_name=field)
@@ -400,17 +417,21 @@ def connectivity_report(p: FinitePoset, field: str = "F2") -> ConnectivityReport
     return ConnectivityReport(dims=dims, connectivity=conn, field_name=field, torsion=torsion)
 
 
-def is_homologically_connected(p: FinitePoset, m, field: str = "F2") -> bool:
-    """Is the order complex m-connected in the homological sense?  Computed
-    on the core of ``p``; over Z, torsion counts."""
+def is_homologically_connected(
+    p: FinitePoset, m, field: str = "F2", mask: int | None = None
+) -> bool:
+    """Is the order complex of the subset ``mask`` of ``p`` (default: all of
+    it) m-connected in the homological sense?  Computed on its core; over Z,
+    torsion counts."""
     homology, _ = _field(field)
-    if m <= -2 or m == -INF:
+    if m <= -2:
         return True
-    if p.n == 0:
+    mask = _subset(p, mask)
+    if not mask:
         return False
     if m == -1:
         return True
-    q = _core_poset(p)
+    q = _core_poset(p, mask)
     if q is None:
         return True
     if m >= q.n:  # complex has dimension <= n-1; acyclicity through n-1 suffices
@@ -423,38 +444,31 @@ def is_homologically_connected(p: FinitePoset, m, field: str = "F2") -> bool:
 
 
 class PosetMap:
+    """An order-preserving map; ``image[i]`` is the target index of source i."""
+
     def __init__(self, source: FinitePoset, target: FinitePoset, mapping: dict):
         self.source = source
         self.target = target
         self.mapping = dict(mapping)
-        missing = [nm for nm in source.names if nm not in self.mapping]
-        if missing:
-            raise InputError(f"map not total; missing {missing}")
+        _check_keys(self.mapping, source, "map value")
         for nm, v in self.mapping.items():
             if v not in target.idx:
                 raise InputError(f"map value {v} not in target")
-        for a in source.names:
-            for b in source.names:
-                if source.leq(a, b) and not target.leq(self.mapping[a], self.mapping[b]):
+        self.image = [target.idx[self.mapping[nm]] for nm in source.names]
+        for i, up in enumerate(source.above):
+            allowed = target.above[self.image[i]]
+            for j in _bits(up):
+                if not (allowed >> self.image[j]) & 1:
+                    a, b = source.names[i], source.names[j]
                     raise InputError(
                         f"not order-preserving: {a} <= {b} but "
                         f"{self.mapping[a]} !<= {self.mapping[b]}"
                     )
 
-    def fiber_leq(self, y) -> FinitePoset:
-        """f_{<=y}: the subposet of the source mapping into the down-set of y."""
-        mask = 0
-        for nm, v in self.mapping.items():
-            if self.target.leq(v, y):
-                mask |= 1 << self.source.idx[nm]
-        return self.source.subposet(mask)
-
-    def fiber_geq(self, y) -> FinitePoset:
-        mask = 0
-        for nm, v in self.mapping.items():
-            if self.target.leq(y, v):
-                mask |= 1 << self.source.idx[nm]
-        return self.source.subposet(mask)
+    def preimage(self, mask: int) -> int:
+        """Mask of the source elements whose image lies in the target subset
+        ``mask``: the fiber f_{<=y} is ``preimage(target.below[y])``."""
+        return sum(1 << i for i, j in enumerate(self.image) if (mask >> j) & 1)
 
 
 def cone_homology_f2(f: PosetMap, through: int) -> dict[int, int]:
@@ -470,7 +484,6 @@ def cone_homology_f2(f: PosetMap, through: int) -> dict[int, int]:
         raise DomainError("mapping cone needs nonempty source and target")
     top = min(through, max(X.n, Y.n - 1))
     lx, ly = _levels(X, top), _levels(Y, top + 1)
-    fmap = [Y.idx[f.mapping[nm]] for nm in X.names]
     sizes = [len(ly[0])] + [len(a) + len(b) for a, b in zip(lx, ly[1:])]
 
     def boundary(i):
@@ -480,7 +493,7 @@ def cone_homology_f2(f: PosetMap, through: int) -> dict[int, int]:
         cols = _faces(iy, ly[i])
         xs = lx[i - 1]
         for c, col in zip(xs, _faces({a: off + j for j, a in enumerate(lx[i - 2])}, xs)):
-            img = tuple([fmap[v] for v in c])  # a chain of Y iff f is injective on c
+            img = tuple([f.image[v] for v in c])  # a chain of Y iff f is injective on c
             cols.append(col + (iy[img],) if img in iy else col)
         return cols
 
@@ -518,13 +531,14 @@ class TheoremReport:
         return (not self.hypotheses_hold) or self.conclusion_holds
 
 
-def _check_weights(t: dict, p: FinitePoset) -> None:
-    missing = [nm for nm in p.names if nm not in t]
+def _check_keys(d: dict, p: FinitePoset, what: str = "weight") -> None:
+    """Every element of ``p``, and nothing else, is a key of ``d``."""
+    missing = [nm for nm in p.names if nm not in d]
     if missing:
-        raise InputError(f"no weight for {', '.join(missing)}")
-    if len(t) > len(p.names):  # every element has a weight, so some key is no element
-        extra = sorted(nm for nm in t if nm not in p.idx)
-        raise InputError(f"weight for {', '.join(extra)}, which is not an element of the poset")
+        raise InputError(f"no {what} for {', '.join(missing)}")
+    if len(d) > p.n:  # every element is a key, so some key is no element
+        extra = sorted(nm for nm in d if nm not in p.idx)
+        raise InputError(f"{what} for {', '.join(extra)}, which is not an element of the poset")
 
 
 def check_poset_map_theorem(
@@ -540,23 +554,21 @@ def check_poset_map_theorem(
     if variant not in ("i", "ii"):
         raise InputError("variant must be 'i' or 'ii'")
     Y = f.target
-    _check_weights(t, Y)
+    _check_keys(t, Y)
     records = []
     ok = True
-    for y in Y.names:
+    for i, y in enumerate(Y.names):
         ty = t[y]
         if variant == "i":
-            fib = f.fiber_leq(y)
-            side = Y.subposet(Y.gt_mask(Y.idx[y]))
+            fib, side = f.preimage(Y.below[i]), Y.gt_mask(i)
             c1, r1 = ty - 2, f"f_<=({y}) is ({ty}-2)-connected"
             c2, r2 = n - ty - 1, f"target_>({y}) is (n-t-1)-connected"
         else:
-            fib = f.fiber_geq(y)
-            side = Y.subposet(Y.lt_mask(Y.idx[y]))
+            fib, side = f.preimage(Y.above[i]), Y.lt_mask(i)
             c1, r1 = n - ty - 1, f"f_>=({y}) is (n-t-1)-connected"
             c2, r2 = ty - 2, f"target_<({y}) is ({ty}-2)-connected"
-        h1 = is_homologically_connected(fib, c1)
-        h2 = is_homologically_connected(side, c2)
+        h1 = is_homologically_connected(f.source, c1, mask=fib)
+        h2 = is_homologically_connected(Y, c2, mask=side)
         records.append(HypothesisRecord(y, r1, h1))
         records.append(HypothesisRecord(y, r2, h2))
         ok = ok and h1 and h2
@@ -587,15 +599,13 @@ class CoverFunctor:
             for i in _bits(mask):
                 if (X.lt_mask(i) | mask) != mask:
                     raise InputError(f"F({a}) is not closed (downward) in X")
-        for a in A.names:
-            for b in A.names:
-                if A.leq(a, b) and (self.masks[b] | self.masks[a]) != self.masks[a]:
+        for i, a in enumerate(A.names):
+            for j in _bits(A.gt_mask(i)):
+                b = A.names[j]
+                if self.masks[b] & ~self.masks[a]:
                     raise InputError(
                         f"not contravariant: {a} <= {b} but F({b}) is not inside F({a})"
                     )
-
-    def value(self, a) -> FinitePoset:
-        return self.X.subposet(self.masks[a])
 
     def member(self, a, x) -> bool:
         return bool((self.masks[a] >> self.X.idx[x]) & 1)
@@ -608,30 +618,24 @@ def check_nerve_theorem(
     A_<a is (tA(a)-2)-connected and F(a) is (n-tA(a)-1)-connected; (iii) each
     X_<x is (tX(x)-2)-connected and A_x = {a : x in F(a)} is
     ((n-1)-tX(x)-1)-connected.  Conclusion: X is (n-1)-connected."""
-    _check_weights(tX, X)
-    _check_weights(tA, A)
+    _check_keys(tX, X)
+    _check_keys(tA, A)
     records = []
     h_i = is_homologically_connected(A, n - 1)
     records.append(HypothesisRecord("(index)", "index poset is (n-1)-connected", h_i))
     ok = h_i
-    for a in A.names:
+    for i, a in enumerate(A.names):
         ta = tA[a]
-        below = A.subposet(A.lt_mask(A.idx[a]))
-        h1 = is_homologically_connected(below, ta - 2)
-        h2 = is_homologically_connected(F.value(a), n - ta - 1)
+        h1 = is_homologically_connected(A, ta - 2, mask=A.lt_mask(i))
+        h2 = is_homologically_connected(X, n - ta - 1, mask=F.masks[a])
         records.append(HypothesisRecord(a, f"index_<({a}) is ({ta}-2)-connected", h1))
         records.append(HypothesisRecord(a, f"F({a}) is (n-t-1)-connected", h2))
         ok = ok and h1 and h2
-    for x in X.names:
+    for k, x in enumerate(X.names):
         tx = tX[x]
-        below = X.subposet(X.lt_mask(X.idx[x]))
-        mask = 0
-        for a in A.names:
-            if F.member(a, x):
-                mask |= 1 << A.idx[a]
-        ax = A.subposet(mask)
-        h1 = is_homologically_connected(below, tx - 2)
-        h2 = is_homologically_connected(ax, (n - 1) - tx - 1)
+        ax = sum(1 << i for i, a in enumerate(A.names) if (F.masks[a] >> k) & 1)  # A_x
+        h1 = is_homologically_connected(X, tx - 2, mask=X.lt_mask(k))
+        h2 = is_homologically_connected(A, (n - 1) - tx - 1, mask=ax)
         records.append(HypothesisRecord(x, f"X_<({x}) is ({tx}-2)-connected", h1))
         records.append(HypothesisRecord(x, f"A_({x}) is ((n-1)-t-1)-connected", h2))
         ok = ok and h1 and h2
@@ -645,26 +649,17 @@ def wreath_poset(A: FinitePoset, F: CoverFunctor):
     opposite order, as the nerve factorization requires) and x <=_X x'.
     Returns (wreath, pi1 onto A^op, pi2 onto X)."""
     X = F.X
-    names = []
-    for a in A.names:
-        for x in X.names:
-            if F.member(a, x):
-                names.append(f"({a}|{x})")
-    pairs = []
-    for a in A.names:
-        for x in X.names:
-            if not F.member(a, x):
-                continue
-            for a2 in A.names:
-                for x2 in X.names:
-                    if not F.member(a2, x2):
-                        continue
-                    if (a, x) != (a2, x2) and A.leq(a2, a) and X.leq(x, x2):
-                        pairs.append((f"({a}|{x})", f"({a2}|{x2})"))
+    elems = [(i, k) for i, a in enumerate(A.names) for k in _bits(F.masks[a])]
+    names = [f"({A.names[i]}|{X.names[k]})" for i, k in elems]
+    pairs = [
+        (names[e], names[e2])
+        for e, (i, k) in enumerate(elems)
+        for e2, (i2, k2) in enumerate(elems)
+        if e != e2 and (A.below[i] >> i2) & 1 and (X.below[k2] >> k) & 1
+    ]
     w = FinitePoset(sorted(names), pairs)
-    a_op = A.op()
-    pi1 = PosetMap(w, a_op, {f"({a}|{x})": a for a in A.names for x in X.names if F.member(a, x)})
-    pi2 = PosetMap(w, X, {f"({a}|{x})": x for a in A.names for x in X.names if F.member(a, x)})
+    pi1 = PosetMap(w, A.op(), {nm: A.names[i] for nm, (i, _) in zip(names, elems)})
+    pi2 = PosetMap(w, X, {nm: X.names[k] for nm, (_, k) in zip(names, elems)})
     return w, pi1, pi2
 
 
@@ -736,19 +731,42 @@ def random_monotone_map(rng: random.Random, X: FinitePoset, Y: FinitePoset) -> P
     return PosetMap(X, Y, mapping)
 
 
-def fuzz_poset_map(count: int, max_size: int, seed: int) -> FuzzReport:
+def _campaign(name: str, count: int, seed: int, draw, check, minimize) -> FuzzReport:
+    """Run ``count`` instances of one campaign.  ``draw(rng)`` gives the
+    arguments of ``check`` and ``minimize``, or None for an oversize
+    instance that is resampled; every instance whose hypotheses hold and
+    whose conclusion fails is minimized into a counterexample dump."""
     rng = random.Random(seed)
-    satisfied = 0
-    resampled = 0
+    satisfied = resampled = done = 0
     counterexamples = []
-    done = 0
     while done < count:
+        args = draw(rng)
+        if args is None:
+            resampled += 1
+            continue
+        rep = check(*args)
+        done += 1
+        if rep.hypotheses_hold:
+            satisfied += 1
+            if not rep.conclusion_holds:
+                counterexamples.append(minimize(*args))
+    return FuzzReport(
+        campaign=name,
+        seed=seed,
+        instances=done,
+        hypotheses_satisfied=satisfied,
+        counterexamples=counterexamples,
+        resampled_oversize=resampled,
+    )
+
+
+def fuzz_poset_map(count: int, max_size: int, seed: int) -> FuzzReport:
+    def draw(rng):
         X = random_poset(rng, max_size)
         Y = random_poset(rng, max_size)
         n = rng.randint(-1, 2)
         if _chain_count(X, n + 3) > MAX_CHAINS or _chain_count(Y, n + 3) > MAX_CHAINS:
-            resampled += 1
-            continue
+            return None
         f = random_monotone_map(rng, X, Y)
         variant = rng.choice(("i", "ii"))
         if rng.random() < 0.5:
@@ -757,27 +775,13 @@ def fuzz_poset_map(count: int, max_size: int, seed: int) -> FuzzReport:
             # informed weights: make the fiber-side hypothesis tight, so the
             # campaign actually exercises instances whose hypotheses hold
             t = {}
-            for y in Y.names:
-                fib = f.fiber_leq(y) if variant == "i" else f.fiber_geq(y)
-                c = connectivity_report(fib).connectivity
-                if variant == "i":
-                    t[y] = int(min(c, n + 2)) + 2
-                else:
-                    t[y] = n - 1 - int(min(c, n + 2))
-        rep = check_poset_map_theorem(f, t, n, variant)
-        done += 1
-        if rep.hypotheses_hold:
-            satisfied += 1
-            if not rep.conclusion_holds:
-                counterexamples.append(_minimize_map_instance(f, t, n, variant))
-    return FuzzReport(
-        campaign="poset-map",
-        seed=seed,
-        instances=done,
-        hypotheses_satisfied=satisfied,
-        counterexamples=counterexamples,
-        resampled_oversize=resampled,
-    )
+            for i, y in enumerate(Y.names):
+                fib = f.preimage(Y.below[i] if variant == "i" else Y.above[i])
+                c = int(min(connectivity_report(X, mask=fib).connectivity, n + 2))
+                t[y] = c + 2 if variant == "i" else n - 1 - c
+        return f, t, n, variant
+
+    return _campaign("poset-map", count, seed, draw, check_poset_map_theorem, _minimize_map_instance)
 
 
 def random_cover(rng: random.Random, A: FinitePoset, X: FinitePoset) -> CoverFunctor:
@@ -798,18 +802,12 @@ def random_cover(rng: random.Random, A: FinitePoset, X: FinitePoset) -> CoverFun
 
 
 def fuzz_nerve(count: int, max_size: int, seed: int) -> FuzzReport:
-    rng = random.Random(seed)
-    satisfied = 0
-    resampled = 0
-    counterexamples = []
-    done = 0
-    while done < count:
+    def draw(rng):
         A = random_poset(rng, max(2, max_size // 2))
         X = random_poset(rng, max_size)
         n = rng.randint(0, 2)
         if _chain_count(X, n + 3) > MAX_CHAINS or _chain_count(A, n + 3) > MAX_CHAINS:
-            resampled += 1
-            continue
+            return None
         F = random_cover(rng, A, X)
         if rng.random() < 0.5:
             tA = {a: rng.randint(-1, 3) for a in A.names}
@@ -817,59 +815,45 @@ def fuzz_nerve(count: int, max_size: int, seed: int) -> FuzzReport:
         else:
             # informed weights: choose each t at the largest value its
             # "below" hypothesis tolerates, so the remaining clauses decide
-            tA = {
-                a: int(
-                    min(connectivity_report(A.subposet(A.lt_mask(A.idx[a]))).connectivity, n + 1)
-                )
-                + 2
-                for a in A.names
-            }
-            tX = {
-                x: int(
-                    min(connectivity_report(X.subposet(X.lt_mask(X.idx[x]))).connectivity, n + 1)
-                )
-                + 2
-                for x in X.names
-            }
-        rep = check_nerve_theorem(X, A, F, n, tX, tA)
-        done += 1
-        if rep.hypotheses_hold:
-            satisfied += 1
-            if not rep.conclusion_holds:
-                counterexamples.append(_minimize_nerve_instance(X, A, F, n, tX, tA))
-    return FuzzReport(
-        campaign="nerve",
-        seed=seed,
-        instances=done,
-        hypotheses_satisfied=satisfied,
-        counterexamples=counterexamples,
-        resampled_oversize=resampled,
-    )
+            tA, tX = [
+                {nm: int(min(connectivity_report(p, mask=p.lt_mask(i)).connectivity, n + 1)) + 2
+                 for i, nm in enumerate(p.names)}
+                for p in (A, X)
+            ]
+        return X, A, F, n, tX, tA
+
+    return _campaign("nerve", count, seed, draw, check_nerve_theorem, _minimize_nerve_instance)
+
+
+def _shrink(size: int, fails) -> int:
+    """Greedy one-pass minimization of a counterexample: drop elements
+    0, 1, ... in turn while the nonempty rest still ``fails(mask)``; an
+    instance that cannot be built does not fail.  Returns the mask kept."""
+    mask = (1 << size) - 1
+    for i in range(size):
+        trial = mask & ~(1 << i)
+        try:
+            if trial and fails(trial):
+                mask = trial
+        except (InputError, DomainError):
+            pass
+    return mask
 
 
 def _minimize_nerve_instance(X, A, F, n, tX, tA):
-    """Greedy minimization of a nerve counterexample: drop covered elements
-    while the instance still violates the implication."""
+    """Drop covered elements while the nerve instance still violates the
+    implication."""
 
-    def is_counterexample(xmask):
-        try:
-            sub = X.subposet(xmask)
-            subF = CoverFunctor(
-                A, sub, {a: [x for x in sub.names if F.member(a, x)] for a in A.names}
-            )
-            rep = check_nerve_theorem(
-                sub, A, subF, n, {x: tX[x] for x in sub.names}, tA
-            )
-            return rep.hypotheses_hold and not rep.conclusion_holds
-        except (InputError, DomainError):
-            return False
+    def restrict(mask):
+        sub = X.subposet(mask)
+        subF = CoverFunctor(A, sub, {a: [x for x in sub.names if F.member(a, x)] for a in A.names})
+        return sub, subF, {x: tX[x] for x in sub.names}
 
-    mask = (1 << X.n) - 1
-    for i in range(X.n):
-        trial = mask & ~(1 << i)
-        if trial and is_counterexample(trial):
-            mask = trial
-    sub = X.subposet(mask)
+    def fails(mask):
+        sub, subF, subt = restrict(mask)
+        return not check_nerve_theorem(sub, A, subF, n, subt, tA).consistent
+
+    sub, _, subt = restrict(_shrink(X.n, fails))
     return {
         "X": sub.cover_pairs(),
         "X_elements": list(sub.names),
@@ -878,37 +862,29 @@ def _minimize_nerve_instance(X, A, F, n, tX, tA):
         "F": {a: sorted(x for x in sub.names if F.member(a, x)) for a in A.names},
         "n": n,
         "tA": tA,
-        "tX": {x: tX[x] for x in sub.names},
+        "tX": subt,
     }
 
 
 def _minimize_map_instance(f: PosetMap, t: dict, n: int, variant: str):
-    """Greedy one-pass minimization of a counterexample: drop source elements
-    while the instance still violates the implication."""
+    """Drop source elements while the map instance still violates the
+    implication."""
     X, Y = f.source, f.target
-    mapping = dict(f.mapping)
 
-    def is_counterexample(xmask):
-        try:
-            sub = X.subposet(xmask)
-            g = PosetMap(sub, Y, {nm: mapping[nm] for nm in sub.names})
-            rep = check_poset_map_theorem(g, t, n, variant)
-            return rep.hypotheses_hold and not rep.conclusion_holds
-        except (InputError, DomainError):
-            return False
+    def restrict(mask):
+        sub = X.subposet(mask)
+        return PosetMap(sub, Y, {nm: f.mapping[nm] for nm in sub.names})
 
-    mask = (1 << X.n) - 1
-    for i in range(X.n):
-        trial = mask & ~(1 << i)
-        if trial and is_counterexample(trial):
-            mask = trial
-    sub = X.subposet(mask)
+    def fails(mask):
+        return not check_poset_map_theorem(restrict(mask), t, n, variant).consistent
+
+    g = restrict(_shrink(X.n, fails))
     return {
-        "source": sub.cover_pairs(),
-        "source_elements": list(sub.names),
+        "source": g.source.cover_pairs(),
+        "source_elements": list(g.source.names),
         "target": Y.cover_pairs(),
         "target_elements": list(Y.names),
-        "map": {nm: mapping[nm] for nm in sub.names},
+        "map": g.mapping,
         "t": t,
         "n": n,
         "variant": variant,

@@ -1,10 +1,11 @@
 import hashlib
+import json
 import random
 from itertools import combinations, permutations
 
 import pytest
 
-from bigraded import posets
+from bigraded import cli, posets
 from bigraded.errors import InputError
 from bigraded.posets import (
     INF,
@@ -143,6 +144,38 @@ def test_connectivity_on_the_core_equals_unreduced_homology():
             is_homologically_connected(rp2, 1, field)
         with pytest.raises(InputError):
             connectivity_report(rp2, field)
+
+
+def test_mask_forms_equal_unreduced_homology_of_the_subposet():
+    """connectivity_report and is_homologically_connected on a subset given
+    as a mask agree with their forms on the built subposet and with its
+    unreduced homology, over F2, Q and Z: empty and one-point masks, cones
+    and beat points (one-point cores) and random masks."""
+    rng = random.Random(41)
+    cases = []
+    for _ in range(8):
+        for p in _with_beat_points(rng, 7):
+            cases += [(p, 0), (p, 1 << rng.randrange(p.n)), (p, (1 << p.n) - 1)]
+            cases += [(p, rng.getrandbits(p.n)) for _ in range(4)]
+    rp2 = _rp2_faces()
+    cases += [(rp2, (1 << rp2.n) - 1)] + [(rp2, rng.getrandbits(rp2.n)) for _ in range(4)]
+    homology = {"F2": reduced_homology_f2, "Q": reduced_homology_q, "Z": reduced_homology_z}
+    for p, mask in cases:
+        sub = p.subposet(mask)
+        for field, hom in homology.items():
+            h = hom(sub)
+            rep = connectivity_report(p, field, mask)
+            assert rep == connectivity_report(sub, field)
+            if field == "Z":
+                assert rep.dims == {k: free for k, (free, _) in h.items()}
+                assert rep.torsion == {k: tors for k, (_, tors) in h.items() if tors}
+            else:
+                assert rep.dims == h and rep.torsion is None
+            assert rep.connectivity == (min(h) - 1 if h else INF)
+            for m in range(-2, 5):
+                expected = all(k > m for k in h)
+                assert is_homologically_connected(p, m, field, mask) == expected
+                assert is_homologically_connected(sub, m, field) == expected
 
 
 def _rp2_faces():
@@ -298,6 +331,19 @@ def test_non_order_preserving_map_rejected():
     a = antichain_poset(2)
     with pytest.raises(InputError):
         PosetMap(c, a, {"c0": "a0", "c1": "a1"})
+    # c2 < c0 < c1 with two violations: the first in source order is reported
+    x = FinitePoset(["c0", "c1", "c2"], [("c2", "c0"), ("c0", "c1")])
+    with pytest.raises(InputError) as err:
+        PosetMap(x, a, {"c0": "a0", "c1": "a1", "c2": "a0"})
+    assert str(err.value) == "not order-preserving: c0 <= c1 but a0 !<= a1"
+
+
+def test_poset_map_rejects_keys_outside_the_source():
+    c = chain_poset(2)
+    with pytest.raises(InputError, match="bogus"):
+        PosetMap(c, c, {"c0": "c0", "c1": "c1", "bogus": "c0"})
+    with pytest.raises(InputError, match="c1"):
+        PosetMap(c, c, {"c0": "c0"})
 
 
 def test_nerve_point_cover_trivial_case():
@@ -328,12 +374,12 @@ def test_wreath_poset_counts_and_projections():
 
         F = random_cover(rng, A, X)
         w, pi1, pi2 = wreath_poset(A, F)
-        assert w.n == sum(len(F.value(a).names) for a in A.names)
+        assert w.n == sum(bin(F.masks[a]).count("1") for a in A.names)
         # projections validated order-preserving at construction; fibers of
         # pi1 have the homology of F(a)
-        for a in A.names:
-            fib = pi1.fiber_leq(a)
-            assert reduced_homology_f2(fib) == reduced_homology_f2(F.value(a))
+        for i, a in enumerate(A.names):
+            fib = w.subposet(pi1.preimage(pi1.target.below[i]))
+            assert reduced_homology_f2(fib) == reduced_homology_f2(X.subposet(F.masks[a]))
 
 
 def test_wreath_point_index():
@@ -419,12 +465,30 @@ def _rebuilt(elements, covers):
     return FinitePoset(elements, [tuple(pair) for pair in covers])
 
 
-def test_poset_map_campaign_finds_planted_violations(monkeypatch):
-    # the campaign and its minimizer look map_is_n_connected up at call
-    # time, so demanding one degree more plants violations of the theorem
+def _plant_map_violations(m):
+    """The campaign and its minimizer look map_is_n_connected up at call
+    time, so demanding one degree more plants violations of the theorem."""
     real = posets.map_is_n_connected
+    m.setattr(posets, "map_is_n_connected", lambda f, n: real(f, n + 1))
+
+
+def _plant_nerve_violations(m):
+    """Re-judge the conclusion one degree higher: X must be n-connected.
+    Returns the weakened checker."""
+    real = posets.check_nerve_theorem
+
+    def weakened(X, A, F, n, tX, tA):
+        rep = real(X, A, F, n, tX, tA)
+        rep.conclusion_holds = is_homologically_connected(X, n)
+        return rep
+
+    m.setattr(posets, "check_nerve_theorem", weakened)
+    return weakened
+
+
+def test_poset_map_campaign_finds_planted_violations(monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(posets, "map_is_n_connected", lambda f, n: real(f, n + 1))
+        _plant_map_violations(m)
         instances = [
             (PosetMap(_rebuilt(d["source_elements"], d["source"]),
                       _rebuilt(d["target_elements"], d["target"]), d["map"]),
@@ -437,16 +501,8 @@ def test_poset_map_campaign_finds_planted_violations(monkeypatch):
 
 
 def test_nerve_campaign_finds_planted_violations(monkeypatch):
-    # re-judge the conclusion one degree higher: X must be n-connected
-    real = posets.check_nerve_theorem
-
-    def weakened(X, A, F, n, tX, tA):
-        rep = real(X, A, F, n, tX, tA)
-        rep.conclusion_holds = is_homologically_connected(X, n)
-        return rep
-
     with monkeypatch.context() as m:
-        m.setattr(posets, "check_nerve_theorem", weakened)
+        weakened = _plant_nerve_violations(m)
         dumps = fuzz_nerve(200, 7, seed=0).counterexamples
     assert len(dumps) == 25
     for d in dumps:
@@ -454,6 +510,58 @@ def test_nerve_campaign_finds_planted_violations(monkeypatch):
         args = (X, A, CoverFunctor(A, X, d["F"]), d["n"], d["tX"], d["tA"])
         assert not weakened(*args).consistent
         assert check_nerve_theorem(*args).consistent
+
+
+# the first 16 hex digits of sha256 over the whole JSON report, recorded
+# before subsets were passed as masks: six clean runs per campaign and the
+# two planted-violation runs, which also exercise both minimizers
+@pytest.mark.parametrize(
+    "run, digest",
+    [
+        ("map0", "b7fe82be55996ad0"),
+        ("map1", "ed6139aa6f7fe03c"),
+        ("map2", "010b24d81cd14c9b"),
+        ("map3", "7e7ac1e7985bc792"),
+        ("map4", "cf218586f385570c"),
+        ("map5", "114db3ab5f1770da"),
+        ("nerve0", "0491cabbf26f7daa"),
+        ("nerve1", "1a92ec9461c97a7d"),
+        ("nerve2", "2040bfa72d7a9a26"),
+        ("nerve3", "9852197dcd530054"),
+        ("nerve4", "cd9f3c822b409ae4"),
+        ("nerve5", "68b95f6e982ef86e"),
+        ("planted_map", "8188ce115a294b82"),
+        ("planted_nerve", "1f0a0a56d1a7c473"),
+    ],
+)
+def test_whole_campaign_reports_are_pinned(run, digest, monkeypatch):
+    if run == "planted_map":
+        _plant_map_violations(monkeypatch)
+        rep = fuzz_poset_map(200, 7, seed=0)
+    elif run == "planted_nerve":
+        _plant_nerve_violations(monkeypatch)
+        rep = fuzz_nerve(200, 7, seed=0)
+    else:
+        fuzz = fuzz_poset_map if run.startswith("map") else fuzz_nerve
+        rep = fuzz(300, 10, int(run[-1]))
+    text = json.dumps(cli._jsonable(rep), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_checkers_build_subposets_only_for_cores_of_two_points(monkeypatch):
+    built = []
+    real = FinitePoset.subposet
+
+    def recording(self, mask):
+        built.append((self, mask))
+        return real(self, mask)
+
+    monkeypatch.setattr(FinitePoset, "subposet", recording)
+    # clean campaigns, so no minimizer runs and every subposet is the checkers'
+    assert fuzz_poset_map(200, 7, seed=0).clean and fuzz_nerve(200, 7, seed=0).clean
+    assert built
+    for p, mask in built:
+        assert bin(mask).count("1") >= 2 and core(p, mask) == mask
 
 
 def test_random_monotone_map_is_monotone():
@@ -467,6 +575,9 @@ def test_random_monotone_map_is_monotone():
 def test_parsers():
     p = poset_from_text("a < b\nb < c\nd\n")
     assert p.n == 4 and p.leq("a", "c") and not p.leq("a", "d")
+    for bad in ("a < b < c\n", "a <\n", "< b\n"):
+        with pytest.raises(InputError, match="bad relation line"):
+            poset_from_text(bad)
     w = parse_weights("a 1\nb -2\n")
     assert w == {"a": 1, "b": -2}
     X = chain_poset(2)
