@@ -10,8 +10,18 @@ its leading column from the other rows, which keeps fill-in low on the very
 sparse differentials of chain complexes.  `rref` back-substitutes the pivot
 rows; the reduced echelon form is unique, so echelon forms and kernel bases
 do not depend on the pivot order.  `rank_oracle` is an independent dense
-elimination for cross-checks, and `smith_normal_form` takes the same sparse
-rows with integer values.
+elimination for cross-checks.
+
+`smith_normal_form` takes the same sparse rows with integer values, under
+the same row check, and reduces them in two phases.  Phase 1 eliminates unit
+pivots in sparse order, the sparsest column and the shortest row holding +-1
+in it first, which keeps the fill-in of chain-complex boundaries low (Dumas,
+Saunders & Villard, J. Symb. Comput. 32, 2001; Kaczynski, Mrozek & Slusarek,
+Comput. Math. Appl. 35, 1998).  Phase 2 runs min-abs pivoting with Euclidean
+steps and a divisibility pass on what phase 1 leaves, which is nothing for
+the order complex of a sphere.  Invariant factors are unique, so the pivot
+order does not show in them; `det_int` checks the certificates
+independently.
 """
 
 from __future__ import annotations
@@ -172,30 +182,36 @@ class Matrix:
     def __init__(self, fld, nrows: int, ncols: int, rows):
         if len(rows) != nrows:
             raise InputError("matrix shape mismatch")
-        of, is_zero = fld.of, fld.is_zero
-        checked = []
-        for row in rows:
-            out = []
-            last = -1
-            for j, x in row:
-                if not last < j < ncols:
-                    raise InputError("matrix row columns out of order or out of range")
-                last = j
-                x = of(x)
-                if not is_zero(x):
-                    out.append((j, x))
-            checked.append(out)
         self.field = fld
         self.nrows = nrows
         self.ncols = ncols
-        self.rows = checked
+        self.rows = _checked_rows(rows, ncols, fld.of)
 
     def __repr__(self):
         return f"Matrix({self.field!r}, {self.nrows}x{self.ncols})"
 
 
+def _checked_rows(rows, ncols: int, of):
+    """Sparse rows with their columns checked, increasing and below
+    ``ncols``, and every value passed through ``of``; values that come out
+    zero are dropped."""
+    checked = []
+    for row in rows:
+        out = []
+        last = -1
+        for j, x in row:
+            if not last < j < ncols:
+                raise InputError("matrix row columns out of order or out of range")
+            last = j
+            x = of(x)
+            if x:
+                out.append((j, x))
+        checked.append(out)
+    return checked
+
+
 def _integer(x) -> int:
-    """The scalar check of `smith_normal_form`'s input: ints only."""
+    """The scalar check of integer matrices: ints only."""
     if not isinstance(x, int):
         raise InputError("Smith normal form requires integer entries")
     return x
@@ -397,162 +413,237 @@ def det_int(A) -> int:
     return sign * M[n - 1][n - 1] if n else 1
 
 
-def smith_normal_form(rows, ncols: int, want_certs: bool = False) -> SmithForm:
-    """Smith normal form of an integer matrix with ``ncols`` columns, given
-    as sparse rows of ``(col, value)`` pairs with no zero value (as
-    `sparse_rows` makes them).
+class _SmithWork:
+    """The working copy of a Smith form reduction: the nonzero rows as
+    ``{col: value}`` dicts, the rows meeting each column, and, with
+    certificates, the dense U and V that record every row and column
+    operation."""
 
-    Returns invariant factors with the divisibility chain enforced and the
-    free rank (number of zero diagonal entries in the cokernel direction,
-    i.e. ncols - #factors).  With ``want_certs`` the unimodular U, V with
-    U*A*V = diag(factors) are returned as dense integer matrices.
+    __slots__ = ("A", "colocc", "U", "V")
 
-    Sparse-friendly: pivots of absolute value 1 are preferred, so incidence
-    matrices of chain complexes reduce without coefficient growth.
-    """
-    nrows = len(rows)
-    # dict-of-dicts working copy
-    A: dict[int, dict[int, int]] = {i: dict(r) for i, r in enumerate(rows) if r}
-    colocc: dict[int, set[int]] = {}
-    for i, r in A.items():
-        for j in r:
-            colocc.setdefault(j, set()).add(i)
+    def __init__(self, rows, ncols: int, want_certs: bool):
+        self.A = {i: dict(r) for i, r in enumerate(rows) if r}
+        self.colocc: dict[int, set[int]] = {}
+        for i, r in self.A.items():
+            for j in r:
+                self.colocc.setdefault(j, set()).add(i)
+        nrows = len(rows)
+        self.U = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if want_certs else None
+        self.V = [[int(i == j) for j in range(ncols)] for i in range(ncols)] if want_certs else None
 
-    U = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if want_certs else None
-    V = [[int(i == j) for j in range(ncols)] for i in range(ncols)] if want_certs else None
-
-    def row_op(dst, src, q):
-        # row dst -= q * row src
-        if q == 0:
+    def row_op(self, dst, src, q):
+        # row dst -= q * row src; a row that becomes zero leaves A
+        if not q:
             return
-        src_row = A.get(src, {})
-        dst_row = A.setdefault(dst, {})
-        for j, v in list(src_row.items()):
-            nv = dst_row.get(j, 0) - q * v
-            if nv:
-                dst_row[j] = nv
-                colocc.setdefault(j, set()).add(dst)
+        A, colocc = self.A, self.colocc
+        dst_row = A[dst]
+        for j, v in A[src].items():
+            if j in dst_row:
+                nv = dst_row[j] - q * v
+                if nv:
+                    dst_row[j] = nv
+                else:
+                    del dst_row[j]
+                    colocc[j].discard(dst)
             else:
-                dst_row.pop(j, None)
-                occ = colocc.get(j)
-                if occ:
-                    occ.discard(dst)
+                dst_row[j] = -q * v
+                colocc[j].add(dst)
         if not dst_row:
-            A.pop(dst, None)
-        if U is not None:
-            U[dst] = [a - q * b for a, b in zip(U[dst], U[src])]
+            del A[dst]
+        if self.U is not None:
+            self.U[dst] = [a - q * b for a, b in zip(self.U[dst], self.U[src])]
 
-    def col_op(dst, src, q):
+    def col_op(self, dst, src, q):
         # col dst -= q * col src
-        if q == 0:
-            return
-        for i in list(colocc.get(src, ())):
-            v = A.get(i, {}).get(src, 0)
-            if not v:
-                continue
+        A, colocc = self.A, self.colocc
+        for i in colocc[src]:
             row = A[i]
-            nv = row.get(dst, 0) - q * v
+            nv = row.get(dst, 0) - q * row[src]
             if nv:
+                if dst not in row:
+                    colocc[dst].add(i)
                 row[dst] = nv
-                colocc.setdefault(dst, set()).add(i)
-            else:
-                row.pop(dst, None)
-                occ = colocc.get(dst)
-                if occ:
-                    occ.discard(i)
-        if V is not None:
-            for i in range(ncols):
-                V[i][dst] -= q * V[i][src]
+            elif dst in row:
+                del row[dst]
+                colocc[dst].discard(i)
+        self.record_col_op(dst, src, q)
 
-    def negate_row(i):
-        for j in list(A.get(i, {})):
-            A[i][j] = -A[i][j]
-        if U is not None:
-            U[i] = [-x for x in U[i]]
+    def record_col_op(self, dst, src, q):
+        # col dst -= q * col src, in V only
+        if self.V is not None:
+            for row in self.V:
+                row[dst] -= q * row[src]
 
-    def pick_pivot(active_rows, active_cols):
+    def negate_row(self, i):
+        row = self.A[i]
+        for j in row:
+            row[j] = -row[j]
+        if self.U is not None:
+            self.U[i] = [-x for x in self.U[i]]
+
+    def retire(self, r, c):
+        """Take pivot row r out of A, and with it column c, which no other
+        row meets any more."""
+        colocc = self.colocc
+        for j in self.A.pop(r):
+            if j != c:
+                colocc[j].discard(r)
+        del colocc[c]
+
+
+def _unit_pivots(w: _SmithWork):
+    """Phase 1 of `smith_normal_form`: eliminate the unit pivots in sparse
+    order, before any gcd work.
+
+    A heap of (occupancy, column) entries, pushed again for every column a
+    pivot step touches, yields the sparsest remaining column, and the
+    shortest row holding +-1 in it is the pivot.  The row is scaled to +1,
+    the column is cleared with row operations, and the row is retired: with
+    its column clear, the column operations that clear the row touch only
+    that row, so they are recorded in V and not applied.  A column with no
+    unit is passed over until a row operation changes it.  Returns the
+    pivots as (row, column) in the order chosen.
+    """
+    A, colocc = w.A, w.colocc
+    heap = [(len(occ), j) for j, occ in colocc.items()]
+    heapify(heap)
+    pivots = []
+    while heap:
+        size, c = heappop(heap)
+        occ = colocc.get(c)
+        if occ is None or len(occ) != size:
+            continue  # stale entry: the column was retired or has changed
+        units = [(len(A[i]), i) for i in occ if A[i][c] in (1, -1)]
+        if not units:
+            continue
+        r = min(units)[1]
+        if A[r][c] < 0:
+            w.negate_row(r)
+        piv = A[r]
+        for i in [i for i in occ if i != r]:
+            w.row_op(i, r, A[i][c])
+        for j, v in piv.items():
+            if j != c:
+                w.record_col_op(j, c, v)
+        w.retire(r, c)
+        pivots.append((r, c))
+        for j in piv:
+            if j != c:
+                if colocc[j]:
+                    heappush(heap, (len(colocc[j]), j))
+                else:
+                    del colocc[j]
+    return pivots
+
+
+def _smith_residual(w: _SmithWork):
+    """Phase 2 of `smith_normal_form`: the Smith form of what
+    `_unit_pivots` leaves in ``w.A``, by min-abs pivots.
+
+    Each pivot is shrunk by Euclidean row and column steps until its row
+    and column are clear, and a row with an entry it does not divide is
+    folded into its row, until it divides every remaining entry.  Returns
+    the pivots as (row, column, value) in divisibility order.
+    """
+    A, colocc = w.A, w.colocc
+
+    def pick_pivot():
         best = None
-        for i in sorted(active_rows & set(A.keys())):
-            for j in sorted(A[i]):
-                if j not in active_cols:
-                    continue
-                a = abs(A[i][j])
+        for i in sorted(A):
+            for j, v in sorted(A[i].items()):
+                a = abs(v)
                 if a == 1:
                     return (i, j)
                 if best is None or a < best[0]:
                     best = (a, i, j)
         return None if best is None else (best[1], best[2])
 
-    active_rows = set(range(nrows))
-    active_cols = set(range(ncols))
     diag = []
     while True:
-        piv = pick_pivot(active_rows, active_cols)
+        piv = pick_pivot()
         if piv is None:
             break
         # shrink the min-abs pivot until its row and column are clear and it
-        # divides every remaining active entry
+        # divides every remaining entry
         while True:
             r0, c0 = piv
             if A[r0][c0] < 0:
-                negate_row(r0)
+                w.negate_row(r0)
             p = A[r0][c0]
             dirty = False
-            for i in sorted(colocc.get(c0, set()) & active_rows):
-                if i == r0:
-                    continue
-                v = A.get(i, {}).get(c0, 0)
-                if v:
-                    row_op(i, r0, v // p)  # floor division: remainder in [0, p)
-                    if A.get(i, {}).get(c0, 0):
-                        dirty = True
+            for i in sorted(colocc[c0] - {r0}):
+                w.row_op(i, r0, A[i][c0] // p)  # floor division: remainder in [0, p)
+                if c0 in A.get(i, ()):
+                    dirty = True
             if dirty:
-                piv = pick_pivot(active_rows, active_cols)
+                piv = pick_pivot()
                 continue
-            if p == 1 and V is None:
+            if p == 1 and w.V is None:
                 break  # clearing the row would touch only this row, now retired
-            for j in sorted(set(A.get(r0, {})) & active_cols):
-                if j == c0:
-                    continue
-                v = A[r0].get(j, 0)
-                if v:
-                    col_op(j, c0, v // p)
-                    if A.get(r0, {}).get(j, 0):
+            for j in sorted(A[r0]):
+                if j != c0:
+                    w.col_op(j, c0, A[r0][j] // p)
+                    if j in A[r0]:
                         dirty = True
             if dirty:
-                piv = pick_pivot(active_rows, active_cols)
+                piv = pick_pivot()
                 continue
             if p == 1:
                 break  # a unit divides every remaining entry
-            bad = None
-            for i in sorted(active_rows & set(A.keys())):
-                if i == r0:
-                    continue
-                for j, v in A[i].items():
-                    if j in active_cols and v % p != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            bad = next(
+                (i for i in sorted(A) if i != r0 and any(v % p for v in A[i].values())), None
+            )
             if bad is None:
                 break
-            row_op(r0, bad, -1)  # fold the offending row into the pivot row
-            piv = (r0, c0)
-        r0, c0 = piv
-        diag.append((r0, c0, A[r0][c0]))
-        active_rows.discard(r0)
-        active_cols.discard(c0)
+            w.row_op(r0, bad, -1)  # fold the offending row into the pivot row
+        diag.append((r0, c0, p))
+        w.retire(r0, c0)
+    return diag
 
-    factors = [p for _, _, p in diag]
-    if want_certs and diag:
+
+def _smith_entry(x) -> int:
+    """The entry check of `smith_normal_form`'s sparse rows: nonzero ints."""
+    if _integer(x) == 0:
+        raise InputError("Smith normal form rows list nonzero entries only")
+    return x
+
+
+def smith_normal_form(rows, ncols: int, want_certs: bool = False) -> SmithForm:
+    """Smith normal form of an integer matrix with ``ncols`` columns, given
+    as sparse rows of ``(col, value)`` pairs with increasing col below
+    ``ncols`` and nonzero int values (as `sparse_rows` makes them); any
+    other row is an input error.
+
+    Returns the invariant factors d1 | d2 | ... and the free rank, ncols
+    minus the number of factors.  With ``want_certs`` the unimodular U, V
+    with U*A*V = diag(factors) are returned as dense integer matrices.
+
+    Two phases, one code path, with or without certificates.  Phase 1
+    (`_unit_pivots`) eliminates unit pivots in sparse (Markowitz-style)
+    order, sparsest column and shortest row first, which keeps the fill-in
+    of chain-complex boundaries low (Dumas, Saunders & Villard, J. Symb.
+    Comput. 32, 2001; Kaczynski, Mrozek & Slusarek, Comput. Math. Appl. 35,
+    1998).  Phase 2 (`_smith_residual`) runs min-abs pivoting with Euclidean
+    steps and a divisibility pass on the residual that phase 1 leaves, which
+    is empty for the order complexes of spheres.  The factors are phase 1's
+    1s followed by phase 2's divisibility chain.
+    """
+    rows = _checked_rows(rows, ncols, _smith_entry)
+    w = _SmithWork(rows, ncols, want_certs)
+    units = _unit_pivots(w)
+    residual = _smith_residual(w)
+    factors = [1] * len(units) + [p for _, _, p in residual]
+    U, V = w.U, w.V
+    if want_certs:
         # fold row/column permutations into U and V so the pivots land on the
         # literal diagonal, in divisibility order
-        row_order = [r for r, _, _ in diag] + sorted(active_rows)
-        col_order = [c for _, c, _ in diag] + sorted(active_cols)
+        diag = units + [(r, c) for r, c, _ in residual]
+        rows_used, cols_used = {r for r, _ in diag}, {c for _, c in diag}
+        row_order = [r for r, _ in diag] + [i for i in range(len(rows)) if i not in rows_used]
+        col_order = [c for _, c in diag] + [j for j in range(ncols) if j not in cols_used]
         U = [U[r] for r in row_order]
         V = [[row[c] for c in col_order] for row in V]
-    free_rank = ncols - len(factors)
-    return SmithForm(factors=factors, free_rank=free_rank, U=U, V=V)
+    return SmithForm(factors=factors, free_rank=ncols - len(factors), U=U, V=V)
 
 
 def snf_certificate_ok(rows, sf: SmithForm) -> bool:

@@ -1,6 +1,8 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -10,6 +12,7 @@ from bigraded.exactla import (
     PRIME_BOUND,
     QQ,
     Matrix,
+    det_int,
     PrimeField,
     field_by_name,
     kernel_basis,
@@ -213,6 +216,77 @@ def test_snf_divisibility_and_certificates_random():
 def test_snf_rejects_non_integers():
     with pytest.raises(InputError):
         _snf([[Fraction(1, 2)]])
+
+
+@pytest.mark.parametrize(
+    "ncols, rows",
+    [
+        (1, [[(0, 0)]]),  # a zero value
+        (2, [[(5, 1)]]),  # a column past ncols
+        (2, [[(-1, 1)]]),
+        (1, [[(0, 2), (0, 3)]]),  # a repeated column
+        (2, [[(1, 1), (0, 1)]]),  # columns out of order
+        (1, [[(0, 1.0)]]),  # not an int
+    ],
+)
+def test_snf_rejects_malformed_sparse_rows(ncols, rows):
+    with pytest.raises(InputError):
+        smith_normal_form(rows, ncols)
+
+
+def _determinantal_factors(dense):
+    """Invariant factors from determinantal divisors, independently of the
+    Smith form: d_k is the gcd of the k x k minors, and factor k is
+    d_k / d_(k-1)."""
+    nr, nc = len(dense), len(dense[0])
+    factors, prev = [], 1
+    for k in range(1, min(nr, nc) + 1):
+        d = 0
+        for rs in combinations(range(nr), k):
+            for cs in combinations(range(nc), k):
+                d = gcd(d, det_int([[dense[i][j] for j in cs] for i in rs]))
+        if d == 0:
+            break
+        factors.append(d // prev)
+        prev = d
+    return factors
+
+
+def _small_dense(rng, nr, nc):
+    return [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
+
+
+def _no_units(rng, nr, nc):
+    # every entry a multiple of 2 or 3, so no unit pivot exists at the start
+    return [[rng.choice((2, 3)) * rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
+
+
+def _boundary_like(rng, nr, nc):
+    # sparse +-1 columns with at most three entries, like a chain boundary
+    dense = [[0] * nc for _ in range(nr)]
+    for j in range(nc):
+        for i in rng.sample(range(nr), min(nr, rng.randint(0, 3))):
+            dense[i][j] = rng.choice((1, -1))
+    return dense
+
+
+@pytest.mark.parametrize(
+    "kind, seed", [(_small_dense, 11), (_no_units, 12), (_boundary_like, 13)]
+)
+def test_snf_matches_determinantal_divisors(kind, seed):
+    """Factors and free rank agree with the determinantal divisors on seeded
+    random matrices up to 5 x 6, and the certificates of the same pivot
+    order hold."""
+    rng = random.Random(seed)
+    for _ in range(100):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 6)
+        dense = kind(rng, nr, nc)
+        factors = _determinantal_factors(dense)
+        rows, sf = _snf(dense)
+        assert (sf.factors, sf.free_rank) == (factors, nc - len(factors)), dense
+        _, cert = _snf(dense, want_certs=True)
+        assert cert.factors == factors
+        assert snf_certificate_ok(rows, cert), dense
 
 
 def test_mixed_domain_rejected():

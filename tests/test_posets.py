@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from bigraded import cli, posets
+from bigraded import cli, exactla, posets
 from bigraded.errors import InputError
 from bigraded.posets import (
     INF,
@@ -183,6 +183,47 @@ def _rp2_faces():
     triangles = ["123", "134", "145", "156", "126", "235", "346", "245", "356", "246"]
     faces = sorted({"".join(s) for t in triangles for k in (1, 2, 3) for s in combinations(t, k)})
     return FinitePoset(faces, [(a, b) for a in faces for b in faces if a != b and set(a) <= set(b)])
+
+
+def _uct_posets():
+    rng = random.Random(2029)
+    return [subsets_poset(base) for base in (3, 4, 5, 6)] + [_rp2_faces()] + [
+        random_poset(rng, rng.randint(1, 9)) for _ in range(100)
+    ]
+
+
+def test_integral_homology_obeys_universal_coefficients():
+    """Over Z the free ranks are the rational Betti numbers, and the F2 Betti
+    number in degree k is the free rank plus the even torsion factors in
+    degrees k and k-1."""
+    for p in _uct_posets():
+        z, q, f2 = reduced_homology_z(p), reduced_homology_q(p), reduced_homology_f2(p)
+        assert {k: free for k, (free, _) in z.items() if free} == q
+        even = {k: sum(d % 2 == 0 for d in tors) for k, (_, tors) in z.items()}
+        for k in q.keys() | f2.keys() | even.keys() | {k + 1 for k in even}:
+            expected = q.get(k, 0) + even.get(k, 0) + even.get(k - 1, 0)
+            assert f2.get(k, 0) == expected, (p.names, k)
+
+
+def test_sphere_boundaries_reduce_by_unit_pivots_alone(monkeypatch):
+    """The boundaries of the order complexes of subsets_poset(3..6), spheres,
+    leave nothing for the Smith form's second phase; RP^2's Z/2 does.  A
+    pivot order that fills the boundaries in fails this without any timing."""
+    residuals = []
+
+    def record(w):
+        residuals.append(sum(map(len, w.A.values())))
+        return smith_residual(w)
+
+    smith_residual = exactla._smith_residual
+    monkeypatch.setattr(exactla, "_smith_residual", record)
+    for base in (3, 4, 5, 6):
+        residuals.clear()
+        assert reduced_homology_z(subsets_poset(base)) == {base - 2: (1, [])}
+        assert residuals and not any(residuals)
+    residuals.clear()
+    assert reduced_homology_z(_rp2_faces()) == {1: (0, [2])}
+    assert any(residuals)
 
 
 def test_rational_and_integral_homology_are_pinned():
