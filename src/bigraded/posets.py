@@ -15,9 +15,10 @@ every degree its order complex carries gets the infinity sentinel.
 Homology over F2, Q and Z, and of the mapping cone, is one routine: the
 augmented chain complex (the empty chain in degree -1) gives each boundary
 as face lists, and a rank backend reduces them: bitmask elimination over F2,
-which the randomized campaigns use, `exactla.rank` over Q, and the Smith
-form over Z, which also yields torsion.  Only chains short enough to
-influence the requested degrees are ever enumerated.
+which the randomized campaigns use, and the Smith form over Z, which also
+yields torsion; the rank over Q is the number of nonzero Smith factors.
+Only chains short enough to influence the requested degrees are ever
+enumerated.
 
 Connectivity is computed on the core: beat points are removed first, which
 keeps the homotopy type of the order complex (Stong, *Finite topological
@@ -38,7 +39,6 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import DomainError, InputError
 from . import exactla
-from .exactla import Matrix, QQ
 from .parsing import content_lines
 
 INF = math.inf
@@ -306,13 +306,14 @@ def _signed_rows(cols, nrows: int):
     return rows
 
 
-def _rank_q(cols, nrows: int):
-    return exactla.rank(Matrix(QQ, nrows, len(cols), _signed_rows(cols, nrows))), ()
-
-
 def _rank_z(cols, nrows: int):
     factors = exactla.smith_normal_form(_signed_rows(cols, nrows), len(cols)).factors
     return len(factors), [d for d in factors if d > 1]
+
+
+def _rank_q(cols, nrows: int):
+    """Rank over Q: the number of nonzero Smith factors, with no torsion."""
+    return _rank_z(cols, nrows)[0], ()
 
 
 def _homology(sizes: list[int], boundary, rank):

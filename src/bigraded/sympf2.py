@@ -14,6 +14,10 @@ perm(B).  Permutations are stored as tuples p with p[i] = image of i
 The canonical labels 1..6 reproduce a fixed printed enumeration of the six
 subsets (see CANONICAL_SUBSETS); enumeration order alone is tie-broken by
 sorted coordinate masks and then matched against that list.
+
+The group is enumerated row by row, each row constrained by its pairings
+with the rows before it, rather than by testing all 2^16 matrices; the
+isomorphism check still visits every one of its 720 elements.
 """
 
 from __future__ import annotations
@@ -114,7 +118,11 @@ def apply_matrix(v: int, m: SympMatrix) -> int:
 def matrix_from_rows(rows) -> SympMatrix:
     if len(rows) != DIM or any(len(r) != DIM for r in rows):
         raise InputError("need a 4x4 matrix")
-    return tuple(sum((int(x) & 1) << j for j, x in enumerate(r)) for r in rows)
+    for r in rows:
+        for x in r:
+            if x not in (0, 1):
+                raise InputError(f"matrix entries must be 0 or 1, got {x}")
+    return tuple(sum(x << j for j, x in enumerate(r)) for r in rows)
 
 
 def parse_matrix(text: str) -> SympMatrix:
@@ -198,32 +206,67 @@ def cycle_lengths(p: Permutation) -> list[int]:
     return sorted(len(c) for c in _cycles(p))
 
 
+# each labeled subset as a 16-bit mask of its vectors, and its label
+_SUBSET_VECTORS = tuple(tuple(sorted(s)) for s in CANONICAL_SUBSETS)
+_LABEL_OF_MASK = {sum(1 << v for v in s): i for i, s in enumerate(CANONICAL_SUBSETS)}
+
+
 def phi(m: SympMatrix) -> Permutation:
-    """The permutation of the six labeled subsets induced by v |-> v*M."""
+    """The permutation of the six labeled subsets induced by v |-> v*M.
+
+    The images of all 16 vectors come one XOR each: once img holds v*M for
+    every v below 2^i, the image of v + 2^i is img[v] plus row i.  An image
+    subset is looked up as the 16-bit mask of its vectors."""
     if not is_symplectic(m):
         raise DomainError("matrix does not preserve the symplectic form")
-    subsets = totally_nonorthogonal_subsets()
-    index = {s: i for i, s in enumerate(subsets)}
+    img = [0]
+    for row in m:
+        img += [x ^ row for x in img]
     out = []
-    for s in subsets:
-        img = frozenset(apply_matrix(v, m) for v in s)
-        if img not in index:
+    for vectors in _SUBSET_VECTORS:
+        mask = 0
+        for v in vectors:
+            mask |= 1 << img[v]
+        label = _LABEL_OF_MASK.get(mask)
+        if label is None:
             raise DomainError("image of a subset is not a subset; form not preserved")
-        out.append(index[img])
+        out.append(label)
     return tuple(out)
 
 
+def _bits(mask: int):
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def all_symplectic_matrices() -> list[SympMatrix]:
-    """Brute-force enumeration of Sp_4(F_2) over all 4x4 matrices."""
-    out = []
-    for r0 in range(16):
-        for r1 in range(16):
-            for r2 in range(16):
-                for r3 in range(16):
-                    m = (r0, r1, r2, r3)
-                    if is_symplectic(m):
-                        out.append(m)
-    return out
+    """Sp_4(F_2) in lexicographic order of its rows, by a row-by-row search.
+
+    M is symplectic exactly when its rows have the basis Gram pairings (see
+    is_symplectic), so row j ranges only over the vectors whose pairings
+    with rows 0..j-1 are those values: the intersection of one 16-bit mask
+    per earlier row, walked from its lowest bit.  The partial matrices are
+    extended in order, so the result is the sublist of all 2^16 matrices,
+    in their order, that is_symplectic keeps."""
+    gram = {(i, j): g for i, j, g in _BASIS_GRAM}
+    # paired[u][g]: the mask of the vectors v with <u, v> = g
+    paired = [[0, 0] for _ in range(1 << DIM)]
+    for u in range(1 << DIM):
+        for v in range(1 << DIM):
+            paired[u][pairing(u, v)] |= 1 << v
+    partial: list[tuple[int, ...]] = [()]
+    for j in range(DIM):
+        extended = []
+        for rows in partial:
+            allowed = (1 << (1 << DIM)) - 1  # every vector
+            for i, r in enumerate(rows):
+                allowed &= paired[r][gram[i, j]]
+            extended.extend(rows + (v,) for v in _bits(allowed))
+        partial = extended
+    return partial
 
 
 @dataclass

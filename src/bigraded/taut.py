@@ -16,16 +16,18 @@ so it needs the ambient genus as an explicit argument; the projection formula
 pi_!(q * p) = q * pi_!(p) for q free of e is then automatic.
 
 Coproducts use that the kappa_i are primitive: Delta(kappa_i) =
-kappa_i (x) 1 + 1 (x) kappa_i, extended multiplicatively; n-fold expansions
-are collected with multinomial coefficients and kept as explicit tensor
-terms.
+kappa_i (x) 1 + 1 (x) kappa_i, extended multiplicatively.  An n-fold
+expansion is kept as explicit tensor terms, one per way of distributing each
+kappa exponent over the n slots, weighted by multinomial coefficients; the
+slots of a term determine its source monomial, so no terms are collected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import comb
+from itertools import combinations, product
+from math import comb, prod
 
 from .errors import DomainError, InputError
 from . import exactla
@@ -130,6 +132,10 @@ TautMono = tuple[int, int, tuple[int, ...]]  # (e_exp, l1_exp, kappa exponents)
 # index, read or made by the Gysin rule, is an input error
 MAX_KAPPA_INDEX = 1000
 
+# an n-fold coproduct is expanded term by term, n slots each: an expansion
+# of more slots in all than this is an input error
+MAX_COPRODUCT_SLOTS = 200_000
+
 
 def _mono_degree(m: TautMono) -> int:
     e, l1, ks = m
@@ -137,10 +143,10 @@ def _mono_degree(m: TautMono) -> int:
 
 
 def _trim(ks) -> tuple[int, ...]:
-    ks = list(ks)
-    while ks and ks[-1] == 0:
-        ks.pop()
-    return tuple(ks)
+    end = len(ks)
+    while end and ks[end - 1] == 0:
+        end -= 1
+    return tuple(ks[:end])
 
 
 def mono_name(m: TautMono) -> str:
@@ -458,51 +464,82 @@ class TensorTerm:
         return body if c == "1" else f"{c} * {body}"
 
 
-def _distributions(a: int, n: int):
-    """All ways to put a identical items into n slots, with multinomials."""
-    if n == 1:
-        yield (a,), 1
-        return
-    for first in range(a + 1):
-        for rest, ways in _distributions(a - first, n - 1):
-            yield (first,) + rest, ways * comb(a, first)
+def _distributions(a: int, n: int) -> list[tuple[tuple[int, ...], int]]:
+    """All ways to put a identical items into n slots, in lexicographic
+    order, each with its multinomial a! / (c_1! ... c_n!).  A way is read
+    off the places of the n - 1 bars among a + n - 1 places (stars and
+    bars)."""
+    out = []
+    for bars in combinations(range(a + n - 1), n - 1):
+        cuts = (-1,) + bars + (a + n - 1,)
+        dist = tuple(cuts[k + 1] - cuts[k] - 1 for k in range(n))
+        ways, left = 1, a
+        for c in dist:
+            ways *= comb(left, c)
+            left -= c
+        out.append((dist, ways))
+    return out
+
+
+def _capped_comb(m: int, k: int, cap: int) -> int:
+    """C(m, k), or cap + 1 if that is larger; C(m - k + i, i) grows with i,
+    so the product stops as soon as it passes cap."""
+    k = min(k, m - k)
+    c = 1
+    for i in range(1, k + 1):
+        c = c * (m - k + i) // i
+        if c > cap:
+            return cap + 1
+    return c
+
+
+def _coproduct_size(p: TautPoly, n: int) -> int:
+    """The number of terms of the n-fold expansion of p, or
+    MAX_COPRODUCT_SLOTS + 1 if that is larger: a monomial with kappa
+    exponents a_i gives prod_i C(a_i + n - 1, n - 1) terms."""
+    cap = MAX_COPRODUCT_SLOTS
+    total = 0
+    for _, _, ks in p:
+        terms = 1
+        for a in ks:
+            if a:
+                terms = min(terms * _capped_comb(a + n - 1, a, cap), cap + 1)
+        total = min(total + terms, cap + 1)
+    return total
 
 
 def nfold_coproduct(p: TautPoly, n: int) -> list[TensorTerm]:
     """Full expansion of the (n-1)-fold iterated coproduct of a kappa
-    polynomial, using primitivity of each kappa_i and multiplicativity."""
+    polynomial, using primitivity of each kappa_i and multiplicativity.
+
+    A monomial prod_i kappa_i^(a_i) expands into one term per pick of a
+    distribution of each a_i over the n slots: slot s carries the kappa
+    exponents of column s of the pick, and the coefficient is the source
+    coefficient times the product of the multinomials.  The columns of a
+    pick sum to the source exponents, so no two terms share their slots and
+    nothing is collected.  An expansion of more than MAX_COPRODUCT_SLOTS
+    slots in all is an input error, raised before anything is built."""
     if n < 2:
         raise DomainError("coproduct arity must be >= 2")
-    if p.has_e():
+    if any(e or l1 for e, l1, _ in p):
         raise DomainError("coproduct is defined for kappa polynomials only")
-    terms: dict[tuple[TautMono, ...], ParamPoly] = {}
-    for (e, l1, ks), coeff in p.items():
-        if l1:
-            raise DomainError("coproduct is defined for kappa polynomials only")
-        slotted = [((0, 0, ()),) * n]
-        weights = [1]
-        for i, a in enumerate(ks):
-            if not a:
-                continue
-            new_slotted = []
-            new_weights = []
-            for slots, w in zip(slotted, weights):
-                for dist, ways in _distributions(a, n):
-                    ns = []
-                    for s, cnt in zip(slots, dist):
-                        kse = list(s[2]) + [0] * max(0, i + 1 - len(s[2]))
-                        kse[i] += cnt
-                        ns.append((0, 0, _trim(kse)))
-                    new_slotted.append(tuple(ns))
-                    new_weights.append(w * ways)
-            slotted, weights = new_slotted, new_weights
-        for slots, w in zip(slotted, weights):
-            cur = terms.get(slots, ParamPoly()) + coeff * Fraction(w)
-            if cur.is_zero():
-                terms.pop(slots, None)
-            else:
-                terms[slots] = cur
-    return [TensorTerm(coeff=c, slots=s) for s, c in sorted(terms.items())]
+    size = _coproduct_size(p, n)
+    if size * n > MAX_COPRODUCT_SLOTS:
+        count = f"more than {MAX_COPRODUCT_SLOTS}" if size > MAX_COPRODUCT_SLOTS else str(size)
+        raise InputError(
+            f"the {n}-fold coproduct expands to {count} terms of {n} slots each;"
+            f" at most {MAX_COPRODUCT_SLOTS} slots in all are expanded"
+        )
+    terms = []
+    unused = (((0,) * n, 1),)  # the one distribution of a zero exponent
+    for (_, _, ks), coeff in p.items():
+        for pick in product(*(_distributions(a, n) if a else unused for a in ks)):
+            weight = prod(ways for _, ways in pick)
+            columns = zip(*(dist for dist, _ in pick)) if ks else [()] * n
+            slots = tuple((0, 0, _trim(col)) for col in columns)
+            terms.append(TensorTerm(ParamPoly({m: c * weight for m, c in coeff.items()}), slots))
+    terms.sort(key=lambda t: t.slots)
+    return terms
 
 
 def restrict_terms(terms, slot_patterns) -> list[TensorTerm]:

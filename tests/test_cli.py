@@ -311,6 +311,15 @@ def _nerve_argv(cover="F.cov", tx="tx.w", ta="ta.w"):
         (_nerve_argv(cover="F_dup.cov"), "second cover line for u"),
         (["taut", "gysin", "--expr", "1/0*e", "--genus", "2"], "zero denominator"),
         (["taut", "coproduct", "--expr", "k1^2+1/0", "--n", "2"], "zero denominator"),
+        # the expansion size is counted before anything is expanded
+        (["taut", "coproduct", "--expr", "k1", "--n", "100000"], "100000 terms of 100000 slots"),
+        (["taut", "coproduct", "--expr", "k1^40", "--n", "40"], "more than 200000 terms of 40 slots"),
+        (["taut", "pair", "--functionals", "k1_40.fn"], "more than 200000 terms of 40 slots"),
+        (["sp4", "phi", "--matrix", "2,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"], "must be 0 or 1, got 2"),
+        (["sp4", "phi", "--matrix", "1,0,0,0;0,3,0,0;0,0,1,0;0,0,0,1"], "must be 0 or 1, got 3"),
+        (["sp4", "phi", "--matrix", "1,0,0,0;0,1,0,0;0,0,-1,0;0,0,0,1"], "must be 0 or 1, got -1"),
+        (["sp4", "phi", "--matrix", f"1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,{10**29 + 1}"],
+         f"must be 0 or 1, got {10**29 + 1}"),
         (["homology", "--cdga", "zero_den.cdga"], "zero denominator"),
         (["betti", "--gens", "empty.txt", "--box", "0,3"], "box bounds must be >= 1"),
         (["betti", "--gens", "empty.txt", "--box", "0,3", "--field", "F2"], "box bounds must be >= 1"),
@@ -333,6 +342,7 @@ def test_bad_inputs_are_input_errors(argv, message, tmp_path, monkeypatch, capsy
         "ta_bad.w": "u x\n",
         "zero_den.cdga": "a 1 0\nb 1 1\nd b = 1/0*a\n",
         "empty.txt": "# no generators\n",
+        "k1_40.fn": "functional x\nk1 = t\npair: k1^40\nslots: " + " x" * 40 + "\n",
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)

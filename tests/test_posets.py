@@ -205,6 +205,25 @@ def test_integral_homology_obeys_universal_coefficients():
             assert f2.get(k, 0) == expected, (p.names, k)
 
 
+def test_rational_rank_is_the_rank_over_q(monkeypatch):
+    """Every boundary rank reduced_homology_q reads off the Smith form equals
+    exactla.rank of the signed boundary over QQ."""
+    checked = []
+    rank_q = posets._rank_q
+
+    def compare(cols, nrows):
+        got = rank_q(cols, nrows)
+        rows = posets._signed_rows(cols, nrows)
+        assert got == (exactla.rank(exactla.Matrix(exactla.QQ, nrows, len(cols), rows)), ())
+        checked.append(nrows)
+        return got
+
+    monkeypatch.setattr(posets, "_rank_q", compare)
+    for p in _uct_posets():
+        reduced_homology_q(p)
+    assert len(checked) > 50
+
+
 def test_sphere_boundaries_reduce_by_unit_pivots_alone(monkeypatch):
     """The boundaries of the order complexes of subsets_poset(3..6), spheres,
     leave nothing for the Smith form's second phase; RP^2's Z/2 does.  A

@@ -1,14 +1,17 @@
 import random
 import re
+from functools import cache
 from itertools import combinations, permutations, product
 
 import pytest
 
-from bigraded.errors import DomainError
+from bigraded import sympf2
+from bigraded.errors import DomainError, InputError
 from bigraded.exactla import GF, Matrix, rank
 from bigraded.sympf2 import (
     CANONICAL_SUBSETS,
     SWAP_MATRIX,
+    IsomorphismReport,
     all_symplectic_matrices,
     apply_matrix,
     compose_lr,
@@ -128,6 +131,64 @@ def test_is_symplectic_matches_the_oracle_on_all_matrices():
         assert is_symplectic(m) == expected, m
         passing += expected
     assert passing == 720
+
+
+@cache
+def _oracle_group():
+    return tuple(m for m in product(range(16), repeat=4) if _oracle_symplectic(m))
+
+
+def test_group_is_the_oracle_sublist_in_lexicographic_order():
+    # verify_isomorphism draws its random pairs by index into this list
+    assert all_symplectic_matrices() == list(_oracle_group())
+
+
+def test_group_search_prunes_rows_by_their_pairings(monkeypatch):
+    """The search pairs vectors a few hundred times; testing every one of
+    the 2^16 matrices needs at least one pairing each."""
+    calls = 0
+
+    def counted(u, v):
+        nonlocal calls
+        calls += 1
+        return pairing(u, v)
+
+    monkeypatch.setattr(sympf2, "pairing", counted)
+    assert len(all_symplectic_matrices()) == 720
+    assert 0 < calls <= 1024
+
+
+def _oracle_phi(m):
+    index = {s: i for i, s in enumerate(CANONICAL_SUBSETS)}
+    return tuple(index[frozenset(apply_matrix(v, m) for v in s)] for s in CANONICAL_SUBSETS)
+
+
+def test_phi_matches_the_subset_oracle_on_the_whole_group():
+    perms = [phi(m) for m in _oracle_group()]
+    assert perms == [_oracle_phi(m) for m in _oracle_group()]
+    assert len(set(perms)) == 720
+
+
+def test_verify_isomorphism_report_at_the_cli_default():
+    assert verify_isomorphism(10000, 2) == IsomorphismReport(
+        group_order=720,
+        kernel_trivial=True,
+        image_is_full_symmetric=True,
+        homomorphism_checked_pairs=10000,
+        has_transposition=True,
+        has_six_cycle=True,
+    )
+
+
+@pytest.mark.parametrize("entry", [2, 3, -1, 10**29 + 1])
+def test_matrix_entries_are_zero_or_one(entry):
+    rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    rows[2][3] = entry
+    with pytest.raises(InputError, match=f"must be 0 or 1, got {entry}"):
+        matrix_from_rows(rows)
+    text = ";".join(",".join(map(str, r)) for r in rows)
+    with pytest.raises(InputError, match=f"must be 0 or 1, got {entry}"):
+        parse_matrix(text)
 
 
 def _orbit(p, i):

@@ -1,11 +1,13 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from bigraded.errors import DomainError, InputError, WorkbenchError
 from bigraded.taut import (
+    MAX_COPRODUCT_SLOTS,
     MAX_KAPPA_INDEX,
     HomologyFunctional,
     Ledger,
@@ -24,6 +26,8 @@ from bigraded.taut import (
     r12_restricted,
     restrict_terms,
     taut_const,
+    TensorTerm,
+    _distributions,
 )
 
 
@@ -231,6 +235,108 @@ def test_pairing_bilinearity():
 def test_functional_mixed_degree_rejected():
     with pytest.raises(InputError):
         HomologyFunctional("bad", {(0, 0, (1,)): ParamPoly.const(1), (0, 0, (0, 1)): ParamPoly.const(1)})
+
+
+def _oracle_distributions(a, n):
+    if n == 1:
+        yield (a,), 1
+        return
+    for first in range(a + 1):
+        for rest, ways in _oracle_distributions(a - first, n - 1):
+            yield (first,) + rest, ways * comb(a, first)
+
+
+def _oracle_trim(ks):
+    ks = list(ks)
+    while ks and ks[-1] == 0:
+        ks.pop()
+    return tuple(ks)
+
+
+def _oracle_nfold_coproduct(p, n):
+    """The n-fold expansion by accumulation: distribute one kappa index at a
+    time over every partial slot tuple, then merge the terms in a dict."""
+    terms = {}
+    for (e, l1, ks), coeff in p.items():
+        slotted = [((0, 0, ()),) * n]
+        weights = [1]
+        for i, a in enumerate(ks):
+            if not a:
+                continue
+            new_slotted = []
+            new_weights = []
+            for slots, w in zip(slotted, weights):
+                for dist, ways in _oracle_distributions(a, n):
+                    ns = []
+                    for s, cnt in zip(slots, dist):
+                        kse = list(s[2]) + [0] * max(0, i + 1 - len(s[2]))
+                        kse[i] += cnt
+                        ns.append((0, 0, _oracle_trim(kse)))
+                    new_slotted.append(tuple(ns))
+                    new_weights.append(w * ways)
+            slotted, weights = new_slotted, new_weights
+        for slots, w in zip(slotted, weights):
+            cur = terms.get(slots, ParamPoly()) + coeff * Fraction(w)
+            if cur.is_zero():
+                terms.pop(slots, None)
+            else:
+                terms[slots] = cur
+    return [TensorTerm(coeff=c, slots=s) for s, c in sorted(terms.items())]
+
+
+def _random_kappa_poly(rng):
+    """Up to four monomials, kappa exponents summing to at most 4, each with
+    a random parameter polynomial as its coefficient."""
+    p = TautPoly()
+    for _ in range(rng.randint(1, 4)):
+        ks = [0] * rng.randint(0, 4)
+        for _ in range(rng.randint(0, 4) if ks else 0):
+            ks[rng.randrange(len(ks))] += 1
+        c = ParamPoly()
+        for _ in range(rng.randint(1, 3)):
+            mono = tuple(sorted({rng.choice("tuv"): rng.randint(1, 2) for _ in range(rng.randint(0, 2))}.items()))
+            c = c + ParamPoly({mono: Fraction(rng.randint(-9, 9), rng.randint(1, 4))})
+        p.add_term((0, 0, tuple(ks)), c)
+    return p
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_coproduct_matches_the_merging_oracle(n):
+    rng = random.Random(100 + n)
+    for _ in range(40):
+        p = _random_kappa_poly(rng)
+        assert nfold_coproduct(p, n) == _oracle_nfold_coproduct(p, n), p.render()
+    assert nfold_coproduct(r12_restricted(), n) == _oracle_nfold_coproduct(r12_restricted(), n)
+
+
+def test_distributions_do_not_recurse_per_slot():
+    # the recursive form went one Python frame deep per slot
+    assert _distributions(0, 5000) == [((0,) * 5000, 1)]
+    ways = _distributions(1, 1200)
+    assert len(ways) == 1200 and all(w == 1 and sum(d) == 1 for d, w in ways)
+    assert ways[0][0][-1] == 1 and ways[-1][0][0] == 1  # lexicographic order
+    assert _distributions(3, 2) == [((0, 3), 1), ((1, 2), 3), ((2, 1), 3), ((3, 0), 1)]
+    for a in range(6):
+        for n in range(1, 6):
+            assert _distributions(a, n) == list(_oracle_distributions(a, n))
+
+
+def test_oversized_coproducts_are_input_errors_before_expanding():
+    with pytest.raises(InputError, match="100000 terms of 100000 slots"):
+        nfold_coproduct(parse_taut("k1"), 100000)
+    with pytest.raises(InputError, match=f"more than {MAX_COPRODUCT_SLOTS} terms of 40 slots"):
+        nfold_coproduct(parse_taut("k1^40"), 40)
+    with pytest.raises(InputError, match="1 terms of 10000000000 slots"):
+        nfold_coproduct(taut_const(), 10**10)
+    # at the bound itself the expansion is built
+    (term,) = nfold_coproduct(taut_const(), MAX_COPRODUCT_SLOTS)
+    assert term.slots == ((0, 0, ()),) * MAX_COPRODUCT_SLOTS
+    with pytest.raises(InputError, match=f"1 terms of {MAX_COPRODUCT_SLOTS + 1} slots"):
+        nfold_coproduct(taut_const(), MAX_COPRODUCT_SLOTS + 1)
+    # k1^a in 2 slots has a + 1 terms
+    half = MAX_COPRODUCT_SLOTS // 2
+    with pytest.raises(InputError, match=f"{half + 1} terms of 2 slots"):
+        nfold_coproduct(parse_taut(f"k1^{half}"), 2)
 
 
 def test_coproduct_rejects_euler_class():
