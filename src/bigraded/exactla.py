@@ -355,12 +355,19 @@ def kernel_basis(m: Matrix):
 
 @dataclass
 class SmithForm:
-    """Invariant factors d1 | d2 | ... (all > 0) plus the free rank."""
+    """Invariant factors d1 | d2 | ... (all > 0) plus the free rank.
+
+    ``unit_rows`` lists the rows, as indices into the given rows, of phase
+    1's unit pivots, in the order chosen.  Phase 1's row operations only add
+    multiples of earlier pivot rows, and its pivot columns are cleared in
+    every later pivot row, so the block of A on these rows and on phase 1's
+    pivot columns is unimodular."""
 
     factors: list[int]
     free_rank: int
     U: list[list[int]] | None = field(default=None, repr=False)
     V: list[list[int]] | None = field(default=None, repr=False)
+    unit_rows: list[int] = field(default_factory=list, repr=False)
 
     def abelian_group_symbol(self) -> str:
         return abelian_symbol(self.factors, self.free_rank)
@@ -643,7 +650,9 @@ def smith_normal_form(rows, ncols: int, want_certs: bool = False) -> SmithForm:
         col_order = [c for _, c in diag] + [j for j in range(ncols) if j not in cols_used]
         U = [U[r] for r in row_order]
         V = [[row[c] for c in col_order] for row in V]
-    return SmithForm(factors=factors, free_rank=ncols - len(factors), U=U, V=V)
+    return SmithForm(
+        factors=factors, free_rank=ncols - len(factors), U=U, V=V, unit_rows=[r for r, _ in units]
+    )
 
 
 def snf_certificate_ok(rows, sf: SmithForm) -> bool:

@@ -18,7 +18,14 @@ as face lists, and a rank backend reduces them: bitmask elimination over F2,
 which the randomized campaigns use, and the Smith form over Z, which also
 yields torsion; the rank over Q is the number of nonzero Smith factors.
 Only chains short enough to influence the requested degrees are ever
-enumerated.
+enumerated.  The boundaries are reduced from the top degree down, with
+clearing: a row that leads a boundary of the form e_r plus higher rows (a
+``low`` key over F2), or a row of the Smith form's unit pivots over Z and Q,
+which make their block unimodular, is a column of the boundary below whose
+lattice the other columns already span, so that column is dropped before
+the reduction.  The rows of non-unit Smith pivots are not cleared: their
+block need not be unimodular, and dropping their columns could change the
+torsion.  ``_homology`` derives both cases.
 
 Connectivity is computed on the core: beat points are removed first, which
 keeps the homotopy type of the order complex (Stong, *Finite topological
@@ -27,8 +34,11 @@ cone, is contractible and needs no homology at all.  A subset of a poset is
 a bitmask of its parent, and connectivity is settled on the mask when the
 threshold, emptiness or a one-point core decides it: a subposet is built
 only for a core of at least two points.  ``subposet`` and ``op`` trust their
-parent: they compress its relation masks and do not validate again; only
-``FinitePoset(names, pairs)`` checks outside input.
+parent: they compress its relation masks and do not validate again.
+``subsets_poset`` and ``random_poset`` build masks that are partial orders
+by construction (submasks; relations drawn along a shuffled total order and
+closed in one pass along it).  Only ``FinitePoset(names, pairs)`` checks
+outside input.
 """
 
 from __future__ import annotations
@@ -52,6 +62,15 @@ def _bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _transpose(below: list[int]) -> list[int]:
+    """The up-set masks of a relation given by its down-set masks."""
+    above = [0] * len(below)
+    for i, m in enumerate(below):
+        for j in _bits(m):
+            above[j] |= 1 << i
+    return above
 
 
 class FinitePoset:
@@ -86,10 +105,7 @@ class FinitePoset:
                         f"not a partial order: {self.names[i]} and {self.names[j]} "
                         "are mutually comparable"
                     )
-        self.above = [0] * self.n
-        for i in range(self.n):
-            for j in _bits(below[i]):
-                self.above[j] |= 1 << i
+        self.above = _transpose(below)
 
     @classmethod
     def _trusted(cls, names, below, above) -> "FinitePoset":
@@ -173,14 +189,22 @@ def poset_from_text(text: str) -> FinitePoset:
 
 
 def subsets_poset(base_size: int) -> FinitePoset:
-    """Proper nonempty subsets of {0..base_size-1}, ordered by inclusion."""
-    elems = [frozenset_to_name(s, base_size) for s in range(1, (1 << base_size) - 1)]
-    pairs = []
-    for s in range(1, (1 << base_size) - 1):
-        for t in range(1, (1 << base_size) - 1):
-            if s != t and s & t == s:
-                pairs.append((frozenset_to_name(s, base_size), frozenset_to_name(t, base_size)))
-    return FinitePoset(sorted(elems), pairs)
+    """Proper nonempty subsets of {0..base_size-1}, ordered by inclusion and
+    listed in the order of their names.  The down-set of a subset is the
+    set of its nonempty submasks, so the order is built as masks and needs
+    no validation."""
+    full = (1 << base_size) - 1
+    subsets = sorted(range(1, full), key=lambda s: frozenset_to_name(s, base_size))
+    bit = {s: 1 << k for k, s in enumerate(subsets)}
+    below = []
+    for s in subsets:
+        m, t = 0, s
+        while t:  # the nonempty submasks of s, s itself first
+            m |= bit[t]
+            t = (t - 1) & s
+        below.append(m)
+    names = tuple([frozenset_to_name(s, base_size) for s in subsets])
+    return FinitePoset._trusted(names, below, _transpose(below))
 
 
 def frozenset_to_name(mask: int, base_size: int) -> str:
@@ -280,7 +304,9 @@ def _faces(index: dict, level) -> list[tuple[int, ...]]:
 
 def _gf2_rank(cols, nrows: int):
     """Rank over F2 of the boundary with face lists ``cols``, by bitmask
-    elimination; F2 has no torsion."""
+    elimination; F2 has no torsion.  The rows to clear are the ``low`` keys:
+    each leads a reduced column, a boundary of the form e_r plus higher
+    rows."""
     pivots: dict[int, int] = {}
     for faces in cols:
         col = 0
@@ -293,7 +319,7 @@ def _gf2_rank(cols, nrows: int):
                 pivots[low] = col
                 break
             col ^= other
-    return len(pivots), ()
+    return len(pivots), (), {low.bit_length() - 1 for low in pivots}
 
 
 def _signed_rows(cols, nrows: int):
@@ -307,13 +333,16 @@ def _signed_rows(cols, nrows: int):
 
 
 def _rank_z(cols, nrows: int):
-    factors = exactla.smith_normal_form(_signed_rows(cols, nrows), len(cols)).factors
-    return len(factors), [d for d in factors if d > 1]
+    """Rank and torsion over Z from the Smith form; the rows to clear are
+    those of its unit pivots (phase 1), never those of phase 2."""
+    sf = exactla.smith_normal_form(_signed_rows(cols, nrows), len(cols))
+    return len(sf.factors), [d for d in sf.factors if d > 1], set(sf.unit_rows)
 
 
 def _rank_q(cols, nrows: int):
     """Rank over Q: the number of nonzero Smith factors, with no torsion."""
-    return _rank_z(cols, nrows)[0], ()
+    rank, _, clear = _rank_z(cols, nrows)
+    return rank, (), clear
 
 
 def _homology(sizes: list[int], boundary, rank):
@@ -324,17 +353,44 @@ def _homology(sizes: list[int], boundary, rank):
     for only when both of its groups are nonzero.  The augmentation is never
     built: the complexes here map some degree-0 chain onto the empty chain,
     so it has rank 1 when degree 0 is nonzero.  ``rank(cols, nrows)`` gives
-    a boundary's rank and torsion factors.  Returns the nonzero free ranks
-    and the nonempty torsion, each as a dict keyed by degree."""
+    a boundary's rank, its torsion factors and a set R of rows to clear.
+    Returns the nonzero free ranks and the nonempty torsion, each as a dict
+    keyed by degree.
+
+    Clearing (Chen & Kerber, *Persistent homology computation with a
+    twist*, EuroCG 2011; Bauer, Kerber & Reininghaus, *Clear and compress*,
+    2014).  The boundaries are reduced from the top degree down, and each
+    drops the columns that are the rows R of the boundary above before it is
+    reduced.  This keeps the lattice its columns span, and so its rank and
+    every torsion factor: if C_k has a basis made of the e_j with j not in R
+    and of |R| boundaries z, then ``d z = 0`` and the image of d is spanned
+    by the d e_j alone.
+    - Over F2, r in R is the ``low`` key of a reduced column z_r of the
+      boundary above: a sum of its columns, so a boundary, equal to e_r
+      plus rows above r.  These z_r and the other e_j are triangular in the
+      row order, so they form a basis.
+    - Over Z (and Q), R holds the rows of the Smith form's unit pivots
+      (phase 1).  The block B of the boundary above on R and on the unit
+      pivot columns C is unimodular, so the columns z_c, c in C, of the
+      boundary above and the e_j, j not in R, are a Z-basis: with the rows
+      R first they form [[B, 0], [*, I]], of determinant +-1.
+    - Phase 2's pivot rows are not cleared: their block need not be
+      unimodular.  With d e0 = 2v, d e1 = 3v and the boundary 3 e0 - 2 e1
+      above, no entry is a unit, and dropping column e1 leaves the lattice
+      2Z: a false Z/2 where the cokernel is 0."""
     ranks = [0] * len(sizes)  # ranks[i]: the boundary out of degree i-1
     if len(sizes) > 1 and sizes[1]:
         ranks[1] = 1
     torsion = {}
-    for i in range(2, len(sizes)):
-        if sizes[i] and sizes[i - 1]:
-            ranks[i], tors = rank(boundary(i), sizes[i - 1])
-            if tors:
-                torsion[i - 2] = tors
+    clear = set()  # the rows the boundary above cleared: columns to drop
+    for i in range(len(sizes) - 1, 1, -1):
+        if not (sizes[i] and sizes[i - 1]):
+            clear = set()
+            continue
+        cols = [faces for j, faces in enumerate(boundary(i)) if j not in clear]
+        ranks[i], tors, clear = rank(cols, sizes[i - 1])
+        if tors:
+            torsion[i - 2] = tors
     dims = {}
     for i in range(len(sizes) - 1):
         free = sizes[i] - ranks[i] - ranks[i + 1]
@@ -686,17 +742,24 @@ MAX_CHAINS = 4000  # resample bound so a dense random poset cannot stall a campa
 
 
 def random_poset(rng: random.Random, max_size: int) -> FinitePoset:
+    """A random poset on p0..p(n-1).  The elements are shuffled into a total
+    order, and each pair in it is related with a probability drawn once per
+    poset.  Every relation goes up that order, so the relation is acyclic
+    and is closed in one pass along it: the down-sets below an element are
+    closed before its own."""
     n = rng.randint(1, max_size)
     p_edge = rng.uniform(0.08, 0.45)
-    names = [f"p{i}" for i in range(n)]
-    pairs = []
     order = list(range(n))
     rng.shuffle(order)
+    below = [1 << i for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < p_edge:
-                pairs.append((names[order[i]], names[order[j]]))
-    return FinitePoset(names, pairs)
+                below[order[j]] |= 1 << order[i]
+    for x in order:
+        for y in _bits(below[x] & ~(1 << x)):
+            below[x] |= below[y]
+    return FinitePoset._trusted(tuple([f"p{i}" for i in range(n)]), below, _transpose(below))
 
 
 def _chain_count(p: FinitePoset, max_len: int) -> int:

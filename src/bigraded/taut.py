@@ -24,6 +24,7 @@ slots of a term determine its source monomial, so no terms are collected.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations, product
@@ -108,7 +109,9 @@ class ParamPoly(dict):
             elif c == 1 and m:
                 head = ""
             else:
-                head = str(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+                head = _text(c.numerator)
+                if c.denominator != 1:
+                    head += "/" + _text(c.denominator)
                 if m:
                     head += "*"
             for name, e in m:
@@ -123,6 +126,18 @@ class ParamPoly(dict):
         return sorted(self.items())
 
 
+def _text(n: int) -> str:
+    """``str(n)``; a number of more digits than Python converts to text
+    (4300 by default, the limit the parser meets on input numbers) is an
+    input error."""
+    try:
+        return str(n)
+    except ValueError:
+        raise InputError(
+            f"a coefficient of the result has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 # ---------------------------------------------------------------------------
 # tautological polynomials
 
@@ -135,6 +150,11 @@ MAX_KAPPA_INDEX = 1000
 # an n-fold coproduct is expanded term by term, n slots each: an expansion
 # of more slots in all than this is an input error
 MAX_COPRODUCT_SLOTS = 200_000
+
+# each term of an expansion is weighted by a product of multinomials, which
+# is printed: a weight of more digits than this is an input error
+MAX_WEIGHT_DIGITS = 4300
+_WEIGHT_CAP = 10**MAX_WEIGHT_DIGITS - 1
 
 
 def _mono_degree(m: TautMono) -> int:
@@ -508,6 +528,24 @@ def _coproduct_size(p: TautPoly, n: int) -> int:
     return total
 
 
+def _largest_weight(ks, n: int, cap: int) -> int:
+    """The largest weight of a term of the n-fold expansion of the kappa
+    monomial with exponents ``ks``, or cap + 1 if that is larger.  The
+    multinomial a! / (c_1! ... c_n!) is largest on the most even
+    distribution, r = a mod n parts of q + 1 and the others of q = a div n,
+    and it is the product of C(left, c) over the parts."""
+    weight = 1
+    for a in ks:
+        q, r = divmod(a, n)
+        left = a
+        for part in [q + 1] * r + ([q] * (n - r) if q else []):
+            weight *= _capped_comb(left, part, cap)
+            if weight > cap:
+                return cap + 1
+            left -= part
+    return weight
+
+
 def nfold_coproduct(p: TautPoly, n: int) -> list[TensorTerm]:
     """Full expansion of the (n-1)-fold iterated coproduct of a kappa
     polynomial, using primitivity of each kappa_i and multiplicativity.
@@ -518,7 +556,8 @@ def nfold_coproduct(p: TautPoly, n: int) -> list[TensorTerm]:
     coefficient times the product of the multinomials.  The columns of a
     pick sum to the source exponents, so no two terms share their slots and
     nothing is collected.  An expansion of more than MAX_COPRODUCT_SLOTS
-    slots in all is an input error, raised before anything is built."""
+    slots in all, or with a weight of more than MAX_WEIGHT_DIGITS digits, is
+    an input error, raised before anything is built."""
     if n < 2:
         raise DomainError("coproduct arity must be >= 2")
     if any(e or l1 for e, l1, _ in p):
@@ -529,6 +568,11 @@ def nfold_coproduct(p: TautPoly, n: int) -> list[TensorTerm]:
         raise InputError(
             f"the {n}-fold coproduct expands to {count} terms of {n} slots each;"
             f" at most {MAX_COPRODUCT_SLOTS} slots in all are expanded"
+        )
+    if any(_largest_weight(ks, n, _WEIGHT_CAP) > _WEIGHT_CAP for _, _, ks in p):
+        raise InputError(
+            f"the {n}-fold coproduct has multinomial weights of more than"
+            f" {MAX_WEIGHT_DIGITS} digits"
         )
     terms = []
     unused = (((0,) * n, 1),)  # the one distribution of a zero exponent

@@ -323,6 +323,10 @@ def _nerve_argv(cover="F.cov", tx="tx.w", ta="ta.w"):
         (["homology", "--cdga", "zero_den.cdga"], "zero denominator"),
         (["betti", "--gens", "empty.txt", "--box", "0,3"], "box bounds must be >= 1"),
         (["betti", "--gens", "empty.txt", "--box", "0,3", "--field", "F2"], "box bounds must be >= 1"),
+        # outputs Python cannot print: a doubled 4300-digit coefficient, and
+        # multinomials C(15000, c), bounded before any is computed
+        (["taut", "gysin", "--expr", "9" * 4300 + "*e", "--genus", "0"], "more than 4300 digits"),
+        (["taut", "coproduct", "--expr", "k1^15000", "--n", "2"], "more than 4300 digits"),
     ],
 )
 def test_bad_inputs_are_input_errors(argv, message, tmp_path, monkeypatch, capsys):

@@ -195,6 +195,7 @@ def test_hilbert_like_matrices_stay_exact():
 
 
 def test_snf_examples():
+    assert _snf([[2], [3]])[1].unit_rows == []  # factor 1, found by gcd steps
     assert _snf([[10]])[1].factors == [10]
     assert _snf([[10]])[1].free_rank == 0
     assert _snf([[2, 0], [0, 3]])[1].factors == [1, 6]
@@ -276,7 +277,8 @@ def _boundary_like(rng, nr, nc):
 def test_snf_matches_determinantal_divisors(kind, seed):
     """Factors and free rank agree with the determinantal divisors on seeded
     random matrices up to 5 x 6, and the certificates of the same pivot
-    order hold."""
+    order hold.  The rows of the unit pivots carry a unimodular block: some
+    minor on them is +-1, which a row of a non-unit pivot would break."""
     rng = random.Random(seed)
     for _ in range(100):
         nr, nc = rng.randint(1, 5), rng.randint(1, 6)
@@ -284,6 +286,12 @@ def test_snf_matches_determinantal_divisors(kind, seed):
         factors = _determinantal_factors(dense)
         rows, sf = _snf(dense)
         assert (sf.factors, sf.free_rank) == (factors, nc - len(factors)), dense
+        units = sf.unit_rows
+        assert len(set(units)) == len(units) <= factors.count(1)
+        assert not units or any(
+            abs(det_int([[dense[i][j] for j in cs] for i in units])) == 1
+            for cs in combinations(range(nc), len(units))
+        ), dense
         _, cert = _snf(dense, want_certs=True)
         assert cert.factors == factors
         assert snf_certificate_ok(rows, cert), dense

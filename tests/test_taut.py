@@ -9,6 +9,7 @@ from bigraded.errors import DomainError, InputError, WorkbenchError
 from bigraded.taut import (
     MAX_COPRODUCT_SLOTS,
     MAX_KAPPA_INDEX,
+    MAX_WEIGHT_DIGITS,
     HomologyFunctional,
     Ledger,
     ParamPoly,
@@ -28,6 +29,7 @@ from bigraded.taut import (
     taut_const,
     TensorTerm,
     _distributions,
+    _largest_weight,
 )
 
 
@@ -337,6 +339,38 @@ def test_oversized_coproducts_are_input_errors_before_expanding():
     half = MAX_COPRODUCT_SLOTS // 2
     with pytest.raises(InputError, match=f"{half + 1} terms of 2 slots"):
         nfold_coproduct(parse_taut(f"k1^{half}"), 2)
+
+
+def test_largest_weight_is_the_largest_term_coefficient():
+    """_largest_weight is the largest coefficient of an expansion of a kappa
+    monomial, or past the cap when that is larger."""
+    for expr in ("k1", "k1^4", "k1^4*k2^2", "k2*k3^5", "k1^7*k4"):
+        ((_, _, ks),) = parse_taut(expr)
+        for n in range(2, 6):
+            big = max(t.coeff[()] for t in nfold_coproduct(parse_taut(expr), n))
+            assert _largest_weight(ks, n, 10**9) == _largest_weight(ks, n, big) == big
+            assert _largest_weight(ks, n, big - 1) > big - 1
+
+
+def test_coproduct_weights_are_bounded_before_expanding():
+    """k1^a in 2 slots has the weights C(a, c): a = 14291 is the largest a
+    whose weights have at most MAX_WEIGHT_DIGITS digits, so it passes the
+    bound and the next fails it."""
+    cap = 10**MAX_WEIGHT_DIGITS
+    a = 14291
+    assert _largest_weight((a,), 2, cap - 1) == comb(a, a // 2) < cap <= comb(a + 1, (a + 1) // 2)
+    with pytest.raises(InputError, match=f"more than {MAX_WEIGHT_DIGITS} digits"):
+        nfold_coproduct(parse_taut(f"k1^{a + 1}"), 2)
+
+
+def test_coefficients_too_long_to_print_are_input_errors():
+    longest = 10**MAX_WEIGHT_DIGITS - 1
+    assert ParamPoly.const(longest).render() == "9" * MAX_WEIGHT_DIGITS
+    for c in (longest + 1, Fraction(1, longest + 1)):
+        with pytest.raises(InputError, match=f"more than {MAX_WEIGHT_DIGITS} digits"):
+            ParamPoly.const(c).render()
+        with pytest.raises(InputError, match=f"more than {MAX_WEIGHT_DIGITS} digits"):
+            kappa(1).scale(c).render()
 
 
 def test_coproduct_rejects_euler_class():
