@@ -37,9 +37,14 @@ which exactly the listed differentials survive, so assigning zero
 differential to the deeper letters is the object those vanishing claims
 constrain, not an approximation of it.
 
+A `DGModule`, a free module over a CDGA with basis elements (monomial,
+generator), has its own `delta_mono` and shares the algebra's `delta_poly`
+and `differential_matrix`; `_add_into` makes every sum of that one layer.
+
 delta^2 = 0 and homogeneity are checked symbolically on every letter by
 `CDGA.set_differential`, the one way a differential is set, and on every
-module generator when a `DGModule` is built.
+module generator when a `DGModule` is built, by applying `delta_poly` to
+its differential.
 """
 
 from __future__ import annotations
@@ -55,6 +60,15 @@ from .exactla import GF, QQ, Matrix
 from .freealg import Letter  # noqa: F401  (re-exported as cdga.Letter)
 from .grading import HomologyTable, VanishingLine
 from .parsing import content_lines, parse_terms
+
+
+def _add_into(field, out, key, c):
+    """Add c to out[key], dropping the key when the sum is zero."""
+    s = field.add(out.get(key, field.zero()), c)
+    if field.is_zero(s):
+        out.pop(key, None)
+    else:
+        out[key] = s
 
 
 class CDGA:
@@ -177,14 +191,9 @@ class CDGA:
         return (-1 if sign % 2 else 1), tuple(out)
 
     def poly_add(self, p, q):
-        f = self.field
         out = dict(p)
         for m, c in q.items():
-            s = f.add(out.get(m, f.zero()), c)
-            if f.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
+            _add_into(self.field, out, m, c)
         return out
 
     def poly_scale(self, p, c):
@@ -203,13 +212,7 @@ class CDGA:
                     continue
                 sign, m = sm
                 c = f.mul(c1, c2)
-                if sign < 0:
-                    c = f.neg(c)
-                s = f.add(out.get(m, f.zero()), c)
-                if f.is_zero(s):
-                    out.pop(m, None)
-                else:
-                    out[m] = s
+                _add_into(f, out, m, f.neg(c) if sign < 0 else c)
         return out
 
     # -- differential -------------------------------------------------------
@@ -247,19 +250,16 @@ class CDGA:
                 if sm is None:
                     continue
                 sign, m = sm
-                if sign < 0:
-                    c = f.neg(c)
-                s = f.add(out.get(m, f.zero()), c)
-                if f.is_zero(s):
-                    out.pop(m, None)
-                else:
-                    out[m] = s
+                _add_into(f, out, m, f.neg(c) if sign < 0 else c)
         return out
 
     def delta_poly(self, p):
+        """delta of a polynomial in the basis of `monomial_basis`."""
+        f = self.field
         out = {}
-        for m, c in p.items():
-            out = self.poly_add(out, self.poly_scale(self.delta_mono(m), c))
+        for key, c in p.items():
+            for key2, c2 in self.delta_mono(key).items():
+                _add_into(f, out, key2, f.mul(c, c2))
         return out
 
     # -- bases and matrices ---------------------------------------------------
@@ -319,16 +319,27 @@ class CDGA:
         return by_degree
 
     def differential_matrix(self, bd: tuple[int, int]) -> Matrix:
-        """Matrix of delta from bidegree bd to (g, d-1) in the monomial bases."""
+        """Matrix of delta from bidegree bd to (g, d-1) in `monomial_basis`."""
         g, d = bd
         cols = self.monomial_basis((g, d))
         rows = self.monomial_basis((g, d - 1)) if d >= 1 else []
-        row_index = {m: i for i, m in enumerate(rows)}
+        row_index = {key: i for i, key in enumerate(rows)}
         entries = [[] for _ in rows]
-        for j, m in enumerate(cols):
-            for m2, c in self.delta_mono(m).items():
-                entries[row_index[m2]].append((j, c))
+        for j, key in enumerate(cols):
+            for key2, c in self.delta_mono(key).items():
+                entries[row_index[key2]].append((j, c))
         return Matrix(self.field, len(rows), len(cols), entries)
+
+    def _push(self, new, poly):
+        """poly in the letters of ``new``, a quotient of self; monomials on
+        a letter that ``new`` lacks are dropped."""
+        index, names = new.index, self._names
+        out = {}
+        for m, c in poly.items():
+            pairs = tuple((index.get(names[i]), e) for i, e in m)
+            if all(j is not None for j, _ in pairs):
+                out[pairs] = c
+        return out
 
     def quotient(self, names) -> "CDGA":
         """Delete the named letters and erase differential terms divisible by
@@ -339,18 +350,9 @@ class CDGA:
             if nm not in self.index:
                 raise InputError(f"cannot quotient by unknown letter {nm}")
         new = CDGA(self.field, [x for x in self.letters if x.name not in names])
-        # old letter index -> new one; None for a deleted letter
-        reindex = [new.index.get(x.name) for x in self.letters]
-
-        def push(poly):
-            out = {}
-            for m, c in poly.items():
-                pairs = tuple((reindex[i], e) for i, e in m)
-                if all(j is not None for j, _ in pairs):
-                    out[pairs] = c
-            return out
-
-        new.set_differential({nm: push(poly) for nm, poly in self.diff.items() if nm not in names})
+        new.set_differential(
+            {nm: self._push(new, poly) for nm, poly in self.diff.items() if nm not in names}
+        )
         return new
 
 
@@ -387,35 +389,8 @@ class DGModule:
                     g, d = self.base.mono_bidegree(m)
                     if (g + ge, d + de) != (g0, d0 - 1):
                         raise InputError(f"module differential of {name} not homogeneous")
-            # delta^2 = 0 on the generator
-            dd = {}
-            for p, e in terms:
-                dp = self.base.delta_poly(p)
-                dd = self._acc(dd, dp, e, 1)
-                for p2, e2 in self.mdiff.get(e, ()):
-                    sign = -1 if (self.field.char != 2 and self._poly_deg(p) % 2 == 1) else 1
-                    prod = self.base.poly_mul(p, p2)
-                    dd = self._acc(dd, prod, e2, sign)
-            if any(not self.field.is_zero(c) for c in dd.values()):
+            if self.delta_poly(self.delta_mono(((), name))):
                 raise InputError(f"delta^2 != 0 on module generator {name}")
-
-    def _poly_deg(self, p):
-        for m in p:
-            return self.base.mono_bidegree(m)[1]
-        return 0
-
-    def _acc(self, out, poly, e, sign):
-        f = self.field
-        for m, c in poly.items():
-            if sign < 0:
-                c = f.neg(c)
-            key = (m, e)
-            s = f.add(out.get(key, f.zero()), c)
-            if f.is_zero(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return out
 
     def monomial_basis(self, bd: tuple[int, int]):
         """Pairs (monomial, generator): generators in decreasing order, each
@@ -426,28 +401,24 @@ class DGModule:
             out += [(m, name) for m in self.base.monomial_basis((g - ge, d - de))]
         return out
 
-    def delta_elt(self, m, e):
-        """delta(m tensor e) = delta(m) e + (-1)^d(m) m * delta(e)."""
-        f = self.field
-        out = {}
-        for m2, c in self.base.delta_mono(m).items():
-            out = self._acc(out, {m2: c}, e, 1)
-        sign = -1 if (f.char != 2 and self.base.mono_bidegree(m)[1] % 2 == 1) else 1
+    def delta_mono(self, key):
+        """delta(m tensor e) = delta(m) e + (-1)^d(m) m * delta(e), for the
+        basis element ``key`` = (m, e)."""
+        m, e = key
+        base, f = self.base, self.field
+        out = {(m2, e): c for m2, c in base.delta_mono(m).items()}
+        odd = f.char != 2 and base.mono_bidegree(m)[1] % 2 == 1
         for p, e2 in self.mdiff.get(e, ()):
-            prod = self.base.poly_mul({m: f.one()}, p)
-            out = self._acc(out, prod, e2, sign)
+            for n, c in p.items():
+                sm = base.mono_mul(m, n)
+                if sm is None:
+                    continue
+                sign, mn = sm
+                _add_into(f, out, (mn, e2), f.neg(c) if (sign < 0) != odd else c)
         return out
 
-    def differential_matrix(self, bd: tuple[int, int]) -> Matrix:
-        g, d = bd
-        cols = self.monomial_basis((g, d))
-        rows = self.monomial_basis((g, d - 1)) if d >= 1 else []
-        row_index = {k: i for i, k in enumerate(rows)}
-        entries = [[] for _ in rows]
-        for j, (m, e) in enumerate(cols):
-            for key, c in self.delta_elt(m, e).items():
-                entries[row_index[key]].append((j, c))
-        return Matrix(self.field, len(rows), len(cols), entries)
+    delta_poly = CDGA.delta_poly
+    differential_matrix = CDGA.differential_matrix
 
     def mono_name(self, key):
         m, e = key
@@ -559,11 +530,7 @@ def _kunneth_split(cx) -> KunnethSplit:
     for root in sorted(active):
         sub = base.quotient([x.name for x, r in zip(base.letters, roots) if r != root])
         if module:
-
-            def push(p):
-                return {sub.mono_of({base._names[i]: e for i, e in m}): c for m, c in p.items()}
-
-            mdiff = {nm: [(push(p), e) for p, e in terms] for nm, terms in cx.mdiff.items()}
+            mdiff = {nm: [(base._push(sub, p), e) for p, e in terms] for nm, terms in cx.mdiff.items()}
             sub = DGModule(sub, cx.module_gens, mdiff)
         factors.append(sub)
     closed = Counter((x.g, x.d) for x, r in zip(base.letters, roots) if r not in active)
@@ -755,12 +722,7 @@ def parse_poly(cdga: CDGA, text: str):
     f = cdga.field
     out: dict = {}
     for coeff, exps in parse_terms(text, _LETTER_NAME):
-        mono = cdga.mono_of(exps)
-        s = f.add(out.get(mono, f.zero()), f.of(coeff))
-        if f.is_zero(s):
-            out.pop(mono, None)
-        else:
-            out[mono] = s
+        _add_into(f, out, cdga.mono_of(exps), f.of(coeff))
     return out
 
 

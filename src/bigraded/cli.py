@@ -22,6 +22,7 @@ shard fuzz campaigns (shards merge deterministically in seed order).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -78,7 +79,7 @@ def _digest(path: str) -> str:
 
 class Report:
     def __init__(self, command: str, params: dict, input_paths=()):
-        params = {k: v for k, v in params.items() if k != "fn" and not callable(v)}
+        params = {k: v for k, v in params.items() if k != "fn"}
         self.payload = {
             "tool": "bigraded",
             "version": __version__,
@@ -622,14 +623,15 @@ def cmd_report(args) -> Outcome:
 # parser
 
 
-def _leaf(sub, name: str, fn, **kw) -> argparse.ArgumentParser:
-    """A subcommand parser bound to its handler, with the common options."""
+def _leaf(sub, name: str, handler: str, **kw) -> argparse.ArgumentParser:
+    """A subcommand parser with the common options, bound to the name of
+    its handler; `main` looks the handler up by that name on each call."""
     sp = sub.add_parser(name, **kw)
     sp.add_argument("--format", choices=("text", "json", "csv", "tsv", "svg"), default="text")
     sp.add_argument("--out", help="write output to a file instead of stdout")
     sp.add_argument("--timings", action="store_true", help="include wall-clock time in reports")
     sp.add_argument("--config", help="key = value file of flags (later flags win)")
-    sp.set_defaults(fn=fn)
+    sp.set_defaults(fn=handler)
     return sp
 
 
@@ -641,7 +643,9 @@ def _add_complex_options(sp):
     sp.add_argument("--box", help="G,D (default 8,8)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="bigraded",
         description="exact-arithmetic workbench: bigraded homology boxes, slope "
@@ -649,57 +653,61 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    sp = _leaf(sub, "ranges", cmd_ranges, help="normalize and check stability-range inequalities")
+    sp = _leaf(sub, "ranges", "cmd_ranges", help="normalize and check stability-range inequalities")
     sp.add_argument("--kind", choices=grading.KINDS, default="vanishing")
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--b", type=int, required=True)
     sp.add_argument("--e", type=int, required=True)
     sp.add_argument("--check", help="bidegree 'g,d' to test against the range")
 
-    sp = _leaf(sub, "slope-box", cmd_slope_box, help="bidegrees between d >= g-1 and a slope bound")
+    sp = _leaf(
+        sub, "slope-box", "cmd_slope_box", help="bidegrees between d >= g-1 and a slope bound"
+    )
     sp.add_argument("--high", required=True, help="slope bound p/q")
     sp.add_argument("--gmax", type=int, help="genus bound (default: the finiteness bound)")
 
-    sp = _leaf(sub, "lie-basis", cmd_lie_basis, help="free graded Lie basis in a box")
+    sp = _leaf(sub, "lie-basis", "cmd_lie_basis", help="free graded Lie basis in a box")
     sp.add_argument("--gens", required=True, help="generator file: name g d [r]")
     sp.add_argument("--box", required=True, help="G,D")
 
-    sp = _leaf(sub, "betti", cmd_betti, help="bigraded dimensions of the free algebra")
+    sp = _leaf(sub, "betti", "cmd_betti", help="bigraded dimensions of the free algebra")
     sp.add_argument("--gens", required=True)
     sp.add_argument("--box", required=True)
     sp.add_argument("--field", choices=("Q", "F2"), default="Q")
 
-    sp = _leaf(sub, "homology", cmd_homology, help="homology table of a named or user complex")
+    sp = _leaf(sub, "homology", "cmd_homology", help="homology table of a named or user complex")
     _add_complex_options(sp)
 
-    sp = _leaf(sub, "vanish-check", cmd_vanish_check, help="certify homology vanishing below a line")
+    sp = _leaf(
+        sub, "vanish-check", "cmd_vanish_check", help="certify homology vanishing below a line"
+    )
     _add_complex_options(sp)
     sp.add_argument("--slope", help="slope bound p/q (line through the origin)")
     sp.add_argument("--line", help="lam:c for the line d < lam*(g-c)")
 
     sp = sub.add_parser("taut", help="tautological-ring calculator")
     tsub = sp.add_subparsers(dest="taut_cmd", required=True)
-    g = _leaf(tsub, "gysin", cmd_taut_gysin, help="Gysin pushforward of an e/kappa polynomial")
+    g = _leaf(tsub, "gysin", "cmd_taut_gysin", help="Gysin pushforward of an e/kappa polynomial")
     g.add_argument("--expr", required=True)
     g.add_argument("--genus", type=int, required=True)
-    c = _leaf(tsub, "coproduct", cmd_taut_coproduct, help="n-fold coproduct expansion")
+    c = _leaf(tsub, "coproduct", "cmd_taut_coproduct", help="n-fold coproduct expansion")
     c.add_argument("--expr")
     c.add_argument("--expr-file", dest="expr_file")
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--restrict", help="per-slot patterns, e.g. k1,k1,{k1^2|k2}")
-    p = _leaf(tsub, "pair", cmd_taut_pair, help="pair functionals against a coproduct expansion")
+    p = _leaf(tsub, "pair", "cmd_taut_pair", help="pair functionals against a coproduct expansion")
     p.add_argument("--paper-6-3", dest="paper_6_3", action="store_true",
                    help="the recorded degree-14 pairing")
     p.add_argument("--functionals")
-    led = _leaf(tsub, "ledger", cmd_taut_ledger, help="query the relation ledger")
+    led = _leaf(tsub, "ledger", "cmd_taut_ledger", help="query the relation ledger")
     led.add_argument("--genus", type=int)
     led.add_argument("--degree", type=int)
     led.add_argument("--relations", help="extra relations file, one polynomial per line")
-    _leaf(tsub, "h43", cmd_taut_h43, help="solve the degree-3 kernel deduction")
+    _leaf(tsub, "h43", "cmd_taut_h43", help="solve the degree-3 kernel deduction")
 
     sp = sub.add_parser("nerve", help="nerve-criterion checker")
     nsub = sp.add_subparsers(dest="nerve_cmd", required=True)
-    nc = _leaf(nsub, "check", cmd_nerve)
+    nc = _leaf(nsub, "check", "cmd_nerve")
     nc.add_argument("--poset", required=True, help="covered poset file")
     nc.add_argument("--A", required=True, help="index poset file")
     nc.add_argument("--cover", required=True, help="functor file: a : x1 x2 ...")
@@ -709,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("poset", help="poset campaigns")
     psub = sp.add_subparsers(dest="poset_cmd", required=True)
-    pf = _leaf(psub, "fuzz", cmd_poset_fuzz)
+    pf = _leaf(psub, "fuzz", "cmd_poset_fuzz")
     pf.add_argument("--campaign", choices=("poset-map", "nerve"), required=True)
     pf.add_argument("--count", type=int, default=10000)
     pf.add_argument("--max-size", dest="max_size", type=int, default=12)
@@ -718,23 +726,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sp4", help="symplectic group over F2")
     ssub = sp.add_subparsers(dest="sp4_cmd", required=True)
-    _leaf(ssub, "subsets", cmd_sp4_subsets)
-    s2 = _leaf(ssub, "phi", cmd_sp4_phi)
+    _leaf(ssub, "subsets", "cmd_sp4_subsets")
+    s2 = _leaf(ssub, "phi", "cmd_sp4_phi")
     s2.add_argument("--matrix", help='rows "a,b,c,d;e,f,g,h;..." over F2')
     s2.add_argument("--swap", action="store_true", help="use the block swap matrix")
-    s3 = _leaf(ssub, "verify", cmd_sp4_verify)
+    s3 = _leaf(ssub, "verify", "cmd_sp4_verify")
     s3.add_argument("--pairs", type=int, default=10000)
 
-    sp = _leaf(sub, "abelianize", cmd_abelianize, help="abelianization of a presentation file")
+    sp = _leaf(sub, "abelianize", "cmd_abelianize", help="abelianization of a presentation file")
     sp.add_argument("--in", dest="infile", required=True)
 
     sp = sub.add_parser("la", help="exact linear algebra utilities")
     lsub = sp.add_subparsers(dest="la_cmd", required=True)
-    snf = _leaf(lsub, "snf", cmd_la_snf)
+    snf = _leaf(lsub, "snf", "cmd_la_snf")
     snf.add_argument("--in", dest="infile", required=True)
     snf.add_argument("--certificate", action="store_true")
 
-    sp = _leaf(sub, "report", cmd_report, help="emit a recorded or computed figure")
+    sp = _leaf(sub, "report", "cmd_report", help="emit a recorded or computed figure")
     sp.add_argument("figure", choices=("figure-lgens", "figure-rat"))
 
     return ap
@@ -776,7 +784,7 @@ def main(argv=None) -> int:
         inputs = [getattr(args, k) for k in INPUT_FILES if getattr(args, k, None)]
         report = Report(command, vars(args), inputs)
         report.timings = args.timings
-        outcome = args.fn(args)
+        outcome = globals()[args.fn](args)
         report.payload["result"] = outcome.result
         report.payload["status"] = outcome.status
         _emit(args, report, outcome)

@@ -146,12 +146,15 @@ def bidegrees_between(high_slope: Fraction, g_max: int) -> list[Bidegree]:
     Sorted lexicographically.  The paper-facing use is the finite list of
     bidegrees trapped between the connectivity line d >= g-1 and a slope
     bound; for high_slope < 1 the two constraints force g <= 1/(1-high_slope)
-    (see auto_g_bound), so a finite g_max loses nothing.
+    (see auto_g_bound), so a finite g_max loses nothing, and the scan stops
+    there whatever g_max is.
     """
     if high_slope < 0:
         raise DomainError("high_slope must be nonnegative")
     if g_max < 1:
         raise DomainError("g_max must be >= 1")
+    if high_slope < 1:
+        g_max = min(g_max, auto_g_bound(high_slope))
     out = []
     for g in range(1, g_max + 1):
         d = max(0, g - 1)

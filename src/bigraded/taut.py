@@ -54,14 +54,17 @@ class ParamPoly(dict):
     def param(cls, name: str) -> "ParamPoly":
         return cls({((name, 1),): Fraction(1)})
 
+    def _add_term(self, m: ParamMono, c: Fraction) -> None:
+        s = self.get(m, Fraction(0)) + c
+        if s:
+            self[m] = s
+        else:
+            self.pop(m, None)
+
     def __add__(self, other):
         out = ParamPoly(self)
         for m, c in other.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+            out._add_term(m, c)
         return out
 
     def __neg__(self):
@@ -79,12 +82,7 @@ class ParamPoly(dict):
                 exps: dict[str, int] = dict(m1)
                 for name, e in m2:
                     exps[name] = exps.get(name, 0) + e
-                m = tuple(sorted(exps.items()))
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+                out._add_term(tuple(sorted(exps.items())), c1 * c2)
         return out
 
     __rmul__ = __mul__
@@ -121,9 +119,6 @@ class ParamPoly(dict):
         for p in parts[1:]:
             text += p if p.startswith("-") else "+" + p
         return text
-
-    def sorted_items(self):
-        return sorted(self.items())
 
 
 def _text(n: int) -> str:
@@ -226,9 +221,6 @@ class TautPoly(dict):
         if len(degs) > 1:
             raise DomainError(f"inhomogeneous polynomial, degrees {sorted(degs)}")
         return degs.pop()
-
-    def has_e(self) -> bool:
-        return any(m[0] for m in self)
 
     def render(self) -> str:
         if not self:

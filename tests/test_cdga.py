@@ -624,6 +624,54 @@ def test_dgmodule_rho4_koszul():
     assert t.sorted_items() == [((0, 0), 1)]
 
 
+def _chain_module(fld, dz):
+    """(1, e1, e2) over x(1,0), y(1,1), z(2,2) with d(z) = dz, d(e1) = x and
+    d(e2) = y*e1 + z.  d^2(e2) = d(y) e1 + (-1)^d(y) y*x + d(z), and y is
+    odd, so the module is a complex exactly when d(z) = y*x."""
+    base = _cdga(fld, [Letter(1, 0, 0, "x"), Letter(1, 1, 0, "y"), Letter(2, 2, 0, "z")], {"z": dz})
+    x, y, z = (base.mono_of({name: 1}) for name in "xyz")
+    one = fld.one()
+    mdiff = {"e1": [({x: one}, "1")], "e2": [({y: one}, "e1"), ({z: one}, "1")]}
+    return DGModule(base, [("1", 0, 0, 0), ("e1", 1, 1, 0), ("e2", 2, 3, 0)], mdiff)
+
+
+def _matrix_product_is_zero(fld, b, a):
+    """Whether b*a = 0 for sparse matrices a and b."""
+    product = {}
+    for i, row in enumerate(b.rows):
+        for k, v in row:
+            for j, w in a.rows[k]:
+                product[(i, j)] = fld.add(product.get((i, j), fld.zero()), fld.mul(v, w))
+    return all(fld.is_zero(c) for c in product.values())
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(3)])
+def test_dgmodule_d_squared_uses_the_koszul_sign(fld):
+    mod = _chain_module(fld, "y*x")
+    for g in range(6):
+        for d in range(2, 6):
+            dm = mod.differential_matrix
+            assert _matrix_product_is_zero(fld, dm((g, d - 1)), dm((g, d)))
+    with pytest.raises(InputError, match=r"delta\^2 != 0 on module generator e2"):
+        _chain_module(fld, "-y*x")
+
+
+def test_dgmodule_input_errors():
+    base = _cdga(QQ, [Letter(1, 0, 0, "x"), Letter(1, 1, 0, "y")])
+    x, y = base.mono_of({"x": 1}), base.mono_of({"y": 1})
+    gens = [("1", 0, 0, 0), ("e", 1, 1, 0)]
+    cases = [
+        ([("1", 0, 0, 0), ("1", 1, 1, 0)], {}, "duplicate module generator names"),
+        (gens, {"f": [({x: 1}, "1")]}, "module differential on unknown generator f"),
+        (gens, {"e": [({x: 1}, "f")]}, "module differential hits unknown generator f"),
+        (gens, {"e": [({y: 1}, "1")]}, "module differential of e not homogeneous"),
+    ]
+    for module_gens, mdiff, message in cases:
+        with pytest.raises(InputError, match=message):
+            DGModule(base, module_gens, mdiff)
+    assert DGModule(base, gens, {"e": [({x: 1}, "1")]}).mdiff == {"e": [({x: 1}, "1")]}
+
+
 def test_quotient_erases_divisible_terms():
     letters = [Letter(1, 0, 0, "sigma"), Letter(1, 1, 1, "tau"), Letter(2, 2, 2, "rho")]
     cx = _cdga(QQ, letters, {"rho": "10*sigma*tau"})

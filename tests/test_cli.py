@@ -443,6 +443,14 @@ def test_broken_pipe_exits_0(monkeypatch):
     assert main(["slope-box", "--high", "3/4"]) == 0
 
 
+def test_parser_is_built_once(capsys):
+    parser = cli.build_parser()
+    assert main(["slope-box", "--high", "3/4"]) == 0
+    assert main(["slope-box", "--high", "2/3", "--format", "json"]) == 0
+    assert cli.build_parser() is parser
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["params"]["high"] == "2/3"
+
+
 def test_out_of_range_check_reports_counterexample(capsys):
     assert main(["ranges", "--a", "4", "--b", "3", "--e", "-5", "--check", "6,4",
                  "--format", "json"]) == 1

@@ -83,6 +83,14 @@ def test_auto_g_bound():
     assert all(p.g <= big for p in bidegrees_between(Fraction(7, 8), big + 10))
 
 
+def test_bidegrees_between_stops_at_the_finiteness_bound():
+    # below slope 1 nothing lies past auto_g_bound, so a huge g_max costs nothing
+    for high in (Fraction(3, 4), Fraction(0), Fraction(99, 100)):
+        pts = bidegrees_between(high, 10**18)
+        assert pts == bidegrees_between(high, auto_g_bound(high))
+        assert pts[-1].g == auto_g_bound(high)
+
+
 def test_range_statement_renderings():
     assert range_statement("vanishing", 3, 2, -1).render() == "3d ≤ 2g-1"
     assert range_statement("epimorphism", 4, 3, -1).render() == "4d ≤ 3g-1"
