@@ -4,13 +4,15 @@ Everything here is exact: rationals are `fractions.Fraction`, residues are
 ints reduced into [0, ell).  No floating point is used anywhere.
 
 A `Matrix` is sparse: each row lists its nonzero entries as ``(col, value)``
-pairs.  `rank`, `rref` and `kernel_basis` share one sparse-row elimination
-over any of these fields: the shortest remaining row is the pivot and clears
-its leading column from the other rows, which keeps fill-in low on the very
-sparse differentials of chain complexes.  `rref` back-substitutes the pivot
-rows; the reduced echelon form is unique, so echelon forms and kernel bases
-do not depend on the pivot order.  `rank_oracle` is an independent dense
-elimination for cross-checks.
+pairs.  Field elimination and the Smith form share one sparse working copy,
+`_SparseWork`: dict rows, a column index and one row operation, reduced mod
+ell over F_ell.  Each keeps its own pivot policy.  `rank`, `rref` and
+`kernel_basis` pivot on the shortest remaining row, scaled to 1 at its
+leading column, which it clears from the other rows; that keeps fill-in low
+on the very sparse differentials of chain complexes.  `rref`
+back-substitutes the pivot rows; the reduced echelon form is unique, so
+echelon forms and kernel bases do not depend on the pivot order.
+`rank_oracle` is an independent dense elimination for cross-checks.
 
 `smith_normal_form` takes the same sparse rows with integer values, under
 the same row check, and reduces them in two phases.  Phase 1 eliminates unit
@@ -26,7 +28,6 @@ independently.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -227,56 +228,119 @@ def sparse_rows(dense, ncols: int, of=_integer):
     return [[(j, x) for j, x in enumerate(map(of, r)) if x] for r in dense]
 
 
+class _SparseWork:
+    """The working copy of a sparse elimination: the nonzero rows as
+    ``{col: value}`` dicts, the rows meeting each column, and, with
+    certificates, the dense U and V that record every row and column
+    operation.  Values are reduced mod ``mod``, the characteristic of the
+    field over F_ell; it is 0 over Q and Z, whose scalars are exact."""
+
+    __slots__ = ("A", "colocc", "mod", "U", "V")
+
+    def __init__(self, rows, ncols: int, mod: int, want_certs: bool = False):
+        self.A = A = {i: dict(r) for i, r in enumerate(rows) if r}
+        self.colocc = colocc = {}  # col -> rows meeting it
+        for i, r in A.items():
+            for j in r:
+                colocc.setdefault(j, set()).add(i)
+        self.mod = mod
+        nrows = len(rows)
+        self.U = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if want_certs else None
+        self.V = [[int(i == j) for j in range(ncols)] for i in range(ncols)] if want_certs else None
+
+    def row_op(self, dst, src, q):
+        # row dst -= q * row src; a row that becomes zero leaves A
+        if not q:
+            return
+        A, colocc, mod = self.A, self.colocc, self.mod
+        dst_row = A[dst]
+        for j, v in A[src].items():
+            if j in dst_row:
+                nv = dst_row[j] - q * v
+                if mod:
+                    nv %= mod
+                if nv:
+                    dst_row[j] = nv
+                else:
+                    del dst_row[j]
+                    colocc[j].discard(dst)
+            else:
+                dst_row[j] = -q * v % mod if mod else -q * v
+                colocc[j].add(dst)
+        if not dst_row:
+            del A[dst]
+        if self.U is not None:
+            self.U[dst] = [a - q * b for a, b in zip(self.U[dst], self.U[src])]
+
+    def col_op(self, dst, src, q):
+        # col dst -= q * col src
+        A, colocc = self.A, self.colocc
+        for i in colocc[src]:
+            row = A[i]
+            nv = row.get(dst, 0) - q * row[src]
+            if nv:
+                if dst not in row:
+                    colocc[dst].add(i)
+                row[dst] = nv
+            elif dst in row:
+                del row[dst]
+                colocc[dst].discard(i)
+        self.record_col_op(dst, src, q)
+
+    def record_col_op(self, dst, src, q):
+        # col dst -= q * col src, in V only
+        if self.V is not None:
+            for row in self.V:
+                row[dst] -= q * row[src]
+
+    def scale_row(self, i, s):
+        # row i *= s, for a unit s
+        row, mod = self.A[i], self.mod
+        for j, v in row.items():
+            row[j] = v * s % mod if mod else v * s
+        if self.U is not None:
+            self.U[i] = [s * x for x in self.U[i]]
+
+    def retire(self, r, c):
+        """Take pivot row r out of A and return it, and with it column c,
+        which no other row meets any more."""
+        colocc = self.colocc
+        row = self.A.pop(r)
+        for j in row:
+            colocc[j].discard(r)
+        del colocc[c]
+        return row
+
+
 def _eliminate(m: Matrix):
     """Sparse Gaussian elimination, pivoting on the shortest row.
 
-    Rows are ``{col: value}`` dicts; a heap of (length, row) entries,
-    refreshed whenever a row changes, yields the shortest remaining row, and
-    its leading column is cleared from every remaining row that meets it
-    (structured Gaussian elimination, LaMacchia & Odlyzko, CRYPTO '90).
-    Returns the pivot rows as ``(pivot column, row)`` in the order chosen:
-    each pivot is its row's leading column, and each row is zero at the
-    pivot columns chosen before it.
+    A heap of (length, row) entries, refreshed whenever a row changes, yields
+    the shortest remaining row of the working copy; it is scaled to 1 at its
+    leading column, which is cleared from every other row that meets it, and
+    retired (structured Gaussian elimination, LaMacchia & Odlyzko, CRYPTO
+    '90).  Returns the pivot rows as ``(pivot column, row)`` in the order
+    chosen: each pivot is its row's leading column with value 1, and each
+    row is zero at the pivot columns chosen before it.
     """
-    f = m.field
-    sub, mul, is_zero = f.sub, f.mul, f.is_zero
-    zero = f.zero()
-    rows = {i: dict(r) for i, r in enumerate(m.rows) if r}
-    col_rows: defaultdict[int, set[int]] = defaultdict(set)  # col -> rows meeting it
-    for i, row in rows.items():
-        for j in row:
-            col_rows[j].add(i)
-    heap = [(len(row), i) for i, row in rows.items()]
+    w = _SparseWork(m.rows, m.ncols, m.field.char)
+    A, colocc, inv = w.A, w.colocc, m.field.inv
+    heap = [(len(row), i) for i, row in A.items()]
     heapify(heap)
     echelon = []
     while heap:
         size, p = heappop(heap)
-        piv = rows.get(p)
+        piv = A.get(p)
         if piv is None or len(piv) != size:
-            continue  # stale entry: the row was used or has changed
-        del rows[p]
-        for j in piv:
-            col_rows[j].discard(p)
+            continue  # stale entry: the row was retired or has changed
         c = min(piv)
-        echelon.append((c, piv))
-        inv = f.inv(piv[c])
-        for i in col_rows.pop(c, ()):
-            row = rows[i]
-            q = mul(row[c], inv)
-            for j, v in piv.items():
-                x = sub(row.get(j, zero), mul(q, v))
-                if is_zero(x):
-                    del row[j]
-                    if j != c:
-                        col_rows[j].discard(i)
-                else:
-                    if j not in row:
-                        col_rows[j].add(i)
-                    row[j] = x
-            if row:
-                heappush(heap, (len(row), i))
-            else:
-                del rows[i]
+        if piv[c] != 1:
+            w.scale_row(p, inv(piv[c]))
+        for i in colocc[c] - {p}:
+            w.row_op(i, p, A[i][c])
+            if i in A:
+                heappush(heap, (len(A[i]), i))
+        echelon.append((c, w.retire(p, c)))
     return echelon
 
 
@@ -289,17 +353,15 @@ def rref(m: Matrix):
     """Reduced row echelon form: its nonzero rows, as sparse rows in
     pivot-column order, and their pivot columns.
 
-    The pivot rows of `_eliminate` are back-substituted in reverse: each is
-    scaled to 1 at its pivot and cleared at the pivots chosen after it,
-    whose rows are already reduced and lead with those pivots, so every row
-    still leads with its own pivot.  The reduced echelon form is unique, so
-    the elimination's pivot order does not show in the result.
+    The pivot rows of `_eliminate`, already 1 at their pivots, are
+    back-substituted in reverse: each is cleared at the pivots chosen after
+    it, whose rows are already reduced and lead with those pivots, so every
+    row still leads with its own pivot.  The reduced echelon form is unique,
+    so the elimination's pivot order does not show in the result.
     """
     f = m.field
     reduced: dict[int, dict] = {}  # pivot column -> reduced row
     for c, row in reversed(_eliminate(m)):
-        inv = f.inv(row[c])
-        row = {j: f.mul(inv, v) for j, v in row.items()}
         for k in [k for k in row if k != c and k in reduced]:
             q = row[k]
             for j, v in reduced[k].items():
@@ -420,85 +482,7 @@ def det_int(A) -> int:
     return sign * M[n - 1][n - 1] if n else 1
 
 
-class _SmithWork:
-    """The working copy of a Smith form reduction: the nonzero rows as
-    ``{col: value}`` dicts, the rows meeting each column, and, with
-    certificates, the dense U and V that record every row and column
-    operation."""
-
-    __slots__ = ("A", "colocc", "U", "V")
-
-    def __init__(self, rows, ncols: int, want_certs: bool):
-        self.A = {i: dict(r) for i, r in enumerate(rows) if r}
-        self.colocc: dict[int, set[int]] = {}
-        for i, r in self.A.items():
-            for j in r:
-                self.colocc.setdefault(j, set()).add(i)
-        nrows = len(rows)
-        self.U = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if want_certs else None
-        self.V = [[int(i == j) for j in range(ncols)] for i in range(ncols)] if want_certs else None
-
-    def row_op(self, dst, src, q):
-        # row dst -= q * row src; a row that becomes zero leaves A
-        if not q:
-            return
-        A, colocc = self.A, self.colocc
-        dst_row = A[dst]
-        for j, v in A[src].items():
-            if j in dst_row:
-                nv = dst_row[j] - q * v
-                if nv:
-                    dst_row[j] = nv
-                else:
-                    del dst_row[j]
-                    colocc[j].discard(dst)
-            else:
-                dst_row[j] = -q * v
-                colocc[j].add(dst)
-        if not dst_row:
-            del A[dst]
-        if self.U is not None:
-            self.U[dst] = [a - q * b for a, b in zip(self.U[dst], self.U[src])]
-
-    def col_op(self, dst, src, q):
-        # col dst -= q * col src
-        A, colocc = self.A, self.colocc
-        for i in colocc[src]:
-            row = A[i]
-            nv = row.get(dst, 0) - q * row[src]
-            if nv:
-                if dst not in row:
-                    colocc[dst].add(i)
-                row[dst] = nv
-            elif dst in row:
-                del row[dst]
-                colocc[dst].discard(i)
-        self.record_col_op(dst, src, q)
-
-    def record_col_op(self, dst, src, q):
-        # col dst -= q * col src, in V only
-        if self.V is not None:
-            for row in self.V:
-                row[dst] -= q * row[src]
-
-    def negate_row(self, i):
-        row = self.A[i]
-        for j in row:
-            row[j] = -row[j]
-        if self.U is not None:
-            self.U[i] = [-x for x in self.U[i]]
-
-    def retire(self, r, c):
-        """Take pivot row r out of A, and with it column c, which no other
-        row meets any more."""
-        colocc = self.colocc
-        for j in self.A.pop(r):
-            if j != c:
-                colocc[j].discard(r)
-        del colocc[c]
-
-
-def _unit_pivots(w: _SmithWork):
+def _unit_pivots(w: _SparseWork):
     """Phase 1 of `smith_normal_form`: eliminate the unit pivots in sparse
     order, before any gcd work.
 
@@ -525,7 +509,7 @@ def _unit_pivots(w: _SmithWork):
             continue
         r = min(units)[1]
         if A[r][c] < 0:
-            w.negate_row(r)
+            w.scale_row(r, -1)
         piv = A[r]
         for i in [i for i in occ if i != r]:
             w.row_op(i, r, A[i][c])
@@ -543,7 +527,7 @@ def _unit_pivots(w: _SmithWork):
     return pivots
 
 
-def _smith_residual(w: _SmithWork):
+def _smith_residual(w: _SparseWork):
     """Phase 2 of `smith_normal_form`: the Smith form of what
     `_unit_pivots` leaves in ``w.A``, by min-abs pivots.
 
@@ -575,7 +559,7 @@ def _smith_residual(w: _SmithWork):
         while True:
             r0, c0 = piv
             if A[r0][c0] < 0:
-                w.negate_row(r0)
+                w.scale_row(r0, -1)
             p = A[r0][c0]
             dirty = False
             for i in sorted(colocc[c0] - {r0}):
@@ -636,7 +620,7 @@ def smith_normal_form(rows, ncols: int, want_certs: bool = False) -> SmithForm:
     1s followed by phase 2's divisibility chain.
     """
     rows = _checked_rows(rows, ncols, _smith_entry)
-    w = _SmithWork(rows, ncols, want_certs)
+    w = _SparseWork(rows, ncols, 0, want_certs)
     units = _unit_pivots(w)
     residual = _smith_residual(w)
     factors = [1] * len(units) + [p for _, _, p in residual]
@@ -656,32 +640,33 @@ def smith_normal_form(rows, ncols: int, want_certs: bool = False) -> SmithForm:
 
 
 def snf_certificate_ok(rows, sf: SmithForm) -> bool:
-    """Check U*A*V = diag(factors) and that U, V are unimodular, for the
-    sparse rows A that `smith_normal_form` was given."""
+    """Check U*A*V = diag(factors) literally, for the sparse rows A that
+    `smith_normal_form` was given: the k factors, positive and each dividing
+    the next, on the first k diagonal places, 0 everywhere else, free rank
+    ncols - k, and U, V square and unimodular."""
     if sf.U is None or sf.V is None:
         raise InputError("certificates were not requested")
-    nrows = len(rows)
-    ncols = len(sf.V)  # V is ncols x ncols
+    U, V, factors = sf.U, sf.V, sf.factors
+    nrows, ncols, k = len(rows), len(V), len(factors)
+    if (
+        len(U) != nrows
+        or any(len(r) != nrows for r in U)
+        or any(len(r) != ncols for r in V)
+        or k > min(nrows, ncols)
+        or sf.free_rank != ncols - k
+        or any(d <= 0 for d in factors)
+        or any(b % a for a, b in zip(factors, factors[1:]))
+    ):
+        return False
     dense = [[0] * ncols for _ in range(nrows)]
     for i, r in enumerate(rows):
         for j, x in r:
             dense[i][j] = x
-    D = _mat_mul_int(_mat_mul_int(sf.U, dense), sf.V) if nrows and ncols else []
-    diag_vals = [D[i][i] for i in range(min(nrows, ncols)) if D[i][i] != 0] if D else []
-    for i in range(nrows):
-        for j in range(ncols):
-            if i != j and D[i][j] != 0:
+    for i, row in enumerate(_mat_mul_int(_mat_mul_int(U, dense), V)):
+        for j, x in enumerate(row):
+            if x != (factors[i] if i == j < k else 0):
                 return False
-    if diag_vals != sf.factors:
-        return False
-    for a, b in zip(sf.factors, sf.factors[1:]):
-        if b % a != 0:
-            return False
-    if nrows and abs(det_int(sf.U)) != 1:
-        return False
-    if ncols and abs(det_int(sf.V)) != 1:
-        return False
-    return True
+    return abs(det_int(U)) == 1 and abs(det_int(V)) == 1
 
 
 def parse_int_matrix(text: str):

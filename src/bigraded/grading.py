@@ -73,7 +73,8 @@ class VanishingLine:
     def render(self) -> str:
         if self.c == 0:
             return f"d < {_frac(self.lam)}*g"
-        return f"d < {_frac(self.lam)}*(g - {_frac(self.c)})"
+        sign = "-" if self.c > 0 else "+"
+        return f"d < {_frac(self.lam)}*(g {sign} {_frac(abs(self.c))})"
 
 
 def _frac(x: Fraction) -> str:

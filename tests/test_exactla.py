@@ -6,12 +6,14 @@ from math import gcd
 
 import pytest
 
+from bigraded import exactla
 from bigraded.errors import InputError
 from bigraded.exactla import (
     GF,
     PRIME_BOUND,
     QQ,
     Matrix,
+    SmithForm,
     det_int,
     PrimeField,
     field_by_name,
@@ -122,6 +124,25 @@ def test_sparse_rank_matches_oracle(fld):
     _check_rref(m)
 
 
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_working_copy_keeps_residues_reduced(monkeypatch, ell):
+    """Over F_ell every value in the shared working copy stays in [0, ell)
+    after each row operation, on the fill branch as on the update branch:
+    unreduced fill would be congruent, so ranks would not show it, but its
+    ints would grow with every later row operation that reads it."""
+    row_op = exactla._SparseWork.row_op
+
+    def checked(w, dst, src, q):
+        row_op(w, dst, src, q)
+        assert all(0 < v < ell for row in w.A.values() for v in row.values())
+
+    monkeypatch.setattr(exactla._SparseWork, "row_op", checked)
+    rng = random.Random(ell + 29)
+    for _ in range(30):
+        m = _random_matrix(rng, GF(ell), rng.randint(2, 9), rng.randint(2, 9), 0.5)
+        assert rank(m) == rank_oracle(m)
+
+
 def _echelon_cases():
     """Seeded random matrices over Q, F2, F3 and F5: the empty shapes,
     all-zero matrices (density 0), duplicate rows and dense ones."""
@@ -212,6 +233,33 @@ def test_snf_divisibility_and_certificates_random():
         for a, b in zip(sf.factors, sf.factors[1:]):
             assert b % a == 0
         assert snf_certificate_ok(sparse, sf)
+
+
+_I2, _SWAP = [[1, 0], [0, 1]], [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize(
+    "dense, forged",
+    [
+        # U*A*V = diag(0, 1): the factor sits off the literal diagonal
+        ([[0, 0], [0, 1]], SmithForm([1], 1, U=_I2, V=_I2)),
+        ([[-1]], SmithForm([-1], 0, U=[[1]], V=[[1]])),  # a negative factor
+        ([[1]], SmithForm([1], 5, U=[[1]], V=[[1]])),  # a wrong free rank
+        ([[1]], SmithForm([1, 1], -1, U=[[1]], V=[[1]])),  # more factors than fit
+        ([[2, 0], [0, 3]], SmithForm([2, 3], 0, U=_I2, V=_I2)),  # 2 does not divide 3
+        ([[0, 0], [0, 1]], SmithForm([], 2, U=[], V=_I2)),  # U of the wrong shape
+        ([[2, 0], [0, 1]], SmithForm([1, 2], 0, U=[[0, 1], [2, 1]], V=_SWAP)),  # det U = -2
+    ],
+)
+def test_snf_certificate_rejects_forgeries(dense, forged):
+    rows = sparse_rows(dense, len(dense[0]))
+    assert not snf_certificate_ok(rows, forged)
+
+
+def test_snf_certificate_accepts_the_literal_diagonal():
+    rows = sparse_rows([[0, 0], [0, 1]], 2)
+    assert snf_certificate_ok(rows, SmithForm([1], 1, U=_SWAP, V=_SWAP))
+    assert snf_certificate_ok(rows, smith_normal_form(rows, 2, want_certs=True))
 
 
 def test_snf_rejects_non_integers():

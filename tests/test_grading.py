@@ -130,3 +130,10 @@ def test_vanishing_line():
     assert offset.strictly_below((2, 0))
     with pytest.raises(DomainError):
         VanishingLine(Fraction(0))
+
+
+def test_vanishing_line_renderings():
+    assert VanishingLine(Fraction(3, 4)).render() == "d < 3/4*g"
+    assert VanishingLine(Fraction(2, 3), Fraction(1, 2)).render() == "d < 2/3*(g - 1/2)"
+    assert VanishingLine(Fraction(3, 4), Fraction(-1)).render() == "d < 3/4*(g + 1)"
+    assert VanishingLine(Fraction(1), Fraction(-5, 2)).render() == "d < 1*(g + 5/2)"
