@@ -440,10 +440,10 @@ def matrix_homology_table(cx, box: tuple[int, int]) -> HomologyTable:
     ranks: dict[tuple[int, int], int] = {}
 
     def rank_at(g, d):
-        if d < 1:
-            return 0
         if (g, d) not in ranks:
-            ranks[(g, d)] = exactla.rank(cx.differential_matrix((g, d)))
+            # a map from or to the zero space has rank 0: no matrix is built
+            empty = d < 1 or not cx.monomial_basis((g, d)) or not cx.monomial_basis((g, d - 1))
+            ranks[(g, d)] = 0 if empty else exactla.rank(cx.differential_matrix((g, d)))
         return ranks[(g, d)]
 
     dims = {}

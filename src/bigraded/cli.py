@@ -318,9 +318,12 @@ def cmd_taut_coproduct(args) -> Outcome:
     text = _read(args.expr_file) if args.expr_file else args.expr
     if not text:
         raise InputError("need --expr or --expr-file")
-    terms = taut.nfold_coproduct(taut.parse_taut(text), args.n)
+    p = taut.parse_taut(text)
+    patterns = None
     if args.restrict:
-        terms = taut.restrict_terms(terms, _parse_restrict(args.restrict, args.n))
+        taut.check_coproduct(p, args.n)  # the expansion's errors before the restriction's
+        patterns = _parse_restrict(args.restrict, args.n)
+    terms = taut.nfold_coproduct(p, args.n, patterns)
     rows = [[t.coeff.render()] + [taut.mono_name(s) for s in t.slots] for t in terms]
     return Outcome(
         {"terms": [{"coeff": row[0], "slots": row[1:]} for row in rows]},
@@ -331,13 +334,14 @@ def cmd_taut_coproduct(args) -> Outcome:
 
 def cmd_taut_pair(args) -> Outcome:
     if args.paper_6_3:
-        terms = taut.nfold_coproduct(taut.r12_restricted(), 5)
-        funcs = taut.paper_63_functionals()
+        p, funcs = taut.r12_restricted(), taut.paper_63_functionals()
     elif args.functionals:
-        funcs, expr, n = _parse_functionals(_read(args.functionals))
-        terms = taut.nfold_coproduct(taut.parse_taut(expr), n)
+        funcs, expr = _parse_functionals(_read(args.functionals))
+        p = taut.parse_taut(expr)
     else:
         raise InputError("need --paper-6-3 or --functionals FILE")
+    # a term with a slot outside its functional's support pairs to zero
+    terms = taut.nfold_coproduct(p, len(funcs), [f.support for f in funcs])
     value, trace = taut.pair_tensor_trace(terms, funcs)
     contributing = [
         {
@@ -447,7 +451,7 @@ def _parse_functionals(text: str):
         ordered = [built[nm] for nm in slots]
     except KeyError as exc:
         raise InputError(f"unknown functional in slots: {exc}") from exc
-    return ordered, expr, len(slots)
+    return ordered, expr
 
 
 def cmd_nerve(args) -> Outcome:

@@ -237,14 +237,13 @@ class _SparseWork:
 
     __slots__ = ("A", "colocc", "mod", "U", "V")
 
-    def __init__(self, rows, ncols: int, mod: int, want_certs: bool = False):
-        self.A = A = {i: dict(r) for i, r in enumerate(rows) if r}
+    def __init__(self, A, nrows: int, ncols: int, mod: int, want_certs: bool = False):
+        self.A = A  # row index -> {col: value}, for the nonzero rows of nrows
         self.colocc = colocc = {}  # col -> rows meeting it
         for i, r in A.items():
             for j in r:
                 colocc.setdefault(j, set()).add(i)
         self.mod = mod
-        nrows = len(rows)
         self.U = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if want_certs else None
         self.V = [[int(i == j) for j in range(ncols)] for i in range(ncols)] if want_certs else None
 
@@ -323,8 +322,9 @@ def _eliminate(m: Matrix):
     chosen: each pivot is its row's leading column with value 1, and each
     row is zero at the pivot columns chosen before it.
     """
-    w = _SparseWork(m.rows, m.ncols, m.field.char)
-    A, colocc, inv = w.A, w.colocc, m.field.inv
+    A = {i: dict(r) for i, r in enumerate(m.rows) if r}
+    w = _SparseWork(A, m.nrows, m.ncols, m.field.char)
+    colocc, inv = w.colocc, m.field.inv
     heap = [(len(row), i) for i, row in A.items()]
     heapify(heap)
     echelon = []
@@ -592,11 +592,26 @@ def _smith_residual(w: _SparseWork):
     return diag
 
 
-def _smith_entry(x) -> int:
-    """The entry check of `smith_normal_form`'s sparse rows: nonzero ints."""
-    if _integer(x) == 0:
-        raise InputError("Smith normal form rows list nonzero entries only")
-    return x
+def _smith_rows(rows, ncols: int):
+    """`smith_normal_form`'s sparse rows as the ``{col: value}`` dicts of its
+    nonzero rows, each entry checked as the dict is filled: columns
+    increasing and below ``ncols``, values nonzero ints."""
+    A = {}
+    for i, row in enumerate(rows):
+        out = {}
+        last = -1
+        for j, x in row:
+            if not last < j < ncols:
+                raise InputError("matrix row columns out of order or out of range")
+            if not isinstance(x, int):
+                raise InputError("Smith normal form requires integer entries")
+            if not x:
+                raise InputError("Smith normal form rows list nonzero entries only")
+            out[j] = x
+            last = j
+        if out:
+            A[i] = out
+    return A
 
 
 def smith_normal_form(rows, ncols: int, want_certs: bool = False) -> SmithForm:
@@ -619,8 +634,7 @@ def smith_normal_form(rows, ncols: int, want_certs: bool = False) -> SmithForm:
     is empty for the order complexes of spheres.  The factors are phase 1's
     1s followed by phase 2's divisibility chain.
     """
-    rows = _checked_rows(rows, ncols, _smith_entry)
-    w = _SparseWork(rows, ncols, 0, want_certs)
+    w = _SparseWork(_smith_rows(rows, ncols), len(rows), ncols, 0, want_certs)
     units = _unit_pivots(w)
     residual = _smith_residual(w)
     factors = [1] * len(units) + [p for _, _, p in residual]

@@ -17,8 +17,14 @@ pi_!(q * p) = q * pi_!(p) for q free of e is then automatic.
 
 Coproducts use that the kappa_i are primitive: Delta(kappa_i) =
 kappa_i (x) 1 + 1 (x) kappa_i, extended multiplicatively.  An n-fold
-expansion is kept as explicit tensor terms, one per way of distributing each
-kappa exponent over the n slots, weighted by multinomial coefficients; the
+expansion is built slot by slot: slot s takes a kappa monomial under the
+exponents r_i the earlier slots left, and the last slot takes the rest.
+Slot s can take c_i of the r_i factors kappa_i in C(r_i, c_i) ways, so a
+term is weighted by the product of these binomials, which telescopes to the
+multinomial a_i! / (c_1! ... c_n!) of each source exponent a_i.  The caller
+may name the monomials each slot may hold (a functional's support, say): a
+slot then takes only those, and a branch ends as soon as a slot cannot be
+filled, so a pairing builds only the terms that can pair to nonzero.  The
 slots of a term determine its source monomial, so no terms are collected.
 """
 
@@ -27,8 +33,9 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import comb, prod
+from operator import sub
 
 from .errors import DomainError, InputError
 from . import exactla
@@ -476,23 +483,6 @@ class TensorTerm:
         return body if c == "1" else f"{c} * {body}"
 
 
-def _distributions(a: int, n: int) -> list[tuple[tuple[int, ...], int]]:
-    """All ways to put a identical items into n slots, in lexicographic
-    order, each with its multinomial a! / (c_1! ... c_n!).  A way is read
-    off the places of the n - 1 bars among a + n - 1 places (stars and
-    bars)."""
-    out = []
-    for bars in combinations(range(a + n - 1), n - 1):
-        cuts = (-1,) + bars + (a + n - 1,)
-        dist = tuple(cuts[k + 1] - cuts[k] - 1 for k in range(n))
-        ways, left = 1, a
-        for c in dist:
-            ways *= comb(left, c)
-            left -= c
-        out.append((dist, ways))
-    return out
-
-
 def _capped_comb(m: int, k: int, cap: int) -> int:
     """C(m, k), or cap + 1 if that is larger; C(m - k + i, i) grows with i,
     so the product stops as soon as it passes cap."""
@@ -538,18 +528,59 @@ def _largest_weight(ks, n: int, cap: int) -> int:
     return weight
 
 
-def nfold_coproduct(p: TautPoly, n: int) -> list[TensorTerm]:
-    """Full expansion of the (n-1)-fold iterated coproduct of a kappa
-    polynomial, using primitivity of each kappa_i and multiplicativity.
+def _slot_picks(ks, n: int, patterns=None) -> list[tuple[tuple[TautMono, ...], int]]:
+    """Each way to share the kappa exponents ``ks`` among n slots, as
+    ``(slots, weight)`` in increasing order of slots.  Slot s takes a
+    monomial c under the exponents r that the slots before it left, weighted
+    by prod_i C(r_i, c_i), and the last slot takes the remainder.  With
+    ``patterns``, slot s takes only monomials in patterns[s], so a branch
+    ends where a slot cannot be filled.  The walk keeps an explicit stack,
+    not one Python frame per slot."""
+    unit = (0, 0, ())
+    options = {}  # r, or (slot, r) with patterns -> the slot's picks under r
+    picks = []
+    path = [None] * n
+    stack = [(0, None, ks, 1)]
+    while stack:
+        s, m, r, w = stack.pop()
+        if s:
+            path[s - 1] = m
+        if not any(r):  # the slots from s on take the unit
+            if patterns is None or all(unit in pat for pat in patterns[s:]):
+                picks.append((tuple(path[:s]) + (unit,) * (n - s), w))
+            continue
+        if s == n - 1:  # the last slot takes the remainder
+            m = (0, 0, _trim(r))
+            if patterns is None or m in patterns[s]:
+                path[s] = m
+                picks.append((tuple(path), w))
+            continue
+        key = r if patterns is None else (s, r)
+        opts = options.get(key)
+        if opts is None:
+            if patterns is None:
+                subs = product(*(range(a + 1) for a in r))
+            else:
+                # the kappa monomials of the pattern under r, padded to len(r)
+                subs = sorted(
+                    c + (0,) * (len(r) - len(c)) for e, l1, c in patterns[s]
+                    if not e and not l1 and len(c) <= len(r) and c == _trim(c)
+                    and all(0 <= a <= b for a, b in zip(c, r))
+                )
+            opts = options[key] = [
+                ((0, 0, _trim(c)), tuple(map(sub, r, c)), prod(map(comb, r, c))) for c in subs
+            ]
+        # pushed in reverse, so the smallest pick is walked first
+        stack += [(s + 1, m, rest, w * ways) for m, rest, ways in reversed(opts)]
+    return picks
 
-    A monomial prod_i kappa_i^(a_i) expands into one term per pick of a
-    distribution of each a_i over the n slots: slot s carries the kappa
-    exponents of column s of the pick, and the coefficient is the source
-    coefficient times the product of the multinomials.  The columns of a
-    pick sum to the source exponents, so no two terms share their slots and
-    nothing is collected.  An expansion of more than MAX_COPRODUCT_SLOTS
-    slots in all, or with a weight of more than MAX_WEIGHT_DIGITS digits, is
-    an input error, raised before anything is built."""
+
+def check_coproduct(p: TautPoly, n: int) -> None:
+    """Raise the error that the n-fold expansion of p meets before it builds
+    anything: an arity below 2, a monomial with e or l1, more than
+    MAX_COPRODUCT_SLOTS slots in all, or a weight of more than
+    MAX_WEIGHT_DIGITS digits.  Slots and weights are those of the full
+    expansion, whatever patterns restrict it."""
     if n < 2:
         raise DomainError("coproduct arity must be >= 2")
     if any(e or l1 for e, l1, _ in p):
@@ -566,14 +597,33 @@ def nfold_coproduct(p: TautPoly, n: int) -> list[TensorTerm]:
             f"the {n}-fold coproduct has multinomial weights of more than"
             f" {MAX_WEIGHT_DIGITS} digits"
         )
-    terms = []
-    unused = (((0,) * n, 1),)  # the one distribution of a zero exponent
-    for (_, _, ks), coeff in p.items():
-        for pick in product(*(_distributions(a, n) if a else unused for a in ks)):
-            weight = prod(ways for _, ways in pick)
-            columns = zip(*(dist for dist, _ in pick)) if ks else [()] * n
-            slots = tuple((0, 0, _trim(col)) for col in columns)
-            terms.append(TensorTerm(ParamPoly({m: c * weight for m, c in coeff.items()}), slots))
+
+
+def nfold_coproduct(p: TautPoly, n: int, slot_patterns=None) -> list[TensorTerm]:
+    """Expansion of the (n-1)-fold iterated coproduct of a kappa polynomial,
+    using primitivity of each kappa_i and multiplicativity.
+
+    A monomial prod_i kappa_i^(a_i) expands into one term per way of sharing
+    its exponents among the n slots, walked slot by slot (`_slot_picks`);
+    the coefficient is the source coefficient times the product of the
+    binomials C(r_i, c_i) of each slot's pick, the multinomials of the
+    sharing.  The slots of a term sum to its source exponents, so no two
+    terms share their slots and nothing is collected; terms come in
+    increasing order of slots.
+
+    ``slot_patterns``, one set of monomials per slot as `restrict_terms`
+    takes them, keeps only the terms whose every slot lies in its set, and
+    the walk builds no other: the result is ``restrict_terms(
+    nfold_coproduct(p, n), slot_patterns)``, term for term.  `check_coproduct`
+    runs first, on the full expansion."""
+    check_coproduct(p, n)
+    if slot_patterns is not None and p and len(slot_patterns) != n:
+        raise InputError("pattern arity mismatch")
+    terms = [
+        TensorTerm(ParamPoly({m: c * weight for m, c in coeff.items()}), slots)
+        for (_, _, ks), coeff in p.items()
+        for slots, weight in _slot_picks(ks, n, slot_patterns)
+    ]
     terms.sort(key=lambda t: t.slots)
     return terms
 
@@ -605,6 +655,12 @@ class HomologyFunctional:
 
     def pair(self, m: TautMono) -> ParamPoly:
         return self.values.get(m, ParamPoly())
+
+    @property
+    def support(self) -> set[TautMono]:
+        """The monomials with a nonzero value: the pattern of a slot this
+        functional pairs with."""
+        return {m for m, v in self.values.items() if v}
 
 
 def pair_tensor(terms, functionals) -> ParamPoly:
@@ -642,8 +698,10 @@ def paper_63_functionals() -> list[HomologyFunctional]:
 
 def paper_63_pairing() -> ParamPoly:
     """The degree-14 pairing of lambda (x) lambda (x) lambda (x) x (x) x
-    against the 5-fold coproduct of the stored restricted relation."""
-    return pair_tensor(nfold_coproduct(r12_restricted(), 5), paper_63_functionals())
+    against the 5-fold coproduct of the stored restricted relation, expanded
+    only on the functionals' supports."""
+    funcs = paper_63_functionals()
+    return pair_tensor(nfold_coproduct(r12_restricted(), 5, [f.support for f in funcs]), funcs)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from bigraded.taut import (
     mono_name,
     nfold_coproduct,
     pair_tensor,
+    pair_tensor_trace,
     paper_63_functionals,
     paper_63_pairing,
     parse_taut,
@@ -28,8 +29,9 @@ from bigraded.taut import (
     restrict_terms,
     taut_const,
     TensorTerm,
-    _distributions,
     _largest_weight,
+    _mono_degree,
+    _slot_picks,
 )
 
 
@@ -311,6 +313,11 @@ def test_coproduct_matches_the_merging_oracle(n):
     assert nfold_coproduct(r12_restricted(), n) == _oracle_nfold_coproduct(r12_restricted(), n)
 
 
+def _distributions(a, n):
+    """The slot walk on kappa_1^a, each pick as its n exponents of kappa_1."""
+    return [(tuple(s[2][0] if s[2] else 0 for s in slots), w) for slots, w in _slot_picks((a,), n)]
+
+
 def test_distributions_do_not_recurse_per_slot():
     # the recursive form went one Python frame deep per slot
     assert _distributions(0, 5000) == [((0,) * 5000, 1)]
@@ -321,6 +328,101 @@ def test_distributions_do_not_recurse_per_slot():
     for a in range(6):
         for n in range(1, 6):
             assert _distributions(a, n) == list(_oracle_distributions(a, n))
+
+
+def _random_patterns(rng, full, n):
+    """Per-slot patterns: some monomials the full expansion puts in that
+    slot, and entries no slot holds (one too large, one with e, with l1,
+    with an untrimmed kappa tuple or with a negative exponent); sometimes a
+    slot allows nothing."""
+    pats = []
+    for s in range(n):
+        held = sorted({t.slots[s] for t in full})
+        pat = set(rng.sample(held, rng.randint(0, len(held)))) if held else set()
+        junk = [(0, 0, (0, 0, 7)), (1, 0, ()), (0, 1, ()), (0, 0, (1, 0)), (0, 0, (-1, 1))]
+        pat |= set(rng.sample(junk, 2))
+        if rng.random() < 0.1:
+            pat = set()
+        pats.append(pat)
+    return pats
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_pruned_expansion_is_the_restricted_full_one(n):
+    rng = random.Random(200 + n)
+    for _ in range(40):
+        p = _random_kappa_poly(rng)
+        full = nfold_coproduct(p, n)
+        pats = _random_patterns(rng, full, n)
+        # same slots, coefficients and order
+        assert nfold_coproduct(p, n, pats) == restrict_terms(full, pats), (p.render(), pats)
+        assert nfold_coproduct(p, n, [set()] + pats[1:]) == []
+    assert nfold_coproduct(TautPoly(), n, [set()] * n) == []
+    # the patterns' arity is checked as restrict_terms checks it
+    with pytest.raises(InputError, match="pattern arity mismatch"):
+        nfold_coproduct(kappa(1), n, [set()] * (n + 1))
+    assert nfold_coproduct(TautPoly(), n, [set()] * (n + 1)) == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_pairing_on_the_supports_is_the_full_pairing(n):
+    rng = random.Random(300 + n)
+    nonzero = 0
+    for _ in range(40):
+        p = _random_kappa_poly(rng)
+        full = nfold_coproduct(p, n)
+        # every slot's functional sees the slot of one term, so that
+        # the pairing is seldom zero
+        seen = rng.choice(full).slots if full else ((0, 0, ()),) * n
+        funcs = []
+        for s, pat in enumerate(_random_patterns(rng, full, n)):
+            pat.add(seen[s])
+            # a functional has one degree; some of its values are zero
+            deg = _mono_degree(seen[s])
+            values = {
+                m: ParamPoly.const(rng.randint(-2, 3)) * ParamPoly.param("t")
+                for m in pat if _mono_degree(m) == deg
+            }
+            funcs.append(HomologyFunctional(f"f{s}", values))
+        pruned = nfold_coproduct(p, n, [f.support for f in funcs])
+        assert pair_tensor_trace(pruned, funcs) == pair_tensor_trace(full, funcs), p.render()
+        assert pair_tensor(pruned, funcs) == pair_tensor(full, funcs)
+        nonzero += not pair_tensor(full, funcs).is_zero()
+    assert nonzero >= 10
+    assert pair_tensor_trace(nfold_coproduct(TautPoly(), n, [set()] * n), funcs) == (ParamPoly(), [])
+
+
+def test_support_drops_zero_values():
+    t = ParamPoly.param("t")
+    f = HomologyFunctional("f", {(0, 0, (2,)): t, (0, 0, (0, 1)): ParamPoly()})
+    assert f.support == {(0, 0, (2,))}
+    terms = nfold_coproduct(parse_taut("k1^2+k2"), 2)
+    assert pair_tensor_trace(nfold_coproduct(parse_taut("k1^2+k2"), 2, [f.support, {(0, 0, ())}]), [f, f]) == (
+        pair_tensor_trace(terms, [f, f])
+    )
+
+
+def test_paper_pairing_builds_four_terms(monkeypatch, capsys):
+    """The paper's pairing walks only the supports of lambda and x: 4 terms
+    of the 1660 in the full 5-fold expansion of R12."""
+    from bigraded import cli, taut
+
+    built = []
+
+    class Counted(TensorTerm):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(taut, "TensorTerm", Counted)
+    assert len(nfold_coproduct(r12_restricted(), 5)) == len(built) == 1660
+    del built[:]
+    assert paper_63_pairing().render() == "128024064*t^2*u^3"
+    assert len(built) == 4
+    del built[:]
+    assert cli.main(["taut", "pair", "--paper-6-3"]) == 0
+    assert capsys.readouterr().out.strip().endswith("128024064*t^2*u^3")
+    assert len(built) == 4
 
 
 def test_oversized_coproducts_are_input_errors_before_expanding():
