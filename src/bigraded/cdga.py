@@ -63,12 +63,14 @@ from .parsing import content_lines, parse_terms
 
 
 def _add_into(field, out, key, c):
-    """Add c to out[key], dropping the key when the sum is zero."""
-    s = field.add(out.get(key, field.zero()), c)
-    if field.is_zero(s):
-        out.pop(key, None)
-    else:
+    """Add c to out[key], made canonical by the field's ``of``, dropping
+    the key when the sum is zero."""
+    s = out.get(key)
+    s = field.of(c if s is None else s + c)
+    if s:
         out[key] = s
+    else:
+        out.pop(key, None)
 
 
 class CDGA:
@@ -102,15 +104,16 @@ class CDGA:
         """Make ``differential``, a ``{letter name: polynomial}`` map whose
         monomials are sparse or dense exponent vectors, the differential
         of every letter: unlisted letters are closed and zero terms are
-        dropped.  Raises InputError on an unknown letter, a term that is not
-        of bidegree (0, -1) from its letter, or a letter with delta^2 != 0,
-        and then keeps the differential it had."""
-        zero = self.field.is_zero
+        dropped.  Coefficients are stored as the field's ``of`` makes them.
+        Raises InputError on an unknown letter, a term that is not of
+        bidegree (0, -1) from its letter, or a letter with delta^2 != 0, and
+        then keeps the differential it had."""
+        of = self.field.of
         diff = {}
         for name, poly in differential.items():
             if name not in self.index:
                 raise InputError(f"differential on unknown letter {name}")
-            poly = {self._sparse(m): c for m, c in poly.items() if not zero(c)}
+            poly = {self._sparse(m): c for m, x in poly.items() if (c := of(x))}
             x = self.letters[self.index[name]]
             for m in poly:
                 g, d = self.mono_bidegree(m)
@@ -197,13 +200,10 @@ class CDGA:
         return out
 
     def poly_scale(self, p, c):
-        f = self.field
-        if f.is_zero(c):
-            return {}
-        return {m: f.mul(c, v) for m, v in p.items()}
+        of = self.field.of
+        return {m: s for m, v in p.items() if (s := of(c * v))}
 
     def poly_mul(self, p, q):
-        f = self.field
         out = {}
         for m1, c1 in p.items():
             for m2, c2 in q.items():
@@ -211,8 +211,8 @@ class CDGA:
                 if sm is None:
                     continue
                 sign, m = sm
-                c = f.mul(c1, c2)
-                _add_into(f, out, m, f.neg(c) if sign < 0 else c)
+                c = c1 * c2
+                _add_into(self.field, out, m, -c if sign < 0 else c)
         return out
 
     # -- differential -------------------------------------------------------
@@ -232,34 +232,31 @@ class CDGA:
             if dpoly is None:
                 deg_prefix += deg_here
                 continue
-            coeff = f.of(a)
-            if odd_char and deg_prefix % 2 == 1:
-                coeff = f.neg(coeff)
+            coeff = f.of(-a if odd_char and deg_prefix % 2 == 1 else a)
             deg_tail = deg_total - deg_prefix - deg_here
             deg_prefix += deg_here
-            if f.is_zero(coeff):
+            if not coeff:
                 continue
             lower = ((i, a - 1),) if a > 1 else ()
             m_rest = mono[:pos] + lower + mono[pos + 1 :]
             for n_mono, n_coeff in dpoly.items():
-                c = f.mul(coeff, n_coeff)
+                c = coeff * n_coeff
                 if odd_char and deg_tail % 2 == 1:
                     if sum(ds[j] * e for j, e in n_mono) % 2 == 1:
-                        c = f.neg(c)
+                        c = -c
                 sm = self.mono_mul(m_rest, n_mono)
                 if sm is None:
                     continue
                 sign, m = sm
-                _add_into(f, out, m, f.neg(c) if sign < 0 else c)
+                _add_into(f, out, m, -c if sign < 0 else c)
         return out
 
     def delta_poly(self, p):
         """delta of a polynomial in the basis of `monomial_basis`."""
-        f = self.field
         out = {}
         for key, c in p.items():
             for key2, c2 in self.delta_mono(key).items():
-                _add_into(f, out, key2, f.mul(c, c2))
+                _add_into(self.field, out, key2, c * c2)
         return out
 
     # -- bases and matrices ---------------------------------------------------
@@ -414,7 +411,7 @@ class DGModule:
                 if sm is None:
                     continue
                 sign, mn = sm
-                _add_into(f, out, (mn, e2), f.neg(c) if (sign < 0) != odd else c)
+                _add_into(f, out, (mn, e2), -c if (sign < 0) != odd else c)
         return out
 
     delta_poly = CDGA.delta_poly
@@ -437,23 +434,19 @@ def matrix_homology_table(cx, box: tuple[int, int]) -> HomologyTable:
     is overcounted (the named complexes of `build_paper_complex` take their
     letters one degree above the box for exactly this reason)."""
     g_max, d_max = box
-    ranks: dict[tuple[int, int], int] = {}
-
-    def rank_at(g, d):
-        if (g, d) not in ranks:
-            # a map from or to the zero space has rank 0: no matrix is built
-            empty = d < 1 or not cx.monomial_basis((g, d)) or not cx.monomial_basis((g, d - 1))
-            ranks[(g, d)] = 0 if empty else exactla.rank(cx.differential_matrix((g, d)))
-        return ranks[(g, d)]
-
     dims = {}
-    for g in range(0, g_max + 1):
-        cx.monomial_basis((g, d_max + 1))  # enumerates genus g once
-        for d in range(0, d_max + 1):
-            n = len(cx.monomial_basis((g, d)))
-            if n == 0:
-                continue
-            h = (n - rank_at(g, d)) - rank_at(g, d + 1)
+    for g in range(g_max + 1):
+        # basis sizes, read once each, the top degree first: a CDGA then
+        # enumerates genus g in one pass
+        sizes = [len(cx.monomial_basis((g, d))) for d in range(d_max + 1, -1, -1)][::-1]
+        # ranks[d]: rank of the differential out of degree d; a map from or
+        # to the zero space has rank 0, and no matrix is built for it
+        ranks = [0] * (d_max + 2)
+        for d in range(1, d_max + 2):
+            if sizes[d] and sizes[d - 1]:
+                ranks[d] = exactla.rank(cx.differential_matrix((g, d)))
+        for d in range(d_max + 1):
+            h = sizes[d] - ranks[d] - ranks[d + 1]
             if h:
                 dims[(g, d)] = h
     return HomologyTable(field_name=cx.field.name, box=box, dims=dims)
@@ -594,9 +587,6 @@ def verify_vanishing(cx, line, box: tuple[int, int]) -> VanishingReport:
 # the named complexes
 
 
-PRESETS = ("vanishA", "vanishB", "intstab-f2", "intstab-fl", "A-algebra-fl")
-
-
 @dataclass(frozen=True)
 class _Preset:
     """A named complex as data: its field, the box of its letters, its
@@ -618,7 +608,10 @@ class _Preset:
 def _preset(preset: str, box, ell) -> _Preset:
     """The data of one named complex (see `build_paper_complex`).  Its
     letters are taken with degree bound one above the box, so a homology
-    table of the box has complete incoming differentials on its top row."""
+    table of the box has complete incoming differentials on its top row.
+    A prime given to a preset that takes none is an input error."""
+    if ell is not None and preset in ("vanishA", "vanishB", "intstab-f2"):
+        raise InputError(f"preset {preset} takes no prime")
     gen = freealg.gen
     if preset in ("vanishA", "vanishB"):
         box = box or (8, 8)

@@ -172,14 +172,24 @@ def _gens_from_file(path: str):
 
 
 def _preset_of(args):
-    name = args.preset
-    ell = args.ell
+    """The name and prime of ``--preset NAME`` or ``--preset NAME(ELL)``,
+    with ``--ell``.  A name that is not of either form, and a prime in the
+    name that differs from ``--ell``, are input errors."""
+    name, ell = args.preset, args.ell
     if name and "(" in name:
-        name, rest = name.split("(", 1)
+        name, _, rest = name.partition("(")
+        digits, close, tail = rest.partition(")")
+        if not close or tail:
+            raise InputError(f"bad preset {args.preset!r}; expected NAME or NAME(ELL)")
         try:
-            ell = int(rest.rstrip(")"))
-        except ValueError as exc:
+            if not digits.isdecimal():
+                raise ValueError(digits)
+            prime = int(digits)
+        except ValueError as exc:  # also a prime too long for int()
             raise InputError(f"bad prime in preset {args.preset!r}") from exc
+        if ell is not None and ell != prime:
+            raise InputError(f"preset {args.preset!r} and --ell {ell} name different primes")
+        ell = prime
     return name, ell
 
 
@@ -405,14 +415,17 @@ def _parse_restrict(text: str, n: int):
     for chunk in merged:
         chunk = chunk.strip()
         opts = chunk[1:-1].split("|") if chunk.startswith("{") else [chunk]
-        allowed = set()
-        for opt in opts:
-            p = taut.parse_taut(opt.strip())
-            if len(p) != 1:
-                raise InputError(f"restriction option must be a monomial: {opt!r}")
-            allowed.add(next(iter(p.keys())))
-        patterns.append(allowed)
+        patterns.append({_monomial(opt.strip(), "restriction option must be a monomial") for opt in opts})
     return patterns
+
+
+def _monomial(text: str, error: str):
+    """The monomial that ``text`` parses to, which must be one term with
+    coefficient 1; anything else raises ``error``, naming the text."""
+    p = taut.parse_taut(text)
+    if len(p) != 1 or next(iter(p.values())) != {(): 1}:
+        raise InputError(f"{error}: {text!r}")
+    return next(iter(p))
 
 
 def _parse_functionals(text: str):
@@ -434,10 +447,7 @@ def _parse_functionals(text: str):
             if current is None:
                 raise InputError("functional entry before any 'functional NAME' line")
             lhs, rhs = (s.strip() for s in line.split("=", 1))
-            mono_poly = taut.parse_taut(lhs)
-            if len(mono_poly) != 1:
-                raise InputError(f"functional key must be a monomial: {lhs!r}")
-            mono = next(iter(mono_poly.keys()))
+            mono = _monomial(lhs, "functional key must be a monomial")
             value = taut.parse_taut(rhs)
             if any(m != (0, 0, ()) for m in value):
                 raise InputError(f"functional value must be parameters only: {rhs!r}")

@@ -3,16 +3,25 @@
 Everything here is exact: rationals are `fractions.Fraction`, residues are
 ints reduced into [0, ell).  No floating point is used anywhere.
 
+Scalars are plain Python numbers, and a field decides in one place how a
+value is reduced: its ``of``, which makes an int or a Fraction canonical (a
+Fraction over Q, a residue in [0, ell) over F_ell).  Code computes with
+Python operators, passes a value through ``of`` (or, in `_SparseWork`,
+through ``% ell``) wherever it stores it, and tests zero by truthiness,
+which is exact for canonical values.  A field keeps only ``of``, ``inv``,
+``zero`` and ``one``.
+
 A `Matrix` is sparse: each row lists its nonzero entries as ``(col, value)``
-pairs.  Field elimination and the Smith form share one sparse working copy,
-`_SparseWork`: dict rows, a column index and one row operation, reduced mod
-ell over F_ell.  Each keeps its own pivot policy.  `rank`, `rref` and
-`kernel_basis` pivot on the shortest remaining row, scaled to 1 at its
-leading column, which it clears from the other rows; that keeps fill-in low
-on the very sparse differentials of chain complexes.  `rref`
-back-substitutes the pivot rows; the reduced echelon form is unique, so
-echelon forms and kernel bases do not depend on the pivot order.
-`rank_oracle` is an independent dense elimination for cross-checks.
+pairs.  Field elimination, back-substitution and the Smith form share one
+sparse working copy, `_SparseWork`: dict rows, a column index and one row
+operation, reduced mod ell over F_ell.  Each keeps its own pivot policy.
+`rank`, `rref` and `kernel_basis` pivot on the shortest remaining row,
+scaled to 1 at its leading column, which it clears from the other rows;
+that keeps fill-in low on the very sparse differentials of chain complexes.
+`rref` back-substitutes the pivot rows with the same row operation; the
+reduced echelon form is unique, so echelon forms and kernel bases do not
+depend on the pivot order.  `rank_oracle` is an independent dense
+elimination for cross-checks.
 
 `smith_normal_form` takes the same sparse rows with integer values, under
 the same row check, and reduces them in two phases.  Phase 1 eliminates unit
@@ -48,6 +57,7 @@ class Rationals:
     char = 0
 
     def of(self, x):
+        """The canonical Q scalar of an int or a Fraction: a Fraction."""
         if isinstance(x, Fraction):
             return x
         if isinstance(x, int):
@@ -60,25 +70,10 @@ class Rationals:
     def one(self):
         return Fraction(1)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise DomainError("division by zero in Q")
         return 1 / a
-
-    def is_zero(self, a):
-        return a == 0
 
     def __repr__(self):
         return "QQ"
@@ -103,13 +98,15 @@ class PrimeField:
         self.char = ell
 
     def of(self, x):
+        """The canonical residue in [0, ell) of an int or a Fraction whose
+        denominator ell does not divide."""
+        if isinstance(x, int):
+            return x % self.ell
         if isinstance(x, Fraction):
             den = x.denominator % self.ell
             if den == 0:
                 raise DomainError(f"denominator divisible by {self.ell}")
             return (x.numerator * pow(den, -1, self.ell)) % self.ell
-        if isinstance(x, int):
-            return x % self.ell
         raise InputError(f"not a scalar: {x!r}")
 
     def zero(self):
@@ -118,25 +115,10 @@ class PrimeField:
     def one(self):
         return 1
 
-    def add(self, a, b):
-        return (a + b) % self.ell
-
-    def sub(self, a, b):
-        return (a - b) % self.ell
-
-    def mul(self, a, b):
-        return (a * b) % self.ell
-
-    def neg(self, a):
-        return (-a) % self.ell
-
     def inv(self, a):
         if a % self.ell == 0:
             raise DomainError(f"division by zero in F_{self.ell}")
         return pow(a, -1, self.ell)
-
-    def is_zero(self, a):
-        return a % self.ell == 0
 
     def __repr__(self):
         return f"GF({self.ell})"
@@ -354,21 +336,20 @@ def rref(m: Matrix):
     pivot-column order, and their pivot columns.
 
     The pivot rows of `_eliminate`, already 1 at their pivots, are
-    back-substituted in reverse: each is cleared at the pivots chosen after
-    it, whose rows are already reduced and lead with those pivots, so every
-    row still leads with its own pivot.  The reduced echelon form is unique,
-    so the elimination's pivot order does not show in the result.
+    back-substituted in reverse with `_SparseWork.row_op` on a working copy
+    keyed by pivot column.  Each row is zero at the pivots chosen before
+    it, so it only meets the rows of pivots chosen after it, which are
+    already reduced and lead with those pivots: every row still leads with
+    its own pivot.  The reduced echelon form is unique, so the
+    elimination's pivot order does not show in the result.
     """
-    f = m.field
-    reduced: dict[int, dict] = {}  # pivot column -> reduced row
-    for c, row in reversed(_eliminate(m)):
-        for k in [k for k in row if k != c and k in reduced]:
-            q = row[k]
-            for j, v in reduced[k].items():
-                row[j] = f.sub(row.get(j, f.zero()), f.mul(q, v))
-        reduced[c] = {j: v for j, v in row.items() if not f.is_zero(v)}
-    pivots = sorted(reduced)
-    return [sorted(reduced[c].items()) for c in pivots], pivots
+    echelon = _eliminate(m)
+    w = _SparseWork(dict(echelon), m.nrows, m.ncols, m.field.char)
+    for c, row in reversed(echelon):
+        for k in [k for k in row if k != c and k in w.A]:
+            w.row_op(c, k, row[k])
+    pivots = sorted(w.A)
+    return [sorted(w.A[c].items()) for c in pivots], pivots
 
 
 def rank_oracle(m: Matrix) -> int:
@@ -383,10 +364,10 @@ def rank_oracle(m: Matrix) -> int:
     used = []
     for col in cols:
         for lead, ucol in used:
-            if not f.is_zero(col[lead]):
-                c = f.mul(col[lead], f.inv(ucol[lead]))
-                col = [f.sub(x, f.mul(c, y)) for x, y in zip(col, ucol)]
-        lead = next((i for i, x in enumerate(col) if not f.is_zero(x)), None)
+            if col[lead]:
+                c = col[lead] * f.inv(ucol[lead])
+                col = [f.of(x - c * y) for x, y in zip(col, ucol)]
+        lead = next((i for i, x in enumerate(col) if x), None)
         if lead is not None:
             used.append((lead, col))
             rk += 1
@@ -407,7 +388,7 @@ def kernel_basis(m: Matrix):
         v[j] = f.one()
     for row, pc in zip(rows, pivots):
         for j, x in row[1:]:  # row[0] is the pivot; the rest sit at free columns
-            basis[j][pc] = f.neg(x)
+            basis[j][pc] = f.of(-x)
     return list(basis.values())
 
 

@@ -141,6 +141,11 @@ def parse_range(text: str, kind: str = "vanishing") -> RangeStatement:
     return range_statement(kind, a, b, e)
 
 
+# `bidegrees_between` lists its bidegrees one genus at a time: a list of
+# more than this many is an input error, raised before that genus is listed
+MAX_BIDEGREES = 200_000
+
+
 def bidegrees_between(high_slope: Fraction, g_max: int) -> list[Bidegree]:
     """All (g, d) with 1 <= g <= g_max, d >= g-1, and d/g <= high_slope.
 
@@ -148,7 +153,8 @@ def bidegrees_between(high_slope: Fraction, g_max: int) -> list[Bidegree]:
     bidegrees trapped between the connectivity line d >= g-1 and a slope
     bound; for high_slope < 1 the two constraints force g <= 1/(1-high_slope)
     (see auto_g_bound), so a finite g_max loses nothing, and the scan stops
-    there whatever g_max is.
+    there whatever g_max is.  More than MAX_BIDEGREES bidegrees are an
+    input error.
     """
     if high_slope < 0:
         raise DomainError("high_slope must be nonnegative")
@@ -156,12 +162,15 @@ def bidegrees_between(high_slope: Fraction, g_max: int) -> list[Bidegree]:
         raise DomainError("g_max must be >= 1")
     if high_slope < 1:
         g_max = min(g_max, auto_g_bound(high_slope))
+    num, den = high_slope.numerator, high_slope.denominator
     out = []
     for g in range(1, g_max + 1):
-        d = max(0, g - 1)
-        while Fraction(d, g) <= high_slope:
-            out.append(Bidegree(g, d))
-            d += 1
+        lo, hi = max(0, g - 1), num * g // den  # d/g <= num/den
+        if len(out) + hi - lo + 1 > MAX_BIDEGREES:
+            raise InputError(
+                f"more than {MAX_BIDEGREES} bidegrees below slope {high_slope} up to genus {g_max}"
+            )
+        out += [Bidegree(g, d) for d in range(lo, hi + 1)]
     return out
 
 

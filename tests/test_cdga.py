@@ -268,6 +268,18 @@ def test_differential_given_as_exponent_vectors():
         CDGA(GF(3), letters, {"rho2": {(1,): 1}})
 
 
+def test_set_differential_stores_canonical_coefficients():
+    """Coefficients are stored as the field's `of` makes them: residues in
+    [0, ell) over F_ell, Fractions over Q, and a coefficient that is zero in
+    the field is dropped."""
+    letters = [Letter(2, 1, 1, "b"), Letter(2, 2, 2, "rho2")]
+    for c in (4, -2, Fraction(-1, 2)):
+        assert CDGA(GF(3), letters, {"rho2": {(1, 0): c}}).diff == {"rho2": {((0, 1),): 1}}
+    assert CDGA(GF(3), letters, {"rho2": {(1, 0): 3}}).diff == {}
+    (c,) = CDGA(QQ, letters, {"rho2": {(1, 0): 2}}).diff["rho2"].values()
+    assert type(c) is Fraction and c == 2
+
+
 @pytest.mark.parametrize(
     "preset,ell",
     [("vanishA", None), ("vanishB", None), ("intstab-f2", None), ("intstab-fl", 3), ("A-algebra-fl", 5)],
@@ -641,8 +653,8 @@ def _matrix_product_is_zero(fld, b, a):
     for i, row in enumerate(b.rows):
         for k, v in row:
             for j, w in a.rows[k]:
-                product[(i, j)] = fld.add(product.get((i, j), fld.zero()), fld.mul(v, w))
-    return all(fld.is_zero(c) for c in product.values())
+                product[(i, j)] = fld.of(product.get((i, j), fld.zero()) + v * w)
+    return all(c == 0 for c in product.values())
 
 
 @pytest.mark.parametrize("fld", [QQ, GF(3)])

@@ -327,6 +327,23 @@ def _nerve_argv(cover="F.cov", tx="tx.w", ta="ta.w"):
         # multinomials C(15000, c), bounded before any is computed
         (["taut", "gysin", "--expr", "9" * 4300 + "*e", "--genus", "0"], "more than 4300 digits"),
         (["taut", "coproduct", "--expr", "k1^15000", "--n", "2"], "more than 4300 digits"),
+        # a preset name is NAME or NAME(ELL), and a preset takes at most one prime
+        (["homology", "--preset", "vanishA(7)", "--box", "3,3"], "preset vanishA takes no prime"),
+        (["homology", "--preset", "intstab-fl(3)))", "--box", "3,3"], "bad preset 'intstab-fl(3)))'"),
+        (["homology", "--preset", "intstab-f2(5)", "--box", "3,3"], "preset intstab-f2 takes no prime"),
+        (["homology", "--preset", "intstab-fl(5)", "--ell", "3", "--box", "3,3"], "name different primes"),
+        (["homology", "--preset", "intstab-f2", "--ell", "3", "--box", "3,3"], "preset intstab-f2 takes no prime"),
+        (["homology", "--preset", f"intstab-fl({'9' * 5000})"], "bad prime in preset"),
+        # a monomial slot takes no coefficient
+        (["taut", "coproduct", "--expr", "k1^2", "--n", "2", "--restrict", "3*k1,t*k1"],
+         "restriction option must be a monomial: '3*k1'"),
+        (["taut", "coproduct", "--expr", "k1^2", "--n", "2", "--restrict", "k1,t*k1"],
+         "restriction option must be a monomial: 't*k1'"),
+        (["taut", "pair", "--functionals", "coef_key.fn"], "functional key must be a monomial: '5*k1'"),
+        (["taut", "pair", "--functionals", "param_key.fn"], "functional key must be a monomial: 'u*k1'"),
+        # the bidegrees are counted as they are listed
+        (["slope-box", "--high", "2", "--gmax", "1000000000"], "more than 200000 bidegrees"),
+        (["slope-box", "--high", "99999999999999999999/100000000000000000000"], "more than 200000 bidegrees"),
     ],
 )
 def test_bad_inputs_are_input_errors(argv, message, tmp_path, monkeypatch, capsys):
@@ -347,6 +364,8 @@ def test_bad_inputs_are_input_errors(argv, message, tmp_path, monkeypatch, capsy
         "zero_den.cdga": "a 1 0\nb 1 1\nd b = 1/0*a\n",
         "empty.txt": "# no generators\n",
         "k1_40.fn": "functional x\nk1 = t\npair: k1^40\nslots: " + " x" * 40 + "\n",
+        "coef_key.fn": "functional x\n5*k1 = u\npair: k1^2\nslots: x x\n",
+        "param_key.fn": "functional x\nu*k1 = t\nfunctional y\nk1 = u\npair: k1^2\nslots: x y\n",
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -1,0 +1,86 @@
+"""Every module-level definition of the package is used: a function, class
+or constant that nothing in src/, tests/ or bench/ refers to is dead code."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+
+def _definitions(tree) -> dict[str, int]:
+    """The module-level functions, classes and constants of ``tree``, by
+    name, with their lines; dunder names are left out."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        out[n.id] = node.lineno
+    return {name: line for name, line in out.items() if not name.startswith("__")}
+
+
+def _references(tree) -> set[str]:
+    """Every name ``tree`` refers to: a loaded name, an attribute, an
+    imported name, or an identifier inside a string constant (handlers
+    bound by name, wrap targets listed as strings)."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.update(n.name.split("."))
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.update(_IDENTIFIER.findall(n.value))
+    return out
+
+
+def _dead_definitions(source: str, used=frozenset()) -> list[str]:
+    """The module-level definitions of ``source`` that it does not refer to
+    and that are not in ``used``."""
+    tree = ast.parse(source)
+    used = _references(tree) | used
+    return sorted(f"{name} (line {line})" for name, line in _definitions(tree).items() if name not in used)
+
+
+def test_package_has_no_dead_definitions():
+    package = sorted((ROOT / "src" / "bigraded").glob("*.py"))
+    assert package
+    used = set().union(
+        *(_references(ast.parse(path.read_text())) for top in ("src", "tests", "bench")
+          for path in (ROOT / top).rglob("*.py"))
+    )
+    dead = {path.name: _dead_definitions(path.read_text(), used) for path in package}
+    assert {name: names for name, names in dead.items() if names} == {}
+
+
+def test_dead_definition_check_sees_what_it_should():
+    source = (
+        "import os\n"
+        "LIMIT, SPARE = 3, 4\n"
+        "def used(x):\n"
+        "    return x + LIMIT\n"
+        "def dead():\n"
+        "    return used(os.sep)\n"
+        "class Named:\n"
+        "    pass\n"
+        "def by_attribute():\n"
+        "    pass\n"
+        "def by_import():\n"
+        "    pass\n"
+        "def __getattr__(name):\n"
+        "    pass\n"
+    )
+    other = "from pkg import by_import\nimport pkg\npkg.by_attribute()\nHANDLERS = ('Named',)\n"
+    assert _dead_definitions(source, _references(ast.parse(other))) == ["SPARE (line 2)", "dead (line 5)"]
+    assert _dead_definitions(source) == [
+        "Named (line 7)", "SPARE (line 2)", "by_attribute (line 9)", "by_import (line 11)", "dead (line 5)",
+    ]

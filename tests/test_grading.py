@@ -4,6 +4,7 @@ import pytest
 
 from bigraded.errors import DomainError, InputError
 from bigraded.grading import (
+    MAX_BIDEGREES,
     Bidegree,
     VanishingLine,
     auto_g_bound,
@@ -89,6 +90,15 @@ def test_bidegrees_between_stops_at_the_finiteness_bound():
         pts = bidegrees_between(high, 10**18)
         assert pts == bidegrees_between(high, auto_g_bound(high))
         assert pts[-1].g == auto_g_bound(high)
+
+
+def test_bidegrees_between_counts_them_against_the_cap():
+    # 99999/100000 holds one bidegree per genus up to 10^5, under the cap
+    assert len(bidegrees_between(Fraction(99999, 100000), 10**9)) == 100_000 < MAX_BIDEGREES
+    # the cap is checked before a genus is listed, so no list of 10^30 is made
+    for high, g_max in ((Fraction(2), 10**9), (Fraction(10**30), 1), (Fraction(10**20 - 1, 10**20), 10**30)):
+        with pytest.raises(InputError, match=f"more than {MAX_BIDEGREES} bidegrees"):
+            bidegrees_between(high, g_max)
 
 
 def test_range_statement_renderings():
