@@ -614,7 +614,6 @@ def _preset(preset: str, box, ell) -> _Preset:
         raise InputError(f"preset {preset} takes no prime")
     gen = freealg.gen
     if preset in ("vanishA", "vanishB"):
-        box = box or (8, 8)
         gens = [gen("sigma", 1, 0), gen("lambda", 3, 2), gen("rho", 2, 2)]
         kills = {"rho": gen("[sigma,sigma]", 2, 1, 0)}
         if preset == "vanishB":
@@ -630,7 +629,6 @@ def _preset(preset: str, box, ell) -> _Preset:
         if ell is None:
             raise InputError(f"preset {preset} needs a prime ell")
         fld = GF(ell)
-        box = box or (6, 6)
         gens = [
             gen("sigma", 1, 0, 0),
             gen("tau", 1, 1, 1),
@@ -674,8 +672,9 @@ def _assemble(spec: _Preset, letters):
     return cx
 
 
-def build_paper_complex(preset: str, box: tuple[int, int] | None = None, ell: int | None = None):
-    """One of the named complexes, as its `KunnethSplit`.
+def build_paper_complex(preset: str, box: tuple[int, int], ell: int | None = None):
+    """One of the named complexes, as its `KunnethSplit`, for a homology
+    table of ``box``.
 
     vanishA        Lambda_Q(L/<sigma,lambda>) on sigma(1,0), lambda(3,2),
                    rho(2,2), with d(rho) = [sigma,sigma].

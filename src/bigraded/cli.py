@@ -269,8 +269,15 @@ def cmd_betti(args) -> Outcome:
 
 
 def _complex_and_box(args):
-    """The complex named by --cdga or --preset, and the --box (default 8,8)."""
-    box = _parse_box(args.box) if args.box else None
+    """The complex named by --cdga (over --field) or by --preset (with
+    --ell), and the --box, 8,8 if none is given; --cdga with --preset or
+    --ell, and --preset with --field, are input errors."""
+    for a, b in (("cdga", "preset"), ("cdga", "ell"), ("preset", "field")):
+        if getattr(args, a) is not None and getattr(args, b) is not None:
+            raise InputError(
+                f"--{a} and --{b} exclude each other (--cdga takes --field, --preset takes --ell)"
+            )
+    box = _parse_box(args.box) if args.box else (8, 8)
     if args.cdga:
         fld = exactla.field_by_name(args.field or "Q")
         cx = cdga.parse_cdga_file(_read(args.cdga), fld)
@@ -279,7 +286,7 @@ def _complex_and_box(args):
         if not name:
             raise InputError("need --preset or --cdga")
         cx = cdga.build_paper_complex(name, box, ell=ell)
-    return cx, box or (8, 8)
+    return cx, box
 
 
 def cmd_homology(args) -> Outcome:
@@ -375,16 +382,16 @@ def cmd_taut_ledger(args) -> Outcome:
     rels = ledger.lookup(genus=args.genus, degree=args.degree)
     relations = [
         {
-            "poly": r.poly().render(),
+            "poly": r.poly.render(),
             "genus": r.ambient_genus,
-            "degree": r.degree(),
+            "degree": r.degree,
             "source": r.source_label,
         }
         for r in rels
     ]
     lines = [
         f"[genus {r.ambient_genus if r.ambient_genus is not None else '*'}, "
-        f"degree {r.degree()}] {r.poly().render()} = 0   ({r.source_label})"
+        f"degree {r.degree}] {r.poly.render()} = 0   ({r.source_label})"
         for r in rels
     ]
     return Outcome({"relations": relations}, lines)

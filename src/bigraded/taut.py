@@ -33,7 +33,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import product
+from itertools import product, zip_longest
 from math import comb, prod
 from operator import sub
 
@@ -44,53 +44,79 @@ from .parsing import parse_terms
 
 
 # ---------------------------------------------------------------------------
-# formal-parameter coefficients
-
-ParamMono = tuple[tuple[str, int], ...]  # sorted ((name, exp), ...)
+# polynomials
 
 
-class ParamPoly(dict):
-    """Polynomial in named formal parameters over Q: {ParamMono: Fraction}."""
-
-    @classmethod
-    def const(cls, c) -> "ParamPoly":
-        c = Fraction(c)
-        return cls({(): c}) if c else cls()
+class _DictPoly(dict):
+    """A polynomial as ``{monomial: coefficient}`` that stores no zero
+    coefficient, so it is zero exactly when it is empty.  A subclass gives
+    the product of two of its monomials, ``_mono_mul``.  No coefficient is
+    changed in place, so polynomials may share coefficient objects."""
 
     @classmethod
-    def param(cls, name: str) -> "ParamPoly":
-        return cls({((name, 1),): Fraction(1)})
+    def term(cls, m, c):
+        """The one-term polynomial c*m, empty when c is zero."""
+        return cls({m: c}) if c else cls()
 
-    def _add_term(self, m: ParamMono, c: Fraction) -> None:
-        s = self.get(m, Fraction(0)) + c
-        if s:
-            self[m] = s
+    def _add_term(self, m, c) -> None:
+        if m in self:
+            c = self[m] + c
+        if c:
+            self[m] = c
         else:
             self.pop(m, None)
 
     def __add__(self, other):
-        out = ParamPoly(self)
+        out = type(self)(self)
         for m, c in other.items():
             out._add_term(m, c)
         return out
 
     def __neg__(self):
-        return ParamPoly({m: -c for m, c in self.items()})
+        return type(self)({m: -c for m, c in self.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + -other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ParamPoly.const(other)
-        out = ParamPoly()
+        out = type(self)()
         for m1, c1 in self.items():
             for m2, c2 in other.items():
-                exps: dict[str, int] = dict(m1)
-                for name, e in m2:
-                    exps[name] = exps.get(name, 0) + e
-                out._add_term(tuple(sorted(exps.items())), c1 * c2)
+                out._add_term(self._mono_mul(m1, m2), c1 * c2)
         return out
+
+
+def _signed_sum(parts: list[str]) -> str:
+    """Rendered terms joined by their signs; no terms read ``0``."""
+    if not parts:
+        return "0"
+    return parts[0] + "".join(p if p.startswith("-") else "+" + p for p in parts[1:])
+
+
+ParamMono = tuple[tuple[str, int], ...]  # sorted ((name, exp), ...)
+
+
+class ParamPoly(_DictPoly):
+    """Polynomial in named formal parameters over Q: {ParamMono: Fraction}."""
+
+    @classmethod
+    def const(cls, c) -> "ParamPoly":
+        return cls.term((), Fraction(c))
+
+    @classmethod
+    def param(cls, name: str) -> "ParamPoly":
+        return cls.term(((name, 1),), Fraction(1))
+
+    @staticmethod
+    def _mono_mul(m1: ParamMono, m2: ParamMono) -> ParamMono:
+        exps: dict[str, int] = dict(m1)
+        for name, e in m2:
+            exps[name] = exps.get(name, 0) + e
+        return tuple(sorted(exps.items()))
+
+    def __mul__(self, other):
+        """The product with a ParamPoly or a number."""
+        return super().__mul__(other if isinstance(other, ParamPoly) else ParamPoly.const(other))
 
     __rmul__ = __mul__
 
@@ -100,32 +126,24 @@ class ParamPoly(dict):
             out = out * self
         return out
 
-    def is_zero(self) -> bool:
-        return not self
-
     def render(self) -> str:
-        if not self:
-            return "0"
         parts = []
         for m, c in sorted(self.items()):
-            factors = []
-            if c == -1 and m:
-                head = "-"
-            elif c == 1 and m:
-                head = ""
+            if m and c in (1, -1):
+                head = "" if c == 1 else "-"
             else:
                 head = _text(c.numerator)
                 if c.denominator != 1:
                     head += "/" + _text(c.denominator)
                 if m:
                     head += "*"
-            for name, e in m:
-                factors.append(name if e == 1 else f"{name}^{e}")
-            parts.append(head + "*".join(factors) if m else head)
-        text = parts[0]
-        for p in parts[1:]:
-            text += p if p.startswith("-") else "+" + p
-        return text
+            parts.append(head + _product_text(m))
+        return _signed_sum(parts)
+
+
+def _product_text(powers) -> str:
+    """``x*y^2`` for the powers ``(("x", 1), ("y", 2))``."""
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in powers)
 
 
 def _text(n: int) -> str:
@@ -173,52 +191,27 @@ def _trim(ks) -> tuple[int, ...]:
 
 def mono_name(m: TautMono) -> str:
     e, l1, ks = m
-    parts = []
-    if e:
-        parts.append("e" if e == 1 else f"e^{e}")
-    if l1:
-        parts.append("l1" if l1 == 1 else f"l1^{l1}")
-    for i, a in enumerate(ks):
-        if a:
-            parts.append(f"k{i+1}" if a == 1 else f"k{i+1}^{a}")
-    return "*".join(parts) if parts else "1"
+    factors = [("e", e), ("l1", l1)] + [(f"k{i+1}", a) for i, a in enumerate(ks)]
+    return _product_text((name, a) for name, a in factors if a) or "1"
 
 
-class TautPoly(dict):
-    """{TautMono: ParamPoly}; homogeneity is checked where operations need it."""
+class TautPoly(_DictPoly):
+    """{TautMono: ParamPoly}, kappa exponents stored without trailing zeros;
+    homogeneity is checked where operations need it."""
 
     def add_term(self, m: TautMono, c: ParamPoly) -> None:
-        m = (m[0], m[1], _trim(m[2]))
-        s = self.get(m, ParamPoly()) + c
-        if s.is_zero():
-            self.pop(m, None)
-        else:
-            self[m] = s
+        """Add c*m, for a monomial m whose kappa exponents may end in zeros."""
+        self._add_term((m[0], m[1], _trim(m[2])), c)
 
-    def __add__(self, other):
-        out = TautPoly(self)
-        for m, c in other.items():
-            out.add_term(m, c)
-        return out
-
-    def __mul__(self, other):
-        out = TautPoly()
-        for (e1, l1a, k1), c1 in self.items():
-            for (e2, l1b, k2), c2 in other.items():
-                n = max(len(k1), len(k2))
-                ks = tuple(
-                    (k1[i] if i < len(k1) else 0) + (k2[i] if i < len(k2) else 0)
-                    for i in range(n)
-                )
-                out.add_term((e1 + e2, l1a + l1b, ks), c1 * c2)
-        return out
+    @staticmethod
+    def _mono_mul(m1: TautMono, m2: TautMono) -> TautMono:
+        # a sum of kappa exponents without trailing zeros has none
+        ks = tuple(a + b for a, b in zip_longest(m1[2], m2[2], fillvalue=0))
+        return (m1[0] + m2[0], m1[1] + m2[1], ks)
 
     def scale(self, c) -> "TautPoly":
-        c = ParamPoly.const(c) if isinstance(c, (int, Fraction)) else c
-        out = TautPoly()
-        for m, v in self.items():
-            out.add_term(m, v * c)
-        return out
+        """c*self, for a number or a ParamPoly c."""
+        return self * taut_const(c)
 
     def degree(self) -> int:
         """Cohomological degree; raises on inhomogeneous input."""
@@ -230,14 +223,11 @@ class TautPoly(dict):
         return degs.pop()
 
     def render(self) -> str:
-        if not self:
-            return "0"
         parts = []
         # descending powers with kappa monomials before l1, matching the
         # usual printed order 3*k1^2+32*k2
         for m in sorted(self.keys(), key=lambda m: (m[0], m[2], m[1]), reverse=True):
-            c = self[m]
-            cs = c.render()
+            cs = self[m].render()
             nm = mono_name(m)
             if nm == "1":
                 parts.append(cs)
@@ -249,10 +239,10 @@ class TautPoly(dict):
                 parts.append(f"({cs})*{nm}")
             else:
                 parts.append(f"{cs}*{nm}")
-        text = parts[0]
-        for p in parts[1:]:
-            text += p if p.startswith("-") else "+" + p
-        return text
+        return _signed_sum(parts)
+
+
+_UNIT: TautMono = (0, 0, ())
 
 
 def kappa(i: int, exp: int = 1) -> TautPoly:
@@ -260,21 +250,16 @@ def kappa(i: int, exp: int = 1) -> TautPoly:
         raise DomainError("kappa index must be >= 1 (kappa_0 enters only through the Gysin rule)")
     ks = [0] * i
     ks[i - 1] = exp
-    p = TautPoly()
-    p.add_term((0, 0, tuple(ks)), ParamPoly.const(1))
-    return p
+    return TautPoly.term((0, 0, _trim(ks)), ParamPoly.const(1))
 
 
 def euler(exp: int = 1) -> TautPoly:
-    p = TautPoly()
-    p.add_term((exp, 0, ()), ParamPoly.const(1))
-    return p
+    return TautPoly.term((exp, 0, ()), ParamPoly.const(1))
 
 
 def taut_const(c=1) -> TautPoly:
-    p = TautPoly()
-    p.add_term((0, 0, ()), ParamPoly.const(c))
-    return p
+    """The constant c, a number or a ParamPoly."""
+    return TautPoly.term(_UNIT, c if isinstance(c, ParamPoly) else ParamPoly.const(c))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +278,7 @@ def gysin_pushforward(p: TautPoly, genus: int) -> TautPoly:
         if e == 0:
             continue
         if e == 1:
-            out.add_term((0, 0, ks), c * Fraction(2 - 2 * genus))
+            out._add_term((0, 0, ks), c * Fraction(2 - 2 * genus))
         else:
             i = e - 1  # e^(i+1) -> kappa_i
             if i > MAX_KAPPA_INDEX:
@@ -302,7 +287,7 @@ def gysin_pushforward(p: TautPoly, genus: int) -> TautPoly:
                 )
             ks2 = list(ks) + [0] * max(0, i - len(ks))
             ks2[i - 1] += 1
-            out.add_term((0, 0, tuple(ks2)), c)
+            out._add_term((0, 0, tuple(ks2)), c)
     return out
 
 
@@ -310,26 +295,18 @@ def gysin_pushforward(p: TautPoly, genus: int) -> TautPoly:
 # relation ledger
 
 
-@dataclass(frozen=True)
+@dataclass
 class Relation:
-    poly_repr: tuple  # canonical items of the TautPoly, for hashability
+    """The relation ``poly = 0``; its degree is read once, here, which
+    rejects an inhomogeneous relation."""
+
+    poly: TautPoly
     ambient_genus: int | None  # None: genus-independent
     source_label: str
+    degree: int = dc_field(init=False)
 
-    def poly(self) -> TautPoly:
-        p = TautPoly()
-        for m, items in self.poly_repr:
-            p.add_term(m, ParamPoly(dict(items)))
-        return p
-
-    def degree(self) -> int:
-        return self.poly().degree()
-
-
-def make_relation(p: TautPoly, genus: int | None, label: str) -> Relation:
-    p.degree()  # reject inhomogeneous relations
-    repr_items = tuple(sorted((m, tuple(sorted(c.items()))) for m, c in p.items()))
-    return Relation(poly_repr=repr_items, ambient_genus=genus, source_label=label)
+    def __post_init__(self):
+        self.degree = self.poly.degree()
 
 
 def r12_restricted() -> TautPoly:
@@ -343,13 +320,12 @@ def r12_restricted() -> TautPoly:
 
 def builtin_ledger() -> list[Relation]:
     k1, k2 = kappa(1), kappa(2)
-    l1 = TautPoly()
-    l1.add_term((0, 1, ()), ParamPoly.const(1))
+    l1 = TautPoly.term((0, 1, ()), ParamPoly.const(1))
     return [
-        make_relation(k1.scale(3) * k1 + k2.scale(32), 4, "genus-4 degree-4 relation"),
-        make_relation(k1.scale(5) * k1 + k2.scale(72), 5, "genus-5 degree-4 relation"),
-        make_relation(k1 + l1.scale(-12), None, "kappa1 = 12 lambda1"),
-        make_relation(r12_restricted(), 18, "Morita third relation, k=7, kappa1/kappa2 part"),
+        Relation(k1.scale(3) * k1 + k2.scale(32), 4, "genus-4 degree-4 relation"),
+        Relation(k1.scale(5) * k1 + k2.scale(72), 5, "genus-5 degree-4 relation"),
+        Relation(k1 + l1.scale(-12), None, "kappa1 = 12 lambda1"),
+        Relation(r12_restricted(), 18, "Morita third relation, k=7, kappa1/kappa2 part"),
     ]
 
 
@@ -366,13 +342,13 @@ class Ledger:
         for r in self.relations:
             if genus is not None and r.ambient_genus not in (None, genus):
                 continue
-            if degree is not None and r.degree() != degree:
+            if degree is not None and r.degree != degree:
                 continue
             out.append(r)
         return out
 
     def add_from_text(self, text: str, genus: int | None, label: str) -> None:
-        self.relations.append(make_relation(parse_taut(text), genus, label))
+        self.relations.append(Relation(parse_taut(text), genus, label))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +387,7 @@ def deduce_h43_kernel(ledger: Ledger | None = None) -> KernelReport:
     basis4 = [(0, 0, (2,)), (0, 0, (0, 1))]
     rel_rows = []
     for r in ledger.lookup(genus=4, degree=4):
-        poly = r.poly()
+        poly = r.poly
         if any(m not in basis4 for m in poly):
             continue
         rel_rows.append([(j, poly[m].get((), Fraction(0))) for j, m in enumerate(basis4) if m in poly])
@@ -447,13 +423,11 @@ def deduce_h43_kernel(ledger: Ledger | None = None) -> KernelReport:
     vec = [push2.get(m, ParamPoly()) for m in basis4]
     for prow, col in zip(echelon, pivots):
         coeff = vec[col]
-        if not coeff.is_zero():
+        if coeff:
             for j, x in prow:
                 vec[j] = vec[j] - coeff * x
     for m, v in zip(basis4, vec):
-        if v.is_zero():
-            continue
-        if (4, m) in ledger.nonvanishing:
+        if v and (4, m) in ledger.nonvanishing:
             add_constraint(v, f"coefficient of {mono_name(m)} after reduction: {v.render()} = 0")
 
     # rank of the constraint system in parameters A, B
@@ -536,7 +510,6 @@ def _slot_picks(ks, n: int, patterns=None) -> list[tuple[tuple[TautMono, ...], i
     ``patterns``, slot s takes only monomials in patterns[s], so a branch
     ends where a slot cannot be filled.  The walk keeps an explicit stack,
     not one Python frame per slot."""
-    unit = (0, 0, ())
     options = {}  # r, or (slot, r) with patterns -> the slot's picks under r
     picks = []
     path = [None] * n
@@ -546,8 +519,8 @@ def _slot_picks(ks, n: int, patterns=None) -> list[tuple[tuple[TautMono, ...], i
         if s:
             path[s - 1] = m
         if not any(r):  # the slots from s on take the unit
-            if patterns is None or all(unit in pat for pat in patterns[s:]):
-                picks.append((tuple(path[:s]) + (unit,) * (n - s), w))
+            if patterns is None or all(_UNIT in pat for pat in patterns[s:]):
+                picks.append((tuple(path[:s]) + (_UNIT,) * (n - s), w))
             continue
         if s == n - 1:  # the last slot takes the remainder
             m = (0, 0, _trim(r))
@@ -678,9 +651,9 @@ def pair_tensor_trace(terms, functionals):
         acc = t.coeff
         for s, f in zip(t.slots, functionals):
             acc = acc * f.pair(s)
-            if acc.is_zero():
+            if not acc:
                 break
-        if not acc.is_zero():
+        if acc:
             trace.append((t, acc))
             total = total + acc
     return total, trace
@@ -734,7 +707,8 @@ def parse_taut(text: str) -> TautPoly:
                 ks[idx] = ks.get(idx, 0) + exp
             elif exp:
                 params.append((name, exp))
+        if not coeff:  # a zero term adds nothing, once its names are read
+            continue
         kt = tuple(ks.get(j, 0) for j in range(1, max(ks, default=0) + 1))
-        # add_term drops a zero coefficient
-        out.add_term((e_exp, l1_exp, kt), ParamPoly({tuple(sorted(params)): coeff}))
+        out.add_term((e_exp, l1_exp, kt), ParamPoly.term(tuple(sorted(params)), coeff))
     return out

@@ -5,7 +5,7 @@ and counts the rest."""
 from bigraded import cdga, freealg
 
 
-def enumerated_paper_complex(preset, box=None, ell=None):
+def enumerated_paper_complex(preset, box, ell=None):
     """The complex of ``preset``, with the same named differentials, on every
     letter `freealg` enumerates in its letter box: the free Lie basis, or
     the xi-towers in characteristic 2."""

@@ -739,7 +739,7 @@ def test_set_differential_is_checked_and_keeps_the_old_one_on_error():
 
 def test_unknown_preset_rejected():
     with pytest.raises(InputError):
-        build_paper_complex("nonsense")
+        build_paper_complex("nonsense", (6, 6))
     with pytest.raises(InputError):
         build_paper_complex("intstab-fl", (6, 6))  # needs ell
 

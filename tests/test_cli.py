@@ -334,6 +334,11 @@ def _nerve_argv(cover="F.cov", tx="tx.w", ta="ta.w"):
         (["homology", "--preset", "intstab-fl(5)", "--ell", "3", "--box", "3,3"], "name different primes"),
         (["homology", "--preset", "intstab-f2", "--ell", "3", "--box", "3,3"], "preset intstab-f2 takes no prime"),
         (["homology", "--preset", f"intstab-fl({'9' * 5000})"], "bad prime in preset"),
+        # --cdga takes --field and --preset takes --ell, and neither the other
+        (["homology", "--cdga", "sigma.txt", "--preset", "vanishA"], "--cdga and --preset exclude each other"),
+        (["homology", "--cdga", "sigma.txt", "--ell", "3"], "--cdga and --ell exclude each other"),
+        (["vanish-check", "--preset", "vanishA", "--field", "F3", "--box", "4,4"],
+         "--preset and --field exclude each other"),
         # a monomial slot takes no coefficient
         (["taut", "coproduct", "--expr", "k1^2", "--n", "2", "--restrict", "3*k1,t*k1"],
          "restriction option must be a monomial: '3*k1'"),
@@ -373,6 +378,17 @@ def test_bad_inputs_are_input_errors(argv, message, tmp_path, monkeypatch, capsy
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
+
+
+@pytest.mark.parametrize("preset", ["vanishA", "vanishB", "intstab-f2", "intstab-fl(3)", "A-algebra-fl(5)"])
+@pytest.mark.parametrize("cmd", ["homology", "vanish-check"])
+def test_default_box_is_the_box_8_8(cmd, preset, capsys):
+    """Without --box, a preset's table is the one of --box 8,8."""
+    tables = []
+    for box in ([], ["--box", "8,8"]):
+        main([cmd, "--preset", preset, "--format", "csv", *box])
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
-"""Every module-level definition of the package is used: a function, class
-or constant that nothing in src/, tests/ or bench/ refers to is dead code."""
+"""Every definition of the package is used: a module-level function, class
+or constant, or a method or class attribute of a module-level class, that
+nothing in src/, tests/ or bench/ refers to is dead code."""
 
 import ast
 import re
@@ -10,20 +11,33 @@ ROOT = Path(__file__).resolve().parents[1]
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
-def _definitions(tree) -> dict[str, int]:
-    """The module-level functions, classes and constants of ``tree``, by
-    name, with their lines; dunder names are left out."""
-    out = {}
-    for node in tree.body:
+def _names_defined(body):
+    """``(name, line)`` for each function, class and assigned name that the
+    statements ``body`` define."""
+    for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            out[node.name] = node.lineno
+            yield node.name, node.lineno
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 for n in ast.walk(target):
                     if isinstance(n, ast.Name):
-                        out[n.id] = node.lineno
-    return {name: line for name, line in out.items() if not name.startswith("__")}
+                        yield n.id, node.lineno
+
+
+def _definitions(tree) -> dict[str, tuple[str, int]]:
+    """The module-level functions, classes and constants of ``tree``, and
+    the methods and class attributes of its module-level classes (labelled
+    ``Class.name``), each with the name it is used by and its line; dunder
+    names are left out."""
+    out = {}
+    for name, line in _names_defined(tree.body):
+        out[name] = name, line
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for name, line in _names_defined(node.body):
+                out[f"{node.name}.{name}"] = name, line
+    return {label: (name, line) for label, (name, line) in out.items() if not name.startswith("__")}
 
 
 def _references(tree) -> set[str]:
@@ -48,7 +62,9 @@ def _dead_definitions(source: str, used=frozenset()) -> list[str]:
     and that are not in ``used``."""
     tree = ast.parse(source)
     used = _references(tree) | used
-    return sorted(f"{name} (line {line})" for name, line in _definitions(tree).items() if name not in used)
+    return sorted(
+        f"{label} (line {line})" for label, (name, line) in _definitions(tree).items() if name not in used
+    )
 
 
 def test_package_has_no_dead_definitions():
@@ -71,7 +87,13 @@ def test_dead_definition_check_sees_what_it_should():
         "def dead():\n"
         "    return used(os.sep)\n"
         "class Named:\n"
-        "    pass\n"
+        "    KIND = 'named'\n"
+        "    def __len__(self):\n"
+        "        return self.size()\n"
+        "    def size(self):\n"
+        "        return 0\n"
+        "    def unread(self):\n"
+        "        return 1\n"
         "def by_attribute():\n"
         "    pass\n"
         "def by_import():\n"
@@ -80,7 +102,10 @@ def test_dead_definition_check_sees_what_it_should():
         "    pass\n"
     )
     other = "from pkg import by_import\nimport pkg\npkg.by_attribute()\nHANDLERS = ('Named',)\n"
-    assert _dead_definitions(source, _references(ast.parse(other))) == ["SPARE (line 2)", "dead (line 5)"]
+    assert _dead_definitions(source, _references(ast.parse(other))) == [
+        "Named.KIND (line 8)", "Named.unread (line 13)", "SPARE (line 2)", "dead (line 5)",
+    ]
     assert _dead_definitions(source) == [
-        "Named (line 7)", "SPARE (line 2)", "by_attribute (line 9)", "by_import (line 11)", "dead (line 5)",
+        "Named (line 7)", "Named.KIND (line 8)", "Named.unread (line 13)", "SPARE (line 2)",
+        "by_attribute (line 15)", "by_import (line 17)", "dead (line 5)",
     ]
