@@ -30,7 +30,10 @@ Kunneth gives its homology as the product of the factors' homologies
 free series, which needs only their counts per (g, d) cell.  The named
 complexes are built as that split directly: only the few letters their
 differential needs are named, and the closed rest of their free Lie
-alphabet is counted by `freealg.letter_counts`, never enumerated.  Letters
+alphabet is counted by `freealg.letter_counts`, never enumerated.  A named
+complex is spelled ``NAME`` or ``NAME(ELL)``, and `_preset` alone reads the
+spelling and checks its prime; any box of at least (1, 1) runs, and its
+table is the truncation of the table of every larger box.  Letters
 whose differential is not explicitly given are closed: the named complexes
 this reproduces arise as associated graded of a computational filtration in
 which exactly the listed differentials survive, so assigning zero
@@ -589,15 +592,14 @@ def verify_vanishing(cx, line, box: tuple[int, int]) -> VanishingReport:
 
 @dataclass(frozen=True)
 class _Preset:
-    """A named complex as data: its field, the box of its letters, its
-    generators, its named letters (the generators, then the brackets or
-    towers its differential needs), the differential on named letters as
+    """A named complex as data, free of any box: its field, its generators,
+    its named letters (the generators, then the brackets or towers its
+    differential needs), the differential on named letters as
     ``(coefficient, {letter: exponent})`` terms, the letters divided out,
     and whether it is the module (1, rho4), d(rho4) = rho3, over the
     quotient."""
 
     field: object
-    letter_box: tuple[int, int]
     gens: list
     named: list
     diff: dict
@@ -605,29 +607,43 @@ class _Preset:
     module: bool
 
 
-def _preset(preset: str, box, ell) -> _Preset:
-    """The data of one named complex (see `build_paper_complex`).  Its
-    letters are taken with degree bound one above the box, so a homology
-    table of the box has complete incoming differentials on its top row.
-    A prime given to a preset that takes none is an input error."""
-    if ell is not None and preset in ("vanishA", "vanishB", "intstab-f2"):
-        raise InputError(f"preset {preset} takes no prime")
+def _preset(preset: str, ell: int | None = None) -> _Preset:
+    """The data of the named complex spelled ``NAME`` or ``NAME(ELL)``, with
+    the prime ``ell`` if given (see `build_paper_complex`).  A bad spelling
+    or prime, two different primes, a prime where none is taken and a
+    missing one are input errors."""
+    name, paren, rest = preset.partition("(")
+    if paren:
+        digits, close, tail = rest.partition(")")
+        if not close or tail:
+            raise InputError(f"bad preset {preset!r}; expected NAME or NAME(ELL)")
+        try:
+            if not digits.isdecimal():
+                raise ValueError(digits)
+            prime = int(digits)
+        except ValueError as exc:  # also a prime too long for int()
+            raise InputError(f"bad prime in preset {preset!r}") from exc
+        if ell is not None and ell != prime:
+            raise InputError(f"preset {preset!r} and ell {ell} name different primes")
+        ell = prime
+    if ell is not None and name in ("vanishA", "vanishB", "intstab-f2"):
+        raise InputError(f"preset {name} takes no prime")
     gen = freealg.gen
-    if preset in ("vanishA", "vanishB"):
+    if name in ("vanishA", "vanishB"):
         gens = [gen("sigma", 1, 0), gen("lambda", 3, 2), gen("rho", 2, 2)]
         kills = {"rho": gen("[sigma,sigma]", 2, 1, 0)}
-        if preset == "vanishB":
+        if name == "vanishB":
             gens.append(gen("rho'", 4, 4))
             kills["rho'"] = gen("[sigma,lambda]", 4, 3, 2)
         diff = {x: [(1, {y.name: 1})] for x, y in kills.items()}
         named = gens + list(kills.values())
-        return _Preset(QQ, (box[0], box[1] + 1), gens, named, diff, ("sigma", "lambda"), False)
+        return _Preset(QQ, gens, named, diff, ("sigma", "lambda"), False)
 
-    if preset in ("intstab-f2", "intstab-fl", "A-algebra-fl"):
-        if preset == "intstab-f2":
+    if name in ("intstab-f2", "intstab-fl", "A-algebra-fl"):
+        if name == "intstab-f2":
             ell = 2
         if ell is None:
-            raise InputError(f"preset {preset} needs a prime ell")
+            raise InputError(f"preset {name} needs a prime ell")
         fld = GF(ell)
         gens = [
             gen("sigma", 1, 0, 0),
@@ -644,37 +660,36 @@ def _preset(preset: str, box, ell) -> _Preset:
             "rho2": [(1 if ell == 2 else Fraction(-1, 2), {q1.name: 1}), (-3, sigma_tau)],
             "rho3": [(1, {"sigma": 2, "tau": 1})],
         }
-        module = preset != "A-algebra-fl"
+        module = name != "A-algebra-fl"
         quotient = ("sigma",) if module else ()
-        return _Preset(fld, (box[0], box[1] + 1), gens, gens + [q1], diff, quotient, module)
+        return _Preset(fld, gens, gens + [q1], diff, quotient, module)
 
-    raise InputError(f"unknown preset: {preset}")
+    raise InputError(f"unknown preset: {name}")
 
 
-def _assemble(spec: _Preset, letters):
-    """The complex of ``spec`` on ``letters``, which must hold every named
-    letter that is not divided out: its differential is set on the letters,
-    the quotient taken and the module built."""
+def _assemble(spec: _Preset, letters, box: tuple[int, int]):
+    """The complex of ``spec`` on ``letters``, which lie in ``box`` and hold
+    every named letter there: the differential is set on those letters,
+    those of them that ``spec`` divides out are divided out, and the module
+    is built on the module generators in the box.  A term of d(x) has the
+    genus of x and one degree less, so no letter's differential leaves the
+    box."""
     fld = spec.field
     cx = CDGA(fld, letters)
-    # a missing letter that is divided out is the quotient's error
-    missing = [x.name for x in spec.named if x.name not in cx.index and x.name not in spec.quotient]
-    if missing:
-        raise InputError(f"box too small for preset: missing letters {missing}")
-    cx.set_differential(
-        {x: {cx.mono_of(m): fld.of(c) for c, m in terms} for x, terms in spec.diff.items()}
-    )
+    diff = {x: terms for x, terms in spec.diff.items() if x in cx.index}
+    cx.set_differential({x: {cx.mono_of(m): fld.of(c) for c, m in terms} for x, terms in diff.items()})
     if spec.quotient:
-        cx = cx.quotient(spec.quotient)
+        cx = cx.quotient([x for x in spec.quotient if x in cx.index])
     if spec.module:
-        rho3 = cx.mono_of({"rho3": 1})
-        cx = DGModule(cx, [("1", 0, 0, 0), ("rho4", 3, 3, 3)], {"rho4": [({rho3: fld.one()}, "1")]})
+        gens = [t for t in (("1", 0, 0, 0), ("rho4", 3, 3, 3)) if t[1] <= box[0] and t[2] <= box[1]]
+        mdiff = {"rho4": [({cx.mono_of({"rho3": 1}): fld.one()}, "1")]} if len(gens) == 2 else {}
+        cx = DGModule(cx, gens, mdiff)
     return cx
 
 
 def build_paper_complex(preset: str, box: tuple[int, int], ell: int | None = None):
-    """One of the named complexes, as its `KunnethSplit`, for a homology
-    table of ``box``.
+    """One of the named complexes, spelled ``NAME`` or ``NAME(ELL)``, as its
+    `KunnethSplit`, for a homology table of any ``box`` of at least (1, 1).
 
     vanishA        Lambda_Q(L/<sigma,lambda>) on sigma(1,0), lambda(3,2),
                    rho(2,2), with d(rho) = [sigma,sigma].
@@ -686,17 +701,20 @@ def build_paper_complex(preset: str, box: tuple[int, int], ell: int | None = Non
     A-algebra-fl   the full algebra over F_ell with d(rho1) = 10 sigma tau,
                    d(rho2) = Q1(sigma) - 3 sigma tau, d(rho3) = sigma^2 tau.
 
-    L is the free Lie algebra (or, at ell = 2, the xi-tower alphabet) on the
-    generators, up to one degree above the box.  Only its named letters,
-    the generators and the brackets or towers the differential needs, are
-    built; the complex on them is split (`_kunneth_split`), and every other
-    letter is closed and enters only through `freealg.letter_counts`.
+    The -fl presets take their prime from the name, from ``ell``, or from
+    both if they agree.  L is the free Lie algebra (or, at ell = 2, the
+    xi-tower alphabet) on the generators, in the box with one degree more,
+    so the top row of the box has its incoming differentials.  Only its
+    named letters there are built; the complex on them is split
+    (`_kunneth_split`), and every other letter is closed and enters only
+    through `freealg.letter_counts`.  Every letter has g >= 1 and d >= 0,
+    so the table of a box is the truncation of that of any larger box.
     """
-    spec = _preset(preset, box, ell)
-    closed = Counter(freealg.letter_counts(spec.gens, spec.letter_box, spec.field.char))
-    g_max, d_max = spec.letter_box
+    spec = _preset(preset, ell)
+    g_max, d_max = letter_box = (box[0], box[1] + 1)
+    closed = Counter(freealg.letter_counts(spec.gens, letter_box, spec.field.char))
     named = [x for x in spec.named if x.g <= g_max and x.d <= d_max]
-    split = _kunneth_split(_assemble(spec, named))
+    split = _kunneth_split(_assemble(spec, named, letter_box))
     closed.subtract((x.g, x.d) for x in named)
     closed.update(split.closed)
     return KunnethSplit(split.field, split.factors, {cell: n for cell, n in closed.items() if n})

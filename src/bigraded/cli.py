@@ -2,7 +2,9 @@
 
 Each subcommand handler computes and describes, and nothing else: it returns
 one `Outcome`.  `main` wraps that in the report envelope, renders it per
---format and picks the exit code.
+--format and picks the exit code.  A handler parses no mathematics of its
+own: a preset's spelling, ``NAME`` or ``NAME(ELL)``, and its prime are read
+by `cdga.build_paper_complex`, which takes any box of at least 1,1.
 
 Exit codes: 0 = success / certificate holds, 1 = counterexample or failed
 certificate (and nothing else), 2 = input error, 3 = internal error (a bug).
@@ -171,28 +173,6 @@ def _gens_from_file(path: str):
     return freealg.read_letters(content_lines(_read(path)), "generator")
 
 
-def _preset_of(args):
-    """The name and prime of ``--preset NAME`` or ``--preset NAME(ELL)``,
-    with ``--ell``.  A name that is not of either form, and a prime in the
-    name that differs from ``--ell``, are input errors."""
-    name, ell = args.preset, args.ell
-    if name and "(" in name:
-        name, _, rest = name.partition("(")
-        digits, close, tail = rest.partition(")")
-        if not close or tail:
-            raise InputError(f"bad preset {args.preset!r}; expected NAME or NAME(ELL)")
-        try:
-            if not digits.isdecimal():
-                raise ValueError(digits)
-            prime = int(digits)
-        except ValueError as exc:  # also a prime too long for int()
-            raise InputError(f"bad prime in preset {args.preset!r}") from exc
-        if ell is not None and ell != prime:
-            raise InputError(f"preset {args.preset!r} and --ell {ell} name different primes")
-        ell = prime
-    return name, ell
-
-
 def _table_outcome(table, box, title, result, head=(), guides=(), status="ok") -> Outcome:
     """Shared rendering of a bigraded dimension table: ``dims`` in the
     payload, an ASCII grid after the ``head`` lines, a g,d,dim table and a
@@ -271,7 +251,8 @@ def cmd_betti(args) -> Outcome:
 def _complex_and_box(args):
     """The complex named by --cdga (over --field) or by --preset (with
     --ell), and the --box, 8,8 if none is given; --cdga with --preset or
-    --ell, and --preset with --field, are input errors."""
+    --ell, and --preset with --field, are input errors.  The preset's
+    spelling and prime are `cdga.build_paper_complex`'s to read."""
     for a, b in (("cdga", "preset"), ("cdga", "ell"), ("preset", "field")):
         if getattr(args, a) is not None and getattr(args, b) is not None:
             raise InputError(
@@ -281,11 +262,10 @@ def _complex_and_box(args):
     if args.cdga:
         fld = exactla.field_by_name(args.field or "Q")
         cx = cdga.parse_cdga_file(_read(args.cdga), fld)
+    elif args.preset:
+        cx = cdga.build_paper_complex(args.preset, box, ell=args.ell)
     else:
-        name, ell = _preset_of(args)
-        if not name:
-            raise InputError("need --preset or --cdga")
-        cx = cdga.build_paper_complex(name, box, ell=ell)
+        raise InputError("need --preset or --cdga")
     return cx, box
 
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, isqrt
+from math import isqrt
 
 from .errors import DomainError, InputError
 from .parsing import content_lines
@@ -676,11 +676,3 @@ def parse_int_matrix(text: str):
     if not rows:
         raise InputError("empty matrix")
     return sparse_rows(rows, len(rows[0])), len(rows[0])
-
-
-def normalize_triple(a: int, b: int, e: int):
-    """gcd-normalize (a, b, e) with a > 0."""
-    g = gcd(gcd(abs(a), abs(b)), abs(e))
-    if g == 0:
-        return a, b, e
-    return a // g, b // g, e // g

@@ -162,12 +162,24 @@ def _lyndon_words(gens: list[Letter], g_max: int, d_max: int):
     return out
 
 
+def _check_box(box: tuple[int, int]) -> tuple[int, int]:
+    """``box``, whose bounds must both be at least 1."""
+    if box[0] < 1 or box[1] < 1:
+        raise DomainError("box bounds must be >= 1")
+    return box
+
+
+def _lift(cell: tuple[int, int], box: tuple[int, int]) -> tuple[int, int] | None:
+    """The cell (2g, 2d+1) of the double [w, w] or the tower xi(w) of a
+    letter w at cell (g, d), or None when it leaves the box."""
+    g, d = 2 * cell[0], 2 * cell[1] + 1
+    return (g, d) if g <= box[0] and d <= box[1] else None
+
+
 def _lyndon_basis(gens, box: tuple[int, int], doubles: bool) -> list[LieWord]:
     """The Lyndon words in the box as basis words, plus the self-brackets
     [w, w] of the odd-shifted-parity ones if ``doubles``."""
-    g_max, d_max = box
-    if g_max < 1 or d_max < 1:
-        raise DomainError("box bounds must be >= 1")
+    g_max, d_max = _check_box(box)
     gens = generator_set(gens)
     names = [x.name for x in gens]
     basis = []
@@ -175,18 +187,10 @@ def _lyndon_basis(gens, box: tuple[int, int], doubles: bool) -> list[LieWord]:
         content = tuple(sorted(map(names.__getitem__, w)))
         basis.append(LieWord(word=w, doubled=False, g=g, d=d, r=r, name=name, content=content))
         # odd shifted parity: the self-bracket survives
-        if doubles and d % 2 == 0 and 2 * g <= g_max and 2 * d + 1 <= d_max:
-            basis.append(
-                LieWord(
-                    word=w,
-                    doubled=True,
-                    g=2 * g,
-                    d=2 * d + 1,
-                    r=2 * r,
-                    name=f"[{name},{name}]",
-                    content=tuple(sorted(content + content)),
-                )
-            )
+        if doubles and d % 2 == 0 and (cell := _lift((g, d), box)):
+            g2, d2 = cell
+            basis.append(LieWord(word=w, doubled=True, g=g2, d=d2, r=2 * r, name=f"[{name},{name}]",
+                                 content=tuple(sorted(content + content))))
     basis.sort(key=lambda x: (x.g, x.d, x.name))
     return basis
 
@@ -208,14 +212,12 @@ def lie_basis_char2(gens, box: tuple[int, int]) -> list[LieWord]:
 
 def cohen_generators_f2(gens, box: tuple[int, int]) -> list[Letter]:
     """All xi-towers xi^k(y), k >= 0, over basic mod-2 Lie words, in the box."""
-    g_max, d_max = box
     out = []
     for y in lie_basis_char2(gens, box):
-        g, d, r, k = y.g, y.d, y.r, 0
-        name = y.name
-        while g <= g_max and d <= d_max:
-            out.append(Letter(g=g, d=d, r=r, name=name))
-            g, d, r, k = 2 * g, 2 * d + 1, 2 * r, k + 1
+        cell, r, k, name = (y.g, y.d), y.r, 0, y.name
+        while cell:
+            out.append(Letter(g=cell[0], d=cell[1], r=r, name=name))
+            cell, r, k = _lift(cell, box), 2 * r, k + 1
             name = f"xi({name})" if k == 1 else f"xi^{k}({y.name})"
     out.sort(key=lambda x: (x.g, x.d, x.name))
     return out
@@ -252,9 +254,7 @@ def _lyndon_counts(gens, box: tuple[int, int]) -> dict[tuple[int, int], int]:
         b(G, E) = sum over generator cells (g, e) of g w(g, e) N(G-g, E-e),
 
     an exact division."""
-    g_max, d_max = box
-    if g_max < 1 or d_max < 1:
-        raise DomainError("box bounds must be >= 1")
+    g_max, d_max = _check_box(box)
     e_max = d_max + 1
     w = Counter((x.g, x.d + 1) for x in generator_set(gens) if x.g <= g_max and x.d <= d_max)
     words = [[0] * (e_max + 1) for _ in range(g_max + 1)]
@@ -284,14 +284,13 @@ def letter_counts(gens, box: tuple[int, int], char: int) -> dict[tuple[int, int]
     `_lyndon_counts`, and for each at (g, d) its double [w, w] at
     (2g, 2d+1) when d is even (char != 2), or its xi-tower
     (g, d) -> (2g, 2d+1) while that stays in the box (char 2)."""
-    g_max, d_max = box
     counts = Counter(_lyndon_counts(gens, box))
-    for (g, d), n in list(counts.items()):
-        while (char == 2 or d % 2 == 0) and 2 * g <= g_max and 2 * d + 1 <= d_max:
-            g, d = 2 * g, 2 * d + 1
-            counts[(g, d)] += n
-            if char != 2:
-                break
+    for cell, n in list(counts.items()):
+        if char == 2 or cell[1] % 2 == 0:
+            while cell := _lift(cell, box):
+                counts[cell] += n
+                if char != 2:
+                    break
     return dict(counts)
 
 

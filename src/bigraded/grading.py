@@ -14,9 +14,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .errors import DomainError, InputError
-from .exactla import normalize_triple
 
 
 @dataclass(frozen=True, order=True)
@@ -114,11 +114,10 @@ class RangeStatement:
 
 
 def range_statement(kind: str, a: int, b: int, e: int) -> RangeStatement:
-    """Build a gcd-normalized range statement."""
-    a2, b2, e2 = normalize_triple(a, b, e)
-    if a2 < 0:
-        a2, b2, e2 = -a2, -b2, -e2
-    return RangeStatement(kind, a2, b2, e2)
+    """Build a range statement, divided by gcd(a, b, e).  a <= 0 is a domain
+    error: negating the triple would reverse the inequality."""
+    g = gcd(a, b, e) or 1  # all zero: a = 0, which RangeStatement refuses
+    return RangeStatement(kind, a // g, b // g, e // g)
 
 
 _RANGE_RE = re.compile(

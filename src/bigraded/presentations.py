@@ -90,19 +90,20 @@ def abelianization(p: Presentation) -> AbelianInvariants:
 
 
 def parse_presentation(text: str) -> Presentation:
-    """Presentation file: ``gens: a b`` then ``rel: a b a B A B`` lines."""
+    """Presentation file: ``gens: a b`` then ``rel: a b a B A B`` lines, each
+    relator read by `tokenize_word`, so ``rel: abAB`` is read too."""
     gens: list[str] = []
-    rels: list[tuple[str, ...]] = []
+    rels: list[str] = []
     for raw, line in content_lines(text):
         if line.startswith("gens:"):
             gens.extend(line[5:].split())
         elif line.startswith("rel:"):
-            rels.append(tuple(line[4:].split()))
+            rels.append(line[4:])
         else:
             raise InputError(f"bad presentation line: {raw!r}")
     if not gens:
         raise InputError("presentation has no generators")
-    return Presentation(generators=tuple(gens), relators=tuple(rels))
+    return presentation(gens, rels)
 
 
 BRAID3 = presentation(["a", "b"], ["a b a B A B"])

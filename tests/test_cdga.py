@@ -208,12 +208,19 @@ def test_vanishB_table_past_the_paper_box():
         for p, ell in (("vanishA", None), ("vanishB", None), ("intstab-f2", None),
                        ("intstab-fl", 3), ("A-algebra-fl", 5))
     ]
-    + [("vanishB", None, (16, 16))],
+    + [("vanishB", None, (16, 16))]
+    # boxes that leave out some of the letters the differential names
+    + [
+        (p, ell, box)
+        for p, ell in (("vanishA", None), ("vanishB", None), ("intstab-f2", None),
+                       ("intstab-fl", 3), ("A-algebra-fl", 2), ("A-algebra-fl", 5))
+        for box in ((2, 2), (3, 1), (3, 0))
+    ],
 )
 def test_counted_split_equals_the_enumerated_complex(preset, ell, box):
     """The split `build_paper_complex` makes from named letters and letter
     counts has the table of the complex on the whole enumerated alphabet,
-    read through its own split and from its matrices."""
+    read through its own split and from its matrices, in any box."""
     table = homology_table(build_paper_complex(preset, box, ell=ell), box)
     oracle = enumerated_paper_complex(preset, box, ell=ell)
     assert table == homology_table(oracle, box)
@@ -742,6 +749,51 @@ def test_unknown_preset_rejected():
         build_paper_complex("nonsense", (6, 6))
     with pytest.raises(InputError):
         build_paper_complex("intstab-fl", (6, 6))  # needs ell
+
+
+_PRESETS = ["vanishA", "vanishB", "intstab-f2", "intstab-fl(3)", "intstab-fl(5)",
+            "A-algebra-fl(2)", "A-algebra-fl(3)", "A-algebra-fl(5)"]
+
+
+@pytest.mark.parametrize("preset", _PRESETS)
+def test_every_box_is_the_truncation_of_the_8_8_table(preset):
+    """Any box of a named complex, also one that leaves out letters its
+    differential names, has the 8,8 table restricted to the box: every
+    letter has g >= 1 and d >= 0, so a box's letters carry their whole
+    differential."""
+    full = homology_table(build_paper_complex(preset, (8, 8)), (8, 8)).dims
+    for box in itertools.product(range(1, 9), range(9)):
+        expected = {(g, d): n for (g, d), n in full.items() if g <= box[0] and d <= box[1]}
+        assert homology_table(build_paper_complex(preset, box), box).dims == expected, box
+
+
+@pytest.mark.parametrize("box", [(3, 3), (6, 6)])
+def test_prime_in_the_name_or_given_as_ell(box):
+    for preset in ("intstab-fl", "A-algebra-fl"):
+        table = homology_table(build_paper_complex(f"{preset}(3)", box), box)
+        assert table == homology_table(build_paper_complex(preset, box, ell=3), box)
+        assert table == homology_table(build_paper_complex(f"{preset}(3)", box, ell=3), box)
+
+
+@pytest.mark.parametrize(
+    "preset, ell, message",
+    [
+        ("intstab-fl(3", None, "bad preset 'intstab-fl(3'; expected NAME or NAME(ELL)"),
+        ("intstab-fl(3)x", None, "bad preset"),
+        ("intstab-fl()", None, "bad prime in preset 'intstab-fl()'"),
+        ("intstab-fl(-3)", None, "bad prime"),
+        ("intstab-fl(5)", 3, "preset 'intstab-fl(5)' and ell 3 name different primes"),
+        ("vanishB(3)", None, "preset vanishB takes no prime"),
+        ("intstab-f2", 2, "preset intstab-f2 takes no prime"),
+        ("A-algebra-fl", None, "preset A-algebra-fl needs a prime ell"),
+        ("intstab-fl(4)", None, "not a prime: 4"),
+        ("nonsense(3)", None, "unknown preset: nonsense"),
+    ],
+)
+def test_preset_spellings_and_primes_are_checked_in_one_place(preset, ell, message):
+    with pytest.raises(InputError) as err:
+        build_paper_complex(preset, (3, 3), ell=ell)
+    assert message in str(err.value)
 
 
 # random token strings for the expression grammar: no zero denominator and

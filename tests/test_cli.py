@@ -51,30 +51,42 @@ def test_bad_preset_prime_is_input_error(capsys):
     assert "bad prime" in capsys.readouterr().err
 
 
-_MISSING = "error: box too small for preset: missing letters "
+_CERTIFIED = "CERTIFIED: homology below d < {}*g in box ({}, {})\n"
 
 
 @pytest.mark.parametrize(
-    "preset, box, code, stream, text",
+    "preset, box, code, text",
     [
-        ("vanishA", "2,2", 2, "err", "error: cannot quotient by unknown letter lambda\n"),
-        ("vanishA", "1,1", 2, "err", _MISSING + "['rho', '[sigma,sigma]']\n"),
-        ("vanishB", "3,3", 2, "err", _MISSING + "[\"rho'\", '[sigma,lambda]']\n"),
-        ("intstab-f2", "2,2", 2, "err", _MISSING + "['rho3']\n"),
-        ("A-algebra-fl(3)", "3,0", 2, "err", _MISSING + "['rho1', 'rho2', 'rho3']\n"),
-        ("vanishA", "0,3", 2, "err", "error: box bounds must be >= 1\n"),
-        ("intstab-f2", "3,1", 0, "out", "CERTIFIED: homology below d < 3/4*g in box (3, 1)\n"),
+        # boxes that leave out letters the preset's differential names
+        ("vanishA", "2,2", 0, _CERTIFIED.format("3/4", 2, 2)),
+        ("vanishA", "1,1", 0, _CERTIFIED.format("3/4", 1, 1)),
+        ("vanishB", "3,3", 0, _CERTIFIED.format("4/5", 3, 3)),
+        ("intstab-f2", "2,2", 0, _CERTIFIED.format("3/4", 2, 2)),
+        ("A-algebra-fl(3)", "3,0", 1, "COUNTEREXAMPLE: homology below d < 3/4*g in box (3, 0)\n"),
+        ("intstab-f2", "3,1", 0, _CERTIFIED.format("3/4", 3, 1)),
+        ("vanishA", "0,3", 2, "error: box bounds must be >= 1\n"),
     ],
 )
-def test_preset_boxes_too_small_for_their_letters(preset, box, code, stream, text, capsys):
-    """A box that leaves out a letter the preset's differential needs is an
-    input error naming it; a box that holds them all runs."""
-    assert main(["vanish-check", "--preset", preset, "--box", box]) == code
+def test_preset_boxes_smaller_than_their_letters(preset, box, code, text, capsys):
+    """Any box of at least 1,1 runs, also one that leaves out letters the
+    preset's differential names, and its table is the 8,8 table restricted
+    to the box; a box bound below 1 is an input error."""
+    argv = ["vanish-check", "--preset", preset, "--box", box]
+    assert main(argv) == code
     captured = capsys.readouterr()
-    if stream == "err":
+    if code == 2:
         assert (captured.out, captured.err) == ("", text)
-    else:
-        assert captured.err == "" and captured.out.startswith(text)
+        return
+    assert captured.err == "" and captured.out.startswith(text)
+    tables = []
+    for b in (box, "8,8"):
+        assert main([*argv[:3], "--box", b, "--format", "json"]) in (0, 1)
+        tables.append(json.loads(capsys.readouterr().out)["result"]["dims"])
+    g_max, d_max = map(int, box.split(","))
+    assert tables[0] == {
+        cell: n for cell, n in tables[1].items()
+        if int(cell.split(",")[0]) <= g_max and int(cell.split(",")[1]) <= d_max
+    }
 
 
 def test_presets_and_betti_enumerate_no_lyndon_word(monkeypatch, tmp_path, capsys):
@@ -327,6 +339,9 @@ def _nerve_argv(cover="F.cov", tx="tx.w", ta="ta.w"):
         # multinomials C(15000, c), bounded before any is computed
         (["taut", "gysin", "--expr", "9" * 4300 + "*e", "--genus", "0"], "more than 4300 digits"),
         (["taut", "coproduct", "--expr", "k1^15000", "--n", "2"], "more than 4300 digits"),
+        # a range statement needs a >= 1: negating a triple reverses its inequality
+        (["ranges", "--a", "-2", "--b", "1", "--e", "0", "--check", "1,1"], "needs a >= 1"),
+        (["ranges", "--a", "-1", "--b", "-1", "--e", "-1", "--check", "0,0"], "needs a >= 1"),
         # a preset name is NAME or NAME(ELL), and a preset takes at most one prime
         (["homology", "--preset", "vanishA(7)", "--box", "3,3"], "preset vanishA takes no prime"),
         (["homology", "--preset", "intstab-fl(3)))", "--box", "3,3"], "bad preset 'intstab-fl(3)))'"),

@@ -43,7 +43,10 @@ def _definitions(tree) -> dict[str, tuple[str, int]]:
 def _references(tree) -> set[str]:
     """Every name ``tree`` refers to: a loaded name, an attribute, an
     imported name, or an identifier inside a string constant (handlers
-    bound by name, wrap targets listed as strings)."""
+    bound by name, wrap targets listed as strings).  A bare string
+    statement, a docstring among them, only describes: it refers to
+    nothing."""
+    bare = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Expr)}
     out = set()
     for n in ast.walk(tree):
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
@@ -52,7 +55,7 @@ def _references(tree) -> set[str]:
             out.add(n.attr)
         elif isinstance(n, ast.alias):
             out.update(n.name.split("."))
-        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and id(n) not in bare:
             out.update(_IDENTIFIER.findall(n.value))
     return out
 
@@ -100,12 +103,22 @@ def test_dead_definition_check_sees_what_it_should():
         "    pass\n"
         "def __getattr__(name):\n"
         "    pass\n"
+        "def by_docstring():\n"
+        "    \"\"\"Only `documented` names documented.\"\"\"\n"
+        "def documented():\n"
+        "    pass\n"
     )
-    other = "from pkg import by_import\nimport pkg\npkg.by_attribute()\nHANDLERS = ('Named',)\n"
+    # a docstring names by_docstring and documented, but refers to neither
+    other = (
+        '"""Calls by_docstring, in words only."""\n'
+        "from pkg import by_import\nimport pkg\npkg.by_attribute()\nHANDLERS = ('Named',)\n"
+    )
     assert _dead_definitions(source, _references(ast.parse(other))) == [
-        "Named.KIND (line 8)", "Named.unread (line 13)", "SPARE (line 2)", "dead (line 5)",
+        "Named.KIND (line 8)", "Named.unread (line 13)", "SPARE (line 2)",
+        "by_docstring (line 21)", "dead (line 5)", "documented (line 23)",
     ]
     assert _dead_definitions(source) == [
         "Named (line 7)", "Named.KIND (line 8)", "Named.unread (line 13)", "SPARE (line 2)",
-        "by_attribute (line 15)", "by_import (line 17)", "dead (line 5)",
+        "by_attribute (line 15)", "by_docstring (line 21)", "by_import (line 17)", "dead (line 5)",
+        "documented (line 23)",
     ]

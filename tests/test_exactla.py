@@ -18,7 +18,6 @@ from bigraded.exactla import (
     PrimeField,
     field_by_name,
     kernel_basis,
-    normalize_triple,
     parse_int_matrix,
     rank,
     rank_oracle,
@@ -422,8 +421,3 @@ def test_prime_fields_match_a_sieve():
     for ell in (PRIME_BOUND, 1000000000000000003, 10**400):
         with pytest.raises(InputError):
             PrimeField(ell)
-
-
-def test_normalize_triple():
-    assert normalize_triple(6, 4, -2) == (3, 2, -1)
-    assert normalize_triple(3, 2, -1) == (3, 2, -1)

@@ -109,10 +109,13 @@ def test_range_statement_renderings():
 
 
 def test_range_statement_normalization():
-    s = range_statement("vanishing", 6, 4, -2)
-    assert (s.a, s.b, s.e) == (3, 2, -1)
-    with pytest.raises(DomainError):
-        range_statement("vanishing", 0, 1, 0)
+    for triple in ((6, 4, -2), (3, 2, -1)):
+        s = range_statement("vanishing", *triple)
+        assert (s.a, s.b, s.e) == (3, 2, -1)
+    # a <= 0 is refused: negating the triple would reverse the inequality
+    for a, b, e in ((0, 1, 0), (0, 0, 0), (-2, 1, 0), (-1, -1, -1), (-6, 4, -2)):
+        with pytest.raises(DomainError, match="needs a >= 1"):
+            range_statement("vanishing", a, b, e)
     with pytest.raises(InputError):
         range_statement("nonsense", 1, 1, 0)
 

@@ -50,6 +50,18 @@ def test_gamma21_fixture():
     assert abelianization(p).symbol() == "Z/10"
 
 
+def test_file_relators_are_read_like_presentation_words():
+    """A ``rel:`` line is read by the grammar of `presentation`: compact
+    single-letter words, spaced tokens and multi-letter generator names."""
+    p = parse_presentation("gens: a b\nrel: abAB\n")
+    assert p == presentation(["a", "b"], ["abAB"])
+    assert p.relators == (("a", "b", "A", "B"),)
+    assert abelianization(p).symbol() == "Z^2"
+    assert parse_presentation("gens: a b\nrel: a b A B\n") == p
+    q = parse_presentation("gens: x1 x2\nrel: x1\nrel: x1 X2 x2\n")
+    assert q.relators == (("x1",), ("x1", "X2", "x2"))
+
+
 def test_no_relators():
     p = presentation(["a", "b"], [])
     inv = abelianization(p)
