@@ -18,7 +18,8 @@ after the subcommand words.  Config keys are long flag names, typed and
 validated like flags, and later flags on the command line win.  An unknown
 key, or a value for a boolean flag, is an input error.  The only environment
 variable consulted is WORKBENCH_THREADS, which caps the worker pool used to
-shard fuzz campaigns (shards merge deterministically in seed order).
+shard fuzz campaigns (shards merge deterministically in seed order); the
+pool never has more workers than shards, at most 16.
 """
 
 from __future__ import annotations
@@ -483,8 +484,10 @@ def cmd_poset_fuzz(args) -> Outcome:
 
 def _thread_count(args) -> int:
     env = os.environ.get("WORKBENCH_THREADS")
-    if args.threads:
-        return max(1, args.threads)
+    if args.threads is not None:
+        if args.threads < 1:
+            raise InputError(f"--threads must be >= 1, got {args.threads}")
+        return args.threads
     if env:
         if not env.isdigit() or int(env) < 1:
             raise InputError(f"bad WORKBENCH_THREADS: {env!r}")
@@ -515,7 +518,8 @@ def run_fuzz_sharded(
     if threads > 1 and len(jobs) > 1:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+        # at most one worker per shard: the pool forks all of its workers at once
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             reports = list(pool.map(_fuzz_shard, *zip(*jobs)))
     else:
         reports = [_fuzz_shard(*job) for job in jobs]

@@ -282,6 +282,35 @@ def test_threads_env_validation():
     assert json.loads(r2.stdout)["result"] == json.loads(r3.stdout)["result"]
 
 
+def test_worker_pool_is_capped_at_the_shard_count(monkeypatch):
+    """The pool forks all of its workers at once, so it gets no more than
+    there are shards.  A stub records the pool size and runs the shards
+    inline: no process is started."""
+    import concurrent.futures
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    for count, threads, workers in ((40, 5000, 16), (3, 5000, 3), (40, 2, 2)):
+        rep = cli.run_fuzz_sharded("poset-map", count, 5, 7, threads)
+        assert sizes[-1] == workers
+        assert rep == cli.run_fuzz_sharded("poset-map", count, 5, 7, 1)
+    assert len(sizes) == 3
+
+
 def test_input_error_exits_2(tmp_path):
     r = run_cli(["homology", "--preset", "nonsense"])
     assert r.returncode == 2 and "error:" in r.stderr
@@ -311,6 +340,8 @@ def _nerve_argv(cover="F.cov", tx="tx.w", ta="ta.w"):
         (["sp4", "phi"], "need --matrix or --swap"),
         (["poset", "fuzz", "--campaign", "nerve", "--max-size", "0"], "maximum poset size"),
         (["poset", "fuzz", "--campaign", "nerve", "--count", "-5"], "instance count"),
+        (["poset", "fuzz", "--campaign", "nerve", "--threads", "0"], "--threads must be >= 1, got 0"),
+        (["poset", "fuzz", "--campaign", "nerve", "--threads", "-3"], "--threads must be >= 1, got -3"),
         (["sp4", "verify", "--pairs", "-1"], "--pairs must be >= 0"),
         (["homology", "--preset", f"intstab-fl({10**400})", "--box", "3,3"], "below 2**31"),
         (["homology", "--preset", "intstab-fl(1000000000000000003)", "--box", "3,3"], "below 2**31"),

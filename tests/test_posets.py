@@ -9,6 +9,7 @@ from bigraded import cli, exactla, posets
 from bigraded.errors import InputError
 from bigraded.posets import (
     INF,
+    MAX_CHAINS,
     CoverFunctor,
     FinitePoset,
     PosetMap,
@@ -25,6 +26,7 @@ from bigraded.posets import (
     fuzz_poset_map,
     is_homologically_connected,
     order_chains,
+    _oversize,
     parse_cover,
     parse_weights,
     poset_from_text,
@@ -112,6 +114,40 @@ def test_core_removes_beat_points_only():
     for base in (3, 4, 5):  # spheres have no beat points
         p = subsets_poset(base)
         assert core(p) == (1 << p.n) - 1
+
+
+def _core_by_sweeps(p, mask):
+    """``core`` as first written, kept as the oracle of its removal order:
+    sweeps in ascending index, each over the points alive at its start,
+    until one removes nothing."""
+    alive = mask
+    changed = True
+    while changed:
+        changed = False
+        for x in posets._bits(alive):
+            bit = 1 << x
+            up = p.above[x] & alive & ~bit
+            down = p.below[x] & alive & ~bit
+            if any(p.above[y] & alive == up for y in posets._bits(up)) or any(
+                p.below[y] & alive == down for y in posets._bits(down)
+            ):
+                alive &= ~bit
+                changed = True
+    return alive
+
+
+def test_core_keeps_the_removal_order_of_the_sweeps():
+    """The same mask, not only a core of the same size: the points removed
+    decide which subposet the checkers build."""
+    rng = random.Random(23)
+    for _ in range(300):
+        p = random_poset(rng, 12)
+        full = (1 << p.n) - 1
+        masks = [0, full, *(1 << i for i in range(p.n))]
+        masks += [rng.getrandbits(p.n) for _ in range(6)]
+        for mask in masks:
+            assert core(p, mask) == _core_by_sweeps(p, mask)
+        assert core(p) == _core_by_sweeps(p, full)
 
 
 def test_connectivity_on_the_core_equals_unreduced_homology():
@@ -429,6 +465,22 @@ def test_chain_count_counts_order_chains():
         for max_len in range(1, p.n + 2):
             chains = order_chains(p, max_len=max_len)
             assert _chain_count(p, max_len) == sum(len(level) for level in chains)
+
+
+def test_oversize_is_the_chain_count_test():
+    """The 2^n - 1 shortcut skips the count exactly where it cannot exceed
+    MAX_CHAINS: the total orders on 12 and 13 points have 4 095 and 8 191
+    chains, each above it, and are counted."""
+    for n, chains in ((11, 2047), (12, 4095), (13, 8191)):
+        p = chain_poset(n)
+        assert _chain_count(p, n) == chains
+        assert _oversize(p, n) == (chains > MAX_CHAINS) == (n >= 12)
+        assert not _oversize(p, 3)
+    rng = random.Random(13)
+    for _ in range(400):
+        p = random_poset(rng, 13)
+        for max_len in range(1, 6):
+            assert _oversize(p, max_len) == (_chain_count(p, max_len) > MAX_CHAINS)
 
 
 def test_euler_characteristic_matches_homology():
