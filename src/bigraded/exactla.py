@@ -573,26 +573,18 @@ def _smith_residual(w: _SparseWork):
     return diag
 
 
+def _nonzero_integer(x) -> int:
+    """The scalar check of Smith form rows: nonzero ints only."""
+    if not _integer(x):
+        raise InputError("Smith normal form rows list nonzero entries only")
+    return x
+
+
 def _smith_rows(rows, ncols: int):
-    """`smith_normal_form`'s sparse rows as the ``{col: value}`` dicts of its
-    nonzero rows, each entry checked as the dict is filled: columns
-    increasing and below ``ncols``, values nonzero ints."""
-    A = {}
-    for i, row in enumerate(rows):
-        out = {}
-        last = -1
-        for j, x in row:
-            if not last < j < ncols:
-                raise InputError("matrix row columns out of order or out of range")
-            if not isinstance(x, int):
-                raise InputError("Smith normal form requires integer entries")
-            if not x:
-                raise InputError("Smith normal form rows list nonzero entries only")
-            out[j] = x
-            last = j
-        if out:
-            A[i] = out
-    return A
+    """`smith_normal_form`'s sparse rows, checked by `_checked_rows` with
+    nonzero int values, as the ``{col: value}`` dicts of its nonzero rows."""
+    checked = _checked_rows(rows, ncols, _nonzero_integer)
+    return {i: dict(row) for i, row in enumerate(checked) if row}
 
 
 def smith_normal_form(rows, ncols: int, want_certs: bool = False) -> SmithForm:

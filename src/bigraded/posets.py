@@ -2,8 +2,11 @@
 for the poset-map connectivity theorem and the nerve criterion.
 
 Connectivity here is the homological surrogate: "homologically n-connected"
-means reduced homology vanishes through degree n (for a map: reduced homology
-of the mapping cone of the induced chain map vanishes through degree n).
+means reduced homology vanishes through degree n.  A map f: X -> Y is
+n-connected when its poset mapping cone is: X and Y with x < y iff
+f(x) <= y (the non-Hausdorff mapping cylinder) and one point above all of X,
+whose order complex is the mapping cone of f up to homotopy (Barmak &
+Minian, Adv. Math. 218 (2008); Barmak, LNM 2032 (2011), 2.8).
 True topological n-connectedness also constrains the fundamental group, which
 a finite computation cannot decide; reports are labelled accordingly.
 
@@ -12,8 +15,8 @@ the coefficient ring in degree -1); "(-1)-connected" means nonempty;
 "m-connected" for m <= -2 is vacuously true.  A poset that is acyclic through
 every degree its order complex carries gets the infinity sentinel.
 
-Homology over F2, Q and Z, and of the mapping cone, is one routine: the
-augmented chain complex (the empty chain in degree -1) gives each boundary
+Homology over F2, Q and Z, of posets and so of maps, is one routine: the
+augmented order complex (the empty chain in degree -1) gives each boundary
 as face lists, and a rank backend reduces them: bitmask elimination over F2,
 which the randomized campaigns use, and the Smith form over Z, which also
 yields torsion; the rank over Q is the number of nonzero Smith factors.
@@ -301,17 +304,6 @@ def _core_poset(p: FinitePoset, mask: int) -> FinitePoset | None:
     return p if mask == (1 << p.n) - 1 else p.subposet(mask)
 
 
-def _levels(p: FinitePoset, top: int) -> list[list[tuple]]:
-    """The augmented chain groups of the order complex in degrees -1..top:
-    level i holds the chains of i elements, so level 0 is the empty chain."""
-    chains = order_chains(p, max_len=top + 1)
-    return [[()]] + chains + [[]] * (top + 1 - len(chains))
-
-
-def _index(level) -> dict[tuple, int]:
-    return {c: i for i, c in enumerate(level)}
-
-
 def _faces(index: dict, level) -> list[tuple[int, ...]]:
     """The boundary of each chain of ``level`` as a face list: the places in
     ``index`` of the faces that drop its vertex 0, 1, ... in turn, so the
@@ -423,11 +415,17 @@ def _homology(sizes: list[int], boundary, rank):
 
 
 def _reduced_homology(p: FinitePoset, through: int | None, rank):
+    """Reduced homology of the order complex through degree ``through``,
+    from its augmented chain groups in degrees -1..top+1: level i holds the
+    chains of i elements, so level 0 is the empty chain."""
     top = (p.n - 1) if through is None else min(through, p.n - 1)
-    levels = _levels(p, top + 1)
-    return _homology(
-        list(map(len, levels)), lambda i: _faces(_index(levels[i - 1]), levels[i]), rank
-    )
+    chains = order_chains(p, max_len=top + 2)
+    levels = [[()]] + chains + [[]] * (top + 2 - len(chains))
+
+    def boundary(i):
+        return _faces({c: j for j, c in enumerate(levels[i - 1])}, levels[i])
+
+    return _homology(list(map(len, levels)), boundary, rank)
 
 
 def reduced_homology_f2(p: FinitePoset, through: int | None = None) -> dict[int, int]:
@@ -551,40 +549,31 @@ class PosetMap:
         return sum(1 << i for i, j in enumerate(self.image) if (mask >> j) & 1)
 
 
-def cone_homology_f2(f: PosetMap, through: int) -> dict[int, int]:
-    """Reduced F2 homology of the mapping cone of the induced chain map on
-    order complexes, degrees -1..through.
-
-    The cone's chains in degree k are C_{k-1}(X) + C_k(Y), the empty chain
-    being degree -1 on both sides.  A chain a of X bounds to its faces and
-    to f(a) when f is injective on a, a chain of Y to its faces; over F2
-    the cone's signs do not matter."""
+def mapping_cone(f: PosetMap) -> FinitePoset:
+    """The poset mapping cone of f on X, then Y, then a cone point: X and
+    Y keep their orders, x < y iff f(x) <= y, and the cone point lies above
+    all of X.  Its order complex is the mapping cone of f up to homotopy
+    (Barmak & Minian, Adv. Math. 218 (2008)).  The masks are a partial
+    order by construction, because f preserves the order."""
     X, Y = f.source, f.target
     if X.n == 0 or Y.n == 0:
         raise DomainError("mapping cone needs nonempty source and target")
-    top = min(through, max(X.n, Y.n - 1))
-    lx, ly = _levels(X, top), _levels(Y, top + 1)
-    sizes = [len(ly[0])] + [len(a) + len(b) for a, b in zip(lx, ly[1:])]
+    below = X.below + [(m << X.n) | f.preimage(m) for m in Y.below]
+    below.append(((1 << X.n) - 1) | (1 << len(below)))  # the cone point: X and itself
+    names = [("X", nm) for nm in X.names] + [("Y", nm) for nm in Y.names] + [("cone", "*")]
+    return FinitePoset._trusted(tuple(names), below, _transpose(below))
 
-    def boundary(i):
-        # rows: the Y block (degree i-2) first, then the X block (degree i-3)
-        iy = _index(ly[i - 1])
-        off = len(iy)
-        cols = _faces(iy, ly[i])
-        xs = lx[i - 1]
-        for c, col in zip(xs, _faces({a: off + j for j, a in enumerate(lx[i - 2])}, xs)):
-            img = tuple([f.image[v] for v in c])  # a chain of Y iff f is injective on c
-            cols.append(col + (iy[img],) if img in iy else col)
-        return cols
 
-    return _homology(sizes, boundary, _gf2_rank)[0]
+def cone_homology_f2(f: PosetMap, through: int) -> dict[int, int]:
+    """Reduced F2 homology of the mapping cone of f, degrees -1..through:
+    that of the core of `mapping_cone`."""
+    cone = mapping_cone(f)
+    q = _core_poset(cone, (1 << cone.n) - 1)
+    return {} if q is None else reduced_homology_f2(q, through)
 
 
 def map_is_n_connected(f: PosetMap, n: int) -> bool:
-    if n <= -2:
-        return True
-    dims = cone_homology_f2(f, through=n)
-    return all(k > n for k, v in dims.items() if v)
+    return is_homologically_connected(mapping_cone(f), n)
 
 
 # ---------------------------------------------------------------------------
@@ -711,11 +700,14 @@ def check_nerve_theorem(
         records.append(HypothesisRecord(a, f"index_<({a}) is ({ta}-2)-connected", h1))
         records.append(HypothesisRecord(a, f"F({a}) is (n-t-1)-connected", h2))
         ok = ok and h1 and h2
+    ax = [0] * X.n  # ax[k]: the mask of A_x = {a : x in F(a)} for x = X.names[k]
+    for i, a in enumerate(A.names):
+        for k in _bits(F.masks[a]):
+            ax[k] |= 1 << i
     for k, x in enumerate(X.names):
         tx = tX[x]
-        ax = sum(1 << i for i, a in enumerate(A.names) if (F.masks[a] >> k) & 1)  # A_x
         h1 = is_homologically_connected(X, tx - 2, mask=X.lt_mask(k))
-        h2 = is_homologically_connected(A, (n - 1) - tx - 1, mask=ax)
+        h2 = is_homologically_connected(A, (n - 1) - tx - 1, mask=ax[k])
         records.append(HypothesisRecord(x, f"X_<({x}) is ({tx}-2)-connected", h1))
         records.append(HypothesisRecord(x, f"A_({x}) is ((n-1)-t-1)-connected", h2))
         ok = ok and h1 and h2

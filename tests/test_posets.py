@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 import pytest
 
 from bigraded import cli, exactla, posets
-from bigraded.errors import InputError
+from bigraded.errors import DomainError, InputError
 from bigraded.posets import (
     INF,
     MAX_CHAINS,
@@ -25,6 +25,8 @@ from bigraded.posets import (
     fuzz_nerve,
     fuzz_poset_map,
     is_homologically_connected,
+    map_is_n_connected,
+    mapping_cone,
     order_chains,
     _oversize,
     parse_cover,
@@ -402,6 +404,44 @@ def test_cone_homology_obeys_the_long_exact_sequence():
         hc = cone_homology_f2(f, X.n + Y.n)
         chi = sum((-1) ** k * v for k, v in hc.items())
         assert chi == euler_characteristic(Y) - euler_characteristic(X)
+
+
+def _validated_cone(f):
+    """The mapping cone of f built from its relations by the validating
+    constructor: X's and Y's orders, x < y iff f(x) <= y, x < the cone point."""
+    X, Y = f.source, f.target
+    xs, ys = [("X", x) for x in X.names], [("Y", y) for y in Y.names]
+    pairs = [(("X", a), ("X", b)) for a in X.names for b in X.names if a != b and X.leq(a, b)]
+    pairs += [(("Y", a), ("Y", b)) for a in Y.names for b in Y.names if a != b and Y.leq(a, b)]
+    pairs += [(("X", x), ("Y", y)) for x in X.names for y in Y.names if Y.leq(f.mapping[x], y)]
+    pairs += [(x, ("cone", "*")) for x in xs]
+    return FinitePoset(xs + ys + [("cone", "*")], pairs)
+
+
+def test_mapping_cone_from_masks_equals_validated_construction():
+    """On random maps, constant maps and maps to and from a point; the
+    identity map's cone is contractible, so its core is one point."""
+    rng = random.Random(37)
+    pt = FinitePoset(["*"], [])
+    maps = []
+    for f in _random_maps(2032, 80, 8):
+        X, Y = f.source, f.target
+        y = rng.choice(Y.names)
+        maps += [f, PosetMap(X, Y, {x: y for x in X.names})]
+        maps += [PosetMap(X, pt, {x: "*" for x in X.names}), PosetMap(pt, Y, {"*": y})]
+    for f in maps:
+        assert vars(mapping_cone(f)) == vars(_validated_cone(f))
+    for p in [pt, subsets_poset(3), subsets_poset(4)] + [random_poset(rng, 10) for _ in range(40)]:
+        cone = mapping_cone(PosetMap(p, p, {nm: nm for nm in p.names}))
+        assert bin(core(cone)).count("1") == 1
+    empty = FinitePoset([], [])
+    for f in (PosetMap(empty, pt, {}), PosetMap(empty, empty, {})):
+        with pytest.raises(DomainError):
+            mapping_cone(f)
+        with pytest.raises(DomainError):
+            cone_homology_f2(f, 1)
+        with pytest.raises(DomainError):
+            map_is_n_connected(f, 1)
 
 
 def test_subposet_from_masks_equals_validated_construction():
