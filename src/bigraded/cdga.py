@@ -25,20 +25,20 @@ the module differential); the components that carry a differential span
 sub-complexes that the differential maps into themselves, and every other
 letter is closed.  So the complex is the tensor product of those factors and
 the free algebra on the closed letters, a `KunnethSplit`, and over a field
-Kunneth gives its homology as the product of the factors' homologies
-(computed per bidegree with exact linear algebra) and the closed letters'
-free series, which needs only their counts per (g, d) cell.  The named
-complexes are built as that split directly: only the few letters their
-differential needs are named, and the closed rest of their free Lie
-alphabet is counted by `freealg.letter_counts`, never enumerated.  A named
-complex is spelled ``NAME`` or ``NAME(ELL)``, and `_preset` alone reads the
-spelling and checks its prime; any box of at least (1, 1) runs, and its
-table is the truncation of the table of every larger box.  Letters
-whose differential is not explicitly given are closed: the named complexes
-this reproduces arise as associated graded of a computational filtration in
-which exactly the listed differentials survive, so assigning zero
-differential to the deeper letters is the object those vanishing claims
-constrain, not an approximation of it.
+Kunneth gives its homology as the product of the factors' homologies and
+the closed letters' free series, which needs only their counts per (g, d)
+cell.  A factor's homology is `exactla.chain_homology`, one genus at a
+time, on the ranks of its differential matrices.  The named complexes are
+built as that split directly: only the few letters their differential needs
+are named, and the closed rest of their free Lie alphabet is counted by
+`freealg.letter_counts`, never enumerated.  A named complex is spelled
+``NAME`` or ``NAME(ELL)``, and `_preset` alone reads the spelling and checks
+its prime; any box of at least (1, 1) runs, and its table is the truncation
+of the table of every larger box.  Letters whose differential is not
+explicitly given are closed: the named complexes this reproduces arise as
+associated graded of a computational filtration in which exactly the listed
+differentials survive, so assigning zero differential to the deeper letters
+is the object those vanishing claims constrain, not an approximation of it.
 
 A `DGModule`, a free module over a CDGA with basis elements (monomial,
 generator), has its own `delta_mono` and shares the algebra's `delta_poly`
@@ -431,26 +431,22 @@ class DGModule:
 
 
 def matrix_homology_table(cx, box: tuple[int, int]) -> HomologyTable:
-    """dim ker - dim im per bidegree, from the differential matrices of the
-    whole complex.  The incoming differential at the top row is taken from
-    bidegree (g, d+1) even when that falls outside the box, so no edge cell
-    is overcounted (the named complexes of `build_paper_complex` take their
-    letters one degree above the box for exactly this reason)."""
+    """Homology per bidegree from the differential matrices of the whole
+    complex, one genus at a time by `exactla.chain_homology`, whose field
+    backend takes `exactla.rank` and clears no rows.  The incoming
+    differential at the top row is taken from bidegree (g, d+1) even when
+    that falls outside the box, so no edge cell is overcounted (the named
+    complexes of `build_paper_complex` take their letters one degree above
+    the box for exactly this reason)."""
     g_max, d_max = box
     dims = {}
     for g in range(g_max + 1):
         # basis sizes, read once each, the top degree first: a CDGA then
         # enumerates genus g in one pass
         sizes = [len(cx.monomial_basis((g, d))) for d in range(d_max + 1, -1, -1)][::-1]
-        # ranks[d]: rank of the differential out of degree d; a map from or
-        # to the zero space has rank 0, and no matrix is built for it
-        ranks = [0] * (d_max + 2)
-        for d in range(1, d_max + 2):
-            if sizes[d] and sizes[d - 1]:
-                ranks[d] = exactla.rank(cx.differential_matrix((g, d)))
-        for d in range(d_max + 1):
-            h = sizes[d] - ranks[d] - ranks[d + 1]
-            if h:
+        if any(sizes):  # an empty genus has no homology: skip the call
+            rank = lambda d, _: (exactla.rank(cx.differential_matrix((g, d))), (), ())  # noqa: E731
+            for d, h in exactla.chain_homology(sizes, rank)[0].items():
                 dims[(g, d)] = h
     return HomologyTable(field_name=cx.field.name, box=box, dims=dims)
 

@@ -418,38 +418,44 @@ def _monomial(text: str, error: str):
 
 def _parse_functionals(text: str):
     """Functional file: ``functional NAME`` heads, ``MONO = VALUE`` entries,
-    one ``pair: EXPR`` line and one ``slots: NAME...`` line."""
+    one ``pair: EXPR`` line and one ``slots: NAME...`` line.  A second head
+    for a name, a second value for a monomial of one functional, and a
+    second ``pair:`` or ``slots:`` line are input errors."""
     funcs: dict[str, dict] = {}
     current = None
-    expr = None
-    slots = None
+    heads = {}  # "pair" and "slots": the rest of their line
     for raw, line in content_lines(text):
         if line.startswith("functional "):
             current = line.split(None, 1)[1].strip()
+            if current in funcs:
+                raise InputError(f"second head for functional {current}: {raw!r}")
             funcs[current] = {}
-        elif line.startswith("pair:"):
-            expr = line[5:].strip()
-        elif line.startswith("slots:"):
-            slots = line[6:].split()
+        elif line.startswith(("pair:", "slots:")):
+            head, _, rest = line.partition(":")
+            if head in heads:
+                raise InputError(f"second '{head}:' line: {raw!r}")
+            heads[head] = rest
         elif "=" in line:
             if current is None:
                 raise InputError("functional entry before any 'functional NAME' line")
             lhs, rhs = (s.strip() for s in line.split("=", 1))
             mono = _monomial(lhs, "functional key must be a monomial")
+            if mono in funcs[current]:
+                raise InputError(f"second value for {lhs} in functional {current}: {raw!r}")
             value = taut.parse_taut(rhs)
             if any(m != (0, 0, ()) for m in value):
                 raise InputError(f"functional value must be parameters only: {rhs!r}")
             funcs[current][mono] = value.get((0, 0, ()), taut.ParamPoly())
         else:
             raise InputError(f"bad functionals line: {raw!r}")
-    if expr is None or slots is None:
+    if len(heads) < 2:
         raise InputError("functionals file needs 'pair:' and 'slots:' lines")
     built = {nm: taut.HomologyFunctional(nm, vals) for nm, vals in funcs.items()}
     try:
-        ordered = [built[nm] for nm in slots]
+        ordered = [built[nm] for nm in heads["slots"].split()]
     except KeyError as exc:
         raise InputError(f"unknown functional in slots: {exc}") from exc
-    return ordered, expr
+    return ordered, heads["pair"].strip()
 
 
 def cmd_nerve(args) -> Outcome:

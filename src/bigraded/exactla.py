@@ -33,6 +33,12 @@ steps and a divisibility pass on what phase 1 leaves, which is nothing for
 the order complex of a sphere.  Invariant factors are unique, so the pivot
 order does not show in them; `det_int` checks the certificates
 independently.
+
+`chain_homology` turns the group sizes of a chain complex and the ranks of
+its boundaries into homology, for posets and CDGA factors alike: it reduces
+the boundaries from the top degree down with clearing, through a backend of
+the caller's (bitmask elimination over F2, `rank`, or the Smith form), and
+its docstring proves which rows a backend may clear.
 """
 
 from __future__ import annotations
@@ -654,6 +660,68 @@ def snf_certificate_ok(rows, sf: SmithForm) -> bool:
             if x != (factors[i] if i == j < k else 0):
                 return False
     return abs(det_int(U)) == 1 and abs(det_int(V)) == 1
+
+
+# ---------------------------------------------------------------------------
+# homology of a chain complex
+
+
+def chain_homology(sizes: list[int], reduce, augmented: bool = False):
+    """Homology of a chain complex C_0 <- C_1 <- ... <- C_top from the ranks
+    of its boundaries.
+
+    ``sizes[k]`` is the rank of C_k, and ``reduce(k, drop)`` (1 <= k <= top)
+    reduces the boundary out of C_k without its columns in ``drop`` and
+    returns its rank, its torsion factors (the invariant factors above 1)
+    and a set of its rows to clear, which may be empty.  It is asked for
+    only when both groups of the boundary are nonzero.  C_top only gives
+    the boundary into C_(top-1): homology is returned in degrees 0..top-1.
+    With ``augmented``, C_0 maps onto one chain in degree -1 (rank 1 when
+    C_0 is nonzero), and degree -1 is returned too; the augmentation is
+    never reduced.  Returns the nonzero free ranks and the nonempty torsion,
+    each as a dict keyed by degree.
+
+    Clearing (Chen & Kerber, *Persistent homology computation with a
+    twist*, EuroCG 2011; Bauer, Kerber & Reininghaus, *Clear and compress*,
+    2014).  The boundaries are reduced from the top degree down, and each
+    drops the columns that are the rows R of the boundary above before it is
+    reduced.  This keeps the lattice its columns span, and so its rank and
+    every torsion factor: if C_k has a basis made of the e_j with j not in R
+    and of |R| boundaries z, then ``d z = 0`` and the image of d is spanned
+    by the d e_j alone.
+    - Over F2, r in R is the ``low`` key of a reduced column z_r of the
+      boundary above: a sum of its columns, so a boundary, equal to e_r
+      plus rows above r.  These z_r and the other e_j are triangular in the
+      row order, so they form a basis.
+    - Over Z (and Q), R holds the rows of the Smith form's unit pivots
+      (phase 1).  The block B of the boundary above on R and on the unit
+      pivot columns C is unimodular, so the columns z_c, c in C, of the
+      boundary above and the e_j, j not in R, are a Z-basis: with the rows
+      R first they form [[B, 0], [*, I]], of determinant +-1.  Over a field
+      every pivot block is nonsingular, so any elimination's pivot rows
+      could be cleared the same way.
+    - Phase 2's pivot rows are not cleared: their block need not be
+      unimodular.  With d e0 = 2v, d e1 = 3v and the boundary 3 e0 - 2 e1
+      above, no entry is a unit, and dropping column e0 or e1 leaves the
+      lattice 3Z or 2Z: a false Z/3 or Z/2 where the cokernel is 0."""
+    ranks = [0] * len(sizes)  # ranks[k]: the boundary out of degree k
+    if augmented:  # C_0 maps onto the one chain of degree -1
+        ranks[0] = min(sizes[0], 1)
+    torsion = {}
+    clear = ()  # the rows the boundary above cleared: columns to drop
+    for k in range(len(sizes) - 1, 0, -1):
+        if sizes[k] and sizes[k - 1]:
+            ranks[k], tors, clear = reduce(k, clear)
+            if tors:
+                torsion[k - 1] = tors
+        else:
+            clear = ()
+    dims = {-1: 1} if augmented and not ranks[0] else {}
+    for k in range(len(sizes) - 1):
+        free = sizes[k] - ranks[k] - ranks[k + 1]
+        if free:
+            dims[k] = free
+    return dims, torsion
 
 
 def parse_int_matrix(text: str):

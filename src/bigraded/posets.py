@@ -15,20 +15,15 @@ the coefficient ring in degree -1); "(-1)-connected" means nonempty;
 "m-connected" for m <= -2 is vacuously true.  A poset that is acyclic through
 every degree its order complex carries gets the infinity sentinel.
 
-Homology over F2, Q and Z, of posets and so of maps, is one routine: the
-augmented order complex (the empty chain in degree -1) gives each boundary
-as face lists, and a rank backend reduces them: bitmask elimination over F2,
-which the randomized campaigns use, and the Smith form over Z, which also
-yields torsion; the rank over Q is the number of nonzero Smith factors.
-Only chains short enough to influence the requested degrees are ever
-enumerated.  The boundaries are reduced from the top degree down, with
-clearing: a row that leads a boundary of the form e_r plus higher rows (a
-``low`` key over F2), or a row of the Smith form's unit pivots over Z and Q,
-which make their block unimodular, is a column of the boundary below whose
-lattice the other columns already span, so that column is dropped before
-the reduction.  The rows of non-unit Smith pivots are not cleared: their
-block need not be unimodular, and dropping their columns could change the
-torsion.  ``_homology`` derives both cases.
+Homology over F2, Q and Z, of posets and so of maps, is
+`exactla.chain_homology` on the order complex, augmented by the empty chain
+in degree -1.  Its boundaries are face lists, and a rank backend reduces
+them: bitmask elimination over F2, which the randomized campaigns use, and
+the Smith form over Z, which also yields torsion; the Betti numbers over Q
+are the free ranks over Z.  Only chains short enough to influence the
+requested degrees are ever enumerated.  The rows a backend clears are the
+``low`` keys over F2 and the rows of the Smith form's unit pivots over Z and
+Q, never those of its non-unit pivots; `exactla.chain_homology` proves both.
 
 Connectivity is computed on the core: beat points are removed first, which
 keeps the homotopy type of the order complex (Stong, *Finite topological
@@ -354,78 +349,20 @@ def _rank_z(cols, nrows: int):
     return len(sf.factors), [d for d in sf.factors if d > 1], set(sf.unit_rows)
 
 
-def _rank_q(cols, nrows: int):
-    """Rank over Q: the number of nonzero Smith factors, with no torsion."""
-    rank, _, clear = _rank_z(cols, nrows)
-    return rank, (), clear
-
-
-def _homology(sizes: list[int], boundary, rank):
-    """Reduced homology of an augmented chain complex, degrees -1..len(sizes)-3.
-
-    ``sizes[i]`` is the rank of the chain group in degree i-1, and
-    ``boundary(i)`` (i >= 2) gives its boundary as face lists; it is asked
-    for only when both of its groups are nonzero.  The augmentation is never
-    built: the complexes here map some degree-0 chain onto the empty chain,
-    so it has rank 1 when degree 0 is nonzero.  ``rank(cols, nrows)`` gives
-    a boundary's rank, its torsion factors and a set R of rows to clear.
-    Returns the nonzero free ranks and the nonempty torsion, each as a dict
-    keyed by degree.
-
-    Clearing (Chen & Kerber, *Persistent homology computation with a
-    twist*, EuroCG 2011; Bauer, Kerber & Reininghaus, *Clear and compress*,
-    2014).  The boundaries are reduced from the top degree down, and each
-    drops the columns that are the rows R of the boundary above before it is
-    reduced.  This keeps the lattice its columns span, and so its rank and
-    every torsion factor: if C_k has a basis made of the e_j with j not in R
-    and of |R| boundaries z, then ``d z = 0`` and the image of d is spanned
-    by the d e_j alone.
-    - Over F2, r in R is the ``low`` key of a reduced column z_r of the
-      boundary above: a sum of its columns, so a boundary, equal to e_r
-      plus rows above r.  These z_r and the other e_j are triangular in the
-      row order, so they form a basis.
-    - Over Z (and Q), R holds the rows of the Smith form's unit pivots
-      (phase 1).  The block B of the boundary above on R and on the unit
-      pivot columns C is unimodular, so the columns z_c, c in C, of the
-      boundary above and the e_j, j not in R, are a Z-basis: with the rows
-      R first they form [[B, 0], [*, I]], of determinant +-1.
-    - Phase 2's pivot rows are not cleared: their block need not be
-      unimodular.  With d e0 = 2v, d e1 = 3v and the boundary 3 e0 - 2 e1
-      above, no entry is a unit, and dropping column e1 leaves the lattice
-      2Z: a false Z/2 where the cokernel is 0."""
-    ranks = [0] * len(sizes)  # ranks[i]: the boundary out of degree i-1
-    if len(sizes) > 1 and sizes[1]:
-        ranks[1] = 1
-    torsion = {}
-    clear = set()  # the rows the boundary above cleared: columns to drop
-    for i in range(len(sizes) - 1, 1, -1):
-        if not (sizes[i] and sizes[i - 1]):
-            clear = set()
-            continue
-        cols = [faces for j, faces in enumerate(boundary(i)) if j not in clear]
-        ranks[i], tors, clear = rank(cols, sizes[i - 1])
-        if tors:
-            torsion[i - 2] = tors
-    dims = {}
-    for i in range(len(sizes) - 1):
-        free = sizes[i] - ranks[i] - ranks[i + 1]
-        if free:
-            dims[i - 1] = free
-    return dims, torsion
-
-
 def _reduced_homology(p: FinitePoset, through: int | None, rank):
     """Reduced homology of the order complex through degree ``through``,
-    from its augmented chain groups in degrees -1..top+1: level i holds the
-    chains of i elements, so level 0 is the empty chain."""
+    by `exactla.chain_homology` on its chain groups in degrees 0..top+1,
+    augmented: level k holds the chains of k+1 elements.  ``rank(cols,
+    nrows)`` reduces a boundary given as face lists."""
     top = (p.n - 1) if through is None else min(through, p.n - 1)
-    chains = order_chains(p, max_len=top + 2)
-    levels = [[()]] + chains + [[]] * (top + 2 - len(chains))
+    levels = order_chains(p, max_len=top + 2)
+    levels += [[]] * (top + 2 - len(levels))
 
-    def boundary(i):
-        return _faces({c: j for j, c in enumerate(levels[i - 1])}, levels[i])
+    def reduce(k, drop):
+        kept = [c for j, c in enumerate(levels[k]) if j not in drop]
+        return rank(_faces({c: j for j, c in enumerate(levels[k - 1])}, kept), len(levels[k - 1]))
 
-    return _homology(list(map(len, levels)), boundary, rank)
+    return exactla.chain_homology(list(map(len, levels)), reduce, augmented=True)
 
 
 def reduced_homology_f2(p: FinitePoset, through: int | None = None) -> dict[int, int]:
@@ -435,8 +372,9 @@ def reduced_homology_f2(p: FinitePoset, through: int | None = None) -> dict[int,
 
 
 def reduced_homology_q(p: FinitePoset, through: int | None = None) -> dict[int, int]:
-    """Reduced rational Betti numbers of the order complex."""
-    return _reduced_homology(p, through, _rank_q)[0]
+    """Reduced rational Betti numbers of the order complex: the free ranks
+    over Z, whose boundary ranks are the number of nonzero Smith factors."""
+    return _reduced_homology(p, through, _rank_z)[0]
 
 
 def reduced_homology_z(p: FinitePoset, through: int | None = None):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from bigraded import exactla
+from bigraded import exactla, posets
 from bigraded.cdga import (
     CDGA,
     DGModule,
@@ -402,6 +402,45 @@ def _random_module(rng, fld):
     g, d, m = rng.choice(cycles)
     mdiff = {"e": [({m: fld.of(rng.randint(1, 4))}, "1")]} if rng.random() < 0.8 else {}
     return DGModule(base, [("1", 0, 0, 0), ("e", g, d + 1, 0)], mdiff)
+
+
+def test_every_homology_path_goes_through_chain_homology(monkeypatch):
+    """CDGA factors and posets read their homology from one routine,
+    `exactla.chain_homology`, which a CDGA table calls once per genus with a
+    nonempty basis and a poset once."""
+    calls = []
+    chain_homology = exactla.chain_homology
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return chain_homology(*args, **kwargs)
+
+    def genera(factors, box):  # the (factor, genus) pairs with a nonempty basis
+        g_max, d_max = box
+        return sum(
+            any(f.monomial_basis((g, d)) for d in range(d_max + 2))
+            for f in factors
+            for g in range(g_max + 1)
+        )
+
+    monkeypatch.setattr(exactla, "chain_homology", counting)
+    rng = random.Random(2033)
+    preset = build_paper_complex("vanishB", (4, 4))
+    split = _random_split_cdga(rng, GF(3))
+    cx = _random_cdga(rng, QQ)
+    sphere = posets.subsets_poset(4)
+    paths = [
+        (lambda: homology_table(preset, (4, 4)), genera(preset.factors, (4, 4))),
+        (lambda: homology_table(split, (4, 4)), genera(_kunneth_split(split).factors, (4, 4))),
+        (lambda: matrix_homology_table(cx, (3, 5)), genera([cx], (3, 5))),
+        (lambda: posets.reduced_homology_f2(sphere), 1),
+        (lambda: posets.reduced_homology_q(sphere), 1),
+        (lambda: posets.reduced_homology_z(sphere), 1),
+    ]
+    for path, count in paths:
+        calls.clear()
+        path()
+        assert len(calls) == count > 0
 
 
 @pytest.mark.parametrize("fld", [QQ, GF(2), GF(3)])

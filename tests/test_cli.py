@@ -392,6 +392,10 @@ def _nerve_argv(cover="F.cov", tx="tx.w", ta="ta.w"):
          "restriction option must be a monomial: 't*k1'"),
         (["taut", "pair", "--functionals", "coef_key.fn"], "functional key must be a monomial: '5*k1'"),
         (["taut", "pair", "--functionals", "param_key.fn"], "functional key must be a monomial: 'u*k1'"),
+        (["taut", "pair", "--functionals", "dup_value.fn"], "second value for k1*k1 in functional x: 'k1*k1 = 5'"),
+        (["taut", "pair", "--functionals", "dup_head.fn"], "second head for functional x: 'functional x'"),
+        (["taut", "pair", "--functionals", "dup_pair.fn"], "second 'pair:' line: 'pair: k1^4'"),
+        (["taut", "pair", "--functionals", "dup_slots.fn"], "second 'slots:' line: 'slots: x x'"),
         # the bidegrees are counted as they are listed
         (["slope-box", "--high", "2", "--gmax", "1000000000"], "more than 200000 bidegrees"),
         (["slope-box", "--high", "99999999999999999999/100000000000000000000"], "more than 200000 bidegrees"),
@@ -417,6 +421,10 @@ def test_bad_inputs_are_input_errors(argv, message, tmp_path, monkeypatch, capsy
         "k1_40.fn": "functional x\nk1 = t\npair: k1^40\nslots: " + " x" * 40 + "\n",
         "coef_key.fn": "functional x\n5*k1 = u\npair: k1^2\nslots: x x\n",
         "param_key.fn": "functional x\nu*k1 = t\nfunctional y\nk1 = u\npair: k1^2\nslots: x y\n",
+        "dup_value.fn": "functional x\nk1^2 = 3\nk1*k1 = 5\npair: k1^4\nslots: x x\n",
+        "dup_head.fn": "functional x\nk1^2 = 3\nfunctional x\npair: k1^4\nslots: x x\n",
+        "dup_pair.fn": "functional x\nk1^2 = 3\npair: k1^2\npair: k1^4\nslots: x x\n",
+        "dup_slots.fn": "functional x\nk1^2 = 3\npair: k1^4\nslots: x\nslots: x x\n",
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)

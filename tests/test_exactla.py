@@ -344,6 +344,27 @@ def test_snf_matches_determinantal_divisors(kind, seed):
         assert snf_certificate_ok(rows, cert), dense
 
 
+def test_chain_homology_clears_only_unit_pivot_rows():
+    """The counterexample of `exactla.chain_homology`'s docstring, through
+    the routine with a Smith backend on integer sparse rows that clears
+    ``unit_rows``: C2 = Z<f>, C1 = Z<e0, e1>, C0 = Z<v>, with d f =
+    3 e0 - 2 e1, d e0 = 2 v and d e1 = 3 v, has zero homology over Z.  d f
+    has no unit pivot, so nothing is cleared; dropping column e0 or e1 of
+    d e would leave a false Z/3 or Z/2."""
+    sizes = [1, 2, 1, 0]
+    rows = {1: [[(0, 2), (1, 3)]], 2: [[(0, 3)], [(0, -2)]]}
+
+    def smith(k, drop):
+        place = {j: i for i, j in enumerate(j for j in range(sizes[k]) if j not in drop)}
+        kept = [[(place[j], x) for j, x in row if j in place] for row in rows[k]]
+        sf = smith_normal_form(kept, len(place))
+        return len(sf.factors), [d for d in sf.factors if d > 1], set(sf.unit_rows)
+
+    assert exactla.chain_homology(sizes, smith) == ({}, {})
+    assert smith(2, ()) == (1, [], set())
+    assert smith(1, {0}) == (1, [3], set()) and smith(1, {1}) == (1, [2], set())
+
+
 def test_mixed_domain_rejected():
     from bigraded.errors import DomainError, WorkbenchError
 

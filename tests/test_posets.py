@@ -248,17 +248,17 @@ def test_rational_rank_is_the_rank_over_q(monkeypatch):
     exactla.rank of the signed boundary over QQ, on the columns left after
     clearing; the rows it clears are rows of that boundary."""
     checked = []
-    rank_q = posets._rank_q
+    rank_z = posets._rank_z
 
     def compare(cols, nrows):
-        got = rank_q(cols, nrows)
+        got = rank_z(cols, nrows)
         rows = posets._signed_rows(cols, nrows)
-        assert got[:2] == (exactla.rank(exactla.Matrix(exactla.QQ, nrows, len(cols), rows)), ())
+        assert got[0] == exactla.rank(exactla.Matrix(exactla.QQ, nrows, len(cols), rows))
         assert len(got[2]) <= got[0] and all(0 <= r < nrows for r in got[2])
         checked.append(nrows)
         return got
 
-    monkeypatch.setattr(posets, "_rank_q", compare)
+    monkeypatch.setattr(posets, "_rank_z", compare)
     for p in _uct_posets():
         reduced_homology_q(p)
     assert len(checked) > 50
@@ -270,36 +270,30 @@ def test_cleared_boundaries_have_the_ranks_and_torsion_of_the_full_ones(monkeypa
     whole boundary: on random posets, RP^2 (Z/2 in degree 1),
     subsets_poset(3..6) and random mapping cones, whose signed boundaries
     are integral chain complexes too."""
-    homology = posets._homology
+    homology = exactla.chain_homology
     dropped = {"F2": 0, "Z": 0}
+    name = None
 
-    def checked(sizes, boundary, rank):
-        for name, backend in (("F2", posets._gf2_rank), ("Z", posets._rank_z)):
-            degree = []
+    def checked(sizes, reduce, augmented=False):
+        def compare(k, drop):
+            got = reduce(k, drop)
+            assert got[:2] == reduce(k, ())[:2]
+            dropped[name] += len(drop)
+            return got
 
-            def recording(i):
-                degree.append(i)
-                return boundary(i)
+        return homology(sizes, compare, augmented)
 
-            def compare(cols, nrows):
-                got = backend(cols, nrows)
-                full = boundary(degree[-1])
-                assert got[:2] == backend(full, nrows)[:2]
-                dropped[name] += len(full) - len(cols)
-                return got
-
-            homology(sizes, recording, compare)
-        return homology(sizes, boundary, rank)
-
-    monkeypatch.setattr(posets, "_homology", checked)
+    monkeypatch.setattr(exactla, "chain_homology", checked)
     rng = random.Random(2030)
-    for p in [subsets_poset(base) for base in (3, 4, 5, 6)] + [_rp2_faces()]:
-        reduced_homology_f2(p)
-    assert reduced_homology_z(_rp2_faces()) == {1: (0, [2])}
-    for _ in range(60):
-        reduced_homology_f2(random_poset(rng, rng.randint(1, 9)))
+    complexes = [subsets_poset(base) for base in (3, 4, 5, 6)] + [_rp2_faces()]
+    complexes += [random_poset(rng, rng.randint(1, 9)) for _ in range(60)]
     for f in _random_maps(2031, 60, 7):
-        cone_homology_f2(f, f.source.n + f.target.n)
+        cone = mapping_cone(f)
+        complexes.append(posets._core_poset(cone, (1 << cone.n) - 1))
+    for p in filter(None, complexes):
+        for name, homology_of in (("F2", reduced_homology_f2), ("Z", reduced_homology_z)):
+            homology_of(p)
+    assert reduced_homology_z(_rp2_faces()) == {1: (0, [2])}
     assert dropped["F2"] > 2000 and dropped["Z"] > 2000
 
 
