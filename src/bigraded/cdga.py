@@ -196,28 +196,6 @@ class CDGA:
         out.extend(m1[a:])
         return (-1 if sign % 2 else 1), tuple(out)
 
-    def poly_add(self, p, q):
-        out = dict(p)
-        for m, c in q.items():
-            _add_into(self.field, out, m, c)
-        return out
-
-    def poly_scale(self, p, c):
-        of = self.field.of
-        return {m: s for m, v in p.items() if (s := of(c * v))}
-
-    def poly_mul(self, p, q):
-        out = {}
-        for m1, c1 in p.items():
-            for m2, c2 in q.items():
-                sm = self.mono_mul(m1, m2)
-                if sm is None:
-                    continue
-                sign, m = sm
-                c = c1 * c2
-                _add_into(self.field, out, m, -c if sign < 0 else c)
-        return out
-
     # -- differential -------------------------------------------------------
 
     def delta_mono(self, mono):

@@ -48,6 +48,9 @@ EXIT_INTERNAL = 3
 # options whose value names an input file; reports hash each one given
 INPUT_FILES = ("gens", "cdga", "expr_file", "functionals", "relations",
                "poset", "A", "cover", "tx", "ta", "infile")
+# options that exclude each other (--cdga takes --field, --preset takes --ell)
+EXCLUSIVE = (("cdga", "preset"), ("cdga", "ell"), ("preset", "field"), ("slope", "line"),
+             ("swap", "matrix"), ("paper_6_3", "functionals"), ("expr", "expr_file"))
 
 
 def _jsonable(x):
@@ -137,7 +140,7 @@ def _emit(args, report: Report, outcome: Outcome):
         out = charts.svg_grid(cells, box, lines, title=title) + "\n"
     else:
         out = "\n".join(outcome.lines) + ("\n" if outcome.lines else "")
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w") as fh:
                 fh.write(out)
@@ -202,7 +205,7 @@ def cmd_ranges(args) -> Outcome:
     }
     lines = [f"{stmt.kind} for {stmt.render()}"]
     status = "ok"
-    if args.check:
+    if args.check is not None:
         g, d = _parse_box(args.check)
         ok = stmt.satisfies((g, d))
         result["check"] = {"g": g, "d": d, "satisfies": ok}
@@ -251,19 +254,13 @@ def cmd_betti(args) -> Outcome:
 
 def _complex_and_box(args):
     """The complex named by --cdga (over --field) or by --preset (with
-    --ell), and the --box, 8,8 if none is given; --cdga with --preset or
-    --ell, and --preset with --field, are input errors.  The preset's
-    spelling and prime are `cdga.build_paper_complex`'s to read."""
-    for a, b in (("cdga", "preset"), ("cdga", "ell"), ("preset", "field")):
-        if getattr(args, a) is not None and getattr(args, b) is not None:
-            raise InputError(
-                f"--{a} and --{b} exclude each other (--cdga takes --field, --preset takes --ell)"
-            )
-    box = _parse_box(args.box) if args.box else (8, 8)
-    if args.cdga:
-        fld = exactla.field_by_name(args.field or "Q")
+    --ell), and the --box, 8,8 if none is given.  The preset's spelling and
+    prime are `cdga.build_paper_complex`'s to read."""
+    box = _parse_box(args.box) if args.box is not None else (8, 8)
+    if args.cdga is not None:
+        fld = exactla.field_by_name(args.field if args.field is not None else "Q")
         cx = cdga.parse_cdga_file(_read(args.cdga), fld)
-    elif args.preset:
+    elif args.preset is not None:
         cx = cdga.build_paper_complex(args.preset, box, ell=args.ell)
     else:
         raise InputError("need --preset or --cdga")
@@ -279,14 +276,14 @@ def cmd_homology(args) -> Outcome:
 
 def cmd_vanish_check(args) -> Outcome:
     cx, box = _complex_and_box(args)
-    if args.line:
+    if args.line is not None:
         lam, colon, c = args.line.partition(":")
         if not colon:
             raise InputError(f"bad line {args.line!r}; expected LAM:C")
         line = grading.VanishingLine(_parse_fraction(lam), _parse_fraction(c))
     else:
-        slope_default = {"vanishB": "4/5"}.get(args.preset, "3/4")
-        line = grading.VanishingLine(_parse_fraction(args.slope or slope_default))
+        slope = args.slope if args.slope is not None else {"vanishB": "4/5"}.get(args.preset, "3/4")
+        line = grading.VanishingLine(_parse_fraction(slope))
     res = cdga.verify_vanishing(cx, line, box)
     head = [
         f"{'CERTIFIED' if res.certified else 'COUNTEREXAMPLE'}: homology below "
@@ -313,12 +310,12 @@ def cmd_taut_gysin(args) -> Outcome:
 
 
 def cmd_taut_coproduct(args) -> Outcome:
-    text = _read(args.expr_file) if args.expr_file else args.expr
-    if not text:
+    text = _read(args.expr_file) if args.expr_file is not None else args.expr
+    if text is None:
         raise InputError("need --expr or --expr-file")
     p = taut.parse_taut(text)
     patterns = None
-    if args.restrict:
+    if args.restrict is not None:
         taut.check_coproduct(p, args.n)  # the expansion's errors before the restriction's
         patterns = _parse_restrict(args.restrict, args.n)
     terms = taut.nfold_coproduct(p, args.n, patterns)
@@ -333,7 +330,7 @@ def cmd_taut_coproduct(args) -> Outcome:
 def cmd_taut_pair(args) -> Outcome:
     if args.paper_6_3:
         p, funcs = taut.r12_restricted(), taut.paper_63_functionals()
-    elif args.functionals:
+    elif args.functionals is not None:
         funcs, expr = _parse_functionals(_read(args.functionals))
         p = taut.parse_taut(expr)
     else:
@@ -355,7 +352,7 @@ def cmd_taut_pair(args) -> Outcome:
 
 def cmd_taut_ledger(args) -> Outcome:
     ledger = taut.Ledger()
-    if args.relations:
+    if args.relations is not None:
         for i, raw in enumerate(_read(args.relations).splitlines()):
             line = raw.split("#", 1)[0].strip()
             if line:
@@ -551,7 +548,7 @@ def cmd_sp4_subsets(args) -> Outcome:
 def cmd_sp4_phi(args) -> Outcome:
     if args.swap:
         m = sympf2.SWAP_MATRIX
-    elif args.matrix:
+    elif args.matrix is not None:
         m = sympf2.parse_matrix(args.matrix)
     else:
         raise InputError("need --matrix or --swap")
@@ -778,13 +775,17 @@ def _config_flags(text: str) -> list[str]:
 
 def _parse_args(argv=None) -> argparse.Namespace:
     """Parse the command line; a --config file is read as flags spliced in
-    right after the subcommand words, so the flags that follow win."""
+    right after the subcommand words, so the flags that follow win.  Two
+    `EXCLUSIVE` options given, even with empty values, are an input error."""
     argv = sys.argv[1:] if argv is None else list(argv)
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.config:
+    if args.config is not None:
         at = len(_subcommand(args))
         args = ap.parse_args(argv[:at] + _config_flags(_read(args.config)) + argv[at:])
+    for a, b in EXCLUSIVE:
+        if not any(getattr(args, k, None) is None or getattr(args, k) is False for k in (a, b)):
+            raise InputError(f"--{a} and --{b} exclude each other".replace("_", "-"))
     return args
 
 
@@ -792,7 +793,7 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
         command = " ".join(_subcommand(args) + ([args.figure] if args.cmd == "report" else []))
-        inputs = [getattr(args, k) for k in INPUT_FILES if getattr(args, k, None)]
+        inputs = [getattr(args, k) for k in INPUT_FILES if getattr(args, k, None) is not None]
         report = Report(command, vars(args), inputs)
         report.timings = args.timings
         outcome = globals()[args.fn](args)

@@ -20,8 +20,7 @@ scaled to 1 at its leading column, which it clears from the other rows;
 that keeps fill-in low on the very sparse differentials of chain complexes.
 `rref` back-substitutes the pivot rows with the same row operation; the
 reduced echelon form is unique, so echelon forms and kernel bases do not
-depend on the pivot order.  `rank_oracle` is an independent dense
-elimination for cross-checks.
+depend on the pivot order.
 
 `smith_normal_form` takes the same sparse rows with integer values, under
 the same row check, and reduces them in two phases.  Phase 1 eliminates unit
@@ -356,28 +355,6 @@ def rref(m: Matrix):
             w.row_op(c, k, row[k])
     pivots = sorted(w.A)
     return [sorted(w.A[c].items()) for c in pivots], pivots
-
-
-def rank_oracle(m: Matrix) -> int:
-    """Independent rank computation by dense column elimination (for
-    cross-checks)."""
-    f = m.field
-    cols = [[f.zero()] * m.nrows for _ in range(m.ncols)]
-    for i, row in enumerate(m.rows):
-        for j, x in row:
-            cols[j][i] = x
-    rk = 0
-    used = []
-    for col in cols:
-        for lead, ucol in used:
-            if col[lead]:
-                c = col[lead] * f.inv(ucol[lead])
-                col = [f.of(x - c * y) for x, y in zip(col, ucol)]
-        lead = next((i for i, x in enumerate(col) if x), None)
-        if lead is not None:
-            used.append((lead, col))
-            rk += 1
-    return rk
 
 
 def kernel_basis(m: Matrix):

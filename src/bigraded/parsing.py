@@ -6,10 +6,10 @@ such as ``[sigma,sigma] - 2*x^2*y`` or a tautological class such as
 ``3/4*e^2*k1 - t*e*k2``, is split into terms by ``parse_terms``; the caller
 decides what each name means.
 
-An expression is an optional sign, then terms joined by ``+`` or ``-``.  A
-term is a run of factors, optionally separated by ``*``: a coefficient
-``n`` or ``n/m``, or a name with an optional exponent ``^n``.  Whitespace may
-surround every token.
+An expression is an optional sign, then one or more terms joined by ``+``
+or ``-``; ``0`` is the zero expression.  A term is a run of factors,
+optionally separated by ``*``: a coefficient ``n`` or ``n/m``, or a name
+with an optional exponent ``^n``.  Whitespace may surround every token.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ def _too_long(number: str) -> InputError:
 def parse_terms(text: str, name_pattern: str) -> list[tuple[Fraction, dict[str, int]]]:
     """The terms of ``text``, each as its coefficient and its
     ``{name: exponent}``; names are the tokens matching the regular
-    expression ``name_pattern``.  A ``^`` that does not follow a name is an
-    input error."""
+    expression ``name_pattern``.  A text with no term, and a ``^`` that does
+    not follow a name, are input errors."""
     tokens = _tokens(text, name_pattern)
     terms = []
     sign = 1
@@ -97,4 +97,6 @@ def parse_terms(text: str, name_pattern: str) -> list[tuple[Fraction, dict[str, 
             i += 1
             if i == len(tokens):
                 raise InputError(f"dangling sign in {text!r}")
+    if not terms:
+        raise InputError(f"no term in {text!r}")
     return terms

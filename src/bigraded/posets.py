@@ -31,12 +31,11 @@ spaces*, Trans. AMS 123 (1966)).  A poset whose core is one point, such as a
 cone, is contractible and needs no homology at all.  A subset of a poset is
 a bitmask of its parent, and connectivity is settled on the mask when the
 threshold, emptiness or a one-point core decides it: a subposet is built
-only for a core of at least two points.  ``subposet`` and ``op`` trust their
-parent: they compress its relation masks and do not validate again.
-``subsets_poset`` and ``random_poset`` build masks that are partial orders
-by construction (submasks; relations drawn along a shuffled total order and
-closed in one pass along it).  Only ``FinitePoset(names, pairs)`` checks
-outside input.
+only for a core of at least two points.  ``subposet`` trusts its parent: it
+compresses its relation masks and does not validate again.  ``subsets_poset``
+and ``random_poset`` build masks that are partial orders by construction
+(submasks; relations drawn along a shuffled total order and closed in one
+pass along it).  Only ``FinitePoset(names, pairs)`` checks outside input.
 
 The randomized campaigns draw again when a poset of an instance has more
 than ``MAX_CHAINS`` chains of the lengths its check reads, so that a dense
@@ -126,9 +125,6 @@ class FinitePoset:
         p.above = above
         return p
 
-    def leq(self, a, b) -> bool:
-        return bool((self.below[self.idx[b]] >> self.idx[a]) & 1)
-
     def lt_mask(self, i: int) -> int:
         return self.below[i] & ~(1 << i)
 
@@ -158,9 +154,6 @@ class FinitePoset:
             [compress(self.below[i]) for i in keep],
             [compress(self.above[i]) for i in keep],
         )
-
-    def op(self) -> "FinitePoset":
-        return FinitePoset._trusted(self.names, list(self.above), list(self.below))
 
     def cover_pairs(self):
         """Transitive reduction, for serialization."""
@@ -216,15 +209,6 @@ def subsets_poset(base_size: int) -> FinitePoset:
 
 def frozenset_to_name(mask: int, base_size: int) -> str:
     return "{" + ",".join(str(i) for i in range(base_size) if (mask >> i) & 1) + "}"
-
-
-def chain_poset(length: int) -> FinitePoset:
-    names = [f"c{i}" for i in range(length)]
-    return FinitePoset(names, [(names[i], names[i + 1]) for i in range(length - 1)])
-
-
-def antichain_poset(size: int) -> FinitePoset:
-    return FinitePoset([f"a{i}" for i in range(size)], [])
 
 
 # ---------------------------------------------------------------------------
@@ -653,26 +637,6 @@ def check_nerve_theorem(
     return TheoremReport(hypotheses_hold=ok, conclusion_holds=conclusion, records=records)
 
 
-def wreath_poset(A: FinitePoset, F: CoverFunctor):
-    """The poset of pairs (a, x) with x in F(a), ordered by
-    (a, x) <= (a', x') iff a' <=_A a (the index coordinate carries the
-    opposite order, as the nerve factorization requires) and x <=_X x'.
-    Returns (wreath, pi1 onto A^op, pi2 onto X)."""
-    X = F.X
-    elems = [(i, k) for i, a in enumerate(A.names) for k in _bits(F.masks[a])]
-    names = [f"({A.names[i]}|{X.names[k]})" for i, k in elems]
-    pairs = [
-        (names[e], names[e2])
-        for e, (i, k) in enumerate(elems)
-        for e2, (i2, k2) in enumerate(elems)
-        if e != e2 and (A.below[i] >> i2) & 1 and (X.below[k2] >> k) & 1
-    ]
-    w = FinitePoset(sorted(names), pairs)
-    pi1 = PosetMap(w, A.op(), {nm: A.names[i] for nm, (i, _) in zip(names, elems)})
-    pi2 = PosetMap(w, X, {nm: X.names[k] for nm, (_, k) in zip(names, elems)})
-    return w, pi1, pi2
-
-
 # ---------------------------------------------------------------------------
 # randomized campaigns
 
@@ -912,12 +876,6 @@ def _minimize_map_instance(f: PosetMap, t: dict, n: int, variant: str):
         "n": n,
         "variant": variant,
     }
-
-
-def euler_characteristic(p: FinitePoset) -> int:
-    """Reduced Euler characteristic of the order complex from chain counts."""
-    chains = order_chains(p)
-    return sum((-1) ** k * len(level) for k, level in enumerate(chains)) - 1
 
 
 def parse_weights(text: str) -> dict:

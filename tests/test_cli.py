@@ -399,6 +399,28 @@ def _nerve_argv(cover="F.cov", tx="tx.w", ta="ta.w"):
         # the bidegrees are counted as they are listed
         (["slope-box", "--high", "2", "--gmax", "1000000000"], "more than 200000 bidegrees"),
         (["slope-box", "--high", "99999999999999999999/100000000000000000000"], "more than 200000 bidegrees"),
+        # two ways of giving one input, both on the command line or one in --config
+        (["vanish-check", "--preset", "vanishA", "--slope", "1/2", "--line", "3/4:0"], "--slope and --line exclude"),
+        (["vanish-check", "--preset", "vanishA", "--config", "slope.cfg", "--line", "3/4:0"], "--slope and --line"),
+        (["sp4", "phi", "--swap", "--matrix", "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"], "--swap and --matrix exclude"),
+        (["taut", "pair", "--paper-6-3", "--functionals", "k1_40.fn"], "--paper-6-3 and --functionals exclude"),
+        (["taut", "coproduct", "--expr", "k1", "--expr-file", "blank.txt", "--n", "2"], "--expr and --expr-file"),
+        # an empty value is a value, and its parser rejects it, as it does an expression with no term
+        (["vanish-check", "--preset", "vanishA", "--box", "4,4", "--slope", ""], "bad rational ''"),
+        (["vanish-check", "--preset", "vanishA", "--box", "4,4", "--line", ""], "bad line ''"),
+        (["homology", "--preset", "vanishA", "--box", ""], "bad box ''"),
+        (["ranges", "--a", "1", "--b", "1", "--e", "0", "--check", ""], "bad box ''"),
+        (["sp4", "phi", "--swap", "--out", ""], "cannot write"),
+        (["taut", "ledger", "--relations", ""], "cannot read"),
+        (["homology", "--cdga", "sigma.txt", "--field", ""], "unknown field"),
+        (["sp4", "phi", "--matrix", ""], "bad matrix chunk ''"),
+        (["taut", "coproduct", "--expr", "", "--n", "2"], "no term in ''"),
+        (["homology", "--preset", ""], "unknown preset"),
+        (["taut", "gysin", "--expr", " ", "--genus", "2"], "no term in ' '"),
+        (["taut", "coproduct", "--expr", " ", "--n", "2"], "no term in ' '"),
+        (["taut", "pair", "--functionals", "empty_pair.fn"], "no term in ''"),
+        (["homology", "--cdga", "empty_d.cdga"], "no term in ''"),
+        (["taut", "coproduct", "--expr-file", "blank.txt", "--n", "2"], "no term in ''"),
     ],
 )
 def test_bad_inputs_are_input_errors(argv, message, tmp_path, monkeypatch, capsys):
@@ -425,6 +447,10 @@ def test_bad_inputs_are_input_errors(argv, message, tmp_path, monkeypatch, capsy
         "dup_head.fn": "functional x\nk1^2 = 3\nfunctional x\npair: k1^4\nslots: x x\n",
         "dup_pair.fn": "functional x\nk1^2 = 3\npair: k1^2\npair: k1^4\nslots: x x\n",
         "dup_slots.fn": "functional x\nk1^2 = 3\npair: k1^4\nslots: x\nslots: x x\n",
+        "empty_pair.fn": "functional x\nk1 = t\npair:\nslots: x\n",
+        "empty_d.cdga": "x 1 0\ny 1 1\nd y =\n",
+        "blank.txt": "",
+        "slope.cfg": "slope = 1/2\n",
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -1,6 +1,7 @@
 """Every definition of the package is used: a module-level function, class
 or constant, or a method or class attribute of a module-level class, that
-nothing in src/, tests/ or bench/ refers to is dead code."""
+nothing in src/, tests/ or bench/ refers to is dead code, and one that only
+tests/ refers to belongs there."""
 
 import ast
 import re
@@ -11,13 +12,13 @@ ROOT = Path(__file__).resolve().parents[1]
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
-def _names_defined(body):
+def _names_defined(body, fields=True):
     """``(name, line)`` for each function, class and assigned name that the
-    statements ``body`` define."""
+    statements ``body`` define; annotated names only if ``fields``."""
     for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node.lineno
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        elif isinstance(node, ast.Assign) or fields and isinstance(node, ast.AnnAssign):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 for n in ast.walk(target):
@@ -25,17 +26,17 @@ def _names_defined(body):
                         yield n.id, node.lineno
 
 
-def _definitions(tree) -> dict[str, tuple[str, int]]:
+def _definitions(tree, fields=True) -> dict[str, tuple[str, int]]:
     """The module-level functions, classes and constants of ``tree``, and
     the methods and class attributes of its module-level classes (labelled
     ``Class.name``), each with the name it is used by and its line; dunder
-    names are left out."""
+    names are left out, and annotated class attributes unless ``fields``."""
     out = {}
     for name, line in _names_defined(tree.body):
         out[name] = name, line
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
-            for name, line in _names_defined(node.body):
+            for name, line in _names_defined(node.body, fields):
                 out[f"{node.name}.{name}"] = name, line
     return {label: (name, line) for label, (name, line) in out.items() if not name.startswith("__")}
 
@@ -60,25 +61,36 @@ def _references(tree) -> set[str]:
     return out
 
 
-def _dead_definitions(source: str, used=frozenset()) -> list[str]:
+def _dead_definitions(source: str, used=frozenset(), fields=True) -> list[str]:
     """The module-level definitions of ``source`` that it does not refer to
-    and that are not in ``used``."""
+    and that are not in ``used``; dataclass fields only if ``fields``."""
     tree = ast.parse(source)
     used = _references(tree) | used
     return sorted(
-        f"{label} (line {line})" for label, (name, line) in _definitions(tree).items() if name not in used
+        f"{label} (line {line})" for label, (name, line) in _definitions(tree, fields).items() if name not in used
     )
 
 
-def test_package_has_no_dead_definitions():
+def _unreferenced(tops, fields=True) -> dict[str, list[str]]:
+    """Per package module, the definitions that nothing under ``tops`` refers to."""
     package = sorted((ROOT / "src" / "bigraded").glob("*.py"))
     assert package
     used = set().union(
-        *(_references(ast.parse(path.read_text())) for top in ("src", "tests", "bench")
-          for path in (ROOT / top).rglob("*.py"))
+        *(_references(ast.parse(path.read_text())) for top in tops for path in (ROOT / top).rglob("*.py"))
     )
-    dead = {path.name: _dead_definitions(path.read_text(), used) for path in package}
-    assert {name: names for name, names in dead.items() if names} == {}
+    return {path.name: dead for path in package if (dead := _dead_definitions(path.read_text(), used, fields))}
+
+
+def test_package_has_no_dead_definitions():
+    assert _unreferenced(("src", "tests", "bench")) == {}
+
+
+def test_package_has_no_test_only_definitions():
+    """What only tests call, an oracle or a fixture, lives in tests/.  A
+    dataclass field needs no reader: reports serialise every field.  The rule
+    goes by name, so it cannot see a definition whose name is also used for
+    something else, such as a local variable."""
+    assert _unreferenced(("src", "bench"), fields=False) == {}
 
 
 def test_dead_definition_check_sees_what_it_should():
@@ -107,18 +119,28 @@ def test_dead_definition_check_sees_what_it_should():
         "    \"\"\"Only `documented` names documented.\"\"\"\n"
         "def documented():\n"
         "    pass\n"
+        "class Result:\n"
+        "    found: bool\n"
+        "    def oracle(self):\n"
+        "        pass\n"
     )
     # a docstring names by_docstring and documented, but refers to neither
     other = (
         '"""Calls by_docstring, in words only."""\n'
         "from pkg import by_import\nimport pkg\npkg.by_attribute()\nHANDLERS = ('Named',)\n"
     )
-    assert _dead_definitions(source, _references(ast.parse(other))) == [
-        "Named.KIND (line 8)", "Named.unread (line 13)", "SPARE (line 2)",
+    assert _dead_definitions(source, _references(ast.parse(other + "Result().oracle()\n"))) == [
+        "Named.KIND (line 8)", "Named.unread (line 13)", "Result.found (line 26)", "SPARE (line 2)",
         "by_docstring (line 21)", "dead (line 5)", "documented (line 23)",
     ]
+    # without the last line's references, what only it calls shows; the field does not
+    assert _dead_definitions(source, _references(ast.parse(other)), fields=False) == [
+        "Named.KIND (line 8)", "Named.unread (line 13)", "Result (line 25)", "Result.oracle (line 27)",
+        "SPARE (line 2)", "by_docstring (line 21)", "dead (line 5)", "documented (line 23)",
+    ]
     assert _dead_definitions(source) == [
-        "Named (line 7)", "Named.KIND (line 8)", "Named.unread (line 13)", "SPARE (line 2)",
+        "Named (line 7)", "Named.KIND (line 8)", "Named.unread (line 13)", "Result (line 25)",
+        "Result.found (line 26)", "Result.oracle (line 27)", "SPARE (line 2)",
         "by_attribute (line 15)", "by_docstring (line 21)", "by_import (line 17)", "dead (line 5)",
         "documented (line 23)",
     ]

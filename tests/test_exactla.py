@@ -20,12 +20,12 @@ from bigraded.exactla import (
     kernel_basis,
     parse_int_matrix,
     rank,
-    rank_oracle,
     rref,
     smith_normal_form,
     snf_certificate_ok,
     sparse_rows,
 )
+from oracles import rank_oracle
 
 
 def _mat(fld, rows, ncols=None):

@@ -560,8 +560,10 @@ _TAUT_TOKENS = ["+", "-", "*", "^", "^", "0", "1", "2", "3", "12", "1/2", "2/3",
                 "e", "l1", "k1", "k2", "k3", "k0", "A", "t", "x'", "[u,v]", "!"]
 # recorded when a '^' after no name and a kappa index above MAX_KAPPA_INDEX
 # became input errors: of the 3000 strings, the 215 with such a '^' and the
-# one with k3120 went from a parsed polynomial to "error", and no other changed
-_TAUT_DIGEST = "e214b3c99885799d8527ef6ccfe8a979912c4c8b1e99f5a0194f3438478455ae"
+# one with k3120 went from a parsed polynomial to "error", and no other changed;
+# re-recorded when a text with no term became an input error: the 378 strings
+# that are empty or a lone sign went from [] to "error", and no other changed
+_TAUT_DIGEST = "ebd67b319349d4545e8c9e1fb3f0e5b765f085624ae9517bbaa75fb803af36f2"
 
 
 def test_parse_taut_zero_denominator_trailing_space_and_large_powers():
