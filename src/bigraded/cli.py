@@ -503,6 +503,14 @@ def _fuzz_shard(campaign: str, count: int, max_size: int, seed: int) -> posets.F
     return fn(count, max_size, seed)
 
 
+# largest --max-size of a campaign.  A draw costs O(n^2) whether or not it is
+# kept, and past about 48 points most draws have more than posets.MAX_CHAINS
+# chains and are drawn again: 16 instances take about 0.1 s at size 64 and
+# 1.2 s at 200, where nine draws in ten are resampled (one core of a 2-vCPU
+# machine, Python 3.11).  The default, 12, is far below it.
+MAX_FUZZ_SIZE = 64
+
+
 def run_fuzz_sharded(
     campaign: str, count: int, max_size: int, seed: int, threads: int = 1
 ) -> posets.FuzzReport:
@@ -515,6 +523,8 @@ def run_fuzz_sharded(
         raise InputError(f"instance count must be >= 0, got {count}")
     if max_size < 1:
         raise InputError(f"maximum poset size must be >= 1, got {max_size}")
+    if max_size > MAX_FUZZ_SIZE:
+        raise InputError(f"maximum poset size must be <= {MAX_FUZZ_SIZE}, got {max_size}")
     shards = min(16, count) or 1
     sizes = [count // shards + (1 if i < count % shards else 0) for i in range(shards)]
     jobs = [(campaign, sz, max_size, seed + 1000003 * i) for i, sz in enumerate(sizes) if sz]

@@ -339,6 +339,8 @@ def _nerve_argv(cover="F.cov", tx="tx.w", ta="ta.w"):
         (["vanish-check", "--preset", "vanishA", "--box", "6,6", "--line", "3/4"], "bad line"),
         (["sp4", "phi"], "need --matrix or --swap"),
         (["poset", "fuzz", "--campaign", "nerve", "--max-size", "0"], "maximum poset size"),
+        (["poset", "fuzz", "--campaign", "nerve", "--max-size", "65"],
+         "maximum poset size must be <= 64, got 65"),
         (["poset", "fuzz", "--campaign", "nerve", "--count", "-5"], "instance count"),
         (["poset", "fuzz", "--campaign", "nerve", "--threads", "0"], "--threads must be >= 1, got 0"),
         (["poset", "fuzz", "--campaign", "nerve", "--threads", "-3"], "--threads must be >= 1, got -3"),

@@ -137,7 +137,7 @@ def _core_by_sweeps(p, mask):
 
 def test_core_keeps_the_removal_order_of_the_sweeps():
     """The same mask, not only a core of the same size: the points removed
-    decide which subposet the checkers build."""
+    decide which chains the checkers list."""
     rng = random.Random(23)
     for _ in range(300):
         p = random_poset(rng, 12)
@@ -286,8 +286,8 @@ def test_cleared_boundaries_have_the_ranks_and_torsion_of_the_full_ones(monkeypa
     complexes += [random_poset(rng, rng.randint(1, 9)) for _ in range(60)]
     for f in _random_maps(2031, 60, 7):
         cone = mapping_cone(f)
-        complexes.append(posets._core_poset(cone, (1 << cone.n) - 1))
-    for p in filter(None, complexes):
+        complexes.append(cone.subposet(core(cone)))
+    for p in complexes:
         for name, homology_of in (("F2", reduced_homology_f2), ("Z", reduced_homology_z)):
             homology_of(p)
     assert reduced_homology_z(_rp2_faces()) == {1: (0, [2])}
@@ -758,20 +758,97 @@ def test_whole_campaign_reports_are_pinned(run, digest, monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
-def test_checkers_build_subposets_only_for_cores_of_two_points(monkeypatch):
+def test_clean_campaigns_build_no_subposet(monkeypatch):
+    """The checkers and the informed weights run homology on masks of the
+    parent poset, so a clean campaign, which runs no minimizer, builds no
+    subposet at all."""
     built = []
     real = FinitePoset.subposet
 
     def recording(self, mask):
-        built.append((self, mask))
+        built.append(mask)
         return real(self, mask)
 
     monkeypatch.setattr(FinitePoset, "subposet", recording)
-    # clean campaigns, so no minimizer runs and every subposet is the checkers'
     assert fuzz_poset_map(200, 7, seed=0).clean and fuzz_nerve(200, 7, seed=0).clean
-    assert built
-    for p, mask in built:
-        assert bin(mask).count("1") >= 2 and core(p, mask) == mask
+    assert built == []
+    subsets_poset(3).subposet(3)  # the recording sees a call
+    assert built == [3]
+
+
+def _random_masks(seed, count, max_size):
+    """Random posets, each with its empty, one-point, whole and random
+    masks."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = random_poset(rng, max_size)
+        full = (1 << p.n) - 1
+        masks = [0, 1 << rng.randrange(p.n), full] + [rng.getrandbits(p.n) for _ in range(4)]
+        yield p, masks
+
+
+def test_degree_zero_is_a_walk_of_the_comparability_graph():
+    """is_homologically_connected(p, 0, mask=...) and the walk behind it
+    agree with reduced F2 homology of the subposet in degrees -1 and 0:
+    empty and one-point masks, and random masks, over every field."""
+    cases = list(_random_masks(47, 150, 9))
+    cases.append((subsets_poset(3), [0, 1, 3, 0b100001, 0b111111]))
+    for p, masks in cases:
+        for mask in masks:
+            h = reduced_homology_f2(p.subposet(mask))
+            connected = -1 not in h and 0 not in h
+            if mask:
+                assert posets._connected(p, mask) == connected
+            for field in ("F2", "Q", "Z"):
+                assert is_homologically_connected(p, 0, field, mask) == connected
+
+
+def test_capped_connectivity_is_the_capped_report():
+    """_connectivity(p, mask, cap) is min(connectivity, cap) for caps -3..5
+    over F2, Q and Z: on spheres (homology in one degree only), RP^2
+    (torsion in degree 1) and random posets and masks."""
+    cases = list(_random_masks(53, 60, 8))
+    for p in [subsets_poset(3), subsets_poset(4), subsets_poset(5), _rp2_faces()]:
+        cases.append((p, [0, 1, (1 << p.n) - 1, (1 << p.n) - 2]))
+    for p, masks in cases:
+        for mask in masks:
+            for field in ("F2", "Q", "Z"):
+                conn = connectivity_report(p, field, mask).connectivity
+                for cap in range(-3, 6):
+                    assert posets._connectivity(p, mask, cap, field) == min(conn, cap)
+
+
+def test_homology_of_a_mask_is_that_of_its_subposet():
+    """Chains and reduced homology of a mask, over F2, Q and Z and through
+    every degree, equal those of the subposet built on it; the chains are
+    the subposet's, in the same order, in the parent's indices."""
+    homology = (reduced_homology_f2, reduced_homology_q, reduced_homology_z)
+    cases = list(_random_masks(59, 80, 9))
+    cases.append((_rp2_faces(), [(1 << 31) - 1, 0x5A5A5A5A, 0x7FFF0000]))
+    for p, masks in cases:
+        for mask in masks:
+            sub = p.subposet(mask)
+            keep = posets._bits(mask)
+            assert [[tuple(keep[i] for i in c) for c in level] for level in order_chains(sub)] == (
+                order_chains(p, mask=mask)
+            )
+            for through in (None, 0, 1, 2):
+                for hom in homology:
+                    assert hom(p, through, mask) == hom(sub, through)
+
+
+def test_masks_outside_the_poset_are_input_errors():
+    p = subsets_poset(3)
+    for mask in (1 << 10 | 3, 1 << 6, -1, -8):
+        with pytest.raises(InputError, match="not a subset"):
+            connectivity_report(p, "F2", mask=mask)
+        with pytest.raises(InputError, match="not a subset"):
+            is_homologically_connected(p, 1, mask=mask)
+        with pytest.raises(InputError, match="not a subset"):
+            order_chains(p, mask=mask)
+        with pytest.raises(InputError, match="not a subset"):
+            core(p, mask)
+    assert connectivity_report(p, "F2", mask=(1 << 6) - 1).connectivity == 0
 
 
 def test_random_monotone_map_is_monotone():
