@@ -6,6 +6,7 @@ Every cell carries a provenance tag: "computed" for dimensions produced by
 this package's own linear algebra, "paper-fixture" for recorded literature
 values.  Vanishing lines d = lam*(g - c) can be overlaid; cells strictly
 below a line render as '.' when zero and are flagged with '!' if nonzero.
+The figures of ``bigraded report`` live here too, in `FIGURES`.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import freealg
 from .grading import VanishingLine
 
 
@@ -24,9 +26,10 @@ class Cell:
     provenance: str  # "computed" | "paper-fixture"
 
 
-def cells_from_dims(dims: dict, provenance: str = "computed") -> list[Cell]:
+def cells_from_dims(dims: dict) -> list[Cell]:
+    """The nonzero dimensions ``{(g, d): n}`` as computed cells."""
     return [
-        Cell(g=g, d=d, label=str(n), provenance=provenance)
+        Cell(g=g, d=d, label=str(n), provenance="computed")
         for (g, d), n in sorted(dims.items())
         if n
     ]
@@ -56,11 +59,11 @@ def ascii_grid(cells, box, lines=()) -> str:
     return "\n".join(rows)
 
 
-def svg_grid(cells, box, lines=(), cell_px: int = 34, title: str = "") -> str:
+def svg_grid(cells, box, lines=(), title: str = "") -> str:
     """Hand-rolled SVG: axes, one text node per cell, one guide line per
     vanishing line.  No external templates or libraries."""
     g_max, d_max = box
-    pad = 40
+    pad, cell_px = 40, 34
     w = pad * 2 + (g_max + 1) * cell_px
     h = pad * 2 + (d_max + 1) * cell_px
 
@@ -127,13 +130,30 @@ def _esc(s: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# recorded figure: low-genus rational homology of the genus-graded groups
+# figures: each is its cells, box, vanishing lines and title
 
 
-def figure_rat_cells() -> list[Cell]:
-    """The summary table of known low-degree rational homology, recorded as
-    literature fixtures (not computed by this package): dimension labels by
-    (g, d), with '?' marking unknown entries."""
+def figure_lgens():
+    """The additive generators of the free bracket algebra on sigma (1,0),
+    lambda (3,2) and rho (2,2) in the box (4, 3), computed: each cell is
+    labelled by its basis words."""
+    gens = [freealg.gen("sigma", 1, 0), freealg.gen("lambda", 3, 2), freealg.gen("rho", 2, 2)]
+    box = (4, 3)
+    by_cell: dict[tuple[int, int], list[str]] = {}
+    for b in freealg.free_graded_lie_basis(gens, box):
+        by_cell.setdefault((b.g, b.d), []).append(b.name)
+    cells = [
+        Cell(g=g, d=d, label=",".join(sorted(names)), provenance="computed")
+        for (g, d), names in sorted(by_cell.items())
+    ]
+    return cells, box, [], "additive generators of the free bracket algebra, g <= 4, d <= 3"
+
+
+def figure_rat():
+    """The summary table of known low-degree rational homology of the
+    genus-graded groups, recorded as literature fixtures (not computed by
+    this package): dimension labels by (g, d), with '?' marking unknown
+    entries, and the vanishing lines d = 2/3 (g - 1/2) and d = 4/5 (g - 1/4)."""
     cells = []
     for g in range(0, 10):
         cells.append(Cell(g=g, d=0, label="Q", provenance="paper-fixture"))
@@ -156,11 +176,12 @@ def figure_rat_cells() -> list[Cell]:
     )
     for g, d in unknowns:
         cells.append(Cell(g=g, d=d, label="?", provenance="paper-fixture"))
-    return cells
-
-
-def figure_rat_lines() -> list[VanishingLine]:
-    return [
+    lines = [
         VanishingLine(lam=Fraction(2, 3), c=Fraction(1, 2)),
         VanishingLine(lam=Fraction(4, 5), c=Fraction(1, 4)),
     ]
+    return cells, (9, 8), lines, "low-genus rational homology summary (literature fixtures)"
+
+
+# `report FIGURE`'s figures by name
+FIGURES = {"figure-lgens": figure_lgens, "figure-rat": figure_rat}

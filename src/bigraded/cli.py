@@ -3,8 +3,14 @@
 Each subcommand handler computes and describes, and nothing else: it returns
 one `Outcome`.  `main` wraps that in the report envelope, renders it per
 --format and picks the exit code.  A handler parses no mathematics of its
-own: a preset's spelling, ``NAME`` or ``NAME(ELL)``, and its prime are read
-by `cdga.build_paper_complex`, which takes any box of at least 1,1.
+own; each grammar lives with its module.  `cdga` reads presets (``NAME`` or
+``NAME(ELL)``, and the prime) and CDGA files, `freealg` generator files, and
+`taut` expressions, ``--restrict`` slot patterns, functionals files and
+ledger relations files; `posets`, `presentations`, `exactla` and `sympf2`
+read their own files and matrices, and `charts` holds the figures of
+``report``.  The CLI reads only its own flags: rationals, ``--config`` files
+and ``G,D`` boxes, whose bounds must lie between 1 and MAX_BOX_BOUND,
+checked before any work.
 
 Exit codes: 0 = success / certificate holds, 1 = counterexample or failed
 certificate (and nothing else), 2 = input error, 3 = internal error (a bug).
@@ -83,30 +89,6 @@ def _digest(path: str) -> str:
         return "unreadable"
 
 
-class Report:
-    def __init__(self, command: str, params: dict, input_paths=()):
-        params = {k: v for k, v in params.items() if k != "fn"}
-        self.payload = {
-            "tool": "bigraded",
-            "version": __version__,
-            "command": command,
-            "params": _jsonable(params),
-            "inputs": {os.path.basename(p): _digest(p) for p in sorted(input_paths)},
-            "result": {},
-            "status": "ok",
-        }
-        self._t0 = time.monotonic()
-        self.timings = False
-
-    def finish(self):
-        if self.timings:
-            self.payload["wall_ms"] = round((time.monotonic() - self._t0) * 1000.0, 3)
-        return self.payload
-
-    def json(self) -> str:
-        return json.dumps(self.finish(), sort_keys=True, separators=(",", ":")) + "\n"
-
-
 @dataclass
 class Outcome:
     """What a handler computed: the report's ``result`` payload, the text
@@ -120,11 +102,30 @@ class Outcome:
     status: str = "ok"
 
 
-def _emit(args, report: Report, outcome: Outcome):
+def _envelope(args, outcome: Outcome, t0: float) -> dict:
+    """The JSON report: the command, its parameters, a digest of each input
+    file, the handler's result and status, and with --timings the wall time
+    since ``t0``."""
+    inputs = [getattr(args, k) for k in INPUT_FILES if getattr(args, k, None) is not None]
+    env = {
+        "tool": "bigraded",
+        "version": __version__,
+        "command": " ".join(_subcommand(args) + ([args.figure] if args.cmd == "report" else [])),
+        "params": _jsonable({k: v for k, v in vars(args).items() if k != "fn"}),
+        "inputs": {os.path.basename(p): _digest(p) for p in sorted(inputs)},
+        "result": outcome.result,
+        "status": outcome.status,
+    }
+    if args.timings:
+        env["wall_ms"] = round((time.monotonic() - t0) * 1000.0, 3)
+    return env
+
+
+def _emit(args, outcome: Outcome, t0: float):
     """Render per --format to --out or stdout."""
     fmt = args.format
     if fmt == "json":
-        out = report.json()
+        out = json.dumps(_envelope(args, outcome, t0), sort_keys=True, separators=(",", ":")) + "\n"
     elif fmt in ("csv", "tsv"):
         if outcome.table is None:
             raise InputError(f"--format {fmt} is not available for this subcommand")
@@ -163,6 +164,22 @@ def _parse_box(text: str) -> tuple[int, int]:
         return int(g), int(d)
     except ValueError as exc:
         raise InputError(f"bad box {text!r}; expected G,D") from exc
+
+
+# largest bound of a --box: the tables are grids of (G+1)(D+2) cells and their
+# cost grows with both bounds.  At 128,128 homology takes 1.8 s for vanishA
+# and vanishB, 5.9 s for intstab-f2 and 19 s for A-algebra-fl(3), and betti
+# 2.9 s on sigma, lambda, rho (one core of a 2-vCPU machine, Python 3.11).
+MAX_BOX_BOUND = 128
+
+
+def _box(text: str | None) -> tuple[int, int]:
+    """The --box G,D, 8,8 if none is given, checked before any work: both
+    bounds at least 1 (`freealg.check_box`) and at most MAX_BOX_BOUND."""
+    box = freealg.check_box(_parse_box(text) if text is not None else (8, 8))
+    if max(box) > MAX_BOX_BOUND:
+        raise InputError(f"box bounds must be <= {MAX_BOX_BOUND}, got {box[0]},{box[1]}")
+    return box
 
 
 def _read(path: str) -> str:
@@ -230,9 +247,18 @@ def cmd_slope_box(args) -> Outcome:
     return Outcome(result, lines, table=(["g", "d"], [[p.g, p.d] for p in pts]))
 
 
+# largest basis `lie-basis` lists, counted by `freealg.letter_counts` before
+# any word is named (as MAX_BIDEGREES and MAX_COPRODUCT_SLOTS bound theirs):
+# 395 433 words, at 28,28 on sigma, lambda, rho, took 10 s and 540 MB
+MAX_LIE_WORDS = 200_000
+
+
 def cmd_lie_basis(args) -> Outcome:
+    box = _box(args.box)
     gens = _gens_from_file(args.gens)
-    box = _parse_box(args.box)
+    words = sum(freealg.letter_counts(gens, box, 0).values())
+    if words > MAX_LIE_WORDS:
+        raise InputError(f"the basis has {words} words; at most {MAX_LIE_WORDS} are listed")
     basis = freealg.free_graded_lie_basis(gens, box)
     dims = Counter((b.g, b.d) for b in basis)
     return Outcome(
@@ -244,8 +270,8 @@ def cmd_lie_basis(args) -> Outcome:
 
 
 def cmd_betti(args) -> Outcome:
+    box = _box(args.box)
     gens = _gens_from_file(args.gens)
-    box = _parse_box(args.box)
     betti = {"Q": freealg.free_gerstenhaber_betti, "F2": freealg.betti_table_f2}[args.field]
     table = betti(gens, box)
     name = table.field_name
@@ -254,9 +280,9 @@ def cmd_betti(args) -> Outcome:
 
 def _complex_and_box(args):
     """The complex named by --cdga (over --field) or by --preset (with
-    --ell), and the --box, 8,8 if none is given.  The preset's spelling and
-    prime are `cdga.build_paper_complex`'s to read."""
-    box = _parse_box(args.box) if args.box is not None else (8, 8)
+    --ell), and the --box.  The preset's spelling and prime are
+    `cdga.build_paper_complex`'s to read."""
+    box = _box(args.box)
     if args.cdga is not None:
         fld = exactla.field_by_name(args.field if args.field is not None else "Q")
         cx = cdga.parse_cdga_file(_read(args.cdga), fld)
@@ -317,7 +343,7 @@ def cmd_taut_coproduct(args) -> Outcome:
     patterns = None
     if args.restrict is not None:
         taut.check_coproduct(p, args.n)  # the expansion's errors before the restriction's
-        patterns = _parse_restrict(args.restrict, args.n)
+        patterns = taut.parse_slot_patterns(args.restrict, args.n)
     terms = taut.nfold_coproduct(p, args.n, patterns)
     rows = [[t.coeff.render()] + [taut.mono_name(s) for s in t.slots] for t in terms]
     return Outcome(
@@ -331,8 +357,7 @@ def cmd_taut_pair(args) -> Outcome:
     if args.paper_6_3:
         p, funcs = taut.r12_restricted(), taut.paper_63_functionals()
     elif args.functionals is not None:
-        funcs, expr = _parse_functionals(_read(args.functionals))
-        p = taut.parse_taut(expr)
+        p, funcs = taut.parse_functionals(_read(args.functionals))
     else:
         raise InputError("need --paper-6-3 or --functionals FILE")
     # a term with a slot outside its functional's support pairs to zero
@@ -353,10 +378,7 @@ def cmd_taut_pair(args) -> Outcome:
 def cmd_taut_ledger(args) -> Outcome:
     ledger = taut.Ledger()
     if args.relations is not None:
-        for i, raw in enumerate(_read(args.relations).splitlines()):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                ledger.add_from_text(line, args.genus, f"user relation {i+1}")
+        ledger.add_relations_file(_read(args.relations), args.genus)
     rels = ledger.lookup(genus=args.genus, degree=args.degree)
     relations = [
         {
@@ -380,79 +402,6 @@ def cmd_taut_h43(args) -> Outcome:
     lines = [f"solution space dimension: {res.solution_dim}"]
     lines += [f"  {c}" for c in res.constraints]
     return Outcome(_jsonable(res), lines, status="ok" if res.zero_only else "counterexample")
-
-
-def _parse_restrict(text: str, n: int):
-    chunks = text.split(",")
-    # rejoin chunks inside {...}
-    merged, depth, cur = [], 0, ""
-    for ch in chunks:
-        cur = f"{cur},{ch}" if cur else ch
-        depth += ch.count("{") - ch.count("}")
-        if depth == 0:
-            merged.append(cur)
-            cur = ""
-    if cur:
-        raise InputError(f"unbalanced braces in {text!r}")
-    if len(merged) != n:
-        raise InputError(f"--restrict needs {n} slots, got {len(merged)}")
-    patterns = []
-    for chunk in merged:
-        chunk = chunk.strip()
-        opts = chunk[1:-1].split("|") if chunk.startswith("{") else [chunk]
-        patterns.append({_monomial(opt.strip(), "restriction option must be a monomial") for opt in opts})
-    return patterns
-
-
-def _monomial(text: str, error: str):
-    """The monomial that ``text`` parses to, which must be one term with
-    coefficient 1; anything else raises ``error``, naming the text."""
-    p = taut.parse_taut(text)
-    if len(p) != 1 or next(iter(p.values())) != {(): 1}:
-        raise InputError(f"{error}: {text!r}")
-    return next(iter(p))
-
-
-def _parse_functionals(text: str):
-    """Functional file: ``functional NAME`` heads, ``MONO = VALUE`` entries,
-    one ``pair: EXPR`` line and one ``slots: NAME...`` line.  A second head
-    for a name, a second value for a monomial of one functional, and a
-    second ``pair:`` or ``slots:`` line are input errors."""
-    funcs: dict[str, dict] = {}
-    current = None
-    heads = {}  # "pair" and "slots": the rest of their line
-    for raw, line in content_lines(text):
-        if line.startswith("functional "):
-            current = line.split(None, 1)[1].strip()
-            if current in funcs:
-                raise InputError(f"second head for functional {current}: {raw!r}")
-            funcs[current] = {}
-        elif line.startswith(("pair:", "slots:")):
-            head, _, rest = line.partition(":")
-            if head in heads:
-                raise InputError(f"second '{head}:' line: {raw!r}")
-            heads[head] = rest
-        elif "=" in line:
-            if current is None:
-                raise InputError("functional entry before any 'functional NAME' line")
-            lhs, rhs = (s.strip() for s in line.split("=", 1))
-            mono = _monomial(lhs, "functional key must be a monomial")
-            if mono in funcs[current]:
-                raise InputError(f"second value for {lhs} in functional {current}: {raw!r}")
-            value = taut.parse_taut(rhs)
-            if any(m != (0, 0, ()) for m in value):
-                raise InputError(f"functional value must be parameters only: {rhs!r}")
-            funcs[current][mono] = value.get((0, 0, ()), taut.ParamPoly())
-        else:
-            raise InputError(f"bad functionals line: {raw!r}")
-    if len(heads) < 2:
-        raise InputError("functionals file needs 'pair:' and 'slots:' lines")
-    built = {nm: taut.HomologyFunctional(nm, vals) for nm, vals in funcs.items()}
-    try:
-        ordered = [built[nm] for nm in heads["slots"].split()]
-    except KeyError as exc:
-        raise InputError(f"unknown functional in slots: {exc}") from exc
-    return ordered, heads["pair"].strip()
 
 
 def cmd_nerve(args) -> Outcome:
@@ -609,27 +558,9 @@ def cmd_la_snf(args) -> Outcome:
 
 
 def cmd_report(args) -> Outcome:
-    if args.figure == "figure-lgens":
-        gens = [freealg.gen("sigma", 1, 0), freealg.gen("lambda", 3, 2), freealg.gen("rho", 2, 2)]
-        basis = freealg.free_graded_lie_basis(gens, (4, 3))
-        by_cell: dict[tuple[int, int], list[str]] = {}
-        for b in basis:
-            by_cell.setdefault((b.g, b.d), []).append(b.name)
-        cells = [
-            charts.Cell(g=g, d=d, label=",".join(sorted(names)), provenance="computed")
-            for (g, d), names in sorted(by_cell.items())
-        ]
-        box = (4, 3)
-        lines = []
-        title = "additive generators of the free bracket algebra, g <= 4, d <= 3"
-    else:
-        cells = charts.figure_rat_cells()
-        box = (9, 8)
-        lines = charts.figure_rat_lines()
-        title = "low-genus rational homology summary (literature fixtures)"
+    cells, box, lines, title = charts.FIGURES[args.figure]()
     return Outcome(
-        {"cells": [{"g": c.g, "d": c.d, "label": c.label, "provenance": c.provenance}
-                   for c in cells]},
+        {"cells": _jsonable(cells)},
         [charts.ascii_grid(cells, box, lines)],
         table=(["g", "d", "label", "provenance"],
                [[c.g, c.d, c.label, c.provenance] for c in cells]),
@@ -761,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
     snf.add_argument("--certificate", action="store_true")
 
     sp = _leaf(sub, "report", "cmd_report", help="emit a recorded or computed figure")
-    sp.add_argument("figure", choices=("figure-lgens", "figure-rat"))
+    sp.add_argument("figure", choices=tuple(charts.FIGURES))
 
     return ap
 
@@ -802,14 +733,9 @@ def _parse_args(argv=None) -> argparse.Namespace:
 def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
-        command = " ".join(_subcommand(args) + ([args.figure] if args.cmd == "report" else []))
-        inputs = [getattr(args, k) for k in INPUT_FILES if getattr(args, k, None) is not None]
-        report = Report(command, vars(args), inputs)
-        report.timings = args.timings
+        t0 = time.monotonic()
         outcome = globals()[args.fn](args)
-        report.payload["result"] = outcome.result
-        report.payload["status"] = outcome.status
-        _emit(args, report, outcome)
+        _emit(args, outcome, t0)
     except WorkbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -162,7 +162,7 @@ def _lyndon_words(gens: list[Letter], g_max: int, d_max: int):
     return out
 
 
-def _check_box(box: tuple[int, int]) -> tuple[int, int]:
+def check_box(box: tuple[int, int]) -> tuple[int, int]:
     """``box``, whose bounds must both be at least 1."""
     if box[0] < 1 or box[1] < 1:
         raise DomainError("box bounds must be >= 1")
@@ -179,7 +179,7 @@ def _lift(cell: tuple[int, int], box: tuple[int, int]) -> tuple[int, int] | None
 def _lyndon_basis(gens, box: tuple[int, int], doubles: bool) -> list[LieWord]:
     """The Lyndon words in the box as basis words, plus the self-brackets
     [w, w] of the odd-shifted-parity ones if ``doubles``."""
-    g_max, d_max = _check_box(box)
+    g_max, d_max = check_box(box)
     gens = generator_set(gens)
     names = [x.name for x in gens]
     basis = []
@@ -254,7 +254,7 @@ def _lyndon_counts(gens, box: tuple[int, int]) -> dict[tuple[int, int], int]:
         b(G, E) = sum over generator cells (g, e) of g w(g, e) N(G-g, E-e),
 
     an exact division."""
-    g_max, d_max = _check_box(box)
+    g_max, d_max = check_box(box)
     e_max = d_max + 1
     w = Counter((x.g, x.d + 1) for x in generator_set(gens) if x.g <= g_max and x.d <= d_max)
     words = [[0] * (e_max + 1) for _ in range(g_max + 1)]
@@ -306,8 +306,6 @@ def free_series(cells, box: tuple[int, int], all_polynomial: bool) -> dict[tuple
     the cost follows the number of cells, not of letters.
     """
     g_max, d_max = box
-    if g_max < 0 or d_max < 0:
-        return {}
     series = [[0] * (d_max + 1) for _ in range(g_max + 1)]
     series[0][0] = 1
     for (g, d), n in sorted(cells.items()):

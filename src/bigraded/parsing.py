@@ -1,10 +1,12 @@
 """The one text grammar of the workbench's inputs.
 
-File readers take their lines from ``content_lines``: ``#`` starts a
-comment and blank lines are skipped.  Every expression, a CDGA differential
-such as ``[sigma,sigma] - 2*x^2*y`` or a tautological class such as
-``3/4*e^2*k1 - t*e*k2``, is split into terms by ``parse_terms``; the caller
-decides what each name means.
+Every line-based file reader takes its lines from ``content_lines``: ``#``
+starts a comment and blank lines are skipped.  The ledger relations reader
+(`taut.Ledger.add_relations_file`) passes it one raw line at a time, so it
+labels each relation by its raw line number.  Every expression, a CDGA
+differential such as ``[sigma,sigma] - 2*x^2*y`` or a tautological class
+such as ``3/4*e^2*k1 - t*e*k2``, is split into terms by ``parse_terms``;
+the caller decides what each name means.
 
 An expression is an optional sign, then one or more terms joined by ``+``
 or ``-``; ``0`` is the zero expression.  A term is a run of factors,

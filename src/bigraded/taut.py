@@ -40,7 +40,7 @@ from operator import sub
 from .errors import DomainError, InputError
 from . import exactla
 from .exactla import QQ, Matrix
-from .parsing import parse_terms
+from .parsing import content_lines, parse_terms
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +349,13 @@ class Ledger:
 
     def add_from_text(self, text: str, genus: int | None, label: str) -> None:
         self.relations.append(Relation(parse_taut(text), genus, label))
+
+    def add_relations_file(self, text: str, genus: int | None) -> None:
+        """Add each relation of a relations file, one polynomial per line,
+        labelled ``user relation N`` by its raw line number N."""
+        for n, raw in enumerate(text.splitlines(), 1):
+            for _, line in content_lines(raw):
+                self.add_from_text(line, genus, f"user relation {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +685,7 @@ def paper_63_pairing() -> ParamPoly:
 
 
 # ---------------------------------------------------------------------------
-# expression parsing
+# expressions, slot patterns and input files
 
 
 _TAUT_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
@@ -712,3 +719,79 @@ def parse_taut(text: str) -> TautPoly:
         kt = tuple(ks.get(j, 0) for j in range(1, max(ks, default=0) + 1))
         out.add_term((e_exp, l1_exp, kt), ParamPoly.term(tuple(sorted(params)), coeff))
     return out
+
+
+def _monomial(text: str, error: str) -> TautMono:
+    """The monomial that ``text`` parses to, which must be one term with
+    coefficient 1; anything else raises ``error``, naming the text."""
+    p = parse_taut(text)
+    if len(p) != 1 or next(iter(p.values())) != ParamPoly.const(1):
+        raise InputError(f"{error}: {text!r}")
+    return next(iter(p))
+
+
+def parse_slot_patterns(text: str, n: int) -> list[set[TautMono]]:
+    """The n slot patterns of ``text``, as `nfold_coproduct` takes them:
+    comma-separated slots, each a monomial or ``{MONO|MONO|...}``, as in
+    ``k1,k1,{k1^2|k2}``.  Unbalanced braces, a slot count other than n and
+    an option that is not a monomial are input errors."""
+    merged, depth, cur = [], 0, ""
+    for ch in text.split(","):  # rejoin the chunks inside {...}
+        cur = f"{cur},{ch}" if cur else ch
+        depth += ch.count("{") - ch.count("}")
+        if depth == 0:
+            merged.append(cur)
+            cur = ""
+    if cur:
+        raise InputError(f"unbalanced braces in {text!r}")
+    if len(merged) != n:
+        raise InputError(f"--restrict needs {n} slots, got {len(merged)}")
+    patterns = []
+    for chunk in merged:
+        chunk = chunk.strip()
+        opts = chunk[1:-1].split("|") if chunk.startswith("{") else [chunk]
+        patterns.append({_monomial(opt.strip(), "restriction option must be a monomial") for opt in opts})
+    return patterns
+
+
+def parse_functionals(text: str) -> tuple[TautPoly, list[HomologyFunctional]]:
+    """The class to pair and the functionals in slot order, from a
+    functionals file: ``functional NAME`` heads, ``MONO = VALUE`` entries,
+    one ``pair: EXPR`` line and one ``slots: NAME...`` line.  A second head
+    for a name, a second value for a monomial of one functional, and a
+    second ``pair:`` or ``slots:`` line are input errors."""
+    funcs: dict[str, dict] = {}
+    current = None
+    heads = {}  # "pair" and "slots": the rest of their line
+    for raw, line in content_lines(text):
+        if line.startswith("functional "):
+            current = line.split(None, 1)[1].strip()
+            if current in funcs:
+                raise InputError(f"second head for functional {current}: {raw!r}")
+            funcs[current] = {}
+        elif line.startswith(("pair:", "slots:")):
+            head, _, rest = line.partition(":")
+            if head in heads:
+                raise InputError(f"second '{head}:' line: {raw!r}")
+            heads[head] = rest
+        elif "=" in line:
+            if current is None:
+                raise InputError("functional entry before any 'functional NAME' line")
+            lhs, rhs = (s.strip() for s in line.split("=", 1))
+            mono = _monomial(lhs, "functional key must be a monomial")
+            if mono in funcs[current]:
+                raise InputError(f"second value for {lhs} in functional {current}: {raw!r}")
+            value = parse_taut(rhs)
+            if any(m != _UNIT for m in value):
+                raise InputError(f"functional value must be parameters only: {rhs!r}")
+            funcs[current][mono] = value.get(_UNIT, ParamPoly())
+        else:
+            raise InputError(f"bad functionals line: {raw!r}")
+    if len(heads) < 2:
+        raise InputError("functionals file needs 'pair:' and 'slots:' lines")
+    built = {nm: HomologyFunctional(nm, vals) for nm, vals in funcs.items()}
+    try:
+        ordered = [built[nm] for nm in heads["slots"].split()]
+    except KeyError as exc:
+        raise InputError(f"unknown functional in slots: {exc}") from exc
+    return parse_taut(heads["pair"].strip()), ordered

@@ -38,12 +38,16 @@ def test_homology_beyond_paper_box(capsys):
 
 
 def test_lie_basis_deeper_than_the_recursion_limit(tmp_path, capsys):
+    """The Lyndon walk keeps an explicit stack, so a box deeper than the
+    recursion limit lists its words; the command line takes no box past
+    cli.MAX_BOX_BOUND, so the deep box is the library's."""
+    basis = freealg.free_graded_lie_basis([freealg.gen("sigma", 1, 0)], (3000, 3000))
+    assert [b.name for b in basis] == ["sigma", "[sigma,sigma]"]
     gens = tmp_path / "g.txt"
     gens.write_text("sigma 1 0\n")
     argv = ["lie-basis", "--gens", str(gens), "--box", "3000,3000", "--format", "json"]
-    assert main(argv) == 0
-    basis = json.loads(capsys.readouterr().out)["result"]["basis"]
-    assert [b["name"] for b in basis] == ["sigma", "[sigma,sigma]"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: box bounds must be <= 128, got 3000,3000\n")
 
 
 def test_bad_preset_prime_is_input_error(capsys):
@@ -62,9 +66,10 @@ _CERTIFIED = "CERTIFIED: homology below d < {}*g in box ({}, {})\n"
         ("vanishA", "1,1", 0, _CERTIFIED.format("3/4", 1, 1)),
         ("vanishB", "3,3", 0, _CERTIFIED.format("4/5", 3, 3)),
         ("intstab-f2", "2,2", 0, _CERTIFIED.format("3/4", 2, 2)),
-        ("A-algebra-fl(3)", "3,0", 1, "COUNTEREXAMPLE: homology below d < 3/4*g in box (3, 0)\n"),
+        ("A-algebra-fl(3)", "3,1", 1, "COUNTEREXAMPLE: homology below d < 3/4*g in box (3, 1)\n"),
         ("intstab-f2", "3,1", 0, _CERTIFIED.format("3/4", 3, 1)),
         ("vanishA", "0,3", 2, "error: box bounds must be >= 1\n"),
+        ("A-algebra-fl(3)", "3,0", 2, "error: box bounds must be >= 1\n"),
     ],
 )
 def test_preset_boxes_smaller_than_their_letters(preset, box, code, text, capsys):
@@ -336,6 +341,16 @@ def _nerve_argv(cover="F.cov", tx="tx.w", ta="ta.w"):
         (["betti", "--gens", "gens.txt", "--box", "4,3"], "bad generator line"),
         (["betti", "--gens", "sigma.txt", "--box", "0,3", "--field", "F2"], "box bounds must be >= 1"),
         (["betti", "--gens", "sigma.txt", "--box", "3,-1", "--field", "F2"], "box bounds must be >= 1"),
+        # one box rule for every subcommand that takes a box, checked before any work
+        (["vanish-check", "--cdga", "sigma.txt", "--box=-2,-2"], "box bounds must be >= 1"),
+        (["homology", "--cdga", "sigma.txt", "--box=-1,3"], "box bounds must be >= 1"),
+        (["homology", "--cdga", "gens.txt", "--box", "0,3"], "box bounds must be >= 1"),
+        (["homology", "--preset", "vanishA", "--box", "1000000000,1"], "box bounds must be <= 128, got"),
+        (["vanish-check", "--preset", "nonsense", "--box", "3,129"], "box bounds must be <= 128, got 3,129"),
+        (["betti", "--gens", "gens.txt", "--box", "129,1"], "box bounds must be <= 128, got 129,1"),
+        (["lie-basis", "--gens", "sigma.txt", "--box", "1,1000000"], "box bounds must be <= 128"),
+        # the words are counted before any is named
+        (["lie-basis", "--gens", "slr.txt", "--box", "28,28"], "the basis has 395433 words; at most 200000"),
         (["vanish-check", "--preset", "vanishA", "--box", "6,6", "--line", "3/4"], "bad line"),
         (["sp4", "phi"], "need --matrix or --swap"),
         (["poset", "fuzz", "--campaign", "nerve", "--max-size", "0"], "maximum poset size"),
@@ -398,6 +413,18 @@ def _nerve_argv(cover="F.cov", tx="tx.w", ta="ta.w"):
         (["taut", "pair", "--functionals", "dup_head.fn"], "second head for functional x: 'functional x'"),
         (["taut", "pair", "--functionals", "dup_pair.fn"], "second 'pair:' line: 'pair: k1^4'"),
         (["taut", "pair", "--functionals", "dup_slots.fn"], "second 'slots:' line: 'slots: x x'"),
+        (["taut", "coproduct", "--expr", "k1^2", "--n", "2", "--restrict", "{k1|k2,k1"],
+         "unbalanced braces in '{k1|k2,k1'"),
+        (["taut", "coproduct", "--expr", "k1^2", "--n", "3", "--restrict", "k1,{k1|k2}"],
+         "--restrict needs 3 slots, got 2"),
+        (["taut", "pair", "--functionals", "early_entry.fn"],
+         "functional entry before any 'functional NAME' line"),
+        (["taut", "pair", "--functionals", "class_value.fn"],
+         "functional value must be parameters only: 't*k1'"),
+        (["taut", "pair", "--functionals", "bad_line.fn"], "bad functionals line: 'k1 t'"),
+        (["taut", "pair", "--functionals", "no_pair.fn"], "functionals file needs 'pair:' and 'slots:' lines"),
+        (["taut", "pair", "--functionals", "no_slots.fn"], "functionals file needs 'pair:' and 'slots:' lines"),
+        (["taut", "pair", "--functionals", "unknown_slot.fn"], "unknown functional in slots: 'y'"),
         # the bidegrees are counted as they are listed
         (["slope-box", "--high", "2", "--gmax", "1000000000"], "more than 200000 bidegrees"),
         (["slope-box", "--high", "99999999999999999999/100000000000000000000"], "more than 200000 bidegrees"),
@@ -429,6 +456,7 @@ def test_bad_inputs_are_input_errors(argv, message, tmp_path, monkeypatch, capsy
     (tmp_path / "gens.txt").write_text("a x 1\n")
     files = {
         "sigma.txt": "sigma 1 0\n",
+        "slr.txt": "sigma 1 0\nlambda 3 2\nrho 2 2\n",
         "X.pos": "c0 < c1\n",
         "A.pos": "u\n",
         "F.cov": "u : c0 c1\n",
@@ -450,6 +478,12 @@ def test_bad_inputs_are_input_errors(argv, message, tmp_path, monkeypatch, capsy
         "dup_pair.fn": "functional x\nk1^2 = 3\npair: k1^2\npair: k1^4\nslots: x x\n",
         "dup_slots.fn": "functional x\nk1^2 = 3\npair: k1^4\nslots: x\nslots: x x\n",
         "empty_pair.fn": "functional x\nk1 = t\npair:\nslots: x\n",
+        "early_entry.fn": "k1 = t\nfunctional x\npair: k1\nslots: x\n",
+        "class_value.fn": "functional x\nk1 = t*k1\npair: k1\nslots: x\n",
+        "bad_line.fn": "functional x\nk1 t\npair: k1\nslots: x\n",
+        "no_pair.fn": "functional x\nk1 = t\nslots: x\n",
+        "no_slots.fn": "functional x\nk1 = t\npair: k1\n",
+        "unknown_slot.fn": "functional x\nk1 = t\npair: k1^2\nslots: x y\n",
         "empty_d.cdga": "x 1 0\ny 1 1\nd y =\n",
         "blank.txt": "",
         "slope.cfg": "slope = 1/2\n",

@@ -25,6 +25,8 @@ from bigraded.taut import (
     pair_tensor_trace,
     paper_63_functionals,
     paper_63_pairing,
+    parse_functionals,
+    parse_slot_patterns,
     parse_taut,
     r12_restricted,
     restrict_terms,
@@ -497,6 +499,39 @@ def test_ledger_rejects_inhomogeneous():
     led = Ledger()
     with pytest.raises(DomainError):
         led.add_from_text("k1+k2", 3, "bad")
+
+
+def test_relations_file_labels_each_relation_by_its_raw_line():
+    led = Ledger()
+    led.add_relations_file("# extra relations\nk1^3 - k3\n\n  # none here\nk1*k2 # k3 part\n", 6)
+    added = [(r.poly.render(), r.ambient_genus, r.source_label) for r in led.relations[4:]]
+    assert added == [("k1^3-k3", 6, "user relation 2"), ("k1*k2", 6, "user relation 5")]
+
+
+_PAPER_FN = """# the functionals of the degree-14 pairing
+functional lambda
+k1 = u
+functional x   # pairs with k2 and k1^2
+k2 = t
+k1^2 = -72/5*t
+pair: 80435*k1^7 + 21719880*k1^5*k2 + 1387036224*k1^3*k2^2 + 17581100544*k1*k2^3
+slots: lambda lambda lambda x x
+"""
+
+
+def test_functionals_file_of_the_paper_round_trips():
+    p, funcs = parse_functionals(_PAPER_FN)
+    assert p == r12_restricted() and funcs == paper_63_functionals()
+    u, t = ParamPoly.param("u"), ParamPoly.param("t")
+    value = pair_tensor(nfold_coproduct(p, 5, [f.support for f in funcs]), funcs)
+    assert value == ParamPoly.const(128024064) * u**3 * t**2
+
+
+def test_slot_patterns_of_the_paper_pairing():
+    k1, k1sq, k2 = (0, 0, (1,)), (0, 0, (2,)), (0, 0, (0, 1))
+    patterns = parse_slot_patterns("k1,k1,k1,{k1^2|k2},{k1^2|k2}", 5)
+    assert patterns == [{k1}] * 3 + [{k1sq, k2}] * 2
+    assert parse_slot_patterns(" k1 ,{ k2 | k1^2 }", 2) == [{k1}, {k1sq, k2}]
 
 
 def test_parse_taut_round_trips():
