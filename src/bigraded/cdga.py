@@ -19,7 +19,18 @@ Bases are enumerated one genus at a time: a single depth-first pass over the
 letters fills the basis of every degree of that genus up to the degree asked
 for, and `matrix_homology_table` asks each genus for its top degree first.
 
-Homology is computed factor by factor.  Union-find links each letter with the
+Homology is computed factor by factor.  A CDGA first goes through two
+changes of variables, each an automorphism of the free algebra that replaces
+one letter occurring in no other differential (`_change_variables`):
+(a) if d(x) = c*y + p, with y a closed letter, c != 0 and p != 0, then
+y' = c*y + p is closed and d(x) = y', a Koszul pair; (b) if d(x) = d(p) for
+a decomposable p of x's bidegree, found by one linear solve, then x' = x - p
+is closed.  A coefficient that is zero in the field is no term and blocks
+its rule (10 at ell = 5, -3 at ell = 3 in A-algebra-fl).  The new
+differential goes through `set_differential`, the substitution is checked to
+commute with both differentials, and the split records it.  Over F_ell a Koszul pair is not contractible, so each move
+is checked on its own, not taken from the theorem that splits contractible
+parts off a Sullivan algebra.  Union-find then links each letter with the
 letters of its differential (and a module's generators with the letters of
 the module differential); the components that carry a differential span
 sub-complexes that the differential maps into themselves, and every other
@@ -195,6 +206,37 @@ class CDGA:
                 out.append((j, e))
         out.extend(m1[a:])
         return (-1 if sign % 2 else 1), tuple(out)
+
+    def poly_mul(self, p, q):
+        """The product of two polynomials, with Koszul signs."""
+        f = self.field
+        out = {}
+        for m1, c1 in p.items():
+            for m2, c2 in q.items():
+                sm = self.mono_mul(m1, m2)
+                if sm is not None:
+                    _add_into(f, out, sm[1], -c1 * c2 if sm[0] < 0 else c1 * c2)
+        return out
+
+    def substitute(self, poly, images):
+        """The image of poly under the algebra map that sends each letter
+        index i of ``images`` to the polynomial images[i] and fixes every
+        other letter: each monomial is multiplied out letter by letter, in
+        its own order, so the Koszul signs are those of the product."""
+        f = self.field
+        out = {}
+        for m, c in poly.items():
+            if not any(i in images for i, _ in m):
+                _add_into(f, out, m, c)
+                continue
+            term = {(): c}
+            for i, e in m:
+                factor = images.get(i, {((i, 1),): 1})
+                for _ in range(e):
+                    term = self.poly_mul(term, factor)
+            for m2, c2 in term.items():
+                _add_into(f, out, m2, c2)
+        return out
 
     # -- differential -------------------------------------------------------
 
@@ -435,11 +477,18 @@ class KunnethSplit:
     differential and the free algebra on its closed letters, which are only
     counted, per (g, d) cell: the form `homology_table` reads.
     `_kunneth_split` makes it from a complex, `build_paper_complex` from a
-    preset's named letters and the letter counts of its alphabet."""
+    preset's named letters and the letter counts of its alphabet.  The
+    ``substitutions`` are the changes of variables made before the split
+    (`_change_variables`), and the factors are written in the new letters:
+    each is a triple (rule, letter, image), rule "a" or "b", which says that
+    the letter named ``letter`` stands for ``image``, a polynomial in the
+    letters of the complex as given, keyed by monomials written as
+    ``(name, exponent)`` pairs."""
 
     field: object
     factors: list  # CDGAs, or one DGModule
     closed: dict[tuple[int, int], int]
+    substitutions: tuple
 
     def monomial_basis(self, bd: tuple[int, int]) -> list[tuple]:
         """The basis at bd of the factors' tensor product, each element a
@@ -464,20 +513,11 @@ class KunnethSplit:
         return partial.get(bd, [])
 
 
-def _kunneth_split(cx) -> KunnethSplit:
-    """The `KunnethSplit` of cx: the factors that carry a differential,
-    and the cell counts of its closed letters.
-
-    Union-find links every letter with the letters of its differential and,
-    for a module, the module generators with the letters of the module
-    differential and with every other letter that has a differential.  Each
-    component holding a differential becomes a complex on its own letters:
-    a sub-CDGA, or for a module the one sub-module over all of them.  The
-    other letters are closed."""
-    module = isinstance(cx, DGModule)
-    base = cx.base if module else cx
-    n = base.n  # node n stands for the module generators
-    parent = list(range(n + 1))
+def _roots(n: int, links, hub=None) -> list[int]:
+    """The union-find root of each node 0..n-1 once every ``(i, poly)`` of
+    ``links`` has joined node i with the letters of poly, and with node
+    ``hub`` if one is given."""
+    parent = list(range(n))
 
     def find(i):
         while parent[i] != i:
@@ -485,17 +525,134 @@ def _kunneth_split(cx) -> KunnethSplit:
             i = parent[i]
         return i
 
-    links = [(base.index[name], poly) for name, poly in base.diff.items()]
-    if module:
-        links += [(n, p) for terms in cx.mdiff.values() for p, _ in terms]
     for i, poly in links:
         for m in poly:
             for j, _ in m:
                 parent[find(j)] = find(i)
-        if module:
-            parent[find(i)] = find(n)
-    active = {find(n)} if module else {find(i) for i, _ in links}
-    roots = [find(i) for i in range(n)]
+        if hub is not None:
+            parent[find(i)] = find(hub)
+    return [find(i) for i in range(n)]
+
+
+def _closing_term(cx: CDGA, name: str, keep) -> dict | None:
+    """A decomposable p of the bidegree of the letter ``name`` with
+    d(p) = d(name), or None if there is none: one linear solve over the
+    decomposable monomials on the letters named in ``keep``, which hold the
+    letter's component.  A component and the rest of the letters are
+    sub-complexes, so if any p exists, its part on the component is one."""
+    sub = cx.quotient([x.name for x in cx.letters if x.name not in keep])
+    x = sub.letters[sub.index[name]]
+    cols = [m for m in sub.monomial_basis((x.g, x.d)) if len(m) > 1 or m[0][1] > 1]
+    rows = {m: k for k, m in enumerate(sub.monomial_basis((x.g, x.d - 1)))}
+    entries = [[] for _ in rows]
+    for j, image in enumerate([sub.delta_mono(m) for m in cols] + [sub.diff[name]]):
+        for m, c in image.items():
+            entries[rows[m]].append((j, c))
+    echelon, pivots = exactla.rref(Matrix(sub.field, len(rows), len(cols) + 1, entries))
+    if len(cols) in pivots:
+        return None  # d(name) is not the boundary of a decomposable
+    p = {cols[pc]: row[-1][1] for row, pc in zip(echelon, pivots) if row[-1][0] == len(cols)}
+    return sub._push(cx, p)
+
+
+def _change_variables(cx: CDGA, letter_box: tuple[int, int]):
+    """cx after the changes of variables of rules (b) and (a), and their
+    substitutions as `KunnethSplit` records them: a complex on the same
+    letters whose differential links fewer of them, or cx itself when no
+    rule applies.
+
+    A rule replaces one letter by itself (times a unit) plus terms without
+    it, an automorphism phi of the free algebra, and the new differential
+    is d' = phi^-1 d phi.  The replaced letter must occur in no other
+    differential, so every other differential stays as it is (no named
+    complex needs more):
+    (a) if d(x) = c*y + p, with y a closed letter and p != 0, then
+        y' = c*y + p is closed and d'(x) = y': x and y' are a Koszul pair;
+    (b) if d(x) = d(p) for a decomposable p of x's bidegree, found by one
+        linear solve over the decomposable monomials of x's component
+        (`_closing_term`), then x' = x - p is closed.
+    Rule (b) is tried first, on the letters of ``letter_box`` (where its
+    solve costs no more than a matrix the table builds anyway) whose
+    differential has no linear term; then rule (a) on every letter.  A
+    letter that rule (b) closes occurs in no differential, so each image is
+    written in the letters of cx, and solving before rule (a) loses no
+    solution: rule (a) is an isomorphism that fixes x's differential.  A
+    coefficient that is zero in the field drops its term from the
+    differential, and so blocks its rule (10 at ell = 5 and -3 at ell = 3
+    in A-algebra-fl); every other one is a unit.
+
+    Over F_ell a Koszul pair is not contractible, so no theorem about
+    contractible parts is used: the new differential goes through
+    `set_differential`, and phi d' = d phi is checked on every letter that
+    has a differential or is replaced; with phi an automorphism, this makes
+    cx and its result isomorphic complexes."""
+    names = cx._names
+    diff = {cx.index[name]: poly for name, poly in cx.diff.items()}
+
+    def linear(m):
+        return len(m) == 1 and m[0][1] == 1
+
+    def occurrences():
+        return Counter(i for poly in diff.values() for m in poly for i, _ in m)
+
+    occurs = occurrences()
+    g_max, d_max = letter_box
+    roots = None
+    images = {}
+    for x, poly in diff.items():
+        if occurs[x] or cx._g[x] > g_max or cx._d[x] > d_max or any(map(linear, poly)):
+            continue
+        if roots is None:  # the components of cx, before any rule
+            roots = _roots(cx.n, diff.items())
+        p = _closing_term(cx, names[x], {names[i] for i, r in enumerate(roots) if r == roots[x]})
+        if p is not None:
+            images[x] = {((x, 1),): 1, **{m: -c for m, c in p.items()}}
+            diff[x] = {}
+    occurs = occurrences()
+    for x, poly in diff.items():
+        ys = [m[0][0] for m in poly if linear(m) and m[0][0] not in diff and occurs[m[0][0]] == 1]
+        if ys and len(poly) > 1:
+            images[ys[0]] = poly
+            diff[x] = {((ys[0], 1),): 1}
+    if not images:
+        return cx, ()
+    out = CDGA(cx.field, cx.letters)
+    out.set_differential({names[i]: poly for i, poly in diff.items()})
+    for z in sorted(set(diff) | set(images)):
+        image = images.get(z, {((z, 1),): 1})
+        if cx.substitute(out.diff.get(names[z], {}), images) != cx.delta_poly(image):
+            raise RuntimeError(f"change of variables does not commute with d on {names[z]}")
+    return out, tuple(
+        # rule (a) replaces a closed letter, rule (b) one with a differential
+        ("b" if i in diff else "a", names[i],
+         {tuple((names[j], e) for j, e in m): c for m, c in images[i].items()})
+        for i in sorted(images)
+    )
+
+
+def _kunneth_split(cx, letter_box: tuple[int, int]) -> KunnethSplit:
+    """The `KunnethSplit` of cx: the factors that carry a differential,
+    and the cell counts of its closed letters.
+
+    A CDGA first goes through `_change_variables`, whose rules (a) and (b)
+    close letters and cut links, and the split records their substitutions;
+    ``letter_box`` bounds the letters that rule (b) tries.  A module goes
+    through no rule, as its generators join every letter with a
+    differential anyway.  Union-find then links every letter with the letters of its differential
+    and, for a module, the module generators with the letters of the module
+    differential and with every other letter that has a differential.  Each
+    component holding a differential becomes a complex on its own letters:
+    a sub-CDGA, or for a module the one sub-module over all of them.  The
+    other letters are closed."""
+    module = isinstance(cx, DGModule)
+    base, subs = (cx.base, ()) if module else _change_variables(cx, letter_box)
+    n = base.n  # node n stands for the module generators
+    links = [(base.index[name], poly) for name, poly in base.diff.items()]
+    if module:
+        links += [(n, p) for terms in cx.mdiff.values() for p, _ in terms]
+    roots = _roots(n + 1, links, n if module else None)
+    active = {roots[n]} if module else {roots[i] for i, _ in links}
+    roots = roots[:n]
     factors = []
     for root in sorted(active):
         sub = base.quotient([x.name for x, r in zip(base.letters, roots) if r != root])
@@ -504,7 +661,7 @@ def _kunneth_split(cx) -> KunnethSplit:
             sub = DGModule(sub, cx.module_gens, mdiff)
         factors.append(sub)
     closed = Counter((x.g, x.d) for x, r in zip(base.letters, roots) if r not in active)
-    return KunnethSplit(base.field, factors, dict(closed))
+    return KunnethSplit(base.field, factors, dict(closed), subs)
 
 
 def homology_table(cx, box: tuple[int, int]) -> HomologyTable:
@@ -522,8 +679,10 @@ def homology_table(cx, box: tuple[int, int]) -> HomologyTable:
     free series of C's cell counts (`freealg.free_series`), which is the
     unit alone when C is empty.  Tables are unital: the unit counts at
     (0, 0)."""
-    split = cx if isinstance(cx, KunnethSplit) else _kunneth_split(cx)
     g_max, d_max = box
+    if g_max < 0 or d_max < 0:
+        raise InputError(f"box {g_max},{d_max} has a negative bound")
+    split = cx if isinstance(cx, KunnethSplit) else _kunneth_split(cx, (g_max, d_max + 1))
     series = freealg.free_series(split.closed, box, split.field.char == 2)
     for factor in split.factors:
         table = matrix_homology_table(factor, box).dims
@@ -688,10 +847,11 @@ def build_paper_complex(preset: str, box: tuple[int, int], ell: int | None = Non
     g_max, d_max = letter_box = (box[0], box[1] + 1)
     closed = Counter(freealg.letter_counts(spec.gens, letter_box, spec.field.char))
     named = [x for x in spec.named if x.g <= g_max and x.d <= d_max]
-    split = _kunneth_split(_assemble(spec, named, letter_box))
+    split = _kunneth_split(_assemble(spec, named, letter_box), letter_box)
     closed.subtract((x.g, x.d) for x in named)
     closed.update(split.closed)
-    return KunnethSplit(split.field, split.factors, {cell: n for cell, n in closed.items() if n})
+    closed = {cell: n for cell, n in closed.items() if n}
+    return KunnethSplit(split.field, split.factors, closed, split.substitutions)
 
 
 # ---------------------------------------------------------------------------

@@ -260,20 +260,25 @@ def _lyndon_counts(gens, box: tuple[int, int]) -> dict[tuple[int, int], int]:
     words = [[0] * (e_max + 1) for _ in range(g_max + 1)]
     b = [[0] * (e_max + 1) for _ in range(g_max + 1)]
     words[0][0] = 1
+    # row g from the rows before it, one generator cell (a, c) at a time
     for g in range(1, g_max + 1):
-        for e in range(1, e_max + 1):
-            for (a, c), n in w.items():
-                if a <= g and c <= e:
-                    words[g][e] += n * words[g - a][e - c]
-                    b[g][e] += a * n * words[g - a][e - c]
+        row_w, row_b = words[g], b[g]
+        for (a, c), n in w.items():
+            if a <= g:
+                for e, v in enumerate(words[g - a][: e_max + 1 - c], c):
+                    if v:
+                        row_w[e] += n * v
+                        row_b[e] += a * n * v
     mu = [0] + [_mobius(k) for k in range(1, min(g_max, e_max) + 1)]
     counts = {}
     for g in range(1, g_max + 1):
-        for e in range(1, e_max + 1):
-            top = gcd(g, e)
-            n = sum(mu[k] * b[g // k][e // k] for k in range(1, top + 1) if top % k == 0) // g
-            if n:
-                counts[(g, e - 1)] = n
+        for e, total in enumerate(b[g]):
+            # b(g, e) = 0 means no word at (g, e), so no Lyndon word either
+            if total:
+                top = gcd(g, e)
+                n = sum(mu[k] * b[g // k][e // k] for k in range(1, top + 1) if top % k == 0) // g
+                if n:
+                    counts[(g, e - 1)] = n
     return counts
 
 

@@ -67,8 +67,11 @@ class VanishingLine:
             raise DomainError("vanishing-line slope must be positive")
 
     def strictly_below(self, bd: Bidegree | tuple[int, int]) -> bool:
+        """d < lam * (g - c), compared in integers: with lam = a/b and
+        c = p/q, both denominators positive, it is d*b*q < a*(g*q - p)."""
         g, d = bd if isinstance(bd, tuple) else bd.as_tuple()
-        return d < self.lam * (g - self.c)
+        lam, c = self.lam, self.c
+        return d * lam.denominator * c.denominator < lam.numerator * (g * c.denominator - c.numerator)
 
     def render(self) -> str:
         if self.c == 0:

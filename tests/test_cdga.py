@@ -4,11 +4,12 @@ import itertools
 import random
 import sys
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from bigraded import exactla, posets
+from bigraded import cdga, exactla, posets
 from bigraded.cdga import (
     CDGA,
     DGModule,
@@ -432,7 +433,7 @@ def test_every_homology_path_goes_through_chain_homology(monkeypatch):
     sphere = posets.subsets_poset(4)
     paths = [
         (lambda: homology_table(preset, (4, 4)), genera(preset.factors, (4, 4))),
-        (lambda: homology_table(split, (4, 4)), genera(_kunneth_split(split).factors, (4, 4))),
+        (lambda: homology_table(split, (4, 4)), genera(_kunneth_split(split, (4, 5)).factors, (4, 4))),
         (lambda: matrix_homology_table(cx, (3, 5)), genera([cx], (3, 5))),
         (lambda: posets.reduced_homology_f2(sphere), 1),
         (lambda: posets.reduced_homology_q(sphere), 1),
@@ -449,7 +450,7 @@ def test_split_equals_matrix_path_on_random_cdgas(fld):
     rng = random.Random(fld.char + 211)
     for _ in range(10):
         cx = _random_split_cdga(rng, fld)
-        split = _kunneth_split(cx)
+        split = _kunneth_split(cx, (6, 7))
         assert len(split.factors) >= 2 and split.closed
         assert homology_table(cx, (6, 6)) == matrix_homology_table(cx, (6, 6))
 
@@ -460,6 +461,141 @@ def test_split_equals_matrix_path_on_random_modules(fld):
     for _ in range(8):
         mod = _random_module(rng, fld)
         assert homology_table(mod, (6, 6)) == matrix_homology_table(mod, (6, 6))
+
+
+def _decomposable(m):
+    return len(m) > 1 or m[0][1] > 1
+
+
+def _random_changeable_cdga(rng, fld):
+    """A random split CDGA with letters added for each change of variables:
+    a closed y and an x with d(x) = c*y + p for a decomposable cycle p
+    (rule (a)), and an x' with d(x') = d(c'*m) for a decomposable m that is
+    no cycle (rule (b)), where the base has such monomials."""
+    base = _random_split_cdga(rng, fld)
+    monos = [((g, d), m) for g in range(2, 5) for d in range(4) for m in base.monomial_basis((g, d))]
+    cycles = [(bd, m) for bd, m in monos if _decomposable(m) and not base.delta_mono(m)]
+    chains = [(bd, m) for bd, m in monos if _decomposable(m) and base.delta_mono(m)]
+    letters, diff = list(base.letters), {}
+
+    def unit():
+        return fld.of(rng.randint(1, fld.char - 1 if fld.char else 4))
+
+    def named(poly):
+        return {tuple((base.letters[i].name, e) for i, e in m): c for m, c in poly.items()}
+
+    if cycles:
+        (g, d), m = rng.choice(cycles)
+        letters += [Letter(g, d, 0, "y"), Letter(g, d + 1, 0, "x")]
+        diff["x"] = {(("y", 1),): unit(), **named({m: unit()})}
+    if chains:
+        (g, d), m = rng.choice(chains)
+        letters.append(Letter(g, d, 0, "x'"))
+        diff["x'"] = named(poly_scale(base, base.delta_mono(m), unit()))
+    cx = CDGA(fld, letters)
+    diff.update({name: named(poly) for name, poly in base.diff.items()})
+    cx.set_differential({
+        name: {cx.mono_of(dict(m)): c for m, c in poly.items()} for name, poly in diff.items() if poly
+    })
+    return cx
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(2), GF(3), GF(5)])
+def test_changes_of_variables_keep_the_table_on_random_cdgas(fld):
+    """Random CDGAs where both rules apply: the table through the changes
+    of variables and the split equals that of the whole complex's
+    matrices, and both rules are made."""
+    rng = random.Random(fld.char + 401)
+    made = Counter()
+    for _ in range(8):
+        cx = _random_changeable_cdga(rng, fld)
+        split = _kunneth_split(cx, (5, 6))
+        made.update(rule for rule, _, _ in split.substitutions)
+        _assert_substitutions_commute(cx, split)
+        assert homology_table(cx, (5, 5)) == matrix_homology_table(cx, (5, 5))
+    assert made["a"] >= 3 and made["b"] >= 3, made
+
+
+def _apply(cx, images, poly):
+    """The image of poly under the algebra map sending letter index i to
+    images[i] and fixing the other letters."""
+    out = {}
+    for m, c in poly.items():
+        term = {(): c}
+        for i, e in m:
+            for _ in range(e):
+                term = poly_mul(cx, term, images.get(i, {((i, 1),): cx.field.one()}))
+        out = poly_add(cx, out, term)
+    return out
+
+
+def _assert_substitutions_commute(cx, split):
+    """phi d' = d phi on every letter of cx, where d' is the differential
+    of the split (its factors', zero on closed letters) and phi sends each
+    substituted letter to its recorded image, which is that letter times a
+    unit plus terms without it."""
+    images = {}
+    for _, letter, image in split.substitutions:
+        i = cx.index[letter]
+        images[i] = {cx.mono_of(dict(m)): c for m, c in image.items()}
+        assert images[i].get(((i, 1),)), letter
+        assert all(j != i for m in images[i] if m != ((i, 1),) for j, _ in m), letter
+    new_diff = {}
+    for factor in split.factors:
+        algebra = factor.base if isinstance(factor, DGModule) else factor
+        new_diff.update({name: algebra._push(cx, poly) for name, poly in algebra.diff.items()})
+    for i, x in enumerate(cx.letters):
+        lhs = _apply(cx, images, new_diff.get(x.name, {}))
+        rhs = cx.delta_poly(images.get(i, {((i, 1),): cx.field.one()}))
+        assert lhs == rhs, x.name
+
+
+_RULES = {"vanishA": "", "vanishB": "", "intstab-f2": "", "intstab-fl(3)": "", "intstab-fl(5)": "",
+          "A-algebra-fl(2)": "a", "A-algebra-fl(3)": "b", "A-algebra-fl(5)": "a",
+          "A-algebra-fl(7)": "ab", "A-algebra-fl(11)": "ab", "A-algebra-fl(13)": "ab"}
+
+
+@pytest.mark.parametrize("preset", sorted(_RULES))
+def test_preset_substitutions_commute_with_both_differentials(preset):
+    """On every letter of every named complex, the recorded changes of
+    variables commute with the differential as given and the split's; the
+    rules made are (a) where d(rho2) keeps its sigma*tau term and (b) where
+    10 is a unit, and none on vanishA, vanishB and the intstab modules."""
+    box, letter_box = (8, 8), (8, 9)
+    spec = cdga._preset(preset)
+    for cx in (cdga._assemble(spec, spec.named, letter_box), enumerated_paper_complex(preset, box)):
+        split = _kunneth_split(cx, letter_box)
+        assert "".join(rule for rule, _, _ in split.substitutions) == _RULES[preset]
+        _assert_substitutions_commute(cx if not isinstance(cx, DGModule) else cx.base, split)
+    assert build_paper_complex(preset, box).substitutions == split.substitutions
+
+
+# sha256 of the sorted (g, d, dim) cells of matrix_homology_table at (32,32)
+# of the named A-algebra-fl complex as given, with no change of variables
+_A_ALGEBRA_32 = {
+    2: "8958bfab571fdae939a07dd3e01767425e334424f4e6d9d93ec17ec9b7d67ec5",
+    3: "2fedf520bc19dd1dec8271a37c630ab65258feb4b830c54dfd5cdb557a38490e",
+    5: "94afc61babe13f9b885773f1485d6978c5c870547139b92ca9924bdb1b8e0609",
+    7: "798c8b0cde93ce9ebc3cf9ae456185c8d818417f828d4b5711f1da5799b5afad",
+    11: "d0f68816640d810f0cebf82168575feccbd6cb1d578af8d16aa164a051cf724a",
+    13: "91a1bc9ee1000802705a82fd4aaf9eea4d811a26cffb829d7172f229a432ce87",
+}
+
+
+@pytest.mark.parametrize("ell", sorted(_A_ALGEBRA_32))
+def test_a_algebra_split_equals_the_unsubstituted_matrices(ell):
+    """The named A-algebra-fl complex through its changes of variables and
+    split has the table of its own matrices as given: live at (16,16), and
+    at (32,32) against the recorded digest of that table."""
+    spec = cdga._preset("A-algebra-fl", ell)
+    for box, want in (((16, 16), None), ((32, 32), _A_ALGEBRA_32[ell])):
+        letter_box = (box[0], box[1] + 1)
+        cx = cdga._assemble(spec, [x for x in spec.named if x.g <= box[0]], letter_box)
+        table = homology_table(_kunneth_split(cx, letter_box), box)
+        if want is None:
+            assert table == matrix_homology_table(cx, box)
+        else:
+            assert hashlib.sha256(repr(sorted(table.dims.items())).encode()).hexdigest() == want
 
 
 @pytest.mark.parametrize("fld", [QQ, GF(2), GF(3)])
@@ -780,6 +916,19 @@ def test_set_differential_is_checked_and_keeps_the_old_one_on_error():
     # dense exponent vectors are read, zero terms and empty polynomials dropped
     cx.set_differential({"y": {(1, 0, 0): 0}, "z": {}})
     assert cx.diff == {}
+
+
+def test_negative_box_bounds_are_input_errors():
+    """A negative box bound is an input error for a library caller of
+    homology_table and verify_vanishing; a zero bound still runs."""
+    cx = parse_cdga_file("a 1 0\n", QQ)
+    for box in ((-1, 3), (3, -1)):
+        with pytest.raises(InputError, match="negative bound"):
+            homology_table(cx, box)
+        with pytest.raises(InputError, match="negative bound"):
+            verify_vanishing(cx, Fraction(1), box)
+    assert homology_table(cx, (3, 0)).dims == {(0, 0): 1, (1, 0): 1, (2, 0): 1, (3, 0): 1}
+    assert homology_table(cx, (0, 3)).dims == {(0, 0): 1}
 
 
 def test_unknown_preset_rejected():

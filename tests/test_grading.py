@@ -145,6 +145,23 @@ def test_vanishing_line():
         VanishingLine(Fraction(0))
 
 
+def test_vanishing_line_integer_test_equals_the_fraction_form():
+    """The line test compares integers; it agrees with d < lam * (g - c) in
+    Fractions on every cell, for offsets c negative, zero and non-integer,
+    on and off the line."""
+    slopes = [Fraction(1), Fraction(3, 4), Fraction(4, 5), Fraction(5, 3), Fraction(7, 2), Fraction(1, 9)]
+    offsets = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-5, 2), Fraction(7, 3),
+               Fraction(-4, 9)]
+    for lam in slopes:
+        for c in offsets:
+            line = VanishingLine(lam, c)
+            for g in range(-3, 13):
+                for d in range(-2, 13):
+                    assert line.strictly_below((g, d)) == (d < lam * (g - c)), (lam, c, g, d)
+    assert VanishingLine(Fraction(2, 3), Fraction(3)).strictly_below(Bidegree(6, 1))
+    assert not VanishingLine(Fraction(2, 3), Fraction(3)).strictly_below(Bidegree(6, 2))
+
+
 def test_vanishing_line_renderings():
     assert VanishingLine(Fraction(3, 4)).render() == "d < 3/4*g"
     assert VanishingLine(Fraction(2, 3), Fraction(1, 2)).render() == "d < 2/3*(g - 1/2)"
