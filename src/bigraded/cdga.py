@@ -15,9 +15,9 @@ Monomials use the Koszul sign convention in the homological degree d; the
 filtration weight r is carried along but carries no signs.  In characteristic
 2 every letter is polynomial; otherwise odd-d letters are exterior.
 
-Bases are enumerated one genus at a time: a single depth-first pass over the
-letters fills the basis of every degree of that genus up to the degree asked
-for, and `matrix_homology_table` asks each genus for its top degree first.
+Bases are enumerated one box at a time: one depth-first pass over the letters
+fills the basis of every cell of the box, which the complex keeps, and
+`matrix_homology_table` asks for its top cell first, to enumerate it once.
 
 Homology is computed factor by factor.  A CDGA first goes through two
 changes of variables, each an automorphism of the free algebra that replaces
@@ -110,7 +110,8 @@ class CDGA:
         # [_g_start[k], _g_start[k + 1]), in increasing d
         top = self._g[-1] if self.letters else 0
         self._g_start = [bisect_left(self._g, k) for k in range(top + 2)]
-        self._basis_cache: dict[tuple[int, int], list] = {}
+        # the bases of every cell of the box enumerated so far, [g][d]
+        self._box, self._cells = (-1, -1), []
         self.diff = {}
         self.set_differential(differential or {})
 
@@ -287,56 +288,51 @@ class CDGA:
     def monomial_basis(self, bd: tuple[int, int]):
         """All monomials of bidegree bd, deterministically ordered.
 
-        A miss enumerates the whole genus up to degree bd[1] and caches the
-        basis of every degree on the way, so asking for a genus's highest
-        degree first enumerates it once."""
-        out = self._basis_cache.get(bd)
-        if out is None:
-            g, d = bd
-            if g < 0 or d < 0:
-                return []
-            for k, monos in enumerate(self._enumerate_genus(g, d)):
-                self._basis_cache[(g, k)] = monos
-            out = self._basis_cache[bd]
-        return out
+        A miss outside the box enumerated so far enumerates, in one pass,
+        the smallest box holding both and keeps the basis of each of its
+        cells, so asking for the top cell of a box first enumerates it
+        once."""
+        g, d = bd
+        if g < 0 or d < 0:
+            return []
+        g_box, d_box = self._box
+        if g > g_box or d > d_box:
+            self._box = (max(g, g_box), max(d, d_box))
+            self._cells = self._enumerate_box(*self._box)
+        return self._cells[g][d]
 
-    def _enumerate_genus(self, g_t: int, d_t: int) -> list[list]:
-        """The bases of bidegrees (g_t, 0), ..., (g_t, d_t), each in
-        decreasing order of dense exponent vectors.
+    def _enumerate_box(self, g_t: int, d_t: int) -> list[list[list]]:
+        """The bases of every bidegree (g, d) with g <= g_t and d <= d_t, as
+        cells[g][d], each in decreasing order of dense exponent vectors.
 
-        Depth-first over the next letter used, with an explicit stack: a
-        branch only visits letters that fit the remaining genus and degree.
-        Children are visited by increasing letter index and decreasing
-        exponent, which is that order, so no basis is sorted.  Letters after
-        index i have genus at least that of letter i, so a branch that
-        leaves a smaller positive genus is cut."""
-        by_degree = [[] for _ in range(d_t + 1)]
-        if g_t == 0:
-            by_degree[0].append(())
-            return by_degree
-        ds, starts, exterior = self._d, self._g_start, self._exterior
-        top = len(starts) - 2  # largest letter genus
-        # a frame is (first usable index, genus left, degree left, monomial);
-        # a frame with no genus left is a finished monomial
-        stack = [(0, g_t, d_t, ())]
+        Depth-first with an explicit stack, in which every node is a
+        monomial, filed into its cell, and its children multiply it by a
+        power of a later letter that fits the rest of the box.  Children
+        are visited by increasing letter index and decreasing exponent,
+        which is that order, so no basis is sorted.  Letters are sorted by
+        genus, so a branch stops at the first letter whose genus no longer
+        fits, and within a genus by degree, which a bisection cuts."""
+        cells = [[[] for _ in range(d_t + 1)] for _ in range(g_t + 1)]
+        gs, ds, starts, exterior = self._g, self._d, self._g_start, self._exterior
+        top, n = len(starts) - 2, self.n  # top: the largest letter genus
+        # a frame is (first usable index, genus, degree, monomial)
+        stack = [(0, 0, 0, ())]
         while stack:
-            start, g, d, used = stack.pop()
-            if not g:
-                by_degree[d_t - d].append(used)
+            start, g, d, mono = stack.pop()
+            cells[g][d].append(mono)
+            if start == n:
                 continue
-            children = []
-            for k in range(1, min(g, top) + 1):
+            g_left, d_left = g_t - g, d_t - d
+            # the children are pushed last first, so they pop in order
+            for k in range(min(g_left, top), gs[start] - 1, -1):
                 lo = max(start, starts[k])
-                for i in range(lo, bisect_right(ds, d, lo, starts[k + 1])):
-                    max_e = 1 if exterior[i] else g // k
+                for i in range(bisect_right(ds, d_left, lo, starts[k + 1]) - 1, lo - 1, -1):
+                    max_e = 1 if exterior[i] else g_left // k
                     if ds[i]:
-                        max_e = min(max_e, d // ds[i])
-                    for e in range(max_e, 0, -1):
-                        g2 = g - e * k
-                        if not g2 or g2 >= k:
-                            children.append((i + 1, g2, d - e * ds[i], used + ((i, e),)))
-            stack.extend(reversed(children))
-        return by_degree
+                        max_e = min(max_e, d_left // ds[i])
+                    for e in range(1, max_e + 1):
+                        stack.append((i + 1, g + e * k, d + e * ds[i], mono + ((i, e),)))
+        return cells
 
     def differential_matrix(self, bd: tuple[int, int]) -> Matrix:
         """Matrix of delta from bidegree bd to (g, d-1) in `monomial_basis`."""
@@ -389,6 +385,7 @@ class DGModule:
         if len(self.mg_index) != len(self.module_gens):
             raise InputError("duplicate module generator names")
         self.mdiff = {}
+        self._cells: dict[tuple[int, int], list] = {}
         for name, terms in (mdiff or {}).items():
             if name not in self.mg_index:
                 raise InputError(f"module differential on unknown generator {name}")
@@ -414,11 +411,14 @@ class DGModule:
 
     def monomial_basis(self, bd: tuple[int, int]):
         """Pairs (monomial, generator): generators in decreasing order, each
-        with its base basis in the base's order."""
-        g, d = bd
-        out = []
-        for name, ge, de, _ in reversed(self.module_gens):
-            out += [(m, name) for m in self.base.monomial_basis((g - ge, d - de))]
+        with its base basis in the base's order.  Each cell's list is built
+        once, asking the base first for the cell of the lowest generator,
+        the largest, so a top cell asked first enumerates the base once."""
+        out = self._cells.get(bd)
+        if out is None:
+            g, d = bd
+            parts = [(name, self.base.monomial_basis((g - ge, d - de))) for name, ge, de, _ in self.module_gens]
+            out = self._cells[bd] = [(m, name) for name, monos in reversed(parts) for m in monos]
         return out
 
     def delta_mono(self, key):
@@ -460,10 +460,9 @@ def matrix_homology_table(cx, box: tuple[int, int]) -> HomologyTable:
     the box for exactly this reason)."""
     g_max, d_max = box
     dims = {}
+    cx.monomial_basis((g_max, d_max + 1))  # the top cell first: one enumeration
     for g in range(g_max + 1):
-        # basis sizes, read once each, the top degree first: a CDGA then
-        # enumerates genus g in one pass
-        sizes = [len(cx.monomial_basis((g, d))) for d in range(d_max + 1, -1, -1)][::-1]
+        sizes = [len(cx.monomial_basis((g, d))) for d in range(d_max + 2)]
         if any(sizes):  # an empty genus has no homology: skip the call
             rank = lambda d, _: (exactla.rank(cx.differential_matrix((g, d))), (), ())  # noqa: E731
             for d, h in exactla.chain_homology(sizes, rank)[0].items():

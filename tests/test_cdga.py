@@ -109,22 +109,77 @@ def test_complex_is_freed_by_refcount():
 
 
 def test_monomial_basis_independent_of_query_order():
-    """The per-genus cache gives the same lists whatever order the
-    bidegrees are asked in, in and out of the box, as a fresh complex asked
-    for each bidegree on its own."""
-    cx = enumerated_paper_complex("intstab-f2", (6, 6)).base
+    """The bases a complex keeps, and a module's cell lists, are the same
+    whatever order the bidegrees are asked in, in and out of the box, also
+    when a small box is asked before a larger one, as those of a fresh
+    complex asked for each bidegree on its own."""
+    module = enumerated_paper_complex("intstab-f2", (6, 6))
     cells = [(g, d) for g in range(-1, 9) for d in range(-1, 10)]
 
-    def fresh():
-        return CDGA(cx.field, cx.letters, cx.diff)
+    def fresh_base():
+        return CDGA(module.field, module.base.letters, module.base.diff)
 
-    expected = {bd: fresh().monomial_basis(bd) for bd in cells}
+    def fresh_module():
+        return DGModule(fresh_base(), module.module_gens, module.mdiff)
+
     shuffled = list(cells)
     random.Random(5).shuffle(shuffled)
-    for order in (cells, cells[::-1], shuffled, [(3, 9), (3, 2), (8, 1), (8, 9)] + cells):
-        other = fresh()
-        for bd in order:
-            assert other.monomial_basis(bd) == expected[bd], bd
+    orders = (cells, cells[::-1], shuffled, [(3, 9), (3, 2), (8, 1), (8, 9)] + cells,
+              [(2, 3), (5, 5), (4, 7), (7, 4)] + shuffled)
+    for fresh in (fresh_base, fresh_module):
+        expected = {bd: fresh().monomial_basis(bd) for bd in cells}
+        for order in orders:
+            other = fresh()
+            for bd in order:
+                assert other.monomial_basis(bd) == expected[bd], (fresh.__name__, bd)
+
+
+# the named complexes at their paper boxes, and the number of `_closing_term`
+# solves their build makes: one per letter that rule (b) tries
+_PAPER_BOXES = [
+    ("vanishA", (8, 8), 0), ("vanishB", (8, 8), 0), ("intstab-f2", (6, 6), 0),
+    ("intstab-fl(3)", (6, 6), 0), ("intstab-fl(5)", (6, 6), 0), ("A-algebra-fl(3)", (6, 6), 2),
+    ("A-algebra-fl(5)", (6, 6), 1), ("A-algebra-fl(7)", (6, 6), 2),
+]
+
+
+@pytest.mark.parametrize("preset,box,solves", _PAPER_BOXES)
+def test_one_enumeration_per_factor_per_table(preset, box, solves, monkeypatch):
+    """Building a named complex enumerates only the quotient of each
+    `_closing_term` solve, and its homology table enumerates each factor
+    (a module's base) once, at the table's top cell."""
+    enumerated = []
+    enumerate_box = CDGA._enumerate_box
+
+    def counted(cx, g_t, d_t):
+        enumerated.append((cx, g_t, d_t))
+        return enumerate_box(cx, g_t, d_t)
+
+    monkeypatch.setattr(CDGA, "_enumerate_box", counted)
+    split = build_paper_complex(preset, box)
+    assert len({id(cx) for cx, _, _ in enumerated}) == len(enumerated) == solves
+    del enumerated[:]
+    homology_table(split, box)
+    assert enumerated == [(getattr(f, "base", f), box[0], box[1] + 1) for f in split.factors]
+
+
+@pytest.mark.parametrize("preset,box", [(p, box) for p, box, _ in _PAPER_BOXES if "intstab" in p])
+def test_module_builds_each_cell_list_once(preset, box, monkeypatch):
+    """A module factor keeps each cell's list of pairs: over a homology
+    table it asks its base once per generator and cell of the table."""
+    asked = []
+    basis = CDGA.monomial_basis
+
+    def counted(cx, bd):
+        asked.append(cx)
+        return basis(cx, bd)
+
+    monkeypatch.setattr(CDGA, "monomial_basis", counted)
+    (module,) = build_paper_complex(preset, box).factors
+    matrix_homology_table(module, box)
+    cells = (box[0] + 1) * (box[1] + 2)
+    assert sum(cx is module.base for cx in asked) == len(module.module_gens) * cells
+    assert module.monomial_basis(box) is module.monomial_basis(box)
 
 
 @pytest.mark.parametrize(
@@ -189,6 +244,24 @@ VANISHB_14 = {
     (12, 14): 94, (13, 11): 7, (13, 12): 60, (13, 13): 186, (13, 14): 268, (14, 12): 13,
     (14, 13): 105, (14, 14): 320,
 }
+
+
+# sha256 of the sorted (g, d, dim) cells of the (64,64) table of each named
+# complex, recorded before the bases came from one enumeration per box
+_TABLES_64 = {
+    "vanishA": "068d249ccdb60b08c9a01ad508b0245519286d928483cb639a85079ec1cf9574",
+    "vanishB": "2436fab2104b198f4efc2e2048ee2f6d3a1b82541bb5422ad2e9798171250354",
+    "intstab-f2": "14006ff7658e294a5e7ce298e36d8b2a053cfcda8a24312327fb854f4c2c0a51",
+    "intstab-fl(3)": "94b58bb34a7d9a146987ca9df02cfeb38c47b9b2c79da116774d38e5b1417ce5",
+    "intstab-fl(5)": "e2afa3878082075aba366aede9ee1771562a0bf3d31aab4cdfdaa3649b0d83cc",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(_TABLES_64))
+def test_tables_at_64_match_recorded_digests(preset):
+    table = homology_table(build_paper_complex(preset, (64, 64)), (64, 64))
+    digest = hashlib.sha256(repr(sorted(table.dims.items())).encode()).hexdigest()
+    assert digest == _TABLES_64[preset]
 
 
 def test_vanishB_table_past_the_paper_box():
