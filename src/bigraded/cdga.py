@@ -44,8 +44,8 @@ built as that split directly: only the few letters their differential needs
 are named, and the closed rest of their free Lie alphabet is counted by
 `freealg.letter_counts`, never enumerated.  A named complex is spelled
 ``NAME`` or ``NAME(ELL)``, and `_preset` alone reads the spelling and checks
-its prime; any box of at least (1, 1) runs, and its table is the truncation
-of the table of every larger box.  Letters whose differential is not
+its prime; any box that `grading.check_box` takes runs, and its table is the
+truncation of the table of every larger box.  Letters whose differential is not
 explicitly given are closed: the named complexes this reproduces arise as
 associated graded of a computational filtration in which exactly the listed
 differentials survive, so assigning zero differential to the deeper letters
@@ -72,7 +72,7 @@ from .errors import InputError
 from . import exactla, freealg
 from .exactla import GF, QQ, Matrix
 from .freealg import Letter  # noqa: F401  (re-exported as cdga.Letter)
-from .grading import HomologyTable, VanishingLine
+from .grading import HomologyTable, VanishingLine, check_box
 from .parsing import content_lines, parse_terms
 
 
@@ -494,6 +494,8 @@ class KunnethSplit:
         tuple of one basis element per factor.  The closed letters are not
         in it: they have counts, not names."""
         g, d = bd
+        for factor in self.factors[:-1]:
+            factor.monomial_basis(bd)  # the top cell first: one enumeration per factor
         partial = {(0, 0): [()]}  # products over the factors so far, by bidegree
         for k, factor in enumerate(self.factors):
             grown: dict[tuple[int, int], list] = {}
@@ -677,10 +679,8 @@ def homology_table(cx, box: tuple[int, int]) -> HomologyTable:
     of the factors' tables (`matrix_homology_table`, same box) with the
     free series of C's cell counts (`freealg.free_series`), which is the
     unit alone when C is empty.  Tables are unital: the unit counts at
-    (0, 0)."""
-    g_max, d_max = box
-    if g_max < 0 or d_max < 0:
-        raise InputError(f"box {g_max},{d_max} has a negative bound")
+    (0, 0).  The box is checked first (`grading.check_box`)."""
+    g_max, d_max = check_box(box)
     split = cx if isinstance(cx, KunnethSplit) else _kunneth_split(cx, (g_max, d_max + 1))
     series = freealg.free_series(split.closed, box, split.field.char == 2)
     for factor in split.factors:
@@ -821,7 +821,7 @@ def _assemble(spec: _Preset, letters, box: tuple[int, int]):
 
 def build_paper_complex(preset: str, box: tuple[int, int], ell: int | None = None):
     """One of the named complexes, spelled ``NAME`` or ``NAME(ELL)``, as its
-    `KunnethSplit`, for a homology table of any ``box`` of at least (1, 1).
+    `KunnethSplit`, for the homology table of a ``box`` (`grading.check_box`).
 
     vanishA        Lambda_Q(L/<sigma,lambda>) on sigma(1,0), lambda(3,2),
                    rho(2,2), with d(rho) = [sigma,sigma].
@@ -842,6 +842,7 @@ def build_paper_complex(preset: str, box: tuple[int, int], ell: int | None = Non
     through `freealg.letter_counts`.  Every letter has g >= 1 and d >= 0,
     so the table of a box is the truncation of that of any larger box.
     """
+    check_box(box)  # before the preset is read
     spec = _preset(preset, ell)
     g_max, d_max = letter_box = (box[0], box[1] + 1)
     closed = Counter(freealg.letter_counts(spec.gens, letter_box, spec.field.char))

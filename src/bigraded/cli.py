@@ -9,8 +9,9 @@ own; each grammar lives with its module.  `cdga` reads presets (``NAME`` or
 ledger relations files; `posets`, `presentations`, `exactla` and `sympf2`
 read their own files and matrices, and `charts` holds the figures of
 ``report``.  The CLI reads only its own flags: rationals, ``--config`` files
-and ``G,D`` boxes, whose bounds must lie between 1 and MAX_BOX_BOUND,
-checked before any work.
+and ``G,D`` boxes.  The size caps are the library's: the box rule
+`grading.check_box`, met before any work, `freealg.MAX_LIE_WORDS` and the
+campaign bounds of `posets.check_campaign`.
 
 Exit codes: 0 = success / certificate holds, 1 = counterexample or failed
 certificate (and nothing else), 2 = input error, 3 = internal error (a bug).
@@ -166,20 +167,9 @@ def _parse_box(text: str) -> tuple[int, int]:
         raise InputError(f"bad box {text!r}; expected G,D") from exc
 
 
-# largest bound of a --box: the tables are grids of (G+1)(D+2) cells and their
-# cost grows with both bounds.  At 128,128 homology takes 1.8 s for vanishA
-# and vanishB, 5.9 s for intstab-f2 and 19 s for A-algebra-fl(3), and betti
-# 2.9 s on sigma, lambda, rho (one core of a 2-vCPU machine, Python 3.11).
-MAX_BOX_BOUND = 128
-
-
 def _box(text: str | None) -> tuple[int, int]:
-    """The --box G,D, 8,8 if none is given, checked before any work: both
-    bounds at least 1 (`freealg.check_box`) and at most MAX_BOX_BOUND."""
-    box = freealg.check_box(_parse_box(text) if text is not None else (8, 8))
-    if max(box) > MAX_BOX_BOUND:
-        raise InputError(f"box bounds must be <= {MAX_BOX_BOUND}, got {box[0]},{box[1]}")
-    return box
+    """The --box G,D, 8,8 if none is given, checked before any file is read."""
+    return grading.check_box(_parse_box(text) if text is not None else (8, 8))
 
 
 def _read(path: str) -> str:
@@ -247,19 +237,9 @@ def cmd_slope_box(args) -> Outcome:
     return Outcome(result, lines, table=(["g", "d"], [[p.g, p.d] for p in pts]))
 
 
-# largest basis `lie-basis` lists, counted by `freealg.letter_counts` before
-# any word is named (as MAX_BIDEGREES and MAX_COPRODUCT_SLOTS bound theirs):
-# 395 433 words, at 28,28 on sigma, lambda, rho, took 10 s and 540 MB
-MAX_LIE_WORDS = 200_000
-
-
 def cmd_lie_basis(args) -> Outcome:
     box = _box(args.box)
-    gens = _gens_from_file(args.gens)
-    words = sum(freealg.letter_counts(gens, box, 0).values())
-    if words > MAX_LIE_WORDS:
-        raise InputError(f"the basis has {words} words; at most {MAX_LIE_WORDS} are listed")
-    basis = freealg.free_graded_lie_basis(gens, box)
+    basis = freealg.free_graded_lie_basis(_gens_from_file(args.gens), box)
     dims = Counter((b.g, b.d) for b in basis)
     return Outcome(
         {"basis": [{"name": b.name, "g": b.g, "d": b.d, "r": b.r} for b in basis]},
@@ -271,9 +251,8 @@ def cmd_lie_basis(args) -> Outcome:
 
 def cmd_betti(args) -> Outcome:
     box = _box(args.box)
-    gens = _gens_from_file(args.gens)
     betti = {"Q": freealg.free_gerstenhaber_betti, "F2": freealg.betti_table_f2}[args.field]
-    table = betti(gens, box)
+    table = betti(_gens_from_file(args.gens), box)
     name = table.field_name
     return _table_outcome(table, box, f"Betti table over {name}", {"field": name})
 
@@ -452,28 +431,17 @@ def _fuzz_shard(campaign: str, count: int, max_size: int, seed: int) -> posets.F
     return fn(count, max_size, seed)
 
 
-# largest --max-size of a campaign.  A draw costs O(n^2) whether or not it is
-# kept, and past about 48 points most draws have more than posets.MAX_CHAINS
-# chains and are drawn again: 16 instances take about 0.1 s at size 64 and
-# 1.2 s at 200, where nine draws in ten are resampled (one core of a 2-vCPU
-# machine, Python 3.11).  The default, 12, is far below it.
-MAX_FUZZ_SIZE = 64
-
-
 def run_fuzz_sharded(
     campaign: str, count: int, max_size: int, seed: int, threads: int = 1
 ) -> posets.FuzzReport:
     """Shard a campaign across workers by derived seeds; the partition and
     the merge order depend only on (count, seed), never on the worker count,
-    so reports are identical for every thread setting."""
+    so reports are identical for every thread setting.  The campaign's
+    bounds are checked before any shard is made: a count of -5 would make
+    none, and an empty report."""
     if campaign not in ("poset-map", "nerve"):
         raise InputError(f"unknown campaign {campaign!r}")
-    if count < 0:
-        raise InputError(f"instance count must be >= 0, got {count}")
-    if max_size < 1:
-        raise InputError(f"maximum poset size must be >= 1, got {max_size}")
-    if max_size > MAX_FUZZ_SIZE:
-        raise InputError(f"maximum poset size must be <= {MAX_FUZZ_SIZE}, got {max_size}")
+    posets.check_campaign(count, max_size)
     shards = min(16, count) or 1
     sizes = [count // shards + (1 if i < count % shards else 0) for i in range(shards)]
     jobs = [(campaign, sz, max_size, seed + 1000003 * i) for i, sz in enumerate(sizes) if sz]

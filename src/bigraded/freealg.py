@@ -42,7 +42,7 @@ from math import comb, gcd
 from .errors import DomainError, InputError
 from . import exactla
 from .exactla import QQ, Matrix
-from .grading import HomologyTable
+from .grading import MAX_BOX_BOUND, HomologyTable, check_box
 
 
 @dataclass(frozen=True, order=True)
@@ -162,13 +162,6 @@ def _lyndon_words(gens: list[Letter], g_max: int, d_max: int):
     return out
 
 
-def check_box(box: tuple[int, int]) -> tuple[int, int]:
-    """``box``, whose bounds must both be at least 1."""
-    if box[0] < 1 or box[1] < 1:
-        raise DomainError("box bounds must be >= 1")
-    return box
-
-
 def _lift(cell: tuple[int, int], box: tuple[int, int]) -> tuple[int, int] | None:
     """The cell (2g, 2d+1) of the double [w, w] or the tower xi(w) of a
     letter w at cell (g, d), or None when it leaves the box."""
@@ -176,11 +169,22 @@ def _lift(cell: tuple[int, int], box: tuple[int, int]) -> tuple[int, int] | None
     return (g, d) if g <= box[0] and d <= box[1] else None
 
 
+# largest basis `_lyndon_basis` names, counted first (as grading.MAX_BIDEGREES
+# and taut.MAX_COPRODUCT_SLOTS bound theirs): a word costs time and memory for
+# each letter, the count O((G+1)(D+2)) per generator cell.  395 433 words, at
+# 28,28 on sigma, lambda, rho, took 10 s and 540 MB
+MAX_LIE_WORDS = 200_000
+
+
 def _lyndon_basis(gens, box: tuple[int, int], doubles: bool) -> list[LieWord]:
     """The Lyndon words in the box as basis words, plus the self-brackets
-    [w, w] of the odd-shifted-parity ones if ``doubles``."""
+    [w, w] of the odd-shifted-parity ones if ``doubles``, once the box is
+    checked and no more than MAX_LIE_WORDS words are counted in it."""
     g_max, d_max = check_box(box)
     gens = generator_set(gens)
+    words = sum((letter_counts(gens, box, 0) if doubles else _lyndon_counts(gens, box)).values())
+    if words > MAX_LIE_WORDS:
+        raise InputError(f"the basis has {words} words; at most {MAX_LIE_WORDS} are listed")
     names = [x.name for x in gens]
     basis = []
     for w, g, d, r, name in _lyndon_words(gens, g_max, d_max):
@@ -253,8 +257,9 @@ def _lyndon_counts(gens, box: tuple[int, int]) -> dict[tuple[int, int], int]:
         G l(G, E) = sum over k | gcd(G, E) of mu(k) b(G/k, E/k),
         b(G, E) = sum over generator cells (g, e) of g w(g, e) N(G-g, E-e),
 
-    an exact division."""
-    g_max, d_max = check_box(box)
+    an exact division, in O((G+1)(D+2)) per generator cell.  Letters reach
+    one degree above a table's box, so a bound may be MAX_BOX_BOUND + 1."""
+    g_max, d_max = check_box(box, MAX_BOX_BOUND + 1)
     e_max = d_max + 1
     w = Counter((x.g, x.d + 1) for x in generator_set(gens) if x.g <= g_max and x.d <= d_max)
     words = [[0] * (e_max + 1) for _ in range(g_max + 1)]
@@ -342,7 +347,7 @@ def free_gerstenhaber_betti(gens, box: tuple[int, int]) -> HomologyTable:
     not counted.  (``cdga.homology_table`` is unital instead: its tables have
     dimension 1 at (0,0) for zero differential.)
     """
-    dims = free_series(letter_counts(gens, box, 0), box, False)
+    dims = free_series(letter_counts(gens, check_box(box), 0), box, False)
     dims.pop((0, 0), None)
     return HomologyTable(field_name="Q", box=box, dims=dims)
 
@@ -350,7 +355,7 @@ def free_gerstenhaber_betti(gens, box: tuple[int, int]) -> HomologyTable:
 def betti_table_f2(gens, box: tuple[int, int]) -> HomologyTable:
     """Bigraded dimensions over F2: polynomial algebra on the xi-towers,
     non-unital like ``free_gerstenhaber_betti``."""
-    dims = free_series(letter_counts(gens, box, 2), box, True)
+    dims = free_series(letter_counts(gens, check_box(box), 2), box, True)
     dims.pop((0, 0), None)
     return HomologyTable(field_name="F2", box=box, dims=dims)
 

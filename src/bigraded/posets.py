@@ -721,6 +721,21 @@ class FuzzReport:
 
 MAX_CHAINS = 4000  # resample bound so a dense random poset cannot stall a campaign
 
+# largest max_size of a campaign: a draw costs O(n^2), kept or not, and past
+# about 48 points most draws have more than MAX_CHAINS chains and are drawn
+# again.  16 instances take about 0.1 s at size 64 and 1.2 s at 200, where
+# nine draws in ten are resampled (one core of a 2-vCPU machine, Python 3.11)
+MAX_FUZZ_SIZE = 64
+
+
+def check_campaign(count: int, max_size: int) -> None:
+    """A campaign's bounds: count >= 0 and 1 <= max_size <= MAX_FUZZ_SIZE."""
+    if count < 0:
+        raise InputError(f"instance count must be >= 0, got {count}")
+    if not 1 <= max_size <= MAX_FUZZ_SIZE:
+        bound = ">= 1" if max_size < 1 else f"<= {MAX_FUZZ_SIZE}"
+        raise InputError(f"maximum poset size must be {bound}, got {max_size}")
+
 
 def random_poset(rng: random.Random, max_size: int) -> FinitePoset:
     """A random poset on p0..p(n-1).  The elements are shuffled into a total
@@ -791,11 +806,12 @@ def random_monotone_map(rng: random.Random, X: FinitePoset, Y: FinitePoset) -> P
     return PosetMap(X, Y, mapping)
 
 
-def _campaign(name: str, count: int, seed: int, draw, check, minimize) -> FuzzReport:
+def _campaign(name: str, count: int, max_size: int, seed: int, draw, check, minimize) -> FuzzReport:
     """Run ``count`` instances of one campaign.  ``draw(rng)`` gives the
     arguments of ``check`` and ``minimize``, or None for an oversize
     instance that is resampled; every instance whose hypotheses hold and
     whose conclusion fails is minimized into a counterexample dump."""
+    check_campaign(count, max_size)
     rng = random.Random(seed)
     satisfied = resampled = done = 0
     counterexamples = []
@@ -841,7 +857,7 @@ def fuzz_poset_map(count: int, max_size: int, seed: int) -> FuzzReport:
                 t[y] = c + 2 if variant == "i" else n - 1 - c
         return f, t, n, variant
 
-    return _campaign("poset-map", count, seed, draw, check_poset_map_theorem, _minimize_map_instance)
+    return _campaign("poset-map", count, max_size, seed, draw, check_poset_map_theorem, _minimize_map_instance)
 
 
 def random_cover(rng: random.Random, A: FinitePoset, X: FinitePoset) -> CoverFunctor:
@@ -882,7 +898,7 @@ def fuzz_nerve(count: int, max_size: int, seed: int) -> FuzzReport:
             ]
         return X, A, F, n, tX, tA
 
-    return _campaign("nerve", count, seed, draw, check_nerve_theorem, _minimize_nerve_instance)
+    return _campaign("nerve", count, max_size, seed, draw, check_nerve_theorem, _minimize_nerve_instance)
 
 
 def _shrink(size: int, fails) -> int:

@@ -266,10 +266,14 @@ def taut_const(c=1) -> TautPoly:
 # Gysin pushforward
 
 
+def _check_genus(genus: int | None) -> None:
+    if genus is not None and genus < 0:
+        raise DomainError("negative genus")
+
+
 def gysin_pushforward(p: TautPoly, genus: int) -> TautPoly:
     """Integration along the fiber of the universal genus-g surface bundle."""
-    if genus < 0:
-        raise DomainError("negative genus")
+    _check_genus(genus)
     p.degree()  # homogeneity check
     out = TautPoly()
     for (e, l1, ks), c in p.items():
@@ -338,14 +342,9 @@ class Ledger:
     )
 
     def lookup(self, genus: int | None = None, degree: int | None = None) -> list[Relation]:
-        out = []
-        for r in self.relations:
-            if genus is not None and r.ambient_genus not in (None, genus):
-                continue
-            if degree is not None and r.degree != degree:
-                continue
-            out.append(r)
-        return out
+        _check_genus(genus)
+        return [r for r in self.relations if (genus is None or r.ambient_genus in (None, genus))
+                and (degree is None or r.degree == degree)]
 
     def add_from_text(self, text: str, genus: int | None, label: str) -> None:
         self.relations.append(Relation(parse_taut(text), genus, label))
@@ -353,6 +352,7 @@ class Ledger:
     def add_relations_file(self, text: str, genus: int | None) -> None:
         """Add each relation of a relations file, one polynomial per line,
         labelled ``user relation N`` by its raw line number N."""
+        _check_genus(genus)
         for n, raw in enumerate(text.splitlines(), 1):
             for _, line in content_lines(raw):
                 self.add_from_text(line, genus, f"user relation {n}")

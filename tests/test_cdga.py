@@ -289,7 +289,7 @@ def test_vanishB_table_past_the_paper_box():
         (p, ell, box)
         for p, ell in (("vanishA", None), ("vanishB", None), ("intstab-f2", None),
                        ("intstab-fl", 3), ("A-algebra-fl", 2), ("A-algebra-fl", 5))
-        for box in ((2, 2), (3, 1), (3, 0))
+        for box in ((2, 2), (3, 1))
     ],
 )
 def test_counted_split_equals_the_enumerated_complex(preset, ell, box):
@@ -300,6 +300,31 @@ def test_counted_split_equals_the_enumerated_complex(preset, ell, box):
     oracle = enumerated_paper_complex(preset, box, ell=ell)
     assert table == homology_table(oracle, box)
     assert table == matrix_homology_table(oracle, box)
+
+
+def test_split_basis_enumerates_each_factor_once(monkeypatch):
+    """A split's basis asks every factor for its top cell first, so each
+    factor enumerates its box once, and the basis is the one built from
+    the factors' own cells."""
+    split = build_paper_complex("vanishB", (8, 8))
+    expected = [
+        (m1, m2)
+        for g in range(9)
+        for d in range(9)
+        for m1 in split.factors[0].monomial_basis((g, d))
+        for m2 in split.factors[1].monomial_basis((8 - g, 8 - d))
+    ]
+    enumerated = []
+    enumerate_box = CDGA._enumerate_box
+
+    def counted(cx, g_t, d_t):
+        enumerated.append((cx, g_t, d_t))
+        return enumerate_box(cx, g_t, d_t)
+
+    monkeypatch.setattr(CDGA, "_enumerate_box", counted)
+    split = build_paper_complex("vanishB", (8, 8))
+    assert split.monomial_basis((8, 8)) == expected
+    assert enumerated == [(f, 8, 8) for f in split.factors]
 
 
 def test_split_lists_the_basis_of_its_factors():
@@ -992,16 +1017,15 @@ def test_set_differential_is_checked_and_keeps_the_old_one_on_error():
 
 
 def test_negative_box_bounds_are_input_errors():
-    """A negative box bound is an input error for a library caller of
-    homology_table and verify_vanishing; a zero bound still runs."""
+    """A box bound below 1 is an input error for a library caller of
+    homology_table and verify_vanishing, as it is on the command line."""
     cx = parse_cdga_file("a 1 0\n", QQ)
-    for box in ((-1, 3), (3, -1)):
-        with pytest.raises(InputError, match="negative bound"):
+    for box in ((-1, 3), (3, -1), (3, 0), (0, 3)):
+        with pytest.raises(InputError, match="^box bounds must be >= 1$"):
             homology_table(cx, box)
-        with pytest.raises(InputError, match="negative bound"):
+        with pytest.raises(InputError, match="^box bounds must be >= 1$"):
             verify_vanishing(cx, Fraction(1), box)
-    assert homology_table(cx, (3, 0)).dims == {(0, 0): 1, (1, 0): 1, (2, 0): 1, (3, 0): 1}
-    assert homology_table(cx, (0, 3)).dims == {(0, 0): 1}
+    assert homology_table(cx, (3, 1)).dims == {(0, 0): 1, (1, 0): 1, (2, 0): 1, (3, 0): 1}
 
 
 def test_unknown_preset_rejected():
@@ -1022,7 +1046,7 @@ def test_every_box_is_the_truncation_of_the_8_8_table(preset):
     letter has g >= 1 and d >= 0, so a box's letters carry their whole
     differential."""
     full = homology_table(build_paper_complex(preset, (8, 8)), (8, 8)).dims
-    for box in itertools.product(range(1, 9), range(9)):
+    for box in itertools.product(range(1, 9), range(1, 9)):
         expected = {(g, d): n for (g, d), n in full.items() if g <= box[0] and d <= box[1]}
         assert homology_table(build_paper_complex(preset, box), box).dims == expected, box
 

@@ -7,6 +7,7 @@ import pytest
 
 from bigraded import cli, freealg
 from bigraded.cli import main
+from bigraded.errors import InputError
 
 PKG_SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -39,10 +40,10 @@ def test_homology_beyond_paper_box(capsys):
 
 def test_lie_basis_deeper_than_the_recursion_limit(tmp_path, capsys):
     """The Lyndon walk keeps an explicit stack, so a box deeper than the
-    recursion limit lists its words; the command line takes no box past
-    cli.MAX_BOX_BOUND, so the deep box is the library's."""
-    basis = freealg.free_graded_lie_basis([freealg.gen("sigma", 1, 0)], (3000, 3000))
-    assert [b.name for b in basis] == ["sigma", "[sigma,sigma]"]
+    recursion limit lists its words; no entry point takes a box past
+    grading.MAX_BOX_BOUND, so the deep box is the walk's own."""
+    words = freealg._lyndon_words([freealg.gen("sigma", 1, 0)], 3000, 3000)
+    assert [name for *_, name in words] == ["sigma"]
     gens = tmp_path / "g.txt"
     gens.write_text("sigma 1 0\n")
     argv = ["lie-basis", "--gens", str(gens), "--box", "3000,3000", "--format", "json"]
@@ -316,6 +317,29 @@ def test_worker_pool_is_capped_at_the_shard_count(monkeypatch):
     assert len(sizes) == 3
 
 
+@pytest.mark.parametrize(
+    "count, max_size, message",
+    [
+        (40, 0, "maximum poset size must be >= 1, got 0"),
+        (40, 65, "maximum poset size must be <= 64, got 65"),
+        (40, 500, "maximum poset size must be <= 64, got 500"),
+        (-5, 12, "instance count must be >= 0, got -5"),
+    ],
+)
+def test_bad_campaign_bounds_start_no_pool(count, max_size, message, monkeypatch):
+    """The campaign bounds are checked before any shard or pool is made:
+    without the check, a count of -5 would make no shard and an empty
+    report.  Stubs record every pool and shard: none is started."""
+    import concurrent.futures
+
+    started = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda max_workers: started.append(max_workers))
+    monkeypatch.setattr(cli, "_fuzz_shard", lambda *job: started.append(job))
+    with pytest.raises(InputError, match=f"^{message}$"):
+        cli.run_fuzz_sharded("nerve", count, max_size, 7, threads=4)
+    assert started == []
+
+
 def test_input_error_exits_2(tmp_path):
     r = run_cli(["homology", "--preset", "nonsense"])
     assert r.returncode == 2 and "error:" in r.stderr
@@ -441,6 +465,9 @@ def _nerve_argv(cover="F.cov", tx="tx.w", ta="ta.w"):
         (["ranges", "--a", "1", "--b", "1", "--e", "0", "--check", ""], "bad box ''"),
         (["sp4", "phi", "--swap", "--out", ""], "cannot write"),
         (["taut", "ledger", "--relations", ""], "cannot read"),
+        # a genus is at least 0, as for the Gysin pushforward
+        (["taut", "ledger", "--genus", "-3"], "negative genus"),
+        (["taut", "ledger", "--relations", "rel.txt", "--genus", "-3"], "negative genus"),
         (["homology", "--cdga", "sigma.txt", "--field", ""], "unknown field"),
         (["sp4", "phi", "--matrix", ""], "bad matrix chunk ''"),
         (["taut", "coproduct", "--expr", "", "--n", "2"], "no term in ''"),
@@ -487,6 +514,7 @@ def test_bad_inputs_are_input_errors(argv, message, tmp_path, monkeypatch, capsy
         "empty_d.cdga": "x 1 0\ny 1 1\nd y =\n",
         "blank.txt": "",
         "slope.cfg": "slope = 1/2\n",
+        "rel.txt": "k1^2\n",
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -93,6 +93,14 @@ def test_package_has_no_test_only_definitions():
     assert _unreferenced(("src", "bench"), fields=False) == {}
 
 
+def test_cli_defines_no_size_cap():
+    """Every size cap lives with the library routine whose work it bounds,
+    so that a library caller meets it too: the command line defines no
+    module-level MAX_* name."""
+    tree = ast.parse((ROOT / "src" / "bigraded" / "cli.py").read_text())
+    assert [name for name, _ in _names_defined(tree.body) if name.startswith("MAX_")] == []
+
+
 def test_dead_definition_check_sees_what_it_should():
     source = (
         "import os\n"

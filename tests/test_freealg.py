@@ -311,7 +311,7 @@ def test_letter_counts_equal_the_enumerated_cells_on_random_generators():
         gens += [gen(f"c{k}", rng.randint(2, 12), rng.randint(0, 12)) for k in range(rng.randint(0, 3))]
         _assert_counts_equal_enumeration(gens, (10, 11))
     assert letter_counts([], (4, 4), 0) == {}
-    with pytest.raises(DomainError, match="box bounds"):
+    with pytest.raises(InputError, match="box bounds"):
         letter_counts([SIGMA], (0, 3), 2)
     with pytest.raises(InputError, match="duplicate"):
         letter_counts([SIGMA, SIGMA], (3, 3), 0)

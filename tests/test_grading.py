@@ -1,8 +1,11 @@
+import time
 from fractions import Fraction
 
 import pytest
 
+from bigraded import cdga, freealg
 from bigraded.errors import DomainError, InputError
+from bigraded.exactla import QQ
 from bigraded.grading import (
     MAX_BIDEGREES,
     Bidegree,
@@ -101,6 +104,71 @@ def test_bidegrees_between_counts_them_against_the_cap():
             bidegrees_between(high, g_max)
 
 
+_BAD_BOXES = [
+    ((-1, 3), "box bounds must be >= 1"),
+    ((3, -1), "box bounds must be >= 1"),
+    ((0, 3), "box bounds must be >= 1"),
+    ((3, 0), "box bounds must be >= 1"),
+    ((129, 1), "box bounds must be <= 128, got 129,1"),
+    ((1, 129), "box bounds must be <= 128, got 1,129"),
+    ((10**9, 1), "box bounds must be <= 128, got 1000000000,1"),
+]
+
+
+@pytest.mark.parametrize("box, message", _BAD_BOXES)
+def test_every_library_box_follows_the_command_line_rule(box, message, monkeypatch):
+    """Each entry point that takes a table's box raises the command line's
+    input error before any work: with every counting, enumerating and
+    splitting routine broken, and an unknown preset, the box is what fails."""
+
+    def work(*_):
+        raise AssertionError("work before the box check")
+
+    for module, name in ((freealg, "letter_counts"), (freealg, "_lyndon_counts"), (freealg, "_lyndon_words"),
+                         (freealg, "free_series"), (cdga, "_kunneth_split"), (cdga, "_preset")):
+        monkeypatch.setattr(module, name, work)
+    gens = [freealg.gen("sigma", 1, 0)]
+    cx = cdga.parse_cdga_file("a 1 0\n", QQ)
+    calls = [
+        lambda: cdga.homology_table(cx, box),
+        lambda: cdga.verify_vanishing(cx, Fraction(1), box),
+        lambda: cdga.build_paper_complex("nonsense", box),
+        lambda: freealg.free_gerstenhaber_betti(gens, box),
+        lambda: freealg.betti_table_f2(gens, box),
+        lambda: freealg.free_graded_lie_basis(gens, box),
+        lambda: freealg.lie_basis_char2(gens, box),
+        lambda: freealg.cohen_generators_f2(gens, box),
+    ]
+    start = time.monotonic()
+    for call in calls:
+        with pytest.raises(InputError, match=f"^{message}$"):
+            call()
+    assert time.monotonic() - start < 1
+
+
+def test_the_cap_is_on_the_table_box_not_the_letter_box():
+    """A preset takes its letters one degree above the box, so at the
+    largest box they reach 128,129, and every preset still builds."""
+    for preset in ("vanishA", "vanishB", "intstab-f2", "intstab-fl(3)", "A-algebra-fl(3)"):
+        split = cdga.build_paper_complex(preset, (128, 128))
+        assert max(d for _, d in split.closed) == 129, preset
+    sigma = [freealg.gen("sigma", 1, 0)]
+    assert freealg.letter_counts(sigma, (129, 129), 0)
+    with pytest.raises(InputError, match="^box bounds must be <= 129, got 130,1$"):
+        freealg.letter_counts(sigma, (130, 1), 0)
+
+
+def test_lie_bases_count_their_words_before_naming_any(monkeypatch):
+    """More than freealg.MAX_LIE_WORDS words are an input error, counted
+    before the Lyndon walk starts."""
+    gens = [freealg.gen("sigma", 1, 0), freealg.gen("lambda", 3, 2), freealg.gen("rho", 2, 2)]
+    monkeypatch.setattr(freealg, "_lyndon_words", None)
+    with pytest.raises(InputError, match="^the basis has 395433 words; at most 200000 are listed$"):
+        freealg.free_graded_lie_basis(gens, (28, 28))
+    with pytest.raises(InputError, match="^the basis has [0-9]+ words; at most 200000 are listed$"):
+        freealg.cohen_generators_f2(gens, (30, 30))
+
+
 def test_range_statement_renderings():
     assert range_statement("vanishing", 3, 2, -1).render() == "3d ≤ 2g-1"
     assert range_statement("epimorphism", 4, 3, -1).render() == "4d ≤ 3g-1"
@@ -129,7 +197,7 @@ def test_satisfies_examples():
 
 def test_render_parse_round_trip():
     for a, b, e in [(3, 2, -1), (4, 3, -1), (4, 3, -5), (5, 4, -1), (5, 4, -6),
-                    (1, 1, 0), (2, 1, 3), (7, 5, 0)]:
+                    (1, 1, 0), (2, 1, 3), (7, 5, 0), (1, -2, 1), (2, -3, -1), (1, 0, 1)]:
         s = range_statement("vanishing", a, b, e)
         assert parse_range(s.render()) == s
     assert parse_range("3d <= 2g-1") == range_statement("vanishing", 3, 2, -1)

@@ -624,6 +624,24 @@ def test_fuzz_campaigns_small():
     assert rep2.clean, rep2.counterexamples
 
 
+@pytest.mark.parametrize(
+    "count, max_size, message",
+    [
+        (1, 0, "maximum poset size must be >= 1, got 0"),
+        (1, 65, "maximum poset size must be <= 64, got 65"),
+        (2, 500, "maximum poset size must be <= 64, got 500"),
+        (-5, 12, "instance count must be >= 0, got -5"),
+    ],
+)
+@pytest.mark.parametrize("fuzz", [fuzz_poset_map, fuzz_nerve])
+def test_campaign_bounds_are_checked_before_the_first_draw(fuzz, count, max_size, message, monkeypatch):
+    """The command line's campaign bounds hold for a library caller too,
+    checked before any poset is drawn."""
+    monkeypatch.setattr(posets, "random_poset", None)
+    with pytest.raises(InputError, match=f"^{message}$"):
+        fuzz(count, max_size, 1)
+
+
 def test_fuzz_determinism():
     a = fuzz_poset_map(100, 8, seed=7)
     b = fuzz_poset_map(100, 8, seed=7)

@@ -495,6 +495,17 @@ def test_ledger_lookup():
     assert len(led.lookup()) == 4
 
 
+def test_ledger_rejects_a_negative_genus():
+    """As the Gysin pushforward does: a ledger is neither read nor filed
+    at a genus below 0."""
+    led = Ledger()
+    with pytest.raises(DomainError, match="^negative genus$"):
+        led.lookup(genus=-3)
+    with pytest.raises(DomainError, match="^negative genus$"):
+        led.add_relations_file("k1^2\n", -3)
+    assert len(led.relations) == 4 and led.lookup(genus=0)
+
+
 def test_ledger_rejects_inhomogeneous():
     led = Ledger()
     with pytest.raises(DomainError):
