@@ -440,11 +440,6 @@ class DGModule:
     delta_poly = CDGA.delta_poly
     differential_matrix = CDGA.differential_matrix
 
-    def mono_name(self, key):
-        m, e = key
-        base = self.base.mono_name(m)
-        return e if base == "1" else f"{base}*{e}"
-
 
 # ---------------------------------------------------------------------------
 # homology tables and vanishing certificates

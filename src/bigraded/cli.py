@@ -61,25 +61,13 @@ EXCLUSIVE = (("cdga", "preset"), ("cdga", "ell"), ("preset", "field"), ("slope",
 
 
 def _jsonable(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, float) and x == posets.INF:
-        return "inf"
     if isinstance(x, dict):
-        return {_key(k): _jsonable(v) for k, v in sorted(x.items(), key=lambda kv: _key(kv[0]))}
+        return {str(k): _jsonable(v) for k, v in sorted(x.items(), key=lambda kv: str(kv[0]))}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, frozenset):
-        return sorted(_jsonable(v) for v in x)
     if hasattr(x, "__dataclass_fields__"):
         return {k: _jsonable(getattr(x, k)) for k in sorted(x.__dataclass_fields__)}
     return x
-
-
-def _key(k):
-    if isinstance(k, tuple):
-        return ",".join(str(v) for v in k)
-    return str(k)
 
 
 def _digest(path: str) -> str:

@@ -27,10 +27,13 @@ the same row check, and reduces them in two phases.  Phase 1 eliminates unit
 pivots in sparse order, the sparsest column and the shortest row holding +-1
 in it first, which keeps the fill-in of chain-complex boundaries low (Dumas,
 Saunders & Villard, J. Symb. Comput. 32, 2001; Kaczynski, Mrozek & Slusarek,
-Comput. Math. Appl. 35, 1998).  Phase 2 runs min-abs pivoting with Euclidean
-steps and a divisibility pass on what phase 1 leaves, which is nothing for
-the order complex of a sphere.  Invariant factors are unique, so the pivot
-order does not show in them; `det_int` checks the certificates
+Comput. Math. Appl. 35, 1998).  Phase 2 is one loop of min-abs passes on
+what phase 1 leaves, which is nothing for the order complex of a sphere:
+each pass clears the least entry's column and row by floor division, then
+retires it if it divides every entry left, or folds in a row it does not
+divide.  Every pass retires a pivot or leaves an entry smaller than the
+least one before it, so the loop ends.  Invariant factors are unique, so
+the pivot order does not show in them; `det_int` checks the certificates
 independently.
 
 `chain_homology` turns the group sizes of a chain complex and the ranks of
@@ -235,9 +238,7 @@ class _SparseWork:
         self.V = [[int(i == j) for j in range(ncols)] for i in range(ncols)] if want_certs else None
 
     def row_op(self, dst, src, q):
-        # row dst -= q * row src; a row that becomes zero leaves A
-        if not q:
-            return
+        # row dst -= q * row src, for q != 0; a row that becomes zero leaves A
         A, colocc, mod = self.A, self.colocc, self.mod
         dst_row = A[dst]
         for j, v in A[src].items():
@@ -493,66 +494,42 @@ def _unit_pivots(w: _SparseWork):
 
 def _smith_residual(w: _SparseWork):
     """Phase 2 of `smith_normal_form`: the Smith form of what
-    `_unit_pivots` leaves in ``w.A``, by min-abs pivots.
+    `_unit_pivots` leaves in ``w.A``, by min-abs pivots, one pass at a time.
 
-    Each pivot is shrunk by Euclidean row and column steps until its row
-    and column are clear, and a row with an entry it does not divide is
-    folded into its row, until it divides every remaining entry.  Returns
-    the pivots as (row, column, value) in divisibility order.
+    Each pass takes the entry p of least absolute value (ties to the lowest
+    row, then column) and makes it positive.  It reduces p's column by
+    floor division, and the pass ends if a remainder is left; then p's row
+    the same way.  With both clear, p is retired if it is 1 or divides every
+    entry left; otherwise the first row holding an entry p does not divide
+    is added to p's row, and that entry is reduced by p's column.  Every
+    row operation's multiplier is nonzero, since no entry of p's column is
+    smaller than p.  Each pass either retires a pivot or leaves an entry
+    smaller than the least absolute value before it, so the loop ends.
+    Returns the pivots as (row, column, value) in divisibility order.
     """
     A, colocc = w.A, w.colocc
-
-    def pick_pivot():
-        best = None
-        for i in sorted(A):
-            for j, v in sorted(A[i].items()):
-                a = abs(v)
-                if a == 1:
-                    return (i, j)
-                if best is None or a < best[0]:
-                    best = (a, i, j)
-        return None if best is None else (best[1], best[2])
-
     diag = []
-    while True:
-        piv = pick_pivot()
-        if piv is None:
-            break
-        # shrink the min-abs pivot until its row and column are clear and it
-        # divides every remaining entry
-        while True:
-            r0, c0 = piv
-            if A[r0][c0] < 0:
-                w.scale_row(r0, -1)
-            p = A[r0][c0]
-            dirty = False
-            for i in sorted(colocc[c0] - {r0}):
-                w.row_op(i, r0, A[i][c0] // p)  # floor division: remainder in [0, p)
-                if c0 in A.get(i, ()):
-                    dirty = True
-            if dirty:
-                piv = pick_pivot()
-                continue
-            if p == 1 and w.V is None:
-                break  # clearing the row would touch only this row, now retired
-            for j in sorted(A[r0]):
-                if j != c0:
-                    w.col_op(j, c0, A[r0][j] // p)
-                    if j in A[r0]:
-                        dirty = True
-            if dirty:
-                piv = pick_pivot()
-                continue
-            if p == 1:
-                break  # a unit divides every remaining entry
-            bad = next(
-                (i for i in sorted(A) if i != r0 and any(v % p for v in A[i].values())), None
-            )
-            if bad is None:
-                break
-            w.row_op(r0, bad, -1)  # fold the offending row into the pivot row
-        diag.append((r0, c0, p))
-        w.retire(r0, c0)
+    while A:
+        _, r, c = min((abs(v), i, j) for i, row in A.items() for j, v in row.items())
+        if A[r][c] < 0:
+            w.scale_row(r, -1)
+        p = A[r][c]
+        for i in [i for i in colocc[c] if i != r]:
+            w.row_op(i, r, A[i][c] // p)  # floor division: remainder in [0, p)
+        if len(colocc[c]) > 1:
+            continue
+        for j, v in [(j, v) for j, v in A[r].items() if j != c]:
+            w.col_op(j, c, v // p)
+        if len(A[r]) > 1:
+            continue
+        bad = None if p == 1 else next((i for i in sorted(A) if any(v % p for v in A[i].values())), None)
+        if bad is None:
+            diag.append((r, c, p))
+            w.retire(r, c)
+        else:
+            w.row_op(r, bad, -1)
+            j, v = next((j, v) for j, v in A[r].items() if v % p)
+            w.col_op(j, c, v // p)
     return diag
 
 
@@ -585,10 +562,11 @@ def smith_normal_form(rows, ncols: int, want_certs: bool = False) -> SmithForm:
     order, sparsest column and shortest row first, which keeps the fill-in
     of chain-complex boundaries low (Dumas, Saunders & Villard, J. Symb.
     Comput. 32, 2001; Kaczynski, Mrozek & Slusarek, Comput. Math. Appl. 35,
-    1998).  Phase 2 (`_smith_residual`) runs min-abs pivoting with Euclidean
-    steps and a divisibility pass on the residual that phase 1 leaves, which
-    is empty for the order complexes of spheres.  The factors are phase 1's
-    1s followed by phase 2's divisibility chain.
+    1998).  Phase 2 (`_smith_residual`) runs one loop of min-abs passes on
+    the residual that phase 1 leaves, which is empty for the order complexes
+    of spheres; each pass retires a pivot or leaves an entry smaller than
+    the least one before it.  The factors are phase 1's 1s followed by
+    phase 2's divisibility chain.
     """
     w = _SparseWork(_smith_rows(rows, ncols), len(rows), ncols, 0, want_certs)
     units = _unit_pivots(w)

@@ -97,25 +97,21 @@ class FinitePoset:
             if a not in self.idx or b not in self.idx:
                 raise InputError(f"relation on undeclared element: {a} < {b}")
             below[self.idx[b]] |= 1 << self.idx[a]
-        changed = True
-        while changed:
-            changed = False
+        for k in range(self.n):  # Warshall: whatever lies above k takes in all below k
+            bit = 1 << k
             for i in range(self.n):
-                acc = below[i]
-                for j in _bits(acc):
-                    acc |= below[j]
-                if acc != below[i]:
-                    below[i] = acc
-                    changed = True
+                if below[i] & bit:
+                    below[i] |= below[k]
         self.below = below
+        self.above = above = _transpose(below)
         for i in range(self.n):
-            for j in range(self.n):
-                if i != j and (below[i] >> j) & 1 and (below[j] >> i) & 1:
-                    raise InputError(
-                        f"not a partial order: {self.names[i]} and {self.names[j]} "
-                        "are mutually comparable"
-                    )
-        self.above = _transpose(below)
+            both = below[i] & above[i] & ~(1 << i)
+            if both:
+                j = (both & -both).bit_length() - 1
+                raise InputError(
+                    f"not a partial order: {self.names[i]} and {self.names[j]} "
+                    "are mutually comparable"
+                )
 
     @classmethod
     def _trusted(cls, names, below, above) -> "FinitePoset":

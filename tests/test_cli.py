@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from bigraded import cli, freealg
+from bigraded import cli, freealg, posets
 from bigraded.cli import main
 from bigraded.errors import InputError
 
@@ -288,10 +288,9 @@ def test_threads_env_validation():
     assert json.loads(r2.stdout)["result"] == json.loads(r3.stdout)["result"]
 
 
-def test_worker_pool_is_capped_at_the_shard_count(monkeypatch):
-    """The pool forks all of its workers at once, so it gets no more than
-    there are shards.  A stub records the pool size and runs the shards
-    inline: no process is started."""
+def _inline_pool(monkeypatch):
+    """Stub the worker pool with one that runs the shards inline, so no
+    process is started; returns the list of the pool sizes asked for."""
     import concurrent.futures
 
     sizes = []
@@ -310,6 +309,14 @@ def test_worker_pool_is_capped_at_the_shard_count(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+def test_worker_pool_is_capped_at_the_shard_count(monkeypatch):
+    """The pool forks all of its workers at once, so it gets no more than
+    there are shards.  A stub records the pool size and runs the shards
+    inline: no process is started."""
+    sizes = _inline_pool(monkeypatch)
     for count, threads, workers in ((40, 5000, 16), (3, 5000, 3), (40, 2, 2)):
         rep = cli.run_fuzz_sharded("poset-map", count, 5, 7, threads)
         assert sizes[-1] == workers
@@ -340,6 +347,28 @@ def test_bad_campaign_bounds_start_no_pool(count, max_size, message, monkeypatch
     assert started == []
 
 
+def test_unknown_campaign_is_input_error():
+    with pytest.raises(InputError, match="^unknown campaign 'bogus'$"):
+        cli.run_fuzz_sharded("bogus", 40, 5, 7)
+
+
+def test_poset_fuzz_reports_a_planted_counterexample(monkeypatch, capsys):
+    """Demanding one degree more of the map plants violations, as in
+    tests/test_posets.py: the command exits 1 with status counterexample,
+    and its second text line is the JSON of the report's counterexamples."""
+    real = posets.map_is_n_connected
+    monkeypatch.setattr(posets, "map_is_n_connected", lambda f, n: real(f, n + 1))
+    _inline_pool(monkeypatch)
+    argv = ["poset", "fuzz", "--campaign", "poset-map", "--count", "60", "--max-size", "7",
+            "--seed", "0", "--threads", "2"]
+    assert main(argv + ["--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "counterexample" and report["result"]["counterexamples"]
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == json.dumps(report["result"]["counterexamples"], sort_keys=True)
+
+
 def test_input_error_exits_2(tmp_path):
     r = run_cli(["homology", "--preset", "nonsense"])
     assert r.returncode == 2 and "error:" in r.stderr
@@ -353,8 +382,8 @@ def test_out_flag(tmp_path):
     assert json.loads(dest.read_text())["result"]["parity"] == "odd"
 
 
-def _nerve_argv(cover="F.cov", tx="tx.w", ta="ta.w"):
-    return ["nerve", "check", "--poset", "X.pos", "--A", "A.pos", "--cover", cover, "--n", "1",
+def _nerve_argv(cover="F.cov", tx="tx.w", ta="ta.w", A="A.pos"):
+    return ["nerve", "check", "--poset", "X.pos", "--A", A, "--cover", cover, "--n", "1",
             "--tx", tx, "--ta", ta]
 
 
@@ -393,6 +422,17 @@ def _nerve_argv(cover="F.cov", tx="tx.w", ta="ta.w"):
         (_nerve_argv(tx="tx_dup.w"), "second weight for c0"),
         (_nerve_argv(tx="tx_extra.w"), "weight for zz"),
         (_nerve_argv(cover="F_dup.cov"), "second cover line for u"),
+        (_nerve_argv(cover="F_nocolon.cov"), "bad cover line: 'u c0 c1'"),
+        (_nerve_argv(cover="F_outside.cov"), "cover value zz not in the covered poset"),
+        (_nerve_argv(A="A2.pos"), "cover functor missing value at v"),
+        (["homology", "--cdga", "dup.cdga"], "duplicate letter names"),
+        (["homology", "--cdga", "no_eq.cdga"], "bad differential line: 'd b 1'"),
+        (["taut", "gysin", "--expr", "l1*e", "--genus", "2"], "defined on e/kappa polynomials only"),
+        (["taut", "coproduct", "--expr", "k1", "--n", "1"], "coproduct arity must be >= 2"),
+        (["sp4", "phi", "--matrix", "1,0;0,1"], "need a 4x4 matrix"),
+        (["slope-box", "--high", "-1"], "high_slope must be nonnegative"),
+        (["slope-box", "--high", "1/2", "--gmax", "0"], "g_max must be >= 1"),
+        (["slope-box", "--high", "3/2"], "no finite bound for slope >= 1"),
         (["taut", "gysin", "--expr", "1/0*e", "--genus", "2"], "zero denominator"),
         (["taut", "coproduct", "--expr", "k1^2+1/0", "--n", "2"], "zero denominator"),
         # the expansion size is counted before anything is expanded
@@ -493,6 +533,11 @@ def test_bad_inputs_are_input_errors(argv, message, tmp_path, monkeypatch, capsy
         "tx_dup.w": "c0 0\nc1 1\nc0 5\n",
         "tx_extra.w": "c0 0\nc1 1\nzz 7\n",
         "F_dup.cov": "u : c0 c1\nu : c0\n",
+        "F_nocolon.cov": "u c0 c1\n",
+        "F_outside.cov": "u : c0 zz\n",
+        "A2.pos": "u\nv\n",
+        "dup.cdga": "a 1 0\na 1 1\n",
+        "no_eq.cdga": "a 1 0\nb 1 1\nd b 1\n",
         "ta.w": "u 0\n",
         "ta_bad.w": "u x\n",
         "zero_den.cdga": "a 1 0\nb 1 1\nd b = 1/0*a\n",

@@ -539,6 +539,21 @@ def test_poset_validation():
         FinitePoset(["a"], [("a", "zzz")])
 
 
+@pytest.mark.parametrize(
+    "names, pairs, message",
+    [
+        (["a", "b", "c"], [("c", "b"), ("b", "c")], "b and c"),
+        # q < r directly, and r < q only through the closure: r < s < q
+        (["p", "q", "r", "s"], [("p", "q"), ("q", "r"), ("r", "s"), ("s", "q")], "q and r"),
+    ],
+)
+def test_cycles_name_their_first_mutually_comparable_pair(names, pairs, message):
+    """The closure runs before the check, which names the first pair in
+    element order."""
+    with pytest.raises(InputError, match=f"^not a partial order: {message} are mutually comparable$"):
+        FinitePoset(names, pairs)
+
+
 def test_identity_map_theorem_holds():
     p = subsets_poset(3)
     f = PosetMap(p, p, {nm: nm for nm in p.names})
