@@ -208,14 +208,13 @@ def _integer(x) -> int:
     return x
 
 
-def sparse_rows(dense, ncols: int, of=_integer):
-    """The nonzero entries of each row of a dense matrix, as increasing
-    ``(col, value)`` pairs.  Every entry passes through ``of`` first: a
-    field's ``of`` for a `Matrix`, or by default the integer check of
-    `smith_normal_form`'s input."""
+def sparse_rows(dense, ncols: int):
+    """The nonzero entries of each row of a dense integer matrix, as
+    increasing ``(col, value)`` pairs, each entry passed through the
+    integer check of `smith_normal_form`'s input first."""
     if any(len(r) != ncols for r in dense):
         raise InputError("matrix shape mismatch")
-    return [[(j, x) for j, x in enumerate(map(of, r)) if x] for r in dense]
+    return [[(j, x) for j, x in enumerate(map(_integer, r)) if x] for r in dense]
 
 
 class _SparseWork:

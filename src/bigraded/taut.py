@@ -301,8 +301,8 @@ def gysin_pushforward(p: TautPoly, genus: int) -> TautPoly:
 
 @dataclass
 class Relation:
-    """The relation ``poly = 0``; its degree is read once, here, which
-    rejects an inhomogeneous relation."""
+    """The relation ``poly = 0``; its genus is checked and its degree read
+    once, here, so a negative genus or an inhomogeneous poly is rejected."""
 
     poly: TautPoly
     ambient_genus: int | None  # None: genus-independent
@@ -310,6 +310,7 @@ class Relation:
     degree: int = dc_field(init=False)
 
     def __post_init__(self):
+        _check_genus(self.ambient_genus)
         self.degree = self.poly.degree()
 
 
@@ -352,7 +353,6 @@ class Ledger:
     def add_relations_file(self, text: str, genus: int | None) -> None:
         """Add each relation of a relations file, one polynomial per line,
         labelled ``user relation N`` by its raw line number N."""
-        _check_genus(genus)
         for n, raw in enumerate(text.splitlines(), 1):
             for _, line in content_lines(raw):
                 self.add_from_text(line, genus, f"user relation {n}")
@@ -377,7 +377,12 @@ class KernelReport:
 def deduce_h43_kernel(ledger: Ledger | None = None) -> KernelReport:
     """Suppose A e + B kappa_1 is killed by multiplication by the Euler class
     at genus 4.  Push forward e*(Ae + B kappa_1) and e^2*(Ae + B kappa_1),
-    reduce modulo the genus-4 degree-4 ledger, and solve for (A, B).
+    reduce modulo the ledger, and solve for (A, B).
+
+    The ledger's genus-4 and genus-free relations on kappa_1 alone, or on
+    kappa_1^2 and kappa_2 alone, are read into one reduced echelon form; one
+    with a formal parameter is a domain error.  The contradiction names
+    every class known to be nonzero at genus 4 that reduces to zero.
 
     With the built-in ledger (3 kappa_1^2 + 32 kappa_2 = 0, kappa_1 != 0,
     kappa_2 != 0) the solution space is {A = B = 0}.  Dropping kappa_2 != 0
@@ -390,63 +395,44 @@ def deduce_h43_kernel(ledger: Ledger | None = None) -> KernelReport:
     push1 = gysin_pushforward(euler() * p, 4)
     push2 = gysin_pushforward(euler(2) * p, 4)
 
-    # degree-4 kappa monomials: kappa_1^2 and kappa_2
-    basis4 = [(0, 0, (2,)), (0, 0, (0, 1))]
+    k1 = (0, 0, (1,))
+    basis = [k1, (0, 0, (2,)), (0, 0, (0, 1))]  # degree 2: kappa_1; degree 4: kappa_1^2, kappa_2
     rel_rows = []
-    for r in ledger.lookup(genus=4, degree=4):
-        poly = r.poly
-        if any(m not in basis4 for m in poly):
-            continue
-        rel_rows.append([(j, poly[m].get((), Fraction(0))) for j, m in enumerate(basis4) if m in poly])
-    echelon, pivots = exactla.rref(Matrix(QQ, len(rel_rows), len(basis4), rel_rows))
+    for r in ledger.lookup(genus=4):
+        if r.poly.keys() <= set(basis):
+            if any(m for c in r.poly.values() for m in c):
+                raise DomainError(f"ledger relation {r.source_label!r} has a formal parameter; "
+                                  "the kernel deduction reads rational relations only")
+            rel_rows.append([(j, r.poly[m][()]) for j, m in enumerate(basis) if m in r.poly])
+    echelon, pivots = exactla.rref(Matrix(QQ, len(rel_rows), len(basis), rel_rows))
+
+    def reduced(vec):
+        for row, col in zip(echelon, pivots):
+            c = vec[col]
+            for j, x in row:
+                vec[j] = vec[j] - c * x
+        return vec
+
     nonvan = {m for g, m in ledger.nonvanishing if g == 4}
-    contradiction = None
-    if len(pivots) == len(basis4) and nonvan:
-        contradiction = (
-            "ledger relations span all degree-4 classes, forcing "
-            + " and ".join(sorted(mono_name(m) for m in nonvan))
-            + " to vanish"
-        )
+    forced = [mono_name(m) for k, m in enumerate(basis)
+              if m in nonvan and not any(reduced([int(j == k) for j in range(len(basis))]))]
+    contradiction = f"ledger relations force {' and '.join(forced)} to vanish" if forced else None
 
-    constraints: list[str] = []
-    param_rows: list[dict[str, Fraction]] = []
-
-    def add_constraint(pp: ParamPoly, why: str):
-        row: dict[str, Fraction] = {}
-        for m, c in pp.items():
-            if len(m) != 1 or m[0][1] != 1:
-                raise DomainError("kernel deduction expects linear parameter terms")
-            row[m[0][0]] = row.get(m[0][0], Fraction(0)) + c
-        if any(row.values()):
-            param_rows.append(row)
-            constraints.append(why)
-
-    # degree-2 line: push1 = c * kappa_1, and kappa_1 != 0 is in the ledger
-    k1_coeff = push1.get((0, 0, (1,)), ParamPoly())
-    if (4, (0, 0, (1,))) in ledger.nonvanishing:
-        add_constraint(k1_coeff, f"coefficient of k1 in pi_!(e*(Ae+Bk1)): {k1_coeff.render()} = 0")
-    # degree-4: reduce push2 modulo relations, then each surviving nonvanishing
-    # monomial contributes a constraint
-    vec = [push2.get(m, ParamPoly()) for m in basis4]
-    for prow, col in zip(echelon, pivots):
-        coeff = vec[col]
-        if coeff:
-            for j, x in prow:
-                vec[j] = vec[j] - coeff * x
-    for m, v in zip(basis4, vec):
-        if v and (4, m) in ledger.nonvanishing:
-            add_constraint(v, f"coefficient of {mono_name(m)} after reduction: {v.render()} = 0")
-
-    # rank of the constraint system in parameters A, B
-    names = sorted({n for row in param_rows for n in row})
-    rows = [[(j, row[n]) for j, n in enumerate(names) if n in row] for row in param_rows]
-    dim = 2 - exactla.rank(Matrix(QQ, len(rows), len(names), rows))
-    return KernelReport(
-        solution_dim=dim,
-        constraints=constraints,
-        contradiction=contradiction,
-        insufficient=(dim > 0 and contradiction is None),
-    )
+    # a class known to be nonzero makes its coefficient a constraint:
+    # kappa_1's in push1, and each one's in push2 after reduction
+    found = []
+    if k1 in nonvan:
+        found.append((push1.get(k1, ParamPoly()), "coefficient of k1 in pi_!(e*(Ae+Bk1))"))
+    vec = reduced([push2.get(m, ParamPoly()) for m in basis])
+    found += [(v, f"coefficient of {mono_name(m)} after reduction")
+              for m, v in zip(basis, vec) if m in nonvan]
+    found = [(c, f"{why}: {c.render()} = 0") for c, why in found if c]
+    # the pushforwards are linear in A and B and the reduction only scales
+    # by rationals, so each constraint's row is its coefficients of A and B
+    rows = [[(j, c.get(((n, 1),), 0)) for j, n in enumerate("AB")] for c, _ in found]
+    dim = 2 - exactla.rank(Matrix(QQ, len(rows), 2, rows))
+    return KernelReport(solution_dim=dim, constraints=[why for _, why in found],
+                        contradiction=contradiction, insufficient=dim > 0 and contradiction is None)
 
 
 # ---------------------------------------------------------------------------

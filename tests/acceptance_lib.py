@@ -9,9 +9,9 @@ import json
 import time
 from fractions import Fraction
 
-from bigraded import cdga, charts, freealg, grading, posets, presentations, sympf2, taut
+from bigraded import freealg, grading, posets, presentations, sympf2, taut
 from bigraded.cdga import build_paper_complex, homology_table, verify_vanishing
-from bigraded.exactla import GF, QQ
+from bigraded.exactla import GF
 
 
 def crit_1_pairing():

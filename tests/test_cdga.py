@@ -25,7 +25,6 @@ from bigraded.cdga import (
 )
 from bigraded.errors import InputError, WorkbenchError
 from bigraded.exactla import GF, QQ
-from bigraded.grading import VanishingLine
 from oracles import poly_add, poly_mul, poly_scale, rank_oracle
 from paper_oracle import enumerated_paper_complex
 from series_oracle import betti_generating_function

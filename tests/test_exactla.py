@@ -31,7 +31,7 @@ from oracles import rank_oracle
 def _mat(fld, rows, ncols=None):
     """The Matrix of a dense row list."""
     ncols = len(rows[0]) if ncols is None else ncols
-    return Matrix(fld, len(rows), ncols, sparse_rows(rows, ncols, fld.of))
+    return Matrix(fld, len(rows), ncols, [list(enumerate(r)) for r in rows])
 
 
 def _dense(fld, rows, ncols):

@@ -1,5 +1,5 @@
-"""Every module-level import of the package is used: a dead import is a
-dependency that no code needs."""
+"""Every module-level import of the package and of its tests is used: a
+dead import is a dependency that no code needs."""
 
 import ast
 from pathlib import Path
@@ -25,11 +25,19 @@ def _unused_imports(source: str) -> list[str]:
     return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in used)
 
 
-def test_package_has_no_dead_imports():
-    files = sorted((ROOT / "src" / "bigraded").glob("*.py"))
+def _dead_imports(folder: str) -> dict[str, list[str]]:
+    """The dead imports of each module in ``folder``, by file name."""
+    files = sorted((ROOT / folder).glob("*.py"))
     assert files
-    for path in files:
-        assert _unused_imports(path.read_text()) == [], path.name
+    return {p.name: dead for p in files if (dead := _unused_imports(p.read_text()))}
+
+
+def test_package_has_no_dead_imports():
+    assert _dead_imports("src/bigraded") == {}
+
+
+def test_tests_have_no_dead_imports():
+    assert _dead_imports("tests") == {}
 
 
 def test_dead_import_check_sees_what_it_should():

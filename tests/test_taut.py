@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from bigraded.errors import DomainError, InputError, WorkbenchError
+from bigraded.exactla import QQ, Matrix
 from bigraded.taut import (
     MAX_COPRODUCT_SLOTS,
     MAX_KAPPA_INDEX,
@@ -14,6 +15,7 @@ from bigraded.taut import (
     HomologyFunctional,
     Ledger,
     ParamPoly,
+    Relation,
     TautPoly,
     deduce_h43_kernel,
     euler,
@@ -36,6 +38,7 @@ from bigraded.taut import (
     _mono_degree,
     _slot_picks,
 )
+from oracles import rank_oracle
 
 
 def test_gysin_examples():
@@ -112,6 +115,84 @@ def test_h43_kernel_detects_inconsistent_ledger():
     rep = deduce_h43_kernel(led)
     assert rep.contradiction is not None
     assert "k2" in rep.contradiction
+
+
+def test_h43_kernel_names_each_class_the_relations_force_to_vanish():
+    """A relation that kills kappa_2 alone contradicts kappa_2 != 0, though
+    it does not span degree 4; the message names only the forced classes."""
+    led = Ledger(relations=[])
+    led.add_from_text("k2", 4, "k2 only")
+    rep = deduce_h43_kernel(led)
+    assert rep.contradiction == "ledger relations force k2 to vanish"
+    assert not rep.insufficient
+    led = Ledger()
+    led.add_from_text("k1^2+6*k2", 4, "inconsistent extra relation")
+    assert deduce_h43_kernel(led).contradiction == "ledger relations force k2 to vanish"
+    # kappa_1 is forced by a degree-2 relation, here a genus-free one
+    led = Ledger()
+    led.add_from_text("2*k1", None, "k1 vanishes")
+    assert deduce_h43_kernel(led).contradiction == "ledger relations force k1 to vanish"
+
+
+def test_h43_kernel_rejects_a_relation_with_a_parameter():
+    """Its constant part alone would read t*k1^2+k2 as k2 = 0."""
+    led = Ledger()
+    led.add_from_text("t*k1^2+k2", 4, "p")
+    with pytest.raises(DomainError, match="^ledger relation 'p' has a formal parameter"):
+        deduce_h43_kernel(led)
+    # relations the deduction does not read may hold parameters
+    led = Ledger()
+    led.add_from_text("t*k1^3", 4, "degree 6")
+    led.add_from_text("t*k2", 5, "genus 5")
+    led.add_from_text("t*k1+l1", 4, "with l1")
+    assert deduce_h43_kernel(led).zero_only
+
+
+def test_h43_kernel_contradictions_match_rank_oracle():
+    """On seeded random ledgers: a domain error exactly when a relation the
+    deduction reads has a parameter, and otherwise the contradiction names
+    exactly the known-nonzero classes m with rank(R) = rank(R + e_m), R the
+    genus-4 and genus-free relations on kappa_1 or on kappa_1^2, kappa_2."""
+    basis = [(0, 0, (1,)), (0, 0, (2,)), (0, 0, (0, 1))]  # kappa_1, kappa_1^2, kappa_2
+    rng = random.Random(35)
+    seen = {"error": 0, "forced": 0, "clean": 0}
+    for _ in range(400):
+        facts = [(rng.choice([4, 4, 5]), m) for m in basis if rng.random() < 0.6]
+        led = Ledger(relations=[], nonvanishing=facts)
+        rows, parametric = [], False
+        for k in range(rng.randint(0, 3)):
+            genus = rng.choice([4, 4, None, 5])
+            if rng.random() < 0.8:  # on kappa_1^2 and kappa_2
+                coeffs = [0, rng.randint(-3, 3), rng.randint(-3, 3)]
+            else:  # on kappa_1
+                coeffs = [rng.randint(-2, 2), 0, 0]
+            cs = [ParamPoly.const(c) for c in coeffs]
+            if rng.random() < 0.1:
+                j = rng.choice([j for j, c in enumerate(coeffs) if c] or [1])
+                cs[j] = cs[j] + ParamPoly.param("t")
+                parametric = parametric or genus != 5
+            elif genus != 5:
+                rows.append(coeffs)
+            poly = TautPoly()
+            for m, c in zip(basis, cs):
+                poly.add_term(m, c)
+            led.relations.append(Relation(poly, genus, f"r{k}"))
+        if parametric:
+            with pytest.raises(DomainError, match="has a formal parameter"):
+                deduce_h43_kernel(led)
+            seen["error"] += 1
+            continue
+
+        def rank_of(dense):
+            return rank_oracle(Matrix(QQ, len(dense), 3, [list(enumerate(r)) for r in dense]))
+
+        forced = [mono_name(m) for k, m in enumerate(basis) if (4, m) in led.nonvanishing
+                  and rank_of(rows) == rank_of(rows + [[int(j == k) for j in range(3)]])]
+        rep = deduce_h43_kernel(led)
+        named = f"ledger relations force {' and '.join(forced)} to vanish"
+        assert rep.contradiction == (named if forced else None)
+        seen["forced" if forced else "clean"] += 1
+    assert min(seen.values()) >= 40, seen
 
 
 def test_coproduct_binomial():
@@ -504,6 +585,16 @@ def test_ledger_rejects_a_negative_genus():
     with pytest.raises(DomainError, match="^negative genus$"):
         led.add_relations_file("k1^2\n", -3)
     assert len(led.relations) == 4 and led.lookup(genus=0)
+
+
+def test_relation_rejects_a_negative_genus():
+    """However a relation is made, it is not filed at a genus below 0."""
+    with pytest.raises(DomainError, match="^negative genus$"):
+        Relation(kappa(1), -7, "r")
+    led = Ledger()
+    with pytest.raises(DomainError, match="^negative genus$"):
+        led.add_from_text("k1^2", -3, "r")
+    assert len(led.lookup()) == 4
 
 
 def test_ledger_rejects_inhomogeneous():
