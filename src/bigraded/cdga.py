@@ -660,6 +660,11 @@ def _kunneth_split(cx, letter_box: tuple[int, int]) -> KunnethSplit:
     return KunnethSplit(base.field, factors, dict(closed), subs)
 
 
+def _as_split(cx, box: tuple[int, int]) -> KunnethSplit:
+    """cx if it is a `KunnethSplit`, else its split for the table of ``box``."""
+    return cx if isinstance(cx, KunnethSplit) else _kunneth_split(cx, (box[0], box[1] + 1))
+
+
 def homology_table(cx, box: tuple[int, int]) -> HomologyTable:
     """Bigraded homology dimensions in the box of cx, a complex or its
     `KunnethSplit`, factor by factor.
@@ -676,7 +681,7 @@ def homology_table(cx, box: tuple[int, int]) -> HomologyTable:
     unit alone when C is empty.  Tables are unital: the unit counts at
     (0, 0).  The box is checked first (`grading.check_box`)."""
     g_max, d_max = check_box(box)
-    split = cx if isinstance(cx, KunnethSplit) else _kunneth_split(cx, (g_max, d_max + 1))
+    split = _as_split(cx, box)
     series = freealg.free_series(split.closed, box, split.field.char == 2)
     for factor in split.factors:
         table = matrix_homology_table(factor, box).dims
@@ -693,24 +698,30 @@ def homology_table(cx, box: tuple[int, int]) -> HomologyTable:
 
 @dataclass
 class VanishingReport:
-    certified: bool
+    """A vanishing check and its parts: the complex's ``split``, the
+    ``table`` of its homology in the box, and the (g, d, dim) of the
+    table's first cell strictly below the ``line``, or None."""
+
     line: VanishingLine
-    box: tuple[int, int]
+    split: KunnethSplit
     table: HomologyTable
-    violation: tuple[int, int, int] | None  # (g, d, dim) of the first bad cell
+    violation: tuple[int, int, int] | None
+
+    @property
+    def certified(self) -> bool:
+        return self.violation is None
 
 
 def verify_vanishing(cx, line, box: tuple[int, int]) -> VanishingReport:
     """Certify that the homology of cx, a complex or its `KunnethSplit`,
     vanishes at every in-box bidegree strictly below the line; otherwise
-    report the first violating bidegree."""
+    report the first violating bidegree.  The box is checked first."""
     if isinstance(line, Fraction):
         line = VanishingLine(lam=line)
-    table = homology_table(cx, box)
-    for (g, d) in sorted(table.dims):
-        if line.strictly_below((g, d)) and table.dims[(g, d)]:
-            return VanishingReport(False, line, box, table, (g, d, table.dims[(g, d)]))
-    return VanishingReport(True, line, box, table, None)
+    split = _as_split(cx, check_box(box))
+    table = homology_table(split, box)
+    violation = next(((g, d, h) for (g, d), h in table.sorted_items() if line.strictly_below((g, d))), None)
+    return VanishingReport(line, split, table, violation)
 
 
 # ---------------------------------------------------------------------------
@@ -723,8 +734,8 @@ class _Preset:
     its named letters (the generators, then the brackets or towers its
     differential needs), the differential on named letters as
     ``(coefficient, {letter: exponent})`` terms, the letters divided out,
-    and whether it is the module (1, rho4), d(rho4) = rho3, over the
-    quotient."""
+    whether it is the module (1, rho4), d(rho4) = rho3, over the quotient,
+    and the line its vanishing check takes by default."""
 
     field: object
     gens: list
@@ -732,6 +743,18 @@ class _Preset:
     diff: dict
     quotient: tuple
     module: bool
+    line: VanishingLine
+
+
+# the paper's slope 3/4: the line of every preset but vanishB (4/5) and of any
+# other complex; A-algebra-fl has no paper line, and sigma at (1,0) is below it
+DEFAULT_LINE = VanishingLine(Fraction(3, 4))
+
+
+def default_line(preset: str | None = None, ell: int | None = None) -> VanishingLine:
+    """The line a vanishing check of the named complex (see `_preset`)
+    takes when none is given, or DEFAULT_LINE for any other complex."""
+    return DEFAULT_LINE if preset is None else _preset(preset, ell).line
 
 
 def _preset(preset: str, ell: int | None = None) -> _Preset:
@@ -764,7 +787,8 @@ def _preset(preset: str, ell: int | None = None) -> _Preset:
             kills["rho'"] = gen("[sigma,lambda]", 4, 3, 2)
         diff = {x: [(1, {y.name: 1})] for x, y in kills.items()}
         named = gens + list(kills.values())
-        return _Preset(QQ, gens, named, diff, ("sigma", "lambda"), False)
+        line = VanishingLine(Fraction(4, 5)) if name == "vanishB" else DEFAULT_LINE
+        return _Preset(QQ, gens, named, diff, ("sigma", "lambda"), False, line)
 
     if name in ("intstab-f2", "intstab-fl", "A-algebra-fl"):
         if name == "intstab-f2":
@@ -789,7 +813,7 @@ def _preset(preset: str, ell: int | None = None) -> _Preset:
         }
         module = name != "A-algebra-fl"
         quotient = ("sigma",) if module else ()
-        return _Preset(fld, gens, gens + [q1], diff, quotient, module)
+        return _Preset(fld, gens, gens + [q1], diff, quotient, module, DEFAULT_LINE)
 
     raise InputError(f"unknown preset: {name}")
 

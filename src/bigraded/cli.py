@@ -8,8 +8,9 @@ own; each grammar lives with its module.  `cdga` reads presets (``NAME`` or
 `taut` expressions, ``--restrict`` slot patterns, functionals files and
 ledger relations files; `posets`, `presentations`, `exactla` and `sympf2`
 read their own files and matrices, and `charts` holds the figures of
-``report``.  The CLI reads only its own flags: rationals, ``--config`` files
-and ``G,D`` boxes.  The size caps are the library's: the box rule
+``report``; `grading` reads rationals and ``LAM:C`` lines, and `cdga` holds
+each preset's default line.  The CLI reads only its own flags: ``--config``
+files and ``G,D`` boxes.  The size caps are the library's: the box rule
 `grading.check_box`, met before any work, `freealg.MAX_LIE_WORDS` and the
 campaign bounds of `posets.check_campaign`.
 
@@ -40,7 +41,6 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import __version__
 from . import charts, cdga, exactla, freealg, grading, posets, presentations, sympf2, taut
@@ -140,13 +140,6 @@ def _emit(args, outcome: Outcome, t0: float):
         sys.stdout.write(out)
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational {text!r}") from exc
-
-
 def _parse_box(text: str) -> tuple[int, int]:
     try:
         g, d = text.split(",")
@@ -212,7 +205,7 @@ def cmd_ranges(args) -> Outcome:
 
 
 def cmd_slope_box(args) -> Outcome:
-    high = _parse_fraction(args.high)
+    high = grading.parse_rational(args.high)
     result = {}
     gmax = args.gmax
     if gmax is None:
@@ -270,13 +263,11 @@ def cmd_homology(args) -> Outcome:
 def cmd_vanish_check(args) -> Outcome:
     cx, box = _complex_and_box(args)
     if args.line is not None:
-        lam, colon, c = args.line.partition(":")
-        if not colon:
-            raise InputError(f"bad line {args.line!r}; expected LAM:C")
-        line = grading.VanishingLine(_parse_fraction(lam), _parse_fraction(c))
+        line = grading.parse_line(args.line)
+    elif args.slope is not None:
+        line = grading.VanishingLine(grading.parse_rational(args.slope))
     else:
-        slope = args.slope if args.slope is not None else {"vanishB": "4/5"}.get(args.preset, "3/4")
-        line = grading.VanishingLine(_parse_fraction(slope))
+        line = cdga.default_line(args.preset, args.ell)
     res = cdga.verify_vanishing(cx, line, box)
     head = [
         f"{'CERTIFIED' if res.certified else 'COUNTEREXAMPLE'}: homology below "
@@ -475,8 +466,6 @@ def cmd_sp4_phi(args) -> Outcome:
 
 
 def cmd_sp4_verify(args) -> Outcome:
-    if args.pairs < 0:
-        raise InputError(f"--pairs must be >= 0, got {args.pairs}")
     res = sympf2.verify_isomorphism(random_pairs=args.pairs)
     result = {**_jsonable(res), "is_isomorphism": res.is_isomorphism}
     lines = [

@@ -45,6 +45,7 @@ its docstring proves which rows a backend may clear.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -680,7 +681,14 @@ def chain_homology(sizes: list[int], reduce, augmented: bool = False):
 
 def parse_int_matrix(text: str):
     """Whitespace-separated integer matrix, one row per line, as sparse
-    rows and a column count."""
+    rows and a column count.
+
+    Each invariant factor divides the product of all of them, the gcd of
+    the r x r minors (r the rank), so it is at most the absolute value of
+    any nonzero such minor, and so at most Hadamard's bound: the product of
+    the nonzero rows' Euclidean norms.  A matrix whose bound has more digits
+    than Python prints is an input error, raised before any Smith form is
+    taken."""
     rows = []
     for _, line in content_lines(text):
         try:
@@ -689,4 +697,11 @@ def parse_int_matrix(text: str):
             raise InputError(f"bad matrix line: {line!r}") from exc
     if not rows:
         raise InputError("empty matrix")
-    return sparse_rows(rows, len(rows[0])), len(rows[0])
+    sparse = sparse_rows(rows, len(rows[0]))
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    cap, square = 100**limit, 1  # square: the bound's square
+    for row in sparse:
+        square *= sum(x * x for _, x in row) or 1
+        if limit and square >= cap:
+            raise InputError(f"the invariant factors may have more than {limit} digits (Hadamard's bound)")
+    return sparse, len(rows[0])

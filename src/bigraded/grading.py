@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError, InputError
+from .parsing import _too_long
 
 
 @dataclass(frozen=True, order=True)
@@ -92,13 +93,37 @@ class VanishingLine:
 
     def render(self) -> str:
         if self.c == 0:
-            return f"d < {_frac(self.lam)}*g"
+            return f"d < {self.lam}*g"
         sign = "-" if self.c > 0 else "+"
-        return f"d < {_frac(self.lam)}*(g {sign} {_frac(abs(self.c))})"
+        return f"d < {self.lam}*(g {sign} {abs(self.c)})"
 
 
-def _frac(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+_RATIONAL_RE = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
+
+
+def parse_rational(text: str) -> Fraction:
+    """The rational ``text`` spells: an integer or ``p/q``, with an optional
+    sign and no decimal or exponent form, so reading it computes no power.
+    Anything else, a zero denominator, and more digits than Python
+    converts are input errors."""
+    m = _RATIONAL_RE.fullmatch(text)
+    if not m:
+        raise InputError(f"bad rational {text!r}")
+    try:
+        num, den = (int(x) for x in m.groups("1"))
+    except ValueError:  # the longest part has the digits int() refuses
+        raise _too_long(max(m.groups(""), key=len)) from None
+    if not den:
+        raise InputError(f"bad rational {text!r}")
+    return Fraction(num, den)
+
+
+def parse_line(text: str) -> VanishingLine:
+    """The line ``LAM:C``, d < LAM*(g - C), each part a `parse_rational`."""
+    lam, colon, c = text.partition(":")
+    if not colon:
+        raise InputError(f"bad line {text!r}; expected LAM:C")
+    return VanishingLine(parse_rational(lam), parse_rational(c))
 
 
 KINDS = ("epimorphism", "isomorphism", "vanishing")

@@ -289,8 +289,12 @@ class IsomorphismReport:
 
 def verify_isomorphism(random_pairs: int = 10000, seed: int = 2) -> IsomorphismReport:
     """Enumerate Sp_4(F_2), check order 720, injectivity of the permutation
-    map, surjectivity onto Sym(6), and the homomorphism law on random pairs."""
+    map, surjectivity onto Sym(6), and the homomorphism law on random pairs,
+    whose count must be at least 0."""
     import random as _random
+
+    if random_pairs < 0:
+        raise InputError(f"--pairs must be >= 0, got {random_pairs}")
 
     group = all_symplectic_matrices()
     perms = {}

@@ -381,8 +381,11 @@ def deduce_h43_kernel(ledger: Ledger | None = None) -> KernelReport:
 
     The ledger's genus-4 and genus-free relations on kappa_1 alone, or on
     kappa_1^2 and kappa_2 alone, are read into one reduced echelon form; one
-    with a formal parameter is a domain error.  The contradiction names
-    every class known to be nonzero at genus 4 that reduces to zero.
+    with a formal parameter is a domain error.  A relation r = 0 that holds
+    e and not l1 lives on the universal curve, so pi_!(e^k * r) = 0 for
+    every k >= 0 (kappa_0 = 2 - 2g = -6, Mumford 1983), and those of degree
+    2 and 4 are read with the rest.  The contradiction names every class
+    known to be nonzero at genus 4 that reduces to zero.
 
     With the built-in ledger (3 kappa_1^2 + 32 kappa_2 = 0, kappa_1 != 0,
     kappa_2 != 0) the solution space is {A = B = 0}.  Dropping kappa_2 != 0
@@ -399,11 +402,16 @@ def deduce_h43_kernel(ledger: Ledger | None = None) -> KernelReport:
     basis = [k1, (0, 0, (2,)), (0, 0, (0, 1))]  # degree 2: kappa_1; degree 4: kappa_1^2, kappa_2
     rel_rows = []
     for r in ledger.lookup(genus=4):
-        if r.poly.keys() <= set(basis):
-            if any(m for c in r.poly.values() for m in c):
-                raise DomainError(f"ledger relation {r.source_label!r} has a formal parameter; "
-                                  "the kernel deduction reads rational relations only")
-            rel_rows.append([(j, r.poly[m][()]) for j, m in enumerate(basis) if m in r.poly])
+        polys = [r.poly]
+        if any(m[0] for m in r.poly) and not any(m[1] for m in r.poly):
+            # pi_!(e^k * r) has degree deg(r) + 2k - 2
+            polys = [gysin_pushforward(euler(k) * r.poly, 4) for k in range(3) if 4 <= r.degree + 2 * k <= 6]
+        for poly in polys:
+            if poly.keys() <= set(basis):
+                if any(m for c in poly.values() for m in c):
+                    raise DomainError(f"ledger relation {r.source_label!r} has a formal parameter; "
+                                      "the kernel deduction reads rational relations only")
+                rel_rows.append([(j, poly[m][()]) for j, m in enumerate(basis) if m in poly])
     echelon, pivots = exactla.rref(Matrix(QQ, len(rel_rows), len(basis), rel_rows))
 
     def reduced(vec):

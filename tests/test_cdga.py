@@ -25,9 +25,10 @@ from bigraded.cdga import (
 )
 from bigraded.errors import InputError, WorkbenchError
 from bigraded.exactla import GF, QQ
+from bigraded.grading import VanishingLine
 from oracles import poly_add, poly_mul, poly_scale, rank_oracle
 from paper_oracle import enumerated_paper_complex
-from series_oracle import betti_generating_function
+from series_oracle import betti_generating_function, counted_free_series, series_mul
 
 
 def _cdga(fld, letters, diff=None):
@@ -822,6 +823,76 @@ def test_vanishB_would_fail_at_three_quarters_plus_epsilon():
     assert not rep.certified
 
 
+def _check_report(report) -> bool:
+    """Whether the report is certified, once it is checked against its
+    parts: its split's factors' tables, by the matrix path, times the free
+    series of its closed letters' counts give its table, whose first cell
+    below its line is its violation, and it is certified when there is none."""
+    box, split = report.table.box, report.split
+    series = counted_free_series(split.closed, box, split.field.char == 2)
+    for factor in split.factors:
+        series = series_mul(series, matrix_homology_table(factor, box).dims, box)
+    assert {gd: n for gd, n in series.items() if n} == report.table.dims
+    below = [(g, d, n) for (g, d), n in report.table.sorted_items() if report.line.strictly_below((g, d))]
+    assert report.violation == (below[0] if below else None)
+    assert report.certified == (not below)
+    return report.certified
+
+
+_PRESETS = ["vanishA", "vanishB", "intstab-f2", "intstab-fl(3)", "intstab-fl(5)",
+            "A-algebra-fl(2)", "A-algebra-fl(3)", "A-algebra-fl(5)"]
+
+
+@pytest.mark.parametrize("preset", [*_PRESETS, "A-algebra-fl(7)"])
+def test_a_preset_report_holds_the_parts_of_its_table(preset):
+    """The report keeps the split it was given, whose parts give its table;
+    every preset but A-algebra-fl is certified at its default line."""
+    box = (16, 16)
+    split = build_paper_complex(preset, box)
+    rep = verify_vanishing(split, cdga.default_line(preset), box)
+    assert rep.split is split and rep.split.factors
+    assert _check_report(rep) == (not preset.startswith("A-algebra-fl"))
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(2), GF(3)])
+def test_a_report_splits_a_complex_once_into_the_parts_of_its_table(fld, monkeypatch):
+    """Given a complex, the report holds its split, made once, whose parts
+    give the table of the matrix path."""
+    calls = []
+    split_once = cdga._kunneth_split
+
+    def counting(*args):
+        calls.append(args)
+        return split_once(*args)
+
+    monkeypatch.setattr(cdga, "_kunneth_split", counting)
+    rng = random.Random(fld.char + 409)
+    for _ in range(8):
+        cx = _random_split_cdga(rng, fld)
+        line = VanishingLine(Fraction(rng.randint(1, 4), rng.randint(1, 4)), Fraction(rng.randint(0, 6)))
+        calls.clear()
+        rep = verify_vanishing(cx, line, (6, 6))
+        assert len(calls) == 1 and len(rep.split.factors) >= 2 and rep.line is line
+        assert rep.table == matrix_homology_table(cx, (6, 6))
+        _check_report(rep)
+
+
+def test_each_preset_carries_its_default_line():
+    """A preset's default line is library data: 4/5 for vanishB, the
+    paper's 3/4 for the others, and for any other complex the same 3/4.
+    A-algebra-fl has no paper line, and sigma at (1,0) violates its default."""
+    lines = {"vanishA": (3, 4), "vanishB": (4, 5), "intstab-f2": (3, 4), "intstab-fl(3)": (3, 4),
+             "intstab-fl(5)": (3, 4), "A-algebra-fl(3)": (3, 4), "A-algebra-fl(7)": (3, 4)}
+    for preset, (p, q) in lines.items():
+        assert cdga._preset(preset).line == cdga.default_line(preset) == VanishingLine(Fraction(p, q)), preset
+    assert cdga.default_line("intstab-fl", 5) == cdga.default_line() == cdga.DEFAULT_LINE
+    assert cdga.DEFAULT_LINE == VanishingLine(Fraction(3, 4))
+    split = build_paper_complex("A-algebra-fl(5)", (4, 4))
+    assert verify_vanishing(split, cdga.default_line("A-algebra-fl(5)"), (4, 4)).violation == (1, 0, 1)
+    with pytest.raises(InputError, match="^unknown preset: nonsense$"):
+        cdga.default_line("nonsense")
+
+
 @pytest.mark.parametrize(
     "preset,killed",
     [
@@ -1032,10 +1103,6 @@ def test_unknown_preset_rejected():
         build_paper_complex("nonsense", (6, 6))
     with pytest.raises(InputError):
         build_paper_complex("intstab-fl", (6, 6))  # needs ell
-
-
-_PRESETS = ["vanishA", "vanishB", "intstab-f2", "intstab-fl(3)", "intstab-fl(5)",
-            "A-algebra-fl(2)", "A-algebra-fl(3)", "A-algebra-fl(5)"]
 
 
 @pytest.mark.parametrize("preset", _PRESETS)

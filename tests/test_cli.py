@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from bigraded import cli, freealg, posets
+from bigraded import cdga, cli, freealg, posets
 from bigraded.cli import main
 from bigraded.errors import InputError
+from bigraded.grading import VanishingLine
 
 PKG_SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -125,6 +127,24 @@ def test_vanish_check_exit_codes(capsys):
     assert main(["vanish-check", "--preset", "vanishA", "--box", "6,6", "--slope", "99/100"]) == 1
     out = capsys.readouterr().out
     assert "COUNTEREXAMPLE" in out
+
+
+def test_vanish_check_takes_its_default_line_from_the_library(tmp_path, monkeypatch, capsys):
+    """Without --slope or --line, the line is `cdga.default_line`'s, for a
+    preset, with its prime, and for a --cdga complex alike."""
+    asked = []
+
+    def default_line(preset=None, ell=None):
+        asked.append((preset, ell))
+        return VanishingLine(Fraction(1, 7), Fraction(2))
+
+    (tmp_path / "a.cdga").write_text("a 1 0\n")
+    monkeypatch.setattr(cdga, "default_line", default_line)
+    complexes = [["--preset", "vanishB"], ["--preset", "intstab-fl", "--ell", "5"], ["--cdga", str(tmp_path / "a.cdga")]]
+    for argv in complexes:
+        main(["vanish-check", "--box", "4,4", *argv])
+        assert "homology below d < 1/7*(g - 2) in box (4, 4)" in capsys.readouterr().out
+    assert asked == [("vanishB", None), ("intstab-fl", 5), (None, None)]
 
 
 def test_json_reports_are_valid_and_deterministic_across_processes():
@@ -451,6 +471,8 @@ def _nerve_argv(cover="F.cov", tx="tx.w", ta="ta.w", A="A.pos"):
         # multinomials C(15000, c), bounded before any is computed
         (["taut", "gysin", "--expr", "9" * 4300 + "*e", "--genus", "0"], "more than 4300 digits"),
         (["taut", "coproduct", "--expr", "k1^15000", "--n", "2"], "more than 4300 digits"),
+        # a Smith form whose invariant factors might not print, bounded before it is taken
+        (["la", "snf", "--in", "huge.mat"], "the invariant factors may have more than 4300 digits"),
         # a range statement needs a >= 1: negating a triple reverses its inequality
         (["ranges", "--a", "-2", "--b", "1", "--e", "0", "--check", "1,1"], "needs a >= 1"),
         (["ranges", "--a", "-1", "--b", "-1", "--e", "-1", "--check", "0,0"], "needs a >= 1"),
@@ -500,6 +522,18 @@ def _nerve_argv(cover="F.cov", tx="tx.w", ta="ta.w", A="A.pos"):
         (["taut", "coproduct", "--expr", "k1", "--expr-file", "blank.txt", "--n", "2"], "--expr and --expr-file"),
         # an empty value is a value, and its parser rejects it, as it does an expression with no term
         (["vanish-check", "--preset", "vanishA", "--box", "4,4", "--slope", ""], "bad rational ''"),
+        # a rational is an integer or p/q: no decimal or exponent form, whose power would be computed
+        (["vanish-check", "--preset", "vanishA", "--box", "4,4", "--slope", "1e5000"], "bad rational '1e5000'"),
+        (["vanish-check", "--preset", "vanishA", "--box", "4,4", "--slope", "1e-5000"], "bad rational '1e-5000'"),
+        (["vanish-check", "--preset", "vanishA", "--box", "4,4", "--slope", "1e10000000"],
+         "bad rational '1e10000000'"),
+        (["vanish-check", "--preset", "vanishA", "--box", "4,4", "--line", "3/4:1e5000"], "bad rational '1e5000'"),
+        (["slope-box", "--high", "1e-5000"], "bad rational '1e-5000'"),
+        (["slope-box", "--high", "0.75"], "bad rational '0.75'"),
+        (["vanish-check", "--preset", "vanishA", "--box", "4,4", "--slope", "9" * 5000 + "/4"],
+         "number too long: 99999999999999999999... has 5000 characters"),
+        (["vanish-check", "--preset", "vanishA", "--box", "4,4", "--line", "1:1/" + "7" * 4400],
+         "number too long: 77777777777777777777... has 4400 characters"),
         (["vanish-check", "--preset", "vanishA", "--box", "4,4", "--line", ""], "bad line ''"),
         (["homology", "--preset", "vanishA", "--box", ""], "bad box ''"),
         (["ranges", "--a", "1", "--b", "1", "--e", "0", "--check", ""], "bad box ''"),
@@ -560,6 +594,7 @@ def test_bad_inputs_are_input_errors(argv, message, tmp_path, monkeypatch, capsy
         "blank.txt": "",
         "slope.cfg": "slope = 1/2\n",
         "rel.txt": "k1^2\n",
+        "huge.mat": "1" * 4000 + " 2\n3 " + "7" * 2000 + "\n",
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)

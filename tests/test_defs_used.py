@@ -101,6 +101,50 @@ def test_cli_defines_no_size_cap():
     assert [name for name, _ in _names_defined(tree.body) if name.startswith("MAX_")] == []
 
 
+# the presets' names, as `cdga.build_paper_complex` reads them
+_PRESET_NAMES = ("vanishA", "vanishB", "intstab-f2", "intstab-fl", "A-algebra-fl")
+
+
+def _preset_logic(source: str) -> list[tuple[str, str]]:
+    """``(handler, literal)`` for each preset name (``NAME`` or
+    ``NAME(ELL)``) and each slope (a string ``p/q``, or a number given to
+    ``Fraction`` or ``VanishingLine``) written inside a ``cmd_*`` function
+    of ``source``."""
+    found = []
+    for fn in ast.parse(source).body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if node.value.partition("(")[0] in _PRESET_NAMES or re.fullmatch(r"[+-]?\d+/\d+", node.value):
+                    found.append((fn.name, node.value))
+            elif isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in ("Fraction", "VanishingLine"):
+                found += [(fn.name, ast.unparse(a)) for a in node.args if isinstance(a, ast.Constant)]
+    return found
+
+
+def test_cli_handlers_hold_no_preset_logic():
+    """Which line a preset is checked against, like anything else that
+    depends on the preset named, is the library's: no handler of the command
+    line names a preset or writes a slope.  The check finds the preset
+    logic the command line once had."""
+    from bigraded import cdga
+
+    for name in _PRESET_NAMES:  # each is a preset
+        cdga.default_line(name + ("(3)" if name.endswith("-fl") else ""))
+    assert _preset_logic((ROOT / "src" / "bigraded" / "cli.py").read_text()) == []
+    planted = (
+        "def cmd_vanish_check(args):\n"
+        "    slope = args.slope if args.slope is not None else {'vanishB': '4/5'}.get(args.preset, '3/4')\n"
+        "    if args.preset == 'intstab-fl(3)':\n"
+        "        return grading.VanishingLine(Fraction(3, 4))\n"
+        "def _helper(args):\n"
+        "    return '3/4'\n"
+    )
+    assert sorted(literal for _, literal in _preset_logic(planted)) == [
+        "3", "3/4", "4", "4/5", "intstab-fl(3)", "vanishB"]
+
+
 def test_dead_definition_check_sees_what_it_should():
     source = (
         "import os\n"

@@ -404,6 +404,20 @@ def test_deterministic_pivoting():
     assert r1 == r2 and p1 == p2
 
 
+def test_parse_int_matrix_bounds_the_invariant_factors_it_lets_through():
+    """Hadamard's bound, the product of the nonzero rows' norms, bounds every
+    invariant factor: a matrix under it has factors Python prints, and one
+    over it is refused before its Smith form is taken."""
+    a, b = int("1" * 2000), int("7" * 2000)
+    rows, ncols = parse_int_matrix(f"{a} 2\n0 0\n3 {b}\n")
+    factors = smith_normal_form(rows, ncols).factors
+    assert factors == [1, a * b - 6] and len(str(factors[-1])) == 3999
+    with pytest.raises(InputError, match="^the invariant factors may have more than 4300 digits"):
+        parse_int_matrix(f"{'1' * 4000} 2\n3 {b}\n")
+    with pytest.raises(InputError, match="more than 4300 digits"):
+        parse_int_matrix(f"{10**2150} 0\n0 {10**2150}\n")  # the factor 10**4300 has 4301 digits
+
+
 def test_parse_int_matrix():
     assert parse_int_matrix("1 2\n3 4\n") == ([[(0, 1), (1, 2)], [(0, 3), (1, 4)]], 2)
     assert parse_int_matrix("0 5 0\n# comment\n0 0 0\n") == ([[(1, 5)], []], 3)

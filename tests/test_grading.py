@@ -1,3 +1,4 @@
+import re
 import time
 from fractions import Fraction
 
@@ -12,7 +13,9 @@ from bigraded.grading import (
     VanishingLine,
     auto_g_bound,
     bidegrees_between,
+    parse_line,
     parse_range,
+    parse_rational,
     range_statement,
     slope,
 )
@@ -235,3 +238,41 @@ def test_vanishing_line_renderings():
     assert VanishingLine(Fraction(2, 3), Fraction(1, 2)).render() == "d < 2/3*(g - 1/2)"
     assert VanishingLine(Fraction(3, 4), Fraction(-1)).render() == "d < 3/4*(g + 1)"
     assert VanishingLine(Fraction(1), Fraction(-5, 2)).render() == "d < 1*(g + 5/2)"
+
+
+@pytest.mark.parametrize("text, value", [
+    ("3", Fraction(3)), ("-3/4", Fraction(-3, 4)), (" +6/8 ", Fraction(3, 4)), ("0", Fraction(0)),
+    ("0/5", Fraction(0)), ("007/010", Fraction(7, 10)), ("9" * 4300, Fraction(10**4300 - 1)),
+])
+def test_parse_rational_reads_an_integer_or_p_over_q(text, value):
+    assert parse_rational(text) == value
+
+
+@pytest.mark.parametrize("text", ["", " ", "3/0", "3/", "/4", "3 /4", "3/ 4", "--3", "3/-4", "0.75", ".5",
+                                  "1e5", "1E-5", "1_000", "3/4/5", "inf", "nan", "1/2:0"])
+def test_parse_rational_rejects_every_other_form(text):
+    with pytest.raises(InputError, match=f"^bad rational {re.escape(repr(text))}$"):
+        parse_rational(text)
+
+
+def test_parse_rational_rejects_more_digits_than_python_converts():
+    """The number is refused as text, before any arithmetic on it."""
+    cases = [("1" * 4301, "1" * 4301), ("-" + "2" * 5000 + "/3", "-" + "2" * 5000), ("1/" + "3" * 4400, "3" * 4400)]
+    for text, part in cases:
+        message = f"number too long: {part[:20]}... has {len(part)} characters"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            parse_rational(text)
+
+
+def test_parse_line_reads_lam_colon_c():
+    assert parse_line("3/4:0") == VanishingLine(Fraction(3, 4))
+    assert parse_line(" 2/3 : -1/2 ") == VanishingLine(Fraction(2, 3), Fraction(-1, 2))
+    for text in ("3/4", "", "3/4;1"):
+        with pytest.raises(InputError, match=f"^bad line {re.escape(repr(text))}; expected LAM:C$"):
+            parse_line(text)
+    with pytest.raises(InputError, match="^bad rational '1e5000'$"):
+        parse_line("3/4:1e5000")
+    with pytest.raises(InputError, match="^bad rational '1:2'$"):
+        parse_line("3/4:1:2")
+    with pytest.raises(DomainError, match="^vanishing-line slope must be positive$"):
+        parse_line("-1:0")

@@ -180,6 +180,18 @@ def test_verify_isomorphism_report_at_the_cli_default():
     )
 
 
+def test_verify_isomorphism_refuses_a_negative_pair_count_before_any_work(monkeypatch):
+    """As the command line does: -3 pairs would check none, and report an
+    isomorphism checked on no pair."""
+
+    def work():
+        raise AssertionError("the group was enumerated")
+
+    monkeypatch.setattr(sympf2, "all_symplectic_matrices", work)
+    with pytest.raises(InputError, match="^--pairs must be >= 0, got -3$"):
+        verify_isomorphism(random_pairs=-3)
+
+
 @pytest.mark.parametrize("entry", [2, 3, -1, 10**29 + 1])
 def test_matrix_entries_are_zero_or_one(entry):
     rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]

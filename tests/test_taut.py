@@ -134,6 +134,31 @@ def test_h43_kernel_names_each_class_the_relations_force_to_vanish():
     assert deduce_h43_kernel(led).contradiction == "ledger relations force k1 to vanish"
 
 
+def test_h43_kernel_reads_e_relations_through_the_pushforward():
+    """A relation r = 0 that holds e lives on the universal curve, so
+    pi_!(e^k * r) = 0 on M_4: e^2 = 0 gives kappa_1 = pi_!(e^2) = 0 and
+    kappa_2 = pi_!(e^3) = 0, at genus 4 and genus-free alike.  For
+    e^2 + e*k1/6, pi_!(r) = kappa_1 + kappa_0*kappa_1/6 vanishes only with
+    kappa_0 = 2 - 2g = -6, and pi_!(e*r) = kappa_2 + kappa_1^2/6, which with
+    3 kappa_1^2 + 32 kappa_2 = 0 forces kappa_2 = 0 alone."""
+    for genus in (4, None):
+        led = Ledger()
+        led.add_from_text("e^2", genus, "euler")
+        assert deduce_h43_kernel(led).contradiction == "ledger relations force k1 and k2 to vanish"
+    led = Ledger()
+    led.add_from_text("e^2 + 1/6*e*k1", 4, "euler")
+    assert deduce_h43_kernel(led).contradiction == "ledger relations force k2 to vanish"
+    # nothing is read from another genus, from a relation with l1, or past degree 4
+    for text, genus in (("e^2", 5), ("e^2 + e*l1", 4), ("e^4 + e^2*k2", None)):
+        led = Ledger()
+        led.add_from_text(text, genus, "unread")
+        assert deduce_h43_kernel(led).zero_only, text
+    led = Ledger()
+    led.add_from_text("e^2 + t*e*k1", None, "p")
+    with pytest.raises(DomainError, match="^ledger relation 'p' has a formal parameter"):
+        deduce_h43_kernel(led)
+
+
 def test_h43_kernel_rejects_a_relation_with_a_parameter():
     """Its constant part alone would read t*k1^2+k2 as k2 = 0."""
     led = Ledger()
