@@ -36,10 +36,9 @@ the module differential); the components that carry a differential span
 sub-complexes that the differential maps into themselves, and every other
 letter is closed.  So the complex is the tensor product of those factors and
 the free algebra on the closed letters, a `KunnethSplit`, and over a field
-Kunneth gives its homology as the product of the factors' homologies and
-the closed letters' free series, which needs only their counts per (g, d)
-cell.  A factor's homology is `exactla.chain_homology`, one genus at a
-time, on the ranks of its differential matrices.  The named complexes are
+Kunneth gives its homology as the product of the factors' homologies, each by
+`exactla.chain_homology`, and the free series of the closed letters' counts
+per (g, d) cell, which `freealg.free_series` takes.  The named complexes are
 built as that split directly: only the few letters their differential needs
 are named, and the closed rest of their free Lie alphabet is counted by
 `freealg.letter_counts`, never enumerated.  A named complex is spelled
@@ -675,24 +674,12 @@ def homology_table(cx, box: tuple[int, int]) -> HomologyTable:
     complexes (a module factor M_A in place of the A_i), and over a field
     the Kunneth theorem gives H(cx) = H(A_1) * ... * H(A_k) * Lambda(C) as
     bigraded spaces.  Every letter has g >= 1 and d >= 0, so truncating to
-    the box commutes with the product: the table is the truncated product
-    of the factors' tables (`matrix_homology_table`, same box) with the
-    free series of C's cell counts (`freealg.free_series`), which is the
-    unit alone when C is empty.  Tables are unital: the unit counts at
-    (0, 0).  The box is checked first (`grading.check_box`)."""
-    g_max, d_max = check_box(box)
-    split = _as_split(cx, box)
-    series = freealg.free_series(split.closed, box, split.field.char == 2)
-    for factor in split.factors:
-        table = matrix_homology_table(factor, box).dims
-        product: dict[tuple[int, int], int] = {}
-        for (g1, d1), a in series.items():
-            for (g2, d2), b in table.items():
-                if g1 + g2 <= g_max and d1 + d2 <= d_max:
-                    key = (g1 + g2, d1 + d2)
-                    product[key] = product.get(key, 0) + a * b
-        series = product
-    dims = {gd: h for gd, h in sorted(series.items()) if h}
+    the box commutes with the product, which `freealg.free_series` takes of
+    C's cell counts and the factors' tables (`matrix_homology_table`, same
+    box), all unital.  The box is checked first (`grading.check_box`)."""
+    split = _as_split(cx, check_box(box))
+    tables = [matrix_homology_table(factor, box).dims for factor in split.factors]
+    dims = freealg.free_series(split.closed, box, split.field.char == 2, tables)
     return HomologyTable(field_name=split.field.name, box=box, dims=dims)
 
 

@@ -11,8 +11,9 @@ read their own files and matrices, and `charts` holds the figures of
 ``report``; `grading` reads rationals and ``LAM:C`` lines, and `cdga` holds
 each preset's default line.  The CLI reads only its own flags: ``--config``
 files and ``G,D`` boxes.  The size caps are the library's: the box rule
-`grading.check_box`, met before any work, `freealg.MAX_LIE_WORDS` and the
-campaign bounds of `posets.check_campaign`.
+`grading.check_box`, met before any work, `freealg.MAX_LIE_WORDS`, the
+campaign bounds of `posets.check_campaign`, `sympf2.MAX_PAIRS` and
+`exactla.MAX_CERT_SIZE`; so are the campaign names, `posets.CAMPAIGNS`.
 
 Exit codes: 0 = success / certificate holds, 1 = counterexample or failed
 certificate (and nothing else), 2 = input error, 3 = internal error (a bug).
@@ -406,8 +407,7 @@ def _thread_count(args) -> int:
 
 
 def _fuzz_shard(campaign: str, count: int, max_size: int, seed: int) -> posets.FuzzReport:
-    fn = posets.fuzz_poset_map if campaign == "poset-map" else posets.fuzz_nerve
-    return fn(count, max_size, seed)
+    return posets.CAMPAIGNS[campaign](count, max_size, seed)
 
 
 def run_fuzz_sharded(
@@ -418,7 +418,7 @@ def run_fuzz_sharded(
     so reports are identical for every thread setting.  The campaign's
     bounds are checked before any shard is made: a count of -5 would make
     none, and an empty report."""
-    if campaign not in ("poset-map", "nerve"):
+    if campaign not in posets.CAMPAIGNS:
         raise InputError(f"unknown campaign {campaign!r}")
     posets.check_campaign(count, max_size)
     shards = min(16, count) or 1
@@ -612,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("poset", help="poset campaigns")
     psub = sp.add_subparsers(dest="poset_cmd", required=True)
     pf = _leaf(psub, "fuzz", "cmd_poset_fuzz")
-    pf.add_argument("--campaign", choices=("poset-map", "nerve"), required=True)
+    pf.add_argument("--campaign", choices=tuple(posets.CAMPAIGNS), required=True)
     pf.add_argument("--count", type=int, default=10000)
     pf.add_argument("--max-size", dest="max_size", type=int, default=12)
     pf.add_argument("--seed", type=int, default=0)

@@ -547,6 +547,15 @@ def _smith_rows(rows, ncols: int):
     return {i: dict(row) for i, row in enumerate(checked) if row}
 
 
+# most rows and most columns of a Smith form with certificates: the dense U
+# and V hold nrows^2 and ncols^2 entries, and `snf_certificate_ok` takes
+# their determinants in O(n^3).  With that check, a row of 200 ones takes
+# 0.3 s and one of 300 ones 1 s, and 3 000 ones run for hours; a random
+# sparse 200 x 200 matrix, about 3 entries a row, takes 1 s (one core of a
+# 2-vCPU machine, Python 3.11)
+MAX_CERT_SIZE = 200
+
+
 def smith_normal_form(rows, ncols: int, want_certs: bool = False) -> SmithForm:
     """Smith normal form of an integer matrix with ``ncols`` columns, given
     as sparse rows of ``(col, value)`` pairs with increasing col below
@@ -555,7 +564,9 @@ def smith_normal_form(rows, ncols: int, want_certs: bool = False) -> SmithForm:
 
     Returns the invariant factors d1 | d2 | ... and the free rank, ncols
     minus the number of factors.  With ``want_certs`` the unimodular U, V
-    with U*A*V = diag(factors) are returned as dense integer matrices.
+    with U*A*V = diag(factors) are returned as dense integer matrices, for
+    at most MAX_CERT_SIZE rows and columns (an input error otherwise,
+    raised before any work).
 
     Two phases, one code path, with or without certificates.  Phase 1
     (`_unit_pivots`) eliminates unit pivots in sparse (Markowitz-style)
@@ -568,6 +579,8 @@ def smith_normal_form(rows, ncols: int, want_certs: bool = False) -> SmithForm:
     the least one before it.  The factors are phase 1's 1s followed by
     phase 2's divisibility chain.
     """
+    if want_certs and max(len(rows), ncols) > MAX_CERT_SIZE:
+        raise InputError(f"certificates take at most {MAX_CERT_SIZE} rows and columns, got {len(rows)} x {ncols}")
     w = _SparseWork(_smith_rows(rows, ncols), len(rows), ncols, 0, want_certs)
     units = _unit_pivots(w)
     residual = _smith_residual(w)

@@ -304,20 +304,27 @@ def letter_counts(gens, box: tuple[int, int], char: int) -> dict[tuple[int, int]
     return dict(counts)
 
 
-def free_series(cells, box: tuple[int, int], all_polynomial: bool) -> dict[tuple[int, int], int]:
+def free_series(cells, box: tuple[int, int], all_polynomial: bool, tables=()) -> dict[tuple[int, int], int]:
     """Monomial counts per bidegree of the free graded-commutative algebra
-    on ``cells[(g, d)]`` letters at each (g, d) with g >= 1, truncated to
-    the box, unit included at (0, 0): polynomial on even d, exterior on odd
-    d, unless all_polynomial (characteristic 2).
+    on ``cells[(g, d)]`` letters at each (g, d) with g >= 1 (polynomial on
+    even d, exterior on odd d, unless all_polynomial: characteristic 2),
+    times the ``tables``, truncated to the box, unit included at (0, 0).
 
     The n letters of a cell contribute the factor sum_e c_e q^(e g) t^(e d),
     with c_e = C(n+e-1, e) for polynomial letters (monomials of degree e in
     n variables) and c_e = C(n, e) for exterior ones (e-element subsets), so
     the cost follows the number of cells, not of letters.
+
+    One loop multiplies the series in place by each cell, then each table.
+    Every term but a factor's unit has genus >= 1 (a table must be 1 at
+    (0, 0) and 0 elsewhere at genus 0, as a factor's homology is, or it is a
+    `DomainError`), so visiting the genera downwards reads each coefficient
+    before anything is added to it.
     """
     g_max, d_max = box
     series = [[0] * (d_max + 1) for _ in range(g_max + 1)]
     series[0][0] = 1
+    factors = []
     for (g, d), n in sorted(cells.items()):
         exterior = not all_polynomial and d % 2 == 1
         powers = []
@@ -325,17 +332,22 @@ def free_series(cells, box: tuple[int, int], all_polynomial: bool) -> dict[tuple
         while e * g <= g_max and e * d <= d_max and (not exterior or e <= n):
             powers.append((e * g, e * d, comb(n, e) if exterior else comb(n + e - 1, e)))
             e += 1
-        # multiply in place: every power raises the genus, so visiting the
-        # genera downwards reads each old coefficient before it is added to
-        for g0 in range(g_max - g, -1, -1):
-            row = series[g0]
-            for d0 in range(d_max - d + 1):
-                c = row[d0]
-                if c:
-                    for eg, ed, k in powers:
-                        if g0 + eg > g_max or d0 + ed > d_max:
+        factors.append(powers)
+    for table in tables:
+        if {gd: k for gd, k in table.items() if not gd[0]} != {(0, 0): 1}:
+            raise DomainError("a factor table must hold 1 at (0,0) and nothing else at genus 0")
+        factors.append(sorted((g, d, k) for (g, d), k in table.items() if g))
+    for terms in filter(None, factors):
+        d_least = min([d for _, d, _ in terms])
+        for g0 in range(g_max - terms[0][0], -1, -1):
+            row, g_room = series[g0], g_max - g0
+            for d0 in range(d_max - d_least + 1):
+                if c := row[d0]:
+                    for eg, ed, k in terms:  # by genus: break on it, skip on degree
+                        if eg > g_room:
                             break
-                        series[g0 + eg][d0 + ed] += c * k
+                        if d0 + ed <= d_max:
+                            series[g0 + eg][d0 + ed] += c * k
     return {(g, d): c for g, row in enumerate(series) for d, c in enumerate(row) if c}
 
 

@@ -287,14 +287,21 @@ class IsomorphismReport:
         )
 
 
+# most random pairs of one check: a million take about 14 s, so a mistyped
+# count fails at once instead of running for hours (one core of a 2-vCPU
+# machine, Python 3.11)
+MAX_PAIRS = 1_000_000
+
+
 def verify_isomorphism(random_pairs: int = 10000, seed: int = 2) -> IsomorphismReport:
     """Enumerate Sp_4(F_2), check order 720, injectivity of the permutation
     map, surjectivity onto Sym(6), and the homomorphism law on random pairs,
-    whose count must be at least 0."""
+    whose count must lie between 0 and MAX_PAIRS."""
     import random as _random
 
-    if random_pairs < 0:
-        raise InputError(f"--pairs must be >= 0, got {random_pairs}")
+    if not 0 <= random_pairs <= MAX_PAIRS:
+        bound = ">= 0" if random_pairs < 0 else f"<= {MAX_PAIRS}"
+        raise InputError(f"--pairs must be {bound}, got {random_pairs}")
 
     group = all_symplectic_matrices()
     perms = {}

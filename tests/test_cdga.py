@@ -23,7 +23,7 @@ from bigraded.cdga import (
     parse_poly,
     verify_vanishing,
 )
-from bigraded.errors import InputError, WorkbenchError
+from bigraded.errors import DomainError, InputError, WorkbenchError
 from bigraded.exactla import GF, QQ
 from bigraded.grading import VanishingLine
 from oracles import poly_add, poly_mul, poly_scale, rank_oracle
@@ -983,6 +983,19 @@ def test_dgmodule_rho4_koszul():
     )
     t = homology_table(mod, (9, 9))
     assert t.sorted_items() == [((0, 0), 1)]
+
+
+@pytest.mark.parametrize(
+    "module_gens",
+    [[("1", 0, 0, 0), ("e", 0, 1, 0)], [("1", 0, 0, 0), ("e", 0, 0, 0)], [("e", 1, 1, 0)]],
+)
+def test_a_module_table_that_is_not_unital_is_a_domain_error(module_gens):
+    """The truncated product multiplies in place and takes unital tables
+    only: 1 at (0, 0) and nothing else at genus 0.  A module with another
+    generator of genus 0, or with none at (0, 0), has no such table."""
+    base = _cdga(QQ, [Letter(1, 0, 0, "x")])
+    with pytest.raises(DomainError, match="must hold 1 at"):
+        homology_table(DGModule(base, module_gens), (3, 3))
 
 
 def _chain_module(fld, dz):

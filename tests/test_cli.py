@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -351,6 +353,7 @@ def test_worker_pool_is_capped_at_the_shard_count(monkeypatch):
         (40, 65, "maximum poset size must be <= 64, got 65"),
         (40, 500, "maximum poset size must be <= 64, got 500"),
         (-5, 12, "instance count must be >= 0, got -5"),
+        (100_001, 12, "instance count must be <= 100000, got 100001"),
     ],
 )
 def test_bad_campaign_bounds_start_no_pool(count, max_size, message, monkeypatch):
@@ -370,6 +373,32 @@ def test_bad_campaign_bounds_start_no_pool(count, max_size, message, monkeypatch
 def test_unknown_campaign_is_input_error():
     with pytest.raises(InputError, match="^unknown campaign 'bogus'$"):
         cli.run_fuzz_sharded("bogus", 40, 5, 7)
+
+
+def _options(parser, words=()):
+    """(subcommand words, action) of each option under ``parser``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _options(sub, words + (name,))
+        elif action.option_strings:
+            yield words, action
+
+
+def test_campaigns_come_from_one_table(monkeypatch):
+    """`posets.CAMPAIGNS` names every campaign: the --campaign choices, the
+    unknown-campaign check and the shards' dispatch all read it."""
+    (choices,) = [a.choices for _, a in _options(cli.build_parser()) if "--campaign" in a.option_strings]
+    assert choices == tuple(posets.CAMPAIGNS) == ("poset-map", "nerve")
+    seeds = []
+
+    def planted(count, max_size, seed):
+        seeds.append(seed)
+        return posets.FuzzReport("planted", seed, count, 0, [], 0)
+
+    monkeypatch.setitem(posets.CAMPAIGNS, "planted", planted)
+    assert cli.run_fuzz_sharded("planted", 3, 5, 7).instances == 3
+    assert seeds == [7, 7 + 1000003, 7 + 2 * 1000003]
 
 
 def test_poset_fuzz_reports_a_planted_counterexample(monkeypatch, capsys):
@@ -433,6 +462,15 @@ def _nerve_argv(cover="F.cov", tx="tx.w", ta="ta.w", A="A.pos"):
         (["poset", "fuzz", "--campaign", "nerve", "--threads", "0"], "--threads must be >= 1, got 0"),
         (["poset", "fuzz", "--campaign", "nerve", "--threads", "-3"], "--threads must be >= 1, got -3"),
         (["sp4", "verify", "--pairs", "-1"], "--pairs must be >= 0"),
+        # work counts are bounded before any work
+        (["poset", "fuzz", "--campaign", "nerve", "--count", "1000000000"],
+         "instance count must be <= 100000, got 1000000000"),
+        (["sp4", "verify", "--pairs", "1000000000"], "--pairs must be <= 1000000, got 1000000000"),
+        # dense certificates of a wide or tall matrix, refused before U and V are made
+        (["la", "snf", "--in", "wide.mat", "--certificate"],
+         "certificates take at most 200 rows and columns, got 1 x 3000"),
+        (["la", "snf", "--in", "tall.mat", "--certificate"],
+         "certificates take at most 200 rows and columns, got 201 x 1"),
         (["homology", "--preset", f"intstab-fl({10**400})", "--box", "3,3"], "below 2**31"),
         (["homology", "--preset", "intstab-fl(1000000000000000003)", "--box", "3,3"], "below 2**31"),
         (["homology", "--cdga", "gens.txt", "--field", "F1000000000000000003"], "below 2**31"),
@@ -595,6 +633,8 @@ def test_bad_inputs_are_input_errors(argv, message, tmp_path, monkeypatch, capsy
         "slope.cfg": "slope = 1/2\n",
         "rel.txt": "k1^2\n",
         "huge.mat": "1" * 4000 + " 2\n3 " + "7" * 2000 + "\n",
+        "wide.mat": "1 " * 3000 + "\n",
+        "tall.mat": "1\n" * 201,
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -721,3 +761,67 @@ def test_argparse_exits_are_returned(capsys):
     assert "invalid choice" in capsys.readouterr().err
     assert main(["slope-box", "--help"]) == 0
     assert "usage:" in capsys.readouterr().out
+
+
+# a minimal valid command line of each subcommand that has an integer option
+_INT_SWEEP_ARGV = {
+    ("ranges",): ["ranges", "--a", "3", "--b", "2", "--e", "-1"],
+    ("slope-box",): ["slope-box", "--high", "3/4"],
+    ("homology",): ["homology", "--preset", "A-algebra-fl", "--ell", "3", "--box", "2,2"],
+    ("vanish-check",): ["vanish-check", "--preset", "A-algebra-fl", "--ell", "3", "--box", "2,2"],
+    ("taut", "gysin"): ["taut", "gysin", "--expr", "k1", "--genus", "2"],
+    ("taut", "coproduct"): ["taut", "coproduct", "--expr", "k1", "--n", "2"],
+    ("taut", "ledger"): ["taut", "ledger"],
+    ("nerve", "check"): _nerve_argv(),
+    ("poset", "fuzz"): ["poset", "fuzz", "--campaign", "nerve", "--count", "1"],
+    ("sp4", "verify"): ["sp4", "verify", "--pairs", "1"],
+}
+_INT_OPTIONS = sorted((w, a.option_strings[0]) for w, a in _options(cli.build_parser()) if a.type is int)
+
+
+class _Alarm(BaseException):
+    """The sweep's time limit: not an Exception, so `main` lets it through."""
+
+
+def _run_with_alarm(argv, seconds):
+    """``main(argv)``, or "alarm" when it runs past ``seconds``."""
+
+    def ring(*_):
+        raise _Alarm
+
+    previous = signal.signal(signal.SIGALRM, ring)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return main(argv)
+    except _Alarm:
+        return "alarm"
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _nerve_files(tmp_path):
+    for name, text in {"X.pos": "c0 < c1\n", "A.pos": "u\n", "F.cov": "u : c0 c1\n",
+                       "tx.w": "c0 0\nc1 1\n", "ta.w": "u 0\n"}.items():
+        (tmp_path / name).write_text(text)
+
+
+@pytest.mark.parametrize("words", sorted(_INT_SWEEP_ARGV), ids=" ".join)
+def test_the_integer_sweep_starts_from_valid_command_lines(words, tmp_path, monkeypatch, capsys):
+    _nerve_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(_INT_SWEEP_ARGV[words]) in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("value", [10**9, -(10**9)])
+@pytest.mark.parametrize("words, flag", _INT_OPTIONS, ids=[" ".join(w) + " " + f for w, f in _INT_OPTIONS])
+def test_every_integer_option_ends_quickly_at_extreme_values(words, flag, value, tmp_path, monkeypatch):
+    """Each integer option, at 10^9 and at -10^9 on a minimal valid command
+    line, exits 0, 1 or 2 before a 10 s alarm: a work count or size with no
+    upper bound would run for hours instead of failing as an input error.
+    The worker pool is stubbed, so no process is started."""
+    _nerve_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    _inline_pool(monkeypatch)
+    assert _run_with_alarm(_INT_SWEEP_ARGV[words] + [f"{flag}={value}"], 10) in (0, 1, 2)
